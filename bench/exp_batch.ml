@@ -5,9 +5,9 @@
    ~kernel:`Per_node (the classic engine: every path evaluation
    anchored at one node, neighborhoods as persistent graphs) and once
    with the default ~kernel:`Batched (each (path, candidate-set) pair
-   primed once through Rdf.Path.eval_batch into a shared read-only
-   Path_memo base; fragment neighborhoods accumulated as store-row
-   sets).  Reports, and records in BENCH_batch.json:
+   primed once, set-at-a-time, into a shared read-only base; fragment
+   neighborhoods accumulated as store-row sets).  Reports, and records
+   in BENCH_batch.json:
 
    - fragment extraction per-node vs batched at -j 1 (interleaved
      min-of-pairs), with the batched run's batch_calls /
@@ -16,14 +16,7 @@
    - whether the outputs are identical — the fragment byte-for-byte on
      the Turtle serialization (and as graph equality) and the
      validation report byte-for-byte.  They must be: the kernel is a
-     pure evaluation-strategy change;
-   - the request-sharing path, exercised deliberately: the survey
-     suite's 57 requests are pairwise distinct after resolution + NNF,
-     so plain runs legitimately report requests_shared = 0 (the
-     mechanism was not dead, merely unprovoked).  We alias every
-     request under a second label and re-run with ~optimize:true,
-     asserting requests_shared > 0 so the counter is exercised by CI
-     every run. *)
+     pure evaluation-strategy change. *)
 
 open Shacl
 open Workload
@@ -112,28 +105,7 @@ let run ~quick =
     (Format.asprintf "%a" Util.pp_seconds t_val_batch)
     (t_val_per /. t_val_batch)
     vstats.Engine.Stats.batch_calls reports_identical;
-  (* Request sharing: alias every request under a second label so the
-     optimizer's structural-equality sharing has something to merge. *)
-  let aliased =
-    requests
-    @ List.map
-        (fun (r : Engine.request) -> { r with Engine.label = r.label ^ "#alias" })
-        requests
-  in
-  let frag_aliased, astats =
-    Engine.run ~schema ~jobs:1 ~optimize:true g aliased
-  in
-  let requests_shared = astats.Engine.Stats.requests_shared in
-  let aliased_identical = Rdf.Graph.equal frag_aliased frag_per in
-  if requests_shared = 0 then
-    failwith "request-sharing path not exercised (requests_shared = 0)";
-  Printf.printf
-    "request sharing: %d of %d aliased request(s) rode on their original \
-     (fragment unchanged: %b)\n"
-    requests_shared (List.length aliased) aliased_identical;
-  let all_identical =
-    fragments_identical && reports_identical && aliased_identical
-  in
+  let all_identical = fragments_identical && reports_identical in
   let oc = open_out "BENCH_batch.json" in
   Printf.fprintf oc
     "{\n\
@@ -157,7 +129,6 @@ let run ~quick =
     \    \"batch_calls\": %d,\n\
     \    \"reports_identical\": %b\n\
     \  },\n\
-    \  \"requests_shared\": %d,\n\
     \  \"identical\": %b\n\
      }\n"
     individuals triples (List.length entries) t_frag_per t_frag_batch
@@ -165,8 +136,7 @@ let run ~quick =
     batch_calls batch_sources rows_materialized fragments_identical t_val_per
     t_val_batch
     (t_val_per /. t_val_batch)
-    vstats.Engine.Stats.batch_calls reports_identical requests_shared
-    all_identical;
+    vstats.Engine.Stats.batch_calls reports_identical all_identical;
   close_out oc;
   Printf.printf "wrote BENCH_batch.json%s\n"
     (if all_identical then "" else "  ** MISMATCH per-node vs batched **")

@@ -1,27 +1,14 @@
-(* Cross-shape containment planner: optimizer off vs on.
+(* Cross-shape containment lattice of the survey schema.
 
-   Runs the full 57-shape survey suite (Workload.Bench_shapes) over a
-   generated Kg graph through Provenance.Engine twice — once with the
-   optimizer off (the plain engine) and once with ~optimize:true (the
-   Plan-driven leveled schedule: proven-containment skips plus the
-   per-(path, node) memo table).  Reports, and records in
-   BENCH_containment.json:
-
-   - the containment lattice Plan.make finds on the survey schema
-     (edges, equivalence classes, skippable shapes, levels, shared
-     paths);
-   - validation off vs on at -j 1 (interleaved pairs, minimum of five),
-     with the optimized run's checks_skipped and path-memo hit counts;
-   - fragment extraction off vs on at -j 1 (minimum of four pairs),
-     with requests_shared;
-   - whether the optimized outputs are identical — the validation
-     report byte-for-byte and the fragment both as graph equality and
-     on the Turtle serialization (they must be: the planner is a pure
-     evaluation-order optimization). *)
+   Runs Plan.make — the static containment analysis the [analyze]
+   command reports — over the full 57-shape survey suite
+   (Workload.Bench_shapes) and records in BENCH_containment.json the
+   lattice it proves (edges, equivalence classes, skippable shapes,
+   levels, shared paths) and the planning time.  The analysis is
+   graph-independent, so no data graph is involved. *)
 
 open Shacl
 open Workload
-module Engine = Provenance.Engine
 module Plan = Provenance.Plan
 
 let schema_of_entries entries =
@@ -33,16 +20,10 @@ let schema_of_entries entries =
            target = e.target })
        entries)
 
-let run ~quick =
-  Util.header "Containment planner: optimizer off vs on (57-shape survey)";
-  let individuals = if quick then 6000 else 20000 in
-  let g = Kg.generate ~seed:42 ~individuals in
-  let triples = Rdf.Graph.cardinal g in
+let run ~quick:_ =
+  Util.header "Containment lattice (57-shape survey)";
   let entries = Bench_shapes.all in
   let schema = schema_of_entries entries in
-  Printf.printf "graph: %d individuals, %d triples; %d shapes\n" individuals
-    triples (List.length entries);
-  (* The lattice the planner proves on this schema. *)
   let t_plan, plan = Util.time (fun () -> Plan.make schema) in
   let edges = Plan.(List.length plan.edges) in
   let equivalences =
@@ -53,81 +34,16 @@ let run ~quick =
   let levels = Plan.n_levels plan in
   let shared_paths = Plan.(List.length plan.shared_paths) in
   Printf.printf
-    "lattice: %d proven edge(s) (%d equivalence pair(s), %d class(es)), %d \
-     skippable shape(s), %d level(s), %d shared path(s); planned in %s\n"
-    edges equivalences classes skippable levels shared_paths
+    "%d shapes; lattice: %d proven edge(s) (%d equivalence pair(s), %d \
+     class(es)), %d skippable shape(s), %d level(s), %d shared path(s); \
+     planned in %s\n"
+    (List.length entries) edges equivalences classes skippable levels
+    shared_paths
     (Format.asprintf "%a" Util.pp_seconds t_plan);
-  (* Validation: off vs on, -j 1, averaged over three runs. *)
-  (* Interleaved min-of-N pairs: ambient load on shared hardware easily
-     shifts any single run by more than the effect under test, so each
-     repetition times the two configurations back to back and the
-     minimum — the least-disturbed run — represents each side. *)
-  let min_of_pairs ~pairs f_off f_on =
-    ignore (f_off ());
-    ignore (f_on ());
-    let best_off = ref infinity and best_on = ref infinity in
-    let last_off = ref None and last_on = ref None in
-    for _ = 1 to pairs do
-      Gc.full_major ();
-      let t, r = Util.time f_off in
-      if t < !best_off then best_off := t;
-      last_off := Some r;
-      Gc.full_major ();
-      let t, r = Util.time f_on in
-      if t < !best_on then best_on := t;
-      last_on := Some r
-    done;
-    ( !best_off,
-      Option.get !last_off,
-      !best_on,
-      Option.get !last_on )
-  in
-  let t_val_off, (report_off, _), t_val_on, (report_on, vstats) =
-    min_of_pairs ~pairs:6
-      (fun () -> Engine.validate ~jobs:1 schema g)
-      (fun () -> Engine.validate ~jobs:1 ~optimize:true schema g)
-  in
-  let report_bytes r = Format.asprintf "%a" Validate.pp_report r in
-  let reports_identical =
-    String.equal (report_bytes report_off) (report_bytes report_on)
-  in
-  let checks_skipped = vstats.Engine.Stats.checks_skipped in
-  let memo_hits = vstats.Engine.Stats.path_memo_hits in
-  let memo_lookups = vstats.Engine.Stats.path_memo_lookups in
-  Printf.printf
-    "validate off: %s; on: %s  (%.2fx; %d check(s) skipped, %d/%d path-memo \
-     hit(s); reports identical: %b)\n"
-    (Format.asprintf "%a" Util.pp_seconds t_val_off)
-    (Format.asprintf "%a" Util.pp_seconds t_val_on)
-    (t_val_off /. t_val_on) checks_skipped memo_hits memo_lookups
-    reports_identical;
-  (* Fragment extraction: off vs on, -j 1. *)
-  let requests = Engine.requests_of_schema schema in
-  let t_frag_off, (frag_off, _), t_frag_on, (frag_on, fstats) =
-    min_of_pairs ~pairs:4
-      (fun () -> Engine.run ~schema ~jobs:1 g requests)
-      (fun () -> Engine.run ~schema ~jobs:1 ~optimize:true g requests)
-  in
-  let fragments_identical =
-    Rdf.Graph.equal frag_off frag_on
-    && String.equal (Rdf.Turtle.to_string frag_off)
-         (Rdf.Turtle.to_string frag_on)
-  in
-  Printf.printf
-    "fragment off: %s; on: %s  (%.2fx; %d shared request(s), %d/%d path-memo \
-     hit(s); fragments identical: %b)\n"
-    (Format.asprintf "%a" Util.pp_seconds t_frag_off)
-    (Format.asprintf "%a" Util.pp_seconds t_frag_on)
-    (t_frag_off /. t_frag_on)
-    fstats.Engine.Stats.requests_shared fstats.Engine.Stats.path_memo_hits
-    fstats.Engine.Stats.path_memo_lookups fragments_identical;
-  let all_identical = reports_identical && fragments_identical in
   let oc = open_out "BENCH_containment.json" in
   Printf.fprintf oc
     "{\n\
-    \  \"experiment\": \"cross-shape containment planner: off vs on\",\n\
-    \  \"workload\": \"Kg.generate ~seed:42 ~individuals:%d\",\n\
-    \  \"triples\": %d,\n\
+    \  \"experiment\": \"cross-shape containment lattice\",\n\
     \  \"shapes\": %d,\n\
     \  \"lattice\": {\n\
     \    \"proven_edges\": %d,\n\
@@ -137,33 +53,9 @@ let run ~quick =
     \    \"levels\": %d,\n\
     \    \"shared_paths\": %d,\n\
     \    \"planning_seconds\": %.6f\n\
-    \  },\n\
-    \  \"validate\": {\n\
-    \    \"off_seconds\": %.6f,\n\
-    \    \"on_seconds\": %.6f,\n\
-    \    \"speedup\": %.3f,\n\
-    \    \"checks_skipped\": %d,\n\
-    \    \"path_memo_hits\": %d,\n\
-    \    \"path_memo_lookups\": %d,\n\
-    \    \"reports_identical\": %b\n\
-    \  },\n\
-    \  \"fragment\": {\n\
-    \    \"off_seconds\": %.6f,\n\
-    \    \"on_seconds\": %.6f,\n\
-    \    \"speedup\": %.3f,\n\
-    \    \"requests_shared\": %d,\n\
-    \    \"path_memo_hits\": %d,\n\
-    \    \"fragments_identical\": %b\n\
-    \  },\n\
-    \  \"identical\": %b\n\
+    \  }\n\
      }\n"
-    individuals triples (List.length entries) edges equivalences classes
-    skippable levels shared_paths t_plan t_val_off t_val_on
-    (t_val_off /. t_val_on) checks_skipped memo_hits memo_lookups
-    reports_identical t_frag_off t_frag_on
-    (t_frag_off /. t_frag_on)
-    fstats.Engine.Stats.requests_shared fstats.Engine.Stats.path_memo_hits
-    fragments_identical all_identical;
+    (List.length entries) edges equivalences classes skippable levels
+    shared_paths t_plan;
   close_out oc;
-  Printf.printf "wrote BENCH_containment.json%s\n"
-    (if all_identical then "" else "  ** MISMATCH off vs on **")
+  print_endline "wrote BENCH_containment.json"

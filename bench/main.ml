@@ -16,7 +16,7 @@ let experiments =
     "ldf", ("Figure 4: LDF-spectrum positioning", Exp_ldf.run);
     "ablations", ("Design-choice ablations", Exp_ablation.run);
     "parallel", ("Parallel fragment engine scaling", Exp_parallel.run);
-    "containment", ("Cross-shape containment planner", Exp_containment.run);
+    "containment", ("Cross-shape containment lattice", Exp_containment.run);
     "cluster", ("Sharded cluster: scatter-gather and failover", Exp_cluster.run);
     "batch", ("Batched path kernel: per-node vs set-at-a-time", Exp_batch.run);
     "incremental",

@@ -129,17 +129,6 @@ let on_error_arg =
     & opt (enum [ ("fail", `Fail); ("skip", `Skip) ]) `Fail
     & info [ "on-error" ] ~docv:"POLICY" ~doc)
 
-let optimize_arg =
-  let doc =
-    "Enable the cross-shape optimizer: run the static containment \
-     analysis over the schema, skip constraint checks proven by a \
-     containment, share structurally equal requests, and share path \
-     evaluations across shapes through a per-(path, node) memo table.  \
-     Output is identical to the unoptimized run; only statistics (and \
-     wall-clock time) change."
-  in
-  Arg.(value & flag & info [ "optimize" ] ~doc)
-
 let budget_of timeout fuel =
   match (timeout, fuel) with
   | None, None -> Runtime.Budget.unlimited
@@ -222,7 +211,7 @@ let validate_cmd =
     let doc = "Print the result as a W3C validation report in Turtle." in
     Arg.(value & flag & info [ "rdf-report" ] ~doc)
   in
-  let run data shapes rdf_report jobs stats timeout fuel on_error optimize =
+  let run data shapes rdf_report jobs stats timeout fuel on_error =
     wrap (fun () ->
         let g = load_graph data in
         let schema =
@@ -234,17 +223,15 @@ let validate_cmd =
         let budget = budget_of timeout fuel in
         (* The resilient paths — fault isolation, degradation, per-shape
            failure accounting — live in the engine, so any resilience
-           flag routes through it even single-threaded; the containment
-           optimizer is an engine feature too. *)
+           flag routes through it even single-threaded. *)
         let use_engine =
           jobs > 1 || stats || on_error = `Skip || timeout <> None
-          || fuel <> None || optimize
+          || fuel <> None
         in
         let report, degraded =
           if use_engine then begin
             let report, engine_stats =
-              Provenance.Engine.validate ~jobs ~budget ~on_error ~optimize
-                schema g
+              Provenance.Engine.validate ~jobs ~budget ~on_error schema g
             in
             if stats then print_stats engine_stats;
             (report, Provenance.Engine.Stats.degraded engine_stats)
@@ -262,7 +249,7 @@ let validate_cmd =
     (Cmd.info "validate" ~doc)
     Term.(
       const run $ data_arg $ shapes_arg $ rdf_report_arg $ jobs_arg
-      $ stats_arg $ timeout_arg $ fuel_arg $ on_error_arg $ optimize_arg)
+      $ stats_arg $ timeout_arg $ fuel_arg $ on_error_arg)
 
 (* ---------------- lint --------------------------------------------- *)
 
@@ -383,11 +370,11 @@ let analyze_cmd =
   in
   let doc =
     "Run the cross-shape containment analysis over a shapes graph and \
-     print the containment lattice plus the evaluation plan the engine \
-     executes under --optimize: proven containments and equivalences, \
-     execution levels, the skip rule per shape, and the shared paths the \
-     per-(path, node) memo table will serve.  Exits non-zero when the \
-     schema has errors."
+     print the containment lattice plus the evaluation plan it implies: \
+     proven containments and equivalences, execution levels, the checks \
+     each proven containment makes redundant, and the paths several \
+     shapes share.  The plan is a static report; validation does not \
+     change with it.  Exits non-zero when the schema has errors."
   in
   Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ shapes_arg $ json_arg)
 
@@ -444,8 +431,7 @@ let neighborhood_cmd =
 (* ---------------- fragment ---------------------------------------- *)
 
 let fragment_cmd =
-  let run data shapes exprs prefixes jobs stats timeout fuel on_error optimize
-      =
+  let run data shapes exprs prefixes jobs stats timeout fuel on_error =
     wrap (fun () ->
         let namespaces = namespaces_of prefixes in
         let g = load_graph data in
@@ -467,8 +453,7 @@ let fragment_cmd =
         in
         let budget = budget_of timeout fuel in
         let fragment, engine_stats =
-          Provenance.Engine.run ~schema ~jobs ~budget ~on_error ~optimize g
-            requests
+          Provenance.Engine.run ~schema ~jobs ~budget ~on_error g requests
         in
         if stats then print_stats engine_stats;
         print_string (Rdf.Turtle.to_string ~prefixes:namespaces fragment);
@@ -485,8 +470,7 @@ let fragment_cmd =
     (Cmd.info "fragment" ~doc)
     Term.(
       const run $ data_arg $ shapes_arg $ shape_exprs_arg $ prefix_arg
-      $ jobs_arg $ stats_arg $ timeout_arg $ fuel_arg $ on_error_arg
-      $ optimize_arg)
+      $ jobs_arg $ stats_arg $ timeout_arg $ fuel_arg $ on_error_arg)
 
 (* ---------------- to-sparql --------------------------------------- *)
 
@@ -765,6 +749,14 @@ let serve_cmd =
             request_timeout; request_fuel; drain_timeout = drain;
             snapshot_every }
         in
+        (* Install the stop handlers before the server publishes its
+           port file: a SIGTERM sent the moment the file appears must
+           still drain.  The handler only sets a flag; the wait loop
+           below forwards it to the server. *)
+        let signalled = Atomic.make false in
+        let on_signal = Sys.Signal_handle (fun _ -> Atomic.set signalled true) in
+        Sys.set_signal Sys.sigterm on_signal;
+        Sys.set_signal Sys.sigint on_signal;
         let server =
           try
             match shard with
@@ -789,13 +781,11 @@ let serve_cmd =
           host (Service.Server.port server) jobs queue;
         (* flush so scripts watching stdout (or the port file) can start *)
         Format.pp_print_flush Format.std_formatter ();
-        let stop _ = Service.Server.request_stop server in
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-        Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-        while not (Service.Server.stop_requested server) do
+        while not (Atomic.get signalled) do
           (* sleep is interrupted by the signal; EINTR just rechecks *)
           try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
         done;
+        Service.Server.request_stop server;
         match Service.Server.shutdown server with
         | `Drained ->
             let stats = Service.Server.stats server in

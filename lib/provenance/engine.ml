@@ -13,8 +13,6 @@ module Stats = struct
     conforming : int;
     wall : float;
     failed : Runtime.Outcome.reason option;
-    skipped : int;
-    shared_with : string option;
   }
 
   type t = {
@@ -28,8 +26,6 @@ module Stats = struct
     path_memo_lookups : int;
     path_memo_hits : int;
     path_memo_misses : int;
-    checks_skipped : int;
-    requests_shared : int;
     triples_emitted : int;
     retries : int;
     interned_terms : int;
@@ -56,15 +52,9 @@ module Stats = struct
        path evaluation(s)@,time: planning %.3fs, total %.3fs"
       t.jobs t.nodes_checked t.conforming t.triples_emitted t.memo_lookups
       t.memo_hits t.memo_misses t.path_evals t.planning t.wall;
-    (* The optimizer lines only appear when the optimizer did something,
-       so unoptimized output is byte-identical to earlier releases. *)
     if t.path_memo_lookups > 0 then
       Format.fprintf ppf "@,path memo: %d lookup(s), %d hit(s), %d miss(es)"
         t.path_memo_lookups t.path_memo_hits t.path_memo_misses;
-    if t.checks_skipped > 0 || t.requests_shared > 0 then
-      Format.fprintf ppf
-        "@,containment: %d check(s) skipped, %d shared request(s)"
-        t.checks_skipped t.requests_shared;
     if t.interned_terms > 0 then begin
       Format.fprintf ppf "@,store: %d interned term(s), %d index probe(s)"
         t.interned_terms t.store_lookups;
@@ -83,10 +73,6 @@ module Stats = struct
           s.label s.candidates
           (if s.pruned then " (target-pruned)" else "")
           s.conforming s.wall;
-        if s.skipped > 0 then Format.fprintf ppf ", %d skipped" s.skipped;
-        (match s.shared_with with
-        | Some rep -> Format.fprintf ppf ", shared with %s" rep
-        | None -> ());
         match s.failed with
         | Some reason ->
             Format.fprintf ppf ", FAILED: %a" Runtime.Outcome.pp_reason reason
@@ -200,7 +186,6 @@ type 'item acc = {
   extra : (Triple.t, unit) Hashtbl.t;
   counters : Counters.t;
   conf : int array;
-  skip : int array;
   walls : float array;
   mutable checked : int;
   mutable failed : ('item * exn) list;
@@ -211,7 +196,6 @@ let make_acc ~nrows ~nshapes =
     extra = Hashtbl.create 16;
     counters = Counters.create ();
     conf = Array.make nshapes 0;
-    skip = Array.make nshapes 0;
     walls = Array.make nshapes 0.0;
     checked = 0;
     failed = [] }
@@ -242,7 +226,6 @@ let fold_accs accs =
         Hashtbl.iter (fun tr () -> Hashtbl.replace final.extra tr ()) a.extra;
         Counters.add ~into:final.counters a.counters;
         Array.iteri (fun i c -> final.conf.(i) <- final.conf.(i) + c) a.conf;
-        Array.iteri (fun i c -> final.skip.(i) <- final.skip.(i) + c) a.skip;
         Array.iteri (fun i t -> final.walls.(i) <- final.walls.(i) +. t) a.walls;
         final.checked <- final.checked + a.checked
       end)
@@ -423,7 +406,7 @@ let probe_sites label =
 
 let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
     ?(jobs = 1) ?(budget = Runtime.Budget.unlimited) ?(on_error = `Fail)
-    ?(optimize = false) ?(kernel = `Batched) ?restrict g requests =
+    ?(kernel = `Batched) ?restrict g requests =
   let jobs = max 1 jobs in
   let t0 = now () in
   (* Freeze once up front: planning, checking and tracing all run
@@ -432,37 +415,6 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
   let store = Graph.store g in
   let nrows = match store with Some st -> Store.n_triples st | None -> 0 in
   let all_nodes = lazy (Graph.nodes g) in
-  (* Under the optimizer, requests with equal target expressions share
-     one base candidate computation (the stray-constant adjustment is
-     per-request and cheap).  Schema requests routinely repeat the same
-     handful of target classes, so this cuts planning from one target
-     evaluation per request to one per distinct target. *)
-  let base_cache : (Shape.t * Term.Set.t) list ref = ref [] in
-  let plan_cached r =
-    match r.target with
-    | Some tau when optimize && Analysis.Monotone.is_monotone schema tau -> (
-        let base =
-          match
-            List.find_opt (fun (t, _) -> Shape.equal t tau) !base_cache
-          with
-          | Some (_, base) -> base
-          | None ->
-              let base =
-                match Validate.fast_targets g tau with
-                | Some targets -> targets
-                | None -> Conformance.conforming_nodes schema g tau
-              in
-              base_cache := (tau, base) :: !base_cache;
-              base
-        in
-        let stray_constants =
-          Term.Set.filter
-            (fun c -> Conformance.conforms schema g c tau)
-            (Shape.constants r.shape)
-        in
-        Term.Set.union base stray_constants, true)
-    | _ -> plan ~schema ~all_nodes g r
-  in
   (* [restrict] narrows the *candidate* set, not the graph: each kept
      candidate is still checked against the whole graph, so a shard
      worker's answer is exact over the nodes it owns and the union over
@@ -473,7 +425,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
   let plans =
     List.map
       (fun r ->
-        let candidates, pruned = plan_cached r in
+        let candidates, pruned = plan ~schema ~all_nodes g r in
         ( r,
           Array.of_list (restrict_list (Term.Set.elements candidates)),
           pruned ))
@@ -482,65 +434,26 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
   let shapes = Array.of_list (List.map (fun (r, _, _) -> r.shape) plans) in
   let labels = Array.of_list (List.map (fun (r, _, _) -> r.label) plans) in
   let nshapes = Array.length shapes in
-  (* Request sharing: two requests whose shapes are structurally equal
-     after reference resolution and NNF drive the checker identically —
-     same conforming nodes, same neighborhoods — so the later one rides
-     on the earlier for free.  Resolution + NNF only (no containment
-     canonicalization): canonical rewrites preserve conformance but not
-     neighborhoods, so they must not merge fragment requests. *)
-  let shared_of = Array.make nshapes None in
-  if optimize then begin
-    let keys =
-      Array.map (fun s -> Analysis.Containment.resolved_nnf schema s) shapes
-    in
-    for i = 0 to nshapes - 1 do
-      let rec find j =
-        if j >= i then None
-        else if shared_of.(j) = None && Shape.equal keys.(j) keys.(i) then
-          Some j
-        else find (j + 1)
-      in
-      shared_of.(i) <- find 0
-    done
-  end;
   let planning = now () -. t0 in
   (* Batched kernel: evaluate each distinct (path, candidate set) of the
-     planned shapes once, set-at-a-time, into a read-only base shared by
-     every worker's memo table.  The per-chunk tables created over it
-     keep chunk statistics scheduling-independent, unlike the
-     per-worker tables of [~optimize]. *)
+     planned shapes once, set-at-a-time, into the kernel's id-space base
+     shared read-only by every worker's context.  Only the instrumented
+     rows pipeline uses it; the per-node pipelines (the naive algorithm,
+     or a graph with no store) evaluate node at a time. *)
   let prime_counters = Counters.create () in
   let use_rows =
     kernel = `Batched && store <> None && algorithm = Fragment.Instrumented
   in
-  let prime_items () =
-    let pairs =
-      List.mapi
-        (fun i (_, candidates, _) ->
-          if shared_of.(i) <> None then ([], [||])
-          else (Conformance.focus_paths schema shapes.(i), candidates))
-        plans
-    in
-    collect_prime_items pairs
-  in
-  (* The rows pipeline primes straight into the kernel's id-space base;
-     the per-node pipelines (naive algorithm, or a graph that was never
-     frozen) prime a term-space [Path_memo] base instead. *)
   let row_base =
     match use_rows, store with
     | true, Some st ->
         let b = Rdf.Path.Batch.base_create () in
         prime_row_base ~jobs ~budget ~into_counters:prime_counters b st
-          (prime_items ());
-        Some b
-    | _ -> None
-  in
-  let base =
-    match kernel, store with
-    | `Batched, Some _ when not use_rows ->
-        let b = Path_memo.base_create () in
-        prime_base ~jobs ~budget ~into_counters:prime_counters b g
-          (prime_items ());
+          (collect_prime_items
+             (List.mapi
+                (fun i (_, candidates, _) ->
+                  (Conformance.focus_paths schema shapes.(i), candidates))
+                plans));
         Some b
     | _ -> None
   in
@@ -548,8 +461,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
     List.concat
       (List.mapi
          (fun i (_, candidates, _) ->
-           if shared_of.(i) <> None then []
-           else List.map (fun chunk -> i, chunk) (chunks_of ~jobs candidates))
+           List.map (fun chunk -> i, chunk) (chunks_of ~jobs candidates))
          plans)
   in
   let pop = make_queue items in
@@ -563,7 +475,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
      budget exhaustion, or any crash inside shape evaluation.  Emitted
      triples become bits in a chunk-local row bitset: a neighborhood is
      a subgraph of [g], so on a frozen graph every triple has a row. *)
-  let eval_chunk ?path_memo ?env_for (i, chunk) =
+  let eval_chunk ?env_for (i, chunk) =
     probe_sites labels.(i);
     Runtime.Budget.check budget;
     let t = now () in
@@ -593,8 +505,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
          | None -> Neighborhood.row_env ~budget ~counters ?base:row_base g
        in
        let check =
-         Neighborhood.row_checker ~counters ~budget ~schema ?path_memo ~env g
-           shapes.(i)
+         Neighborhood.row_checker ~counters ~budget ~schema ~env g shapes.(i)
        in
        Array.iter
          (fun v ->
@@ -609,11 +520,9 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
        let check =
          match algorithm with
          | Fragment.Instrumented ->
-             Neighborhood.checker ~counters ~budget ~schema ?path_memo g
-               shapes.(i)
+             Neighborhood.checker ~counters ~budget ~schema g shapes.(i)
          | Fragment.Naive ->
-             Neighborhood.naive_checker ~counters ~budget ~schema ?path_memo g
-               shapes.(i)
+             Neighborhood.naive_checker ~counters ~budget ~schema g shapes.(i)
        in
        Array.iter
          (fun v ->
@@ -636,60 +545,40 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
     acc.walls.(i) <- acc.walls.(i) +. wall;
     acc.checked <- acc.checked + chunk_checked
   in
-  (* Memo policy: under the optimizer one table per worker domain,
-     shared across every chunk — and so across shapes — that worker
-     processes, never across domains.  Under the batched kernel alone,
-     one table {e per chunk} over the shared primed base: chunk-level
-     counters then do not depend on which worker drained which chunk,
-     preserving the fixed-[-j] determinism of the statistics. *)
-  let worker_memo () =
-    if optimize then Some (Path_memo.create ?base ()) else None
-  in
-  let chunk_memo worker_memo =
-    match worker_memo with
-    | Some _ -> worker_memo
-    | None -> (
-        match base with
-        | Some _ -> Some (Path_memo.create ?base ())
-        | None -> None)
-  in
   let worker w =
     let acc = accs.(w) in
-    let worker_memo = worker_memo () in
     (* one id-space kernel context per worker, shared across every chunk
        — and shape — it drains; the lookup hook charges whichever
        chunk's counters are current *)
     let env_for =
-      match use_rows, store with
-      | true, Some st ->
-          ignore st;
-          let cur = ref None in
-          let env =
-            Neighborhood.row_env ~budget
-              ~lookup:(fun () ->
-                match !cur with
-                | Some c ->
-                    c.Counters.store_lookups <- c.Counters.store_lookups + 1
-                | None -> ())
-              ~lookup_n:(fun k ->
-                match !cur with
-                | Some c ->
-                    c.Counters.store_lookups <- c.Counters.store_lookups + k
-                | None -> ())
-              ?base:row_base g
-          in
-          Some
-            (fun counters ->
-              cur := Some counters;
-              env)
-      | _ -> None
+      if use_rows then begin
+        let cur = ref None in
+        let env =
+          Neighborhood.row_env ~budget
+            ~lookup:(fun () ->
+              match !cur with
+              | Some c ->
+                  c.Counters.store_lookups <- c.Counters.store_lookups + 1
+              | None -> ())
+            ~lookup_n:(fun k ->
+              match !cur with
+              | Some c ->
+                  c.Counters.store_lookups <- c.Counters.store_lookups + k
+              | None -> ())
+            ?base:row_base g
+        in
+        Some
+          (fun counters ->
+            cur := Some counters;
+            env)
+      end
+      else None
     in
     let rec drain () =
       match pop () with
       | None -> ()
       | Some item ->
-          (match eval_chunk ?path_memo:(chunk_memo worker_memo) ?env_for item
-           with
+          (match eval_chunk ?env_for item with
           | result -> merge acc item result
           | exception e -> acc.failed <- (item, e) :: acc.failed);
           drain ()
@@ -698,11 +587,11 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
   in
   spawn_pool ~jobs worker;
   (* Sequential degradation: retry each failed chunk once on this domain
-     (faults may be transient; a fresh memo table also helps after an
-     overflow), unless the budget is already gone — then skip straight
-     to the failure verdict so a timed-out run still returns promptly.
-     The pool is joined, so this domain owns every accumulator; retried
-     chunks merge into the first. *)
+     (faults may be transient; a fresh kernel context also helps after
+     an overflow), unless the budget is already gone — then skip
+     straight to the failure verdict so a timed-out run still returns
+     promptly.  The pool is joined, so this domain owns every
+     accumulator; retried chunks merge into the first. *)
   let first_error = ref None in
   List.iter
     (fun (((i, _) as item), e) ->
@@ -715,7 +604,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
       | Some _ -> final_failure e
       | None -> (
           incr retries;
-          match eval_chunk ?path_memo:(chunk_memo (worker_memo ())) item with
+          match eval_chunk item with
           | result -> merge accs.(0) item result
           | exception e' -> final_failure e'))
     (failed_of accs);
@@ -725,9 +614,6 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
   let final = fold_accs accs in
   Counters.add ~into:final.counters prime_counters;
   let totals = final.counters in
-  let conforming = final.conf in
-  let walls = final.walls in
-  let checked = ref final.checked in
   (* The fragment is decoded from the merged bitset in ascending row
      order — canonical SPO order, independent of scheduling. *)
   let emitted = ref 0 in
@@ -752,37 +638,18 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
   let shape_stats =
     List.mapi
       (fun i (r, candidates, pruned) ->
-        match shared_of.(i) with
-        | Some rep ->
-            (* not evaluated at all — its work rode on [rep] *)
-            { Stats.label = r.label;
-              pruned;
-              candidates = 0;
-              conforming = 0;
-              wall = 0.0;
-              failed = None;
-              skipped = 0;
-              shared_with = Some labels.(rep) }
-        | None ->
-            { Stats.label = r.label;
-              pruned;
-              candidates = Array.length candidates;
-              conforming = conforming.(i);
-              wall = walls.(i);
-              failed = failures.(i);
-              skipped = 0;
-              shared_with = None })
+        { Stats.label = r.label;
+          pruned;
+          candidates = Array.length candidates;
+          conforming = final.conf.(i);
+          wall = final.walls.(i);
+          failed = failures.(i) })
       plans
-  in
-  let requests_shared =
-    Array.fold_left
-      (fun acc s -> if s <> None then acc + 1 else acc)
-      0 shared_of
   in
   let stats =
     { Stats.jobs;
-      nodes_checked = !checked;
-      conforming = Array.fold_left ( + ) 0 conforming;
+      nodes_checked = final.checked;
+      conforming = Array.fold_left ( + ) 0 final.conf;
       memo_lookups = totals.Counters.memo_lookups;
       memo_hits = totals.Counters.memo_hits;
       memo_misses = totals.Counters.memo_misses;
@@ -790,8 +657,6 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
       path_memo_lookups = totals.Counters.path_memo_lookups;
       path_memo_hits = totals.Counters.path_memo_hits;
       path_memo_misses = totals.Counters.path_memo_misses;
-      checks_skipped = 0;
-      requests_shared;
       triples_emitted = !emitted;
       retries = !retries;
       interned_terms = (match store with Some st -> Store.n_terms st | None -> 0);
@@ -814,45 +679,24 @@ let fragment_schema ?algorithm ?jobs schema g =
 (* ---------------- validation --------------------------------------- *)
 
 let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
-    ?(on_error = `Fail) ?(optimize = false) ?(kernel = `Batched) ?restrict
-    schema g =
+    ?(on_error = `Fail) ?(kernel = `Batched) ?restrict schema g =
   let jobs = max 1 jobs in
   let t0 = now () in
   let g = Graph.freeze g in
   let store = Graph.store g in
-  (* The containment plan is static — graph-independent — and its cost
-     is accounted as planning time. *)
-  let plan_opt = if optimize then Some (Plan.make schema) else None in
-  let defs = Schema.defs schema in
-  (* Under the optimizer, defs with equal target expressions share one
-     candidate array: the (often expensive) target evaluation runs once
-     per distinct target, and downstream the physical sharing lets the
-     skip rule compare verdicts by index instead of by node lookup. *)
-  let target_cache : (Shape.t * Term.t array) list ref = ref [] in
-  let targets_of (def : Schema.def) =
-    let compute () =
-      (* same contract as [run]: owned targets only, checked against the
-         whole graph — the restriction is constant for the run, so the
-         dedup cache below stays valid *)
-      let nodes = Term.Set.elements (Validate.target_nodes schema g def) in
-      let nodes =
-        match restrict with None -> nodes | Some keep -> List.filter keep nodes
-      in
-      Array.of_list nodes
-    in
-    if not optimize then compute ()
-    else
-      match
-        List.find_opt (fun (t, _) -> Shape.equal t def.target) !target_cache
-      with
-      | Some (_, arr) -> arr
-      | None ->
-          let arr = compute () in
-          target_cache := (def.target, arr) :: !target_cache;
-          arr
-  in
+  (* same contract as [run]: owned targets only, checked against the
+     whole graph *)
   let plans =
-    List.map (fun (def : Schema.def) -> def, targets_of def) defs
+    List.map
+      (fun (def : Schema.def) ->
+        let nodes = Term.Set.elements (Validate.target_nodes schema g def) in
+        let nodes =
+          match restrict with
+          | None -> nodes
+          | Some keep -> List.filter keep nodes
+        in
+        def, Array.of_list nodes)
+      (Schema.defs schema)
   in
   let planning = now () -. t0 in
   let plans_arr = Array.of_list plans in
@@ -861,217 +705,115 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
     Array.map (fun (_, targets) -> Array.make (Array.length targets) false)
       plans_arr
   in
-  (* Execution levels.  Without the optimizer everything is one level —
-     one pool, one queue, exactly the previous engine.  With it, defs
-     run in the plan's layers so that when a proven [A ⊑ B] schedules
-     [A] first, [B]'s checks are skipped on nodes already proven
-     [A]-conformant. *)
-  let levels =
-    match plan_opt with
-    | None -> [ List.init ndefs Fun.id ]
-    | Some p ->
-        List.init (Plan.n_levels p) (fun l ->
-            List.filter
-              (fun i -> p.Plan.levels.(i) = l)
-              (List.init ndefs Fun.id))
-  in
-  (* One accumulator per worker, reused across levels: between levels
-     only the calling domain runs, and within a level each worker
-     touches only its own record — no lock on the merge path. *)
+  (* One accumulator per worker: each worker touches only its own
+     record — no lock on the merge path. *)
   let accs = Array.init jobs (fun _ -> make_acc ~nrows:0 ~nshapes:ndefs) in
   let retries = ref 0 in
   let failures : Runtime.Outcome.reason option array = Array.make ndefs None in
-  (* Skip sources for each def, rebuilt before its level runs: the
-     verdict arrays of proven-contained predecessors that share this
-     def's (deduped) target array.  Sharing makes the per-candidate
-     test a single array load at the candidate's own index — no set is
-     ever materialized.  A predecessor with a {e different} target
-     array is ignored: it could only skip nodes in the intersection of
-     the two target sets (typically empty — think equal constraints
-     under disjoint target classes), while serving it would mean
-     hashing whole conforming sets; the bookkeeping costs more than the
-     checks it saves. *)
-  let skip_idx : bool array list array = Array.make ndefs [] in
   let label_of i =
     let (def : Schema.def), _ = plans_arr.(i) in
     Term.to_string def.Schema.name
   in
-  (* Batched kernel: one shared base filled level by level — each
-     level's (shape focus-path × target array) pairs are primed
-     set-at-a-time just before the level runs, and already-primed
-     (path, node) entries are skipped, so deduped targets across levels
-     cost nothing twice. *)
+  (* Batched kernel: every (shape focus path × target array) pair is
+     primed set-at-a-time into one shared base before the pool runs;
+     each chunk then gets its own memo table over the base, so chunk
+     statistics do not depend on which worker drained which chunk. *)
   let prime_counters = Counters.create () in
   let base =
     match kernel, store with
-    | `Batched, Some _ -> Some (Path_memo.base_create ())
+    | `Batched, Some _ ->
+        let b = Path_memo.base_create () in
+        prime_base ~jobs ~budget ~into_counters:prime_counters b g
+          (collect_prime_items
+             (List.map
+                (fun ((def : Schema.def), targets) ->
+                  (Conformance.focus_paths schema def.Schema.shape, targets))
+                plans));
+        Some b
     | _ -> None
-  in
-  (* At [-j 1] everything runs on this domain, so one table can serve
-     the whole run; parallel workers each build their own per level. *)
-  let solo_memo =
-    if optimize && jobs <= 1 then Some (Path_memo.create ?base ()) else None
   in
   (* Verdict writes go to disjoint slices of [verdicts], so they need no
      lock; a failed chunk's partial writes are harmless because a failed
      definition is dropped from the report wholesale. *)
-  let eval_chunk ?path_memo (i, offset, chunk) =
+  let eval_chunk (i, offset, chunk) =
     probe_sites (label_of i);
     Runtime.Budget.check budget;
     let t = now () in
     let def, _ = plans_arr.(i) in
     let counters = Counters.create () in
-    let by_index = skip_idx.(i) in
+    let path_memo = Option.map (fun base -> Path_memo.create ~base ()) base in
     let check =
       Conformance.checker ~counters ~budget ?path_memo schema g
         def.Schema.shape
     in
     let conforming = ref 0 in
-    let chunk_skipped = ref 0 in
     Array.iteri
       (fun j v ->
-        (* a node proven conformant to a contained shape is conformant *)
-        let skip =
-          match by_index with
-          | [] -> false
-          | l -> List.exists (fun va -> va.(offset + j)) l
-        in
-        let ok =
-          if skip then begin
-            incr chunk_skipped;
-            true
-          end
-          else check v
-        in
+        let ok = check v in
         if ok then incr conforming;
         verdicts.(i).(offset + j) <- ok)
       chunk;
-    counters, !conforming, !chunk_skipped, Array.length chunk, now () -. t
+    counters, !conforming, Array.length chunk, now () -. t
   in
-  let merge acc (i, _, _)
-      (counters, chunk_conforming, chunk_skipped, chunk_checked, wall) =
+  let merge acc (i, _, _) (counters, chunk_conforming, chunk_checked, wall) =
     Counters.add ~into:acc.counters counters;
     acc.conf.(i) <- acc.conf.(i) + chunk_conforming;
-    acc.skip.(i) <- acc.skip.(i) + chunk_skipped;
     acc.walls.(i) <- acc.walls.(i) +. wall;
     acc.checked <- acc.checked + chunk_checked
   in
-  let first_error = ref None in
-  let run_level level_defs =
-    (match base with
-    | Some b ->
-        let pairs =
-          List.map
-            (fun i ->
-              let (def : Schema.def), targets = plans_arr.(i) in
-              (Conformance.focus_paths schema def.Schema.shape, targets))
-            level_defs
-        in
-        prime_base ~jobs ~budget ~into_counters:prime_counters b g
-          (collect_prime_items pairs)
-    | None -> ());
-    (* Skip sets for this level: the union of the conforming targets of
-       every proven-contained def that completed in an earlier level. *)
-    (match plan_opt with
-    | None -> ()
-    | Some p ->
-        List.iter
-          (fun j ->
-            let _, tj = plans_arr.(j) in
-            skip_idx.(j) <-
-              List.filter_map
-                (fun i ->
-                  let _, ti = plans_arr.(i) in
-                  (* a failed predecessor's verdicts are incomplete *)
-                  if ti == tj && failures.(i) = None then
-                    Some verdicts.(i)
-                  else None)
-                p.Plan.skip_preds.(j))
-          level_defs);
-    let items =
-      List.concat_map
-        (fun i ->
-          let _, targets = plans_arr.(i) in
-          (* chunks carry their offset so verdicts land at the right
-             index regardless of which worker runs them *)
-          let n = Array.length targets in
-          if n = 0 then []
-          else
-            let k = min jobs n in
-            List.init k (fun c ->
-                let lo = c * n / k and hi = (c + 1) * n / k in
-                i, lo, Array.sub targets lo (hi - lo))
-            |> List.filter (fun (_, _, chunk) -> Array.length chunk > 0))
-        level_defs
-    in
-    let pop = make_queue items in
-    (* Same memo policy as [run]: per-worker tables under the optimizer
-       (the solo table at -j 1), per-chunk tables over the primed base
-       under the batched kernel alone. *)
-    let worker_memo () =
-      match solo_memo with
-      | Some _ -> solo_memo
-      | None -> if optimize then Some (Path_memo.create ?base ()) else None
-    in
-    let chunk_memo worker_memo =
-      match worker_memo with
-      | Some _ -> worker_memo
-      | None -> (
-          match base with
-          | Some _ -> Some (Path_memo.create ?base ())
-          | None -> None)
-    in
-    let worker w =
-      let acc = accs.(w) in
-      let worker_memo = worker_memo () in
-      let rec drain () =
-        match pop () with
-        | None -> ()
-        | Some item ->
-            (match eval_chunk ?path_memo:(chunk_memo worker_memo) item with
-            | result -> merge acc item result
-            | exception e -> acc.failed <- (item, e) :: acc.failed);
-            drain ()
-      in
-      drain ()
-    in
-    spawn_pool ~jobs worker;
-    let failed_chunks = failed_of accs in
-    Array.iter (fun a -> a.failed <- []) accs;
-    List.iter
-      (fun (((i, _, _) as item), e) ->
-        let final_failure e =
-          if !first_error = None then first_error := Some e;
-          if failures.(i) = None then
-            failures.(i) <- Some (Runtime.Outcome.reason_of_exn e)
-        in
-        match Runtime.Budget.expired budget with
-        | Some _ -> final_failure e
-        | None -> (
-            incr retries;
-            let path_memo =
-              if optimize then Some (Path_memo.create ?base ())
-              else chunk_memo None
-            in
-            match eval_chunk ?path_memo item with
-            | result -> merge accs.(0) item result
-            | exception e' -> final_failure e'))
-      failed_chunks
+  let items =
+    List.concat
+      (List.mapi
+         (fun i (_, targets) ->
+           (* chunks carry their offset so verdicts land at the right
+              index regardless of which worker runs them *)
+           let n = Array.length targets in
+           if n = 0 then []
+           else
+             let k = min jobs n in
+             List.init k (fun c ->
+                 let lo = c * n / k and hi = (c + 1) * n / k in
+                 i, lo, Array.sub targets lo (hi - lo))
+             |> List.filter (fun (_, _, chunk) -> Array.length chunk > 0))
+         plans)
   in
+  let pop = make_queue items in
+  let worker w =
+    let acc = accs.(w) in
+    let rec drain () =
+      match pop () with
+      | None -> ()
+      | Some item ->
+          (match eval_chunk item with
+          | result -> merge acc item result
+          | exception e -> acc.failed <- (item, e) :: acc.failed);
+          drain ()
+    in
+    drain ()
+  in
+  spawn_pool ~jobs worker;
+  let first_error = ref None in
   List.iter
-    (fun level_defs ->
-      if !first_error = None || on_error = `Skip then run_level level_defs)
-    levels;
+    (fun (((i, _, _) as item), e) ->
+      let final_failure e =
+        if !first_error = None then first_error := Some e;
+        if failures.(i) = None then
+          failures.(i) <- Some (Runtime.Outcome.reason_of_exn e)
+      in
+      match Runtime.Budget.expired budget with
+      | Some _ -> final_failure e
+      | None -> (
+          incr retries;
+          match eval_chunk item with
+          | result -> merge accs.(0) item result
+          | exception e' -> final_failure e'))
+    (failed_of accs);
   (match on_error, !first_error with
   | `Fail, Some e -> raise e
   | _ -> ());
   let final = fold_accs accs in
   Counters.add ~into:final.counters prime_counters;
   let totals = final.counters in
-  let conforming = final.conf in
-  let skipped = final.skip in
-  let walls = final.walls in
-  let checked = ref final.checked in
   (* Assemble results exactly as the sequential [Validate.validate] does:
      per definition, a [Term.Set.fold] pushing to the front — i.e. each
      definition's results in descending node order.  Definitions whose
@@ -1107,17 +849,15 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
         { Stats.label = Term.to_string def.name;
           pruned = true;
           candidates = Array.length targets;
-          conforming = conforming.(i);
-          wall = walls.(i);
-          failed = failures.(i);
-          skipped = skipped.(i);
-          shared_with = None })
+          conforming = final.conf.(i);
+          wall = final.walls.(i);
+          failed = failures.(i) })
       plans
   in
   let stats =
     { Stats.jobs;
-      nodes_checked = !checked;
-      conforming = Array.fold_left ( + ) 0 conforming;
+      nodes_checked = final.checked;
+      conforming = Array.fold_left ( + ) 0 final.conf;
       memo_lookups = totals.Counters.memo_lookups;
       memo_hits = totals.Counters.memo_hits;
       memo_misses = totals.Counters.memo_misses;
@@ -1125,8 +865,6 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
       path_memo_lookups = totals.Counters.path_memo_lookups;
       path_memo_hits = totals.Counters.path_memo_hits;
       path_memo_misses = totals.Counters.path_memo_misses;
-      checks_skipped = Array.fold_left ( + ) 0 skipped;
-      requests_shared = 0;
       triples_emitted = 0;
       retries = !retries;
       interned_terms = (match store with Some st -> Store.n_terms st | None -> 0);

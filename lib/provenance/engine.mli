@@ -51,12 +51,14 @@ type on_error = [ `Fail | `Skip ]
 type kernel = [ `Batched | `Per_node ]
 (** How path expressions are evaluated on a frozen graph.  [`Batched]
     (the default) evaluates each distinct (path, candidate-set) pair of
-    the planned shapes once, set-at-a-time, through
-    {!Rdf.Path.eval_batch} into a read-only {!Shacl.Path_memo} base
-    shared by every worker, and — for instrumented fragment runs —
-    accumulates neighborhoods as store-row sets instead of graphs
+    the planned shapes once, set-at-a-time, before the pool runs:
+    {!validate} primes a read-only {!Shacl.Path_memo} base shared by
+    every worker through {!Rdf.Path.eval_batch}, and instrumented
+    fragment runs prime the kernel's id-space base and accumulate
+    neighborhoods as store-row sets instead of graphs
     ({!Neighborhood.row_checker}).  [`Per_node] is the classic engine:
-    every path evaluation anchored at one node at a time.  Fragments,
+    every path evaluation anchored at one node at a time, as naive
+    fragment runs ([~algorithm:Naive]) are under either kernel.  Fragments,
     reports and verdicts are byte-identical between the two; statistics
     differ ([batch_calls] &c. are zero under [`Per_node], and the
     batched kernel may charge a budget for path evaluations the
@@ -73,13 +75,6 @@ module Stats : sig
     failed : Runtime.Outcome.reason option;
         (** [Some r] when the shape's evaluation failed (after retry);
             its contribution to the fragment is then incomplete *)
-    skipped : int;
-        (** candidates answered by the containment skip rule instead of
-            a constraint check (optimized validation only) *)
-    shared_with : string option;
-        (** [Some rep] when this fragment request was structurally equal
-            to request [rep] after resolution + NNF and rode on it
-            (optimized fragment runs only) *)
   }
 
   type t = {
@@ -91,15 +86,12 @@ module Stats : sig
     memo_misses : int;
     path_evals : int;      (** path-expression evaluations *)
     path_memo_lookups : int;
-        (** per-(path, node) memo probes
-            ([= path_memo_hits + path_memo_misses]); nonzero only with
-            [~optimize:true].  For [jobs > 1] the split between hits and
-            misses depends on which worker ran which chunk, so only
-            [jobs <= 1] values are stable across runs. *)
+        (** per-(path, node) memo probes of compound paths
+            ([= path_memo_hits + path_memo_misses]) — a hit is an
+            evaluation answered by the chunk's memo table or the
+            primed base; nonzero only under [`Batched] *)
     path_memo_hits : int;
     path_memo_misses : int;
-    checks_skipped : int;  (** total {!shape_stat.skipped} *)
-    requests_shared : int; (** requests that rode on an equal request *)
     triples_emitted : int; (** size of the merged fragment *)
     retries : int;         (** failed chunks retried sequentially *)
     interned_terms : int;  (** terms in the frozen graph's dictionary *)
@@ -115,8 +107,7 @@ module Stats : sig
     rows_materialized : int;
         (** target cells materialized by batch calls (a dense-compacted
             relation counts its shared row once) *)
-    planning : float;      (** seconds spent planning candidate sets
-                               (including the containment plan) *)
+    planning : float;      (** seconds spent planning candidate sets *)
     wall : float;          (** end-to-end seconds for the run *)
     shapes : shape_stat list;  (** per-request breakdown, request order *)
   }
@@ -155,7 +146,6 @@ val run :
   ?jobs:int ->
   ?budget:Runtime.Budget.t ->
   ?on_error:on_error ->
-  ?optimize:bool ->
   ?kernel:kernel ->
   ?restrict:(Rdf.Term.t -> bool) ->
   Rdf.Graph.t -> request list -> Rdf.Graph.t * Stats.t
@@ -175,18 +165,7 @@ val run :
     domains regardless of [jobs] — oversubscribing a machine's cores
     only costs GC barriers.  Work is still chunked by [jobs], so the
     output and the deterministic statistics of [-j N] are the same on
-    every machine; only wall-clock time depends on the hardware.
-
-    With [~optimize:true] (default off) the cross-shape optimizer is
-    enabled: requests that are structurally equal after reference
-    resolution and NNF are evaluated once ([requests_shared]), and each
-    worker shares [[E]](v) results across shapes through a
-    {!Shacl.Path_memo} table.  The resulting fragment is identical —
-    request sharing merges only requests with identical checker
-    behavior, and path evaluation is pure — only the statistics differ
-    (shared requests report zero candidates).  Budget accounting also
-    gets cheaper: a path-memo hit costs one tick where the evaluation
-    it replaces ticked per edge. *)
+    every machine; only wall-clock time depends on the hardware. *)
 
 val fragment :
   ?schema:Shacl.Schema.t ->
@@ -207,7 +186,6 @@ val validate :
   ?jobs:int ->
   ?budget:Runtime.Budget.t ->
   ?on_error:on_error ->
-  ?optimize:bool ->
   ?kernel:kernel ->
   ?restrict:(Rdf.Term.t -> bool) ->
   Shacl.Schema.t -> Rdf.Graph.t -> Shacl.Validate.report * Stats.t
@@ -220,13 +198,4 @@ val validate :
     to the sequential one, except that with [~on_error:`Skip] a failed
     definition's results are excluded wholesale (the report then covers
     exactly the definitions that were fully checked, and {!Stats.degraded}
-    is true).
-
-    With [~optimize:true] (default off) the engine executes {!Plan.make}:
-    definitions run level by level, and a definition with a proven
-    containment [A ⊑ B] from an earlier level skips its constraint check
-    on nodes already proven [A]-conformant ([checks_skipped], sound by
-    the containment), while workers share path evaluations through a
-    {!Shacl.Path_memo} table.  Verdicts — and the report — are identical
-    to the unoptimized run; skipped checks still count as checked
-    candidates. *)
+    is true). *)

@@ -55,17 +55,9 @@ type update_stats = {
   rechecked : int;  (** pair evaluations performed (dirty + entered) *)
 }
 
-val apply : ?batch:bool -> t -> Rdf.Delta.t -> update_stats
+val apply : t -> Rdf.Delta.t -> update_stats
 (** Apply one delta: update the graph, re-derive target sets, recheck
-    exactly the dirty and entering pairs, and patch the fragment.
-
-    With [batch] (the default) the rechecks of each update are planned
-    first and every (compound focus path, recheck-node set) group is
-    evaluated through one {!Rdf.Path.Batch} context; the per-pair
-    checkers consume the results — targets {e and} probe anchors —
-    through their [path_cache], so the stored supports, the fragment
-    and the report are byte-identical to [~batch:false] (the classic
-    node-at-a-time recheck). *)
+    exactly the dirty and entering pairs, and patch the fragment. *)
 
 type stats = {
   pairs : int;            (** stored (definition, node) pairs *)

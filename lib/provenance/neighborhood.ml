@@ -53,20 +53,17 @@ let count_store_lookup counters =
   | Some c -> fun () -> c.Counters.store_lookups <- c.Counters.store_lookups + 1
 
 let make_naive ?counters ?(budget = Runtime.Budget.unlimited)
-    ?(schema = Schema.empty) ?path_memo g =
+    ?(schema = Schema.empty) g =
   let memo : (Term.t * Shape.t, Graph.t) Hashtbl.t = Hashtbl.create 256 in
-  let conforms = Conformance.memoized ?counters ~budget ?path_memo schema g in
+  let conforms = Conformance.memoized ?counters ~budget schema g in
   let eval e v =
-    match path_memo with
-    | Some table -> Path_memo.eval ?counters table budget g e v
-    | None ->
-        Runtime.Budget.tick budget;
-        (match counters with
-        | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
-        | None -> ());
-        Rdf.Path.eval
-          ~step:(Runtime.Budget.step_hook budget)
-          ~lookup:(count_store_lookup counters) g e v
+    Runtime.Budget.tick budget;
+    (match counters with
+    | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
+    | None -> ());
+    Rdf.Path.eval
+      ~step:(Runtime.Budget.step_hook budget)
+      ~lookup:(count_store_lookup counters) g e v
   in
   let trace_all e v ~targets =
     Rdf.Path.trace_all ~step:(Runtime.Budget.step_hook budget) g e v ~targets
@@ -212,8 +209,8 @@ let b ?budget ?schema g v phi =
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented validator (Section 5.2): one pass computing both      *)
-(* conformance and neighborhood, generic in the neighborhood          *)
-(* representation.                                                    *)
+(* conformance and neighborhood, over the term graph or, on a frozen  *)
+(* store, over row ids.                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Sets of canonical SPO row ids — the batched engine's neighborhood
@@ -222,7 +219,7 @@ let b ?budget ?schema g v phi =
    straight into its fragment bitset without ever materializing a
    [Graph.t].
 
-   The instrumented checker accumulates neighborhoods by repeated
+   The row core below accumulates neighborhoods by repeated
    [union acc x] folds (And/Or and the quantifiers), so union must not
    copy: a row set is a rope — sorted leaf arrays concatenated in O(1)
    — flattened to one sorted duplicate-free [Flat] array by [seal] at
@@ -276,58 +273,6 @@ module Rows = struct
   let to_array nb = match seal nb with Flat a -> a | Cat _ -> assert false
 end
 
-(* The operations the instrumented checker performs on the neighborhood
-   it accumulates, abstracted over the representation: persistent
-   [Graph.t] values (byte-compatible with earlier releases, and the
-   only choice when the graph has no frozen store or probe anchors are
-   being collected) or sorted row-id arrays ([Rows]).  Every [add] call
-   site passes a triple already known to be in [g]. *)
-type 'nb rep = {
-  nb_empty : 'nb;
-  nb_is_empty : 'nb -> bool;
-  nb_union : 'nb -> 'nb -> 'nb;
-  nb_seal : 'nb -> 'nb;
-      (* canonicalize an accumulated value before it is stored in the
-         memo and shared — identity for representations whose union
-         already produces canonical values *)
-  nb_add : Term.t -> Iri.t -> Term.t -> 'nb -> 'nb;
-  nb_eval_fresh : (Rdf.Path.t -> Term.t -> Term.Set.t) option;
-      (* representation-supplied path evaluation, replacing the
-         term-space core on memo misses; must charge the budget's step
-         hook itself (the id-space kernel replays recorded charges) *)
-  nb_p_triples : Term.t -> Iri.t -> keep:(Term.t -> bool) -> 'nb;
-  nb_closed_outside : Term.t -> Iri.Set.t -> 'nb;
-  nb_trace_all : Rdf.Path.t -> Term.t -> targets:Term.Set.t -> 'nb;
-}
-
-let graph_rep ~budget ?touched g =
-  { nb_empty = Graph.empty;
-    nb_is_empty = Graph.is_empty;
-    nb_union = Graph.union;
-    nb_seal = Fun.id;
-    nb_add = Graph.add;
-    nb_eval_fresh = None;
-    nb_p_triples = (fun v p ~keep -> p_triples g v p ~keep);
-    nb_closed_outside =
-      (fun v allowed ->
-        List.fold_left
-          (fun acc t ->
-            if Iri.Set.mem (Triple.predicate t) allowed then acc
-            else Graph.add_triple t acc)
-          Graph.empty (Graph.subject_triples g v));
-    nb_trace_all =
-      (fun e v ~targets ->
-        Rdf.Path.trace_all
-          ~step:(Runtime.Budget.step_hook budget)
-          ?visit:touched g e v ~targets) }
-
-(* Tracing runs in the id-space kernel sharing one charge-replaying
-   context across every trace of the checker instance: repeated
-   internal evaluations are answered from the context's memo with their
-   recorded step charge replayed, so the budget spend equals the
-   per-node core's.  A focus node or target the dictionary has never
-   seen (a stray request constant) falls back to the term-space trace —
-   same rows, same charge — instead of complicating the kernel. *)
 (* A worker-lifetime id-space evaluation context: the kernel memo (and
    its whole-trace memo) is sound across checkers of different shapes —
    entries depend only on the frozen store — and the charge replay keeps
@@ -361,106 +306,9 @@ let row_env ?(budget = Runtime.Budget.unlimited) ?counters ?lookup ?lookup_n
       in
       Rdf.Path.Batch.create ?step ?lookup ?lookup_n ?base st
 
-let rows_rep ~budget ?counters ?env g st =
-  let ctx =
-    match env with
-    | Some ctx -> ctx
-    | None ->
-        Rdf.Path.Batch.create ~step:(Runtime.Budget.step_hook budget) st
-  in
-  let encode_targets targets =
-    let out = Array.make (Term.Set.cardinal targets) 0 in
-    let ok = ref true and k = ref 0 in
-    (* ids ascend with terms, so the set's ascending iteration yields a
-       sorted array *)
-    Term.Set.iter
-      (fun x ->
-        match Store.id st x with
-        | Some i -> out.(!k) <- i; incr k
-        | None -> ok := false)
-      targets;
-    if !ok then Some out else None
-  in
-  let row s p o =
-    match Store.row_of_triple st (Triple.make s p o) with
-    | Some r -> r
-    | None -> assert false
-  in
-  let term_eval e v =
-    Rdf.Path.eval
-      ~step:(Runtime.Budget.step_hook budget)
-      ~lookup:(count_store_lookup counters) g e v
-  in
-  let decode arr =
-    Array.fold_left
-      (fun s i -> Term.Set.add (Store.term st i) s)
-      Term.Set.empty arr
-  in
-  { nb_empty = Rows.empty;
-    nb_is_empty = Rows.is_empty;
-    nb_union = Rows.union;
-    nb_seal = Rows.seal;
-    nb_add = (fun s p o nb -> Rows.union nb (Rows.Flat [| row s p o |]));
-    nb_eval_fresh =
-      Some
-        (fun e v ->
-          match e with
-          (* bare steps: the persistent map already holds the answer *)
-          | Rdf.Path.Prop _ | Rdf.Path.Inv (Rdf.Path.Prop _) -> term_eval e v
-          | _ -> (
-              match Store.id st v with
-              | Some vid -> decode (Rdf.Path.Batch.eval ctx e vid)
-              | None -> term_eval e v));
-    nb_p_triples =
-      (fun v p ~keep ->
-        match Store.id st v, Store.pred_id st p with
-        | Some s, Some pid ->
-            let lo, hi = Store.objects_range st ~s ~p:pid in
-            let acc = ref [] in
-            for r = hi - 1 downto lo do
-              if keep (Store.term st (Store.spo_obj st r)) then acc := r :: !acc
-            done;
-            Rows.Flat (Array.of_list !acc)
-        | _ -> Rows.empty);
-    nb_closed_outside =
-      (fun v allowed ->
-        match Store.id st v with
-        | None -> Rows.empty
-        | Some s ->
-            let lo, hi = Store.subject_range st s in
-            let acc = ref [] in
-            for r = hi - 1 downto lo do
-              (match Term.as_iri (Store.term st (Store.spo_pred st r)) with
-              | Some iri when Iri.Set.mem iri allowed -> ()
-              | _ -> acc := r :: !acc)
-            done;
-            Rows.Flat (Array.of_list !acc));
-    nb_trace_all =
-      (fun e v ~targets ->
-        match Store.id st v, encode_targets targets with
-        | Some vid, Some tids ->
-            Rows.Flat
-              (Rdf.Path.Batch.trace ctx e ~sources:[| vid |] ~targets:tids)
-        | _ ->
-            let traced =
-              Rdf.Path.trace_all
-                ~step:(Runtime.Budget.step_hook budget) g e v ~targets
-            in
-            (* distinct triples of a graph decode to distinct rows *)
-            let acc = ref [] in
-            Graph.iter
-              (fun tr ->
-                match Store.row_of_triple st tr with
-                | Some r -> acc := r :: !acc
-                | None -> assert false)
-              traced;
-            let arr = Array.of_list !acc in
-            Array.sort (fun (x : int) y -> compare x y) arr;
-            Rows.Flat arr) }
-
 (* ------------------------------------------------------------------ *)
 (* Id-space row core: the instrumented checker specialized to the     *)
-(* frozen store.  Semantically the term core above, transcribed to    *)
+(* frozen store.  Semantically the term core below, transcribed to    *)
 (* dense ids — value sets are the kernel's sorted id arrays, the      *)
 (* (node, shape) memo is keyed by ints, and adjacency probes read     *)
 (* store ranges directly, so no term is hashed or compared on the hot *)
@@ -987,9 +835,9 @@ let make_row_core ?counters ~budget ~schema st ctx =
   in
   go
 
-let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
-    ?(schema = Schema.empty) ?path_memo ?path_cache ?touched g =
-  let memo : (Term.t * Shape.t, bool * 'nb) Hashtbl.t = Hashtbl.create 256 in
+let make_instrumented ?counters ?(budget = Runtime.Budget.unlimited)
+    ?(schema = Schema.empty) ?path_memo ?touched g =
+  let memo : (Term.t * Shape.t, bool * Graph.t) Hashtbl.t = Hashtbl.create 256 in
   (* [touched] collects the anchor of every graph probe this instance
      makes: each focus node entering [compute] (all non-path probes —
      [Graph.objects]/[out_predicates]/[subject_triples] — are anchored
@@ -999,50 +847,27 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
      whose changed triples have neither endpoint in it makes exactly
      the same probes with exactly the same answers.  [path_memo] is
      bypassed while collecting — a memo hit would hide the probes the
-     cached evaluation made, attributing them to the wrong focus.
-     [path_cache] entries carry their recorded anchors, which are
-     replayed to [touched] on a hit, so batched incremental rechecks
-     collect the same support sets per-node evaluation would. *)
-  let eval_fresh e v =
+     cached evaluation made, attributing them to the wrong focus. *)
+  let eval e v =
     match path_memo with
     | Some table when touched = None ->
-        Path_memo.eval ?counters ?fresh:rep.nb_eval_fresh table budget g e v
-    | _ -> (
-        match rep.nb_eval_fresh with
-        | Some f when touched = None ->
-            Runtime.Budget.tick budget;
-            (match counters with
-            | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
-            | None -> ());
-            f e v
-        | _ ->
-            Runtime.Budget.tick budget;
-            (match counters with
-            | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
-            | None -> ());
-            Rdf.Path.eval
-              ~step:(Runtime.Budget.step_hook budget)
-              ~lookup:(count_store_lookup counters) ?visit:touched g e v)
+        Path_memo.eval ?counters table budget g e v
+    | _ ->
+        Runtime.Budget.tick budget;
+        (match counters with
+        | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
+        | None -> ());
+        Rdf.Path.eval
+          ~step:(Runtime.Budget.step_hook budget)
+          ~lookup:(count_store_lookup counters) ?visit:touched g e v
   in
-  let eval e v =
-    match path_cache with
-    | None -> eval_fresh e v
-    | Some cache -> (
-        match cache e v with
-        | Some (targets, anchors) ->
-            Runtime.Budget.tick budget;
-            (match touched with
-            | Some f -> Term.Set.iter f anchors
-            | None -> ());
-            targets
-        | None -> eval_fresh e v)
+  let trace_all e v ~targets =
+    Rdf.Path.trace_all
+      ~step:(Runtime.Budget.step_hook budget)
+      ?visit:touched g e v ~targets
   in
-  let trace_all = rep.nb_trace_all in
   let touch v = match touched with Some f -> f v | None -> () in
-  let nb_empty = rep.nb_empty in
-  let union = rep.nb_union in
-  let singleton s p o = rep.nb_add s p o nb_empty in
-  let p_triples v p ~keep = rep.nb_p_triples v p ~keep in
+  let p_triples v p ~keep = p_triples g v p ~keep in
   let rec go v phi =
     match phi with
     | Shape.Top | Shape.Bottom | Shape.Test _ | Shape.Has_value _
@@ -1057,44 +882,41 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
         | Some cached -> count_hit counters; cached
         | None ->
             count_miss counters;
-            let verdict, nb = compute v phi in
-            (* canonicalize before sharing: the stored value may be
-               unioned into many later accumulations *)
-            let result = (verdict, rep.nb_seal nb) in
+            let result = compute v phi in
             Hashtbl.add memo (v, phi) result;
             result)
   and compute v phi =
     touch v;
     match phi with
-    | Shape.Top -> (true, nb_empty)
-    | Shape.Bottom -> (false, nb_empty)
-    | Shape.Test t -> (Node_test.satisfies t v, nb_empty)
-    | Shape.Has_value c -> (Term.equal v c, nb_empty)
+    | Shape.Top -> (true, Graph.empty)
+    | Shape.Bottom -> (false, Graph.empty)
+    | Shape.Test t -> (Node_test.satisfies t v, Graph.empty)
+    | Shape.Has_value c -> (Term.equal v c, Graph.empty)
     | Shape.Has_shape s -> go v (Shape.nnf (Schema.def_shape schema s))
     | Shape.Eq (Shape.Id, p) ->
         if Term.Set.equal (Graph.objects g v p) (Term.Set.singleton v) then
           (true, singleton v p v)
-        else (false, nb_empty)
+        else (false, Graph.empty)
     | Shape.Eq (Shape.Path e, p) ->
         let reached = eval e v in
         if Term.Set.equal reached (Graph.objects g v p) then
           let ep = Rdf.Path.Alt (e, Rdf.Path.Prop p) in
           (true, trace_all ep v ~targets:(eval ep v))
-        else (false, nb_empty)
+        else (false, Graph.empty)
     | Shape.Disj (Shape.Id, p) ->
-        (not (Term.Set.mem v (Graph.objects g v p)), nb_empty)
+        (not (Term.Set.mem v (Graph.objects g v p)), Graph.empty)
     | Shape.Disj (Shape.Path e, p) ->
         ( Term.Set.disjoint (eval e v) (Graph.objects g v p),
-          nb_empty )
+          Graph.empty )
     | Shape.Closed allowed ->
-        (Iri.Set.subset (Graph.out_predicates g v) allowed, nb_empty)
-    | Shape.Less_than (e, p) -> (positive_comparison v e p term_lt, nb_empty)
+        (Iri.Set.subset (Graph.out_predicates g v) allowed, Graph.empty)
+    | Shape.Less_than (e, p) -> (positive_comparison v e p term_lt, Graph.empty)
     | Shape.Less_than_eq (e, p) ->
-        (positive_comparison v e p term_leq, nb_empty)
+        (positive_comparison v e p term_leq, Graph.empty)
     | Shape.More_than (e, p) ->
-        (positive_comparison v e p (fun x y -> term_lt y x), nb_empty)
+        (positive_comparison v e p (fun x y -> term_lt y x), Graph.empty)
     | Shape.More_than_eq (e, p) ->
-        (positive_comparison v e p (fun x y -> term_leq y x), nb_empty)
+        (positive_comparison v e p (fun x y -> term_leq y x), Graph.empty)
     | Shape.Unique_lang e ->
         let values = Term.Set.elements (eval e v) in
         let ok =
@@ -1105,35 +927,35 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
                 values)
             values
         in
-        (ok, nb_empty)
+        (ok, Graph.empty)
     | Shape.And l ->
         let rec all acc = function
           | [] -> (true, acc)
           | psi :: rest ->
               let c, bx = go v psi in
-              if c then all (union acc bx) rest else (false, nb_empty)
+              if c then all (Graph.union acc bx) rest else (false, Graph.empty)
         in
-        all nb_empty l
+        all Graph.empty l
     | Shape.Or l ->
         List.fold_left
           (fun (any, acc) psi ->
             let c, bx = go v psi in
-            if c then (true, union acc bx) else (any, acc))
-          (false, nb_empty) l
+            if c then (true, Graph.union acc bx) else (any, acc))
+          (false, Graph.empty) l
     | Shape.Ge (n, e, psi) ->
         let xs = eval e v in
         let witnesses, acc =
           Term.Set.fold
             (fun x (witnesses, acc) ->
               let c, bx = go x psi in
-              if c then Term.Set.add x witnesses, union acc bx
+              if c then Term.Set.add x witnesses, Graph.union acc bx
               else witnesses, acc)
             xs
-            (Term.Set.empty, nb_empty)
+            (Term.Set.empty, Graph.empty)
         in
         if Term.Set.cardinal witnesses >= n then
-          (true, union acc (trace_all e v ~targets:witnesses))
-        else (false, nb_empty)
+          (true, Graph.union acc (trace_all e v ~targets:witnesses))
+        else (false, Graph.empty)
     | Shape.Le (n, e, psi) ->
         let neg = Shape.nnf (Shape.Not psi) in
         let xs = eval e v in
@@ -1142,14 +964,14 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
             (fun x (sat_count, witnesses, acc) ->
               let c_neg, b_neg = go x neg in
               if c_neg then
-                sat_count, Term.Set.add x witnesses, union acc b_neg
+                sat_count, Term.Set.add x witnesses, Graph.union acc b_neg
               else sat_count + 1, witnesses, acc)
             xs
-            (0, Term.Set.empty, nb_empty)
+            (0, Term.Set.empty, Graph.empty)
         in
         if sat_count <= n then
-          (true, union acc (trace_all e v ~targets:witnesses))
-        else (false, nb_empty)
+          (true, Graph.union acc (trace_all e v ~targets:witnesses))
+        else (false, Graph.empty)
     | Shape.Forall (e, psi) ->
         let xs = eval e v in
         let ok, acc =
@@ -1158,12 +980,12 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
               if not ok then (false, acc)
               else
                 let c, bx = go x psi in
-                if c then (true, union acc bx)
-                else (false, nb_empty))
-            xs (true, nb_empty)
+                if c then (true, Graph.union acc bx)
+                else (false, Graph.empty))
+            xs (true, Graph.empty)
         in
-        if ok then (true, union acc (trace_all e v ~targets:xs))
-        else (false, nb_empty)
+        if ok then (true, Graph.union acc (trace_all e v ~targets:xs))
+        else (false, Graph.empty)
     | Shape.Not inner -> check_negated v inner
   and positive_comparison v e p holds =
     let reached = eval e v in
@@ -1175,20 +997,20 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
     match inner with
     | Shape.Has_shape s ->
         go v (Shape.nnf (Shape.Not (Schema.def_shape schema s)))
-    | Shape.Top -> (false, nb_empty)
-    | Shape.Bottom -> (true, nb_empty)
-    | Shape.Test t -> (not (Node_test.satisfies t v), nb_empty)
-    | Shape.Has_value c -> (not (Term.equal v c), nb_empty)
+    | Shape.Top -> (false, Graph.empty)
+    | Shape.Bottom -> (true, Graph.empty)
+    | Shape.Test t -> (not (Node_test.satisfies t v), Graph.empty)
+    | Shape.Has_value c -> (not (Term.equal v c), Graph.empty)
     | Shape.Eq (Shape.Id, p) ->
         let objects = Graph.objects g v p in
         if Term.Set.equal objects (Term.Set.singleton v) then
-          (false, nb_empty)
+          (false, Graph.empty)
         else
           (true, p_triples v p ~keep:(fun x -> not (Term.equal x v)))
     | Shape.Eq (Shape.Path e, p) ->
         let reached = eval e v in
         let objects = Graph.objects g v p in
-        if Term.Set.equal reached objects then (false, nb_empty)
+        if Term.Set.equal reached objects then (false, Graph.empty)
         else begin
           let t1 =
             trace_all e v ~targets:(Term.Set.diff reached objects)
@@ -1196,20 +1018,20 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
           let t2 =
             p_triples v p ~keep:(fun x -> not (Term.Set.mem x reached))
           in
-          (true, union t1 t2)
+          (true, Graph.union t1 t2)
         end
     | Shape.Disj (Shape.Id, p) ->
         if Term.Set.mem v (Graph.objects g v p) then (true, singleton v p v)
-        else (false, nb_empty)
+        else (false, Graph.empty)
     | Shape.Disj (Shape.Path e, p) ->
         let common =
           Term.Set.inter (eval e v) (Graph.objects g v p)
         in
-        if Term.Set.is_empty common then (false, nb_empty)
+        if Term.Set.is_empty common then (false, Graph.empty)
         else
           ( true,
             Term.Set.fold
-              (fun x acc -> rep.nb_add v p x acc)
+              (fun x acc -> Graph.add v p x acc)
               common
               (trace_all e v ~targets:common) )
     | Shape.Less_than (e, p) ->
@@ -1232,11 +1054,17 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
                 reached)
             reached
         in
-        if Term.Set.is_empty witnesses then (false, nb_empty)
+        if Term.Set.is_empty witnesses then (false, Graph.empty)
         else (true, trace_all e v ~targets:witnesses)
     | Shape.Closed allowed ->
-        let outside = rep.nb_closed_outside v allowed in
-        if rep.nb_is_empty outside then (false, nb_empty)
+        let outside =
+          List.fold_left
+            (fun acc t ->
+              if Iri.Set.mem (Triple.predicate t) allowed then acc
+              else Graph.add_triple t acc)
+            Graph.empty (Graph.subject_triples g v)
+        in
+        if Graph.is_empty outside then (false, Graph.empty)
         else (true, outside)
     | Shape.Not _ | Shape.And _ | Shape.Or _ | Shape.Ge _ | Shape.Le _
     | Shape.Forall _ ->
@@ -1256,32 +1084,23 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
     in
     let acc =
       Term.Set.fold
-        (fun y acc -> rep.nb_add v p y acc)
+        (fun y acc -> Graph.add v p y acc)
         witnesses_y
         (trace_all e v ~targets:witnesses_x)
     in
-    if rep.nb_is_empty acc then
+    if Graph.is_empty acc then
       (* No violating pair: either the positive shape holds, or one of the
          sets is empty (then the positive shape holds too). *)
-      (false, nb_empty)
+      (false, Graph.empty)
     else (true, acc)
   in
   go
 
-let make_instrumented ?counters ?(budget = Runtime.Budget.unlimited)
-    ?schema ?path_memo ?path_cache ?touched g =
-  make_core
-    (graph_rep ~budget ?touched g)
-    ?counters ~budget ?schema ?path_memo ?path_cache ?touched g
-
 let check ?budget ?schema g v phi =
   make_instrumented ?budget ?schema g v (Shape.nnf phi)
 
-let checker ?counters ?budget ?schema ?path_memo ?path_cache ?touched g phi =
-  let go =
-    make_instrumented ?counters ?budget ?schema ?path_memo ?path_cache
-      ?touched g
-  in
+let checker ?counters ?budget ?schema ?path_memo ?touched g phi =
+  let go = make_instrumented ?counters ?budget ?schema ?path_memo ?touched g in
   let normalized = Shape.nnf phi in
   fun v -> go v normalized
 
@@ -1295,13 +1114,11 @@ let row_checker ?counters ?budget ?schema ?path_memo ?env g phi =
       let ctx = match env with Some c -> c | None -> row_env ~budget:b ?counters g in
       let go_id = make_row_core ?counters ~budget:b ~schema:schema_v st ctx in
       (* A focus node the dictionary has never seen (a stray request
-         constant) cannot enter id space; the generic rows core over the
-         same kernel context answers it with per-node charges. *)
-      let fallback =
-        lazy
-          (make_core
-             (rows_rep ~budget:b ?counters ~env:ctx g st)
-             ?counters ~budget:b ?schema ?path_memo g)
+         constant) cannot enter id space.  It occurs in no triple, so its
+         neighborhood is empty: the term checker decides the verdict, with
+         the same charges, and no rows are emitted. *)
+      let term_check =
+        lazy (checker ?counters ~budget:b ?schema ?path_memo g phi)
       in
       let normalized = Shape.nnf phi in
       fun v ->
@@ -1309,12 +1126,10 @@ let row_checker ?counters ?budget ?schema ?path_memo ?env g phi =
         | Some vid ->
             let verdict, nb = go_id vid normalized in
             (verdict, Rows.to_array nb)
-        | None ->
-            let verdict, nb = (Lazy.force fallback) v normalized in
-            (verdict, Rows.to_array nb)
+        | None -> (fst ((Lazy.force term_check) v), [||])
 
-let naive_checker ?counters ?budget ?schema ?path_memo g phi =
-  let conforms, go = make_naive ?counters ?budget ?schema ?path_memo g in
+let naive_checker ?counters ?budget ?schema g phi =
+  let conforms, go = make_naive ?counters ?budget ?schema g in
   let normalized = Shape.nnf phi in
   fun v ->
     if conforms v normalized then (true, go v normalized)

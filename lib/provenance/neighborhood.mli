@@ -48,9 +48,6 @@ val checker :
   ?budget:Runtime.Budget.t ->
   ?schema:Shacl.Schema.t ->
   ?path_memo:Shacl.Path_memo.t ->
-  ?path_cache:
-    (Rdf.Path.t -> Rdf.Term.t ->
-     (Rdf.Term.Set.t * Rdf.Term.Set.t) option) ->
   ?touched:(Rdf.Term.t -> unit) ->
   Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * Rdf.Graph.t)
 (** Batch variant of {!check}: the shape is normalized once and one memo
@@ -74,15 +71,7 @@ val checker :
     [path_memo] (a memo hit would hide probes from the collector), and
     anchors accumulate across {e all} nodes checked through one
     [checker] instance — use one instance per focus node when per-node
-    attribution matters, as the incremental engine does.
-
-    When [path_cache] is given it is consulted before every path
-    evaluation: a hit [(targets, anchors)] costs one budget tick, the
-    recorded [anchors] are replayed to [touched], and [targets] is
-    used as the evaluation result.  The incremental engine fills such
-    a cache with one batched kernel call per (path, dirty-node set)
-    and threads it into its per-pair checkers — entries must have been
-    computed on the same graph for the same (path, node) keys. *)
+    attribution matters, as the incremental engine does. *)
 
 type row_env
 (** A worker-lifetime id-space evaluation context shared across
@@ -129,14 +118,15 @@ val row_checker :
     is given the kernel context is shared with other checkers of the
     same worker instead of created fresh.  Decoding row [r] with
     [Rdf.Store.row_triple] yields exactly the triples {!checker} would
-    have returned.  Raises [Invalid_argument] when [g] has no frozen
-    store ([Rdf.Graph.freeze] it first). *)
+    have returned.  A focus node the store's dictionary never interned
+    occurs in no triple, so it gets {!checker}'s verdict (over
+    [path_memo], when given) and no rows.  Raises [Invalid_argument]
+    when [g] has no frozen store ([Rdf.Graph.freeze] it first). *)
 
 val naive_checker :
   ?counters:Shacl.Counters.t ->
   ?budget:Runtime.Budget.t ->
   ?schema:Shacl.Schema.t ->
-  ?path_memo:Shacl.Path_memo.t ->
   Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * Rdf.Graph.t)
 (** Batch variant of {!b}, with the conformance verdict alongside the
     neighborhood (empty when the node does not conform), mirroring

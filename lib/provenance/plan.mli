@@ -2,12 +2,12 @@
 
     [make schema] runs the {!Analysis.Containment} analysis over every
     pair of shape definitions and turns the proven containments into an
-    execution plan for {!Engine.validate}:
+    evaluation plan, which the [analyze] command reports:
 
     - the {b skip DAG}: a proven [A ⊑ B] schedules [A] strictly before
-      [B], so nodes already proven [A]-conformant skip [B]'s constraint
-      checks entirely (equivalence cycles are broken towards the
-      earlier definition);
+      [B], so nodes already proven [A]-conformant need not be checked
+      against [B] (equivalence cycles are broken towards the earlier
+      definition);
     - {b levels}: a longest-path layering of the DAG — shapes within a
       level are independent and can run in parallel, levels run in
       order;

@@ -1,49 +1,17 @@
 type t = { bytes : Bytes.t; n : int }
 
-let create n = { bytes = Bytes.make ((n + 7) / 8) '\000'; n }
-let length t = t.n
-
-let check t i =
-  if i < 0 || i >= t.n then
-    invalid_arg (Printf.sprintf "Bitset: id %d outside universe [0,%d)" i t.n)
-
-let mem t i =
-  check t i;
-  Char.code (Bytes.unsafe_get t.bytes (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
 let add t i =
-  check t i;
+  if i < 0 || i >= t.n then
+    invalid_arg (Printf.sprintf "Bitset: id %d outside universe [0,%d)" i t.n);
   let k = i lsr 3 in
   Bytes.unsafe_set t.bytes k
     (Char.unsafe_chr
        (Char.code (Bytes.unsafe_get t.bytes k) lor (1 lsl (i land 7))))
 
-let remove t i =
-  check t i;
-  let k = i lsr 3 in
-  Bytes.unsafe_set t.bytes k
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.bytes k) land lnot (1 lsl (i land 7))))
-
-(* Popcount of one byte, table-free: 8 bits is cheap enough. *)
-let pop_byte b =
-  let b = b - ((b lsr 1) land 0x55) in
-  let b = (b land 0x33) + ((b lsr 2) land 0x33) in
-  (b + (b lsr 4)) land 0x0f
-
-let cardinal t =
-  let c = ref 0 in
-  for k = 0 to Bytes.length t.bytes - 1 do
-    c := !c + pop_byte (Char.code (Bytes.unsafe_get t.bytes k))
-  done;
-  !c
-
-let is_empty t =
-  let rec go k =
-    k >= Bytes.length t.bytes
-    || (Char.code (Bytes.unsafe_get t.bytes k) = 0 && go (k + 1))
-  in
-  go 0
+let of_list n ids =
+  let t = { bytes = Bytes.make ((n + 7) / 8) '\000'; n } in
+  List.iter (fun i -> add t i) ids;
+  t
 
 let iter f t =
   for k = 0 to Bytes.length t.bytes - 1 do
@@ -53,42 +21,3 @@ let iter f t =
         if b land (1 lsl j) <> 0 then f ((k lsl 3) lor j)
       done
   done
-
-let fold f t init =
-  let acc = ref init in
-  iter (fun i -> acc := f i !acc) t;
-  !acc
-
-let to_array t =
-  let out = Array.make (cardinal t) 0 in
-  let k = ref 0 in
-  iter
-    (fun i ->
-      out.(!k) <- i;
-      incr k)
-    t;
-  out
-
-let of_array n ids =
-  let t = create n in
-  Array.iter (fun i -> add t i) ids;
-  t
-
-let of_list n ids =
-  let t = create n in
-  List.iter (fun i -> add t i) ids;
-  t
-
-let copy t = { bytes = Bytes.copy t.bytes; n = t.n }
-let clear t = Bytes.fill t.bytes 0 (Bytes.length t.bytes) '\000'
-
-let union_into ~into t =
-  if into.n <> t.n then invalid_arg "Bitset.union_into: universe mismatch";
-  for k = 0 to Bytes.length into.bytes - 1 do
-    Bytes.unsafe_set into.bytes k
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get into.bytes k)
-         lor Char.code (Bytes.unsafe_get t.bytes k)))
-  done
-
-let equal a b = a.n = b.n && Bytes.equal a.bytes b.bytes

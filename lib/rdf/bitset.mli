@@ -1,50 +1,15 @@
 (** Fixed-universe bitsets over dense int ids.
 
-    The batched path kernel ({!Path.eval_batch}) speaks sets of interned
-    ids — source frontiers, visited sets, scratch unions — and a packed
-    bitset over the store's id universe is the representation every one
-    of those wants: O(1) membership and insertion, cache-friendly
-    iteration in ascending id order, and a byte-level union for merging
-    per-worker results.  Mutable; not thread-safe (use one per domain,
-    like the engine's per-worker accumulators). *)
+    The batched path kernel ({!Path.eval_batch}) takes its source set as
+    a packed bitset over the store's id universe: compact, and iterated
+    in ascending id order. *)
 
 type t
 
-val create : int -> t
-(** [create n] is the empty set over the universe [{0, …, n-1}]. *)
-
-val length : t -> int
-(** The universe size [n] (not the cardinality). *)
-
-val mem : t -> int -> bool
-val add : t -> int -> unit
-val remove : t -> int -> unit
-
-val cardinal : t -> int
-(** Number of members; counted by popcount over the backing bytes. *)
-
-val is_empty : t -> bool
+val of_list : int -> int list -> t
+(** [of_list n ids] is the set of [ids] over the universe
+    [{0, …, n-1}].  Raises [Invalid_argument] on an id outside it. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Ascending id order — the order the per-node core visits nodes in,
     which the batch kernel's charge parity depends on. *)
-
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Ascending id order. *)
-
-val to_array : t -> int array
-(** Members in ascending order. *)
-
-val of_array : int -> int array -> t
-(** [of_array n ids] over universe size [n]. *)
-
-val of_list : int -> int list -> t
-
-val copy : t -> t
-val clear : t -> unit
-
-val union_into : into:t -> t -> unit
-(** Bytewise OR of two sets over the same universe.
-    Raises [Invalid_argument] on mismatched universes. *)
-
-val equal : t -> t -> bool

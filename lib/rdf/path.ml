@@ -385,17 +385,15 @@ let inter_sorted a b =
 
 module Batch = struct
   (* One memoized evaluation: the targets of [[E]](a) (or the inverse
-     image for [inv]), the probe anchors when tracked, and the exact
-     [step]/[lookup] charge the per-node core would have spent computing
-     it — replayed to the user hooks on every cache hit so the batch
-     kernel stays hook-for-hook equivalent in *total* charge to
-     evaluating each source independently.  Only the interleaving
-     differs (a hit replays its steps before its lookups); fuel is
-     spent by [step] alone, so exhaustion points in fuel terms are
-     unchanged. *)
+     image for [inv]) and the exact [step]/[lookup] charge the per-node
+     core would have spent computing it — replayed to the user hooks on
+     every cache hit so the batch kernel stays hook-for-hook equivalent
+     in *total* charge to evaluating each source independently.  Only
+     the interleaving differs (a hit replays its steps before its
+     lookups); fuel is spent by [step] alone, so exhaustion points in
+     fuel terms are unchanged. *)
   type entry = {
     targets : int array;
-    anchors : int array;
     steps : int;
     lookups : int;
   }
@@ -446,7 +444,6 @@ module Batch = struct
         (* read-only primed layer shared across worker contexts *)
     base_cache : entry ITbl.t ITbl.t;
         (* per-path-id resolution of the base's structural table *)
-    mutable scratch : Bitset.t list;     (* free list over the id universe *)
     user_step : unit -> unit;
     user_lookup : unit -> unit;
     user_step_n : int -> unit;
@@ -456,7 +453,6 @@ module Batch = struct
            that many times costs more than the trace itself *)
     charge_step : bool;
     charge_lookup : bool;
-    track_anchors : bool;
     mutable steps : int;
     mutable lookups : int;
   }
@@ -472,7 +468,7 @@ module Batch = struct
             ITbl.iter (fun k ent -> ITbl.replace existing k ent) table)
       b.btables
 
-  let create ?step ?step_n ?lookup ?lookup_n ?(anchors = false) ?base st =
+  let create ?step ?step_n ?lookup ?lookup_n ?base st =
     let bulk hook = function
       | Some f -> f
       | None ->
@@ -492,14 +488,12 @@ module Batch = struct
       n_paths = 0;
       last_path = Prop (Iri.of_string "urn:path-batch:none");
       last_id = -1;
-      scratch = [];
       user_step;
       user_lookup;
       user_step_n = bulk user_step step_n;
       user_lookup_n = bulk user_lookup lookup_n;
       charge_step = Option.is_some step;
       charge_lookup = Option.is_some lookup;
-      track_anchors = anchors;
       steps = 0;
       lookups = 0 }
 
@@ -557,24 +551,6 @@ module Batch = struct
     if ctx.charge_step then ctx.user_step_n e.steps;
     if ctx.charge_lookup then ctx.user_lookup_n e.lookups
 
-  let get_set ctx =
-    match ctx.scratch with
-    | s :: rest ->
-        ctx.scratch <- rest;
-        s
-    | [] -> Bitset.create (Store.n_terms ctx.st)
-
-  let put_set ctx s =
-    Bitset.clear s;
-    ctx.scratch <- s :: ctx.scratch
-
-  let anchor anch a = match anch with None -> () | Some s -> Bitset.add s a
-
-  let anchor_all anch arr =
-    match anch with
-    | None -> ()
-    | Some s -> Array.iter (fun i -> Bitset.add s i) arr
-
   (* Adjacency scans: rows inside a (s,p) SPO range carry strictly
      ascending objects, rows inside a (p,o) POS range strictly ascending
      subjects, so the result arrays are sorted and duplicate-free by
@@ -607,49 +583,34 @@ module Batch = struct
             ent
         | None ->
         let s0 = ctx.steps and l0 = ctx.lookups in
-        let anch = if ctx.track_anchors then Some (get_set ctx) else None in
-        let targets = compute ctx anch e inv a in
-        let anchors =
-          match anch with
-          | None -> [||]
-          | Some s ->
-              let arr = Bitset.to_array s in
-              put_set ctx s;
-              arr
-        in
+        let targets = compute ctx e inv a in
         let ent =
-          { targets; anchors; steps = ctx.steps - s0; lookups = ctx.lookups - l0 }
+          { targets; steps = ctx.steps - s0; lookups = ctx.lookups - l0 }
         in
         ITbl.add ctx.memo key ent;
         ent
 
-  (* A sub-evaluation: its anchors flow into the parent's accumulator
-     so parent entries stay self-contained. *)
-  and sub ctx anch e inv a =
-    let ent = eval_entry ctx e inv a in
-    anchor_all anch ent.anchors;
-    ent.targets
+  and sub ctx e inv a = (eval_entry ctx e inv a).targets
 
-  and compute ctx anch e inv a =
+  and compute ctx e inv a =
     step ctx;
     match e with
     | Prop p -> (
         lookup ctx;
-        anchor anch a;
         match Store.pred_id ctx.st p with
         | None -> [||]
         | Some pid ->
             if inv then subjects_arr ctx.st pid a else objects_arr ctx.st pid a)
-    | Inv e -> sub ctx anch e (not inv) a
+    | Inv e -> sub ctx e (not inv) a
     | Seq (e1, e2) ->
         let first, second = if inv then (e2, e1) else (e1, e2) in
-        let mids = sub ctx anch first inv a in
+        let mids = sub ctx first inv a in
         if Array.length mids = 0 then [||]
         else begin
           (* per-mid results are sorted; a balanced merge is
              size-proportional where a universe bitset round-trip would
              cost a full scan per evaluation *)
-          let arrs = Array.map (fun m -> sub ctx anch second inv m) mids in
+          let arrs = Array.map (fun m -> sub ctx second inv m) mids in
           let rec reduce lo hi =
             if hi - lo = 1 then arrs.(lo)
             else
@@ -659,10 +620,10 @@ module Batch = struct
           reduce 0 (Array.length arrs)
         end
     | Alt (e1, e2) ->
-        let t1 = sub ctx anch e1 inv a in
-        let t2 = sub ctx anch e2 inv a in
+        let t1 = sub ctx e1 inv a in
+        let t2 = sub ctx e2 inv a in
         merge_sorted t1 t2
-    | Opt e -> insert_sorted (sub ctx anch e inv a) a
+    | Opt e -> insert_sorted (sub ctx e inv a) a
     | Star e ->
         (* Delta-driven fixpoint: each round expands only the frontier
            discovered in the previous one, exactly like [closure_ids] —
@@ -688,7 +649,7 @@ module Batch = struct
                     incr n;
                     incr count
                   end)
-                (sub ctx anch e inv x))
+                (sub ctx e inv x))
             !frontier;
           let fr = Array.make !n 0 in
           List.iteri (fun k i -> fr.(!n - 1 - k) <- i) !fresh;
@@ -748,12 +709,6 @@ module Batch = struct
 
   let eval ctx e a = (eval_entry ctx e false a).targets
   let eval_inv ctx e a = (eval_entry ctx e true a).targets
-
-  let eval_anchored ctx e a =
-    if not ctx.track_anchors then
-      invalid_arg "Path.Batch.eval_anchored: context created without ~anchors";
-    let ent = eval_entry ctx e false a in
-    (ent.targets, ent.anchors)
 
   (* Union of [[E]](x) (or its inverse) over a sorted node array — the
      id-space counterpart of [eval_set]/[eval_inv_set].  Tracing calls
@@ -869,7 +824,6 @@ module Batch = struct
           bucket :=
             ( targets,
               { targets = rows;
-                anchors = [||];
                 steps = ctx.steps - s0;
                 lookups = ctx.lookups - l0 } )
             :: !bucket;

@@ -119,9 +119,8 @@ val trace_set :
 module Batch : sig
   type ctx
   (** A batch-evaluation context over one frozen store: the charge-
-      replaying memo of per-(sub-path, direction, node) expansions plus
-      scratch frontiers.  Not thread-safe — one per domain, like
-      [Shacl.Path_memo]. *)
+      replaying memo of per-(sub-path, direction, node) expansions.
+      Not thread-safe — one per domain, like [Shacl.Path_memo]. *)
 
   type base
   (** A read-only second layer underneath per-worker contexts, filled by
@@ -136,13 +135,11 @@ module Batch : sig
 
   val create :
     ?step:(unit -> unit) -> ?step_n:(int -> unit) ->
-    ?lookup:(unit -> unit) -> ?lookup_n:(int -> unit) -> ?anchors:bool ->
+    ?lookup:(unit -> unit) -> ?lookup_n:(int -> unit) ->
     ?base:base -> Store.t -> ctx
-  (** [anchors] (default false) additionally records the probe-anchor
-      set of every evaluation — the id-space counterpart of {!eval}'s
-      [visit] hook — for {!eval_anchored}.  Entries missing from the
-      context's own memo are adopted from [base] (when given) with
-      their recorded charges replayed, exactly as a memo hit would.
+  (** Entries missing from the context's own memo are adopted from
+      [base] (when given) with their recorded charges replayed, exactly
+      as a memo hit would.
       [step_n]/[lookup_n] are bulk equivalents of [step]/[lookup] used
       when replaying a recorded charge of [n] units; they default to
       calling the unit hook [n] times and exist because a counter
@@ -175,12 +172,6 @@ module Batch : sig
       per-node {!eval} result (decoded), with equal total hook charge. *)
 
   val eval_inv : ctx -> t -> int -> int array
-
-  val eval_anchored : ctx -> t -> int -> int array * int array
-  (** [(targets, anchors)]; requires a context created with
-      [~anchors:true], else raises [Invalid_argument].  The anchor array
-      is the deduplicated set the per-node core's [visit] hook would
-      have received. *)
 
   val trace : ctx -> t -> sources:int array -> targets:int array -> int array
   (** {!trace_set} in id space: the canonical SPO row ids of

@@ -69,7 +69,6 @@ type t = {
 
 let port t = t.bound_port
 let request_stop t = Atomic.set t.stop true
-let stop_requested t = Atomic.get t.stop
 
 let safe_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 

@@ -102,8 +102,6 @@ val request_stop : t -> unit
 (** Flag the server to stop accepting.  Only sets an atomic, so it is
     safe to call from a signal handler.  Idempotent. *)
 
-val stop_requested : t -> bool
-
 val shutdown : t -> [ `Drained | `Forced ]
 (** Complete a stop: implies {!request_stop}, joins the acceptor, closes
     the listening socket and the queue, then waits up to

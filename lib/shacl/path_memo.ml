@@ -8,17 +8,15 @@ open Rdf
 
    The graph level is keyed by [Graph.uid]: a uid identifies a triple
    set (updates allocate a fresh uid, [Graph.freeze] keeps it), so a
-   memo table reused across different graphs — the engine's checkers
-   evaluate over the data graph but test helpers and the service reuse
-   tables across requests — can never serve a result computed on an
-   earlier triple set. *)
-(* The [base] is a second, read-only layer underneath the per-domain
+   table that outlives one graph can never serve a result computed on
+   an earlier triple set.
+
+   The [base] is a second, read-only layer underneath the per-chunk
    table: the engine fills it up front with the batched kernel
    ([Rdf.Path.eval_batch]) — one kernel call per (path, source set) —
-   freezes it, and shares it across every worker domain.  Reads are safe
-   to share because priming happens strictly before the pool spawns and
-   nothing writes afterwards (a [Hashtbl] with no writers never
-   resizes). *)
+   and shares it across every worker domain.  Reads are safe to share
+   because priming happens strictly before the pool spawns and nothing
+   writes afterwards (a [Hashtbl] with no writers never resizes). *)
 type base = {
   btables : (int * Path.t, (Term.t, Term.Set.t) Hashtbl.t) Hashtbl.t;
 }
@@ -152,14 +150,11 @@ let prime ?counters base budget g e nodes =
     end
   end
 
-let eval ?counters ?fresh t budget g e a =
+let eval ?counters t budget g e a =
   let fresh_eval e a =
-    match fresh with
-    | Some f -> f e a
-    | None ->
-        Rdf.Path.eval
-          ~step:(Runtime.Budget.step_hook budget)
-          ~lookup:(lookup_hook counters) g e a
+    Rdf.Path.eval
+      ~step:(Runtime.Budget.step_hook budget)
+      ~lookup:(lookup_hook counters) g e a
   in
   Runtime.Budget.tick budget;
   if not (worth_memoizing e) then begin

@@ -4,21 +4,21 @@
     from the same focus nodes (in the paper's survey suite nearly every
     shape starts with the [rdf:type/rdfs:subClassOf*] class path).  The
     graph is immutable during a run and {!Rdf.Path.eval} is pure, so
-    its results can be shared safely across shapes, checkers and memo
-    scopes — the containment planner threads one table per worker
-    through {!Conformance} and [Provenance.Neighborhood].
+    its results can be shared safely across checkers.  The engine's
+    batched validation gives every chunk of work its own table over a
+    {!base} it primed set-at-a-time, and threads it through
+    {!Conformance.checker}.
 
     Entries are keyed per graph (by {!Rdf.Graph.uid}) as well as per
-    (path, node), so a table that outlives one graph — reused across
-    service requests, or used while a graph is being edited between
-    runs — never serves a result computed on a different triple set.
+    (path, node), so a table that outlives one graph never serves a
+    result computed on a different triple set.
 
     Not thread-safe: use one table per domain.
 
     A hit costs one {!Runtime.Budget.tick} where the evaluation it
     replaces would have ticked per visited edge, so budget/fuel
-    accounting differs (only ever in the cheaper direction) between
-    optimized and unoptimized runs. *)
+    accounting differs (only ever in the cheaper direction) from
+    unmemoized evaluation. *)
 
 type t
 
@@ -61,7 +61,6 @@ val prime :
 
 val eval :
   ?counters:Counters.t ->
-  ?fresh:(Rdf.Path.t -> Rdf.Term.t -> Rdf.Term.Set.t) ->
   t -> Runtime.Budget.t -> Rdf.Graph.t -> Rdf.Path.t -> Rdf.Term.t ->
   Rdf.Term.Set.t
 (** [eval table budget g e a] is [[E]](a) on [g], answered from the
@@ -70,10 +69,4 @@ val eval :
     and count only a [path_eval].  Compound paths count a
     [path_memo_lookup] plus a hit or a miss; a miss also counts a
     [path_eval], so [path_evals] reflects real evaluations exactly as
-    in the unmemoized path.
-
-    [fresh] replaces the built-in per-node evaluation on misses (and
-    for paths that bypass the table).  It must return exactly [[E]](a)
-    and charge the budget's step hook itself — the batched checker
-    passes its id-space kernel here so memo misses and kernel traces
-    share one set of memoized expansions. *)
+    in the unmemoized path. *)

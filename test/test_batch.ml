@@ -1,17 +1,17 @@
 (* The set-at-a-time batched path kernel (Rdf.Path.eval_batch and
-   Rdf.Path.Batch) against the per-node evaluator, and the engine /
-   incremental layers that ride on it.
+   Rdf.Path.Batch) against the per-node evaluator, and the engine layers
+   that ride on it.
 
    - Differential: eval_batch over a source set produces, source by
      source, exactly the per-node eval results — and charges the step /
      lookup hooks the same {e total} (the kernel's memo replays recorded
      charges, so sharing must not change fuel accounting).  Same for the
-     inverse direction, anchored evaluation, and whole-set tracing.
+     inverse direction and whole-set tracing.
    - Engine: ~kernel:`Batched is byte-identical to ~kernel:`Per_node on
      both the fragment (Turtle serialization) and the validation
      report, and the batched output does not depend on -j.
-   - Incremental: Incremental.apply ~batch:true ≡ ~batch:false on the
-     maintained report and fragment.
+   - Row checker: id-space rows decode to the term checker's
+     neighborhood, with the same verdicts and counters.
 
    Graphs here extend the shared vocabulary with blank nodes and a
    deliberate closed property walk, so [Star] saturates over nontrivial
@@ -145,28 +145,6 @@ let prop_eval_batch_inv =
     (check_batch_vs_per_node ~batch:Path.eval_batch_inv
        ~per_node:(fun ?step ?lookup g e a -> Path.eval_inv ?step ?lookup g e a))
 
-(* Anchored evaluation: the kernel's recorded anchor set is exactly the
-   deduplicated per-node [visit] stream. *)
-let prop_eval_anchored =
-  QCheck.Test.make ~name:"eval_anchored ≡ visit-collected anchors" ~count:300
-    arbitrary_batch_case
-    (fun (g, e, srcs) ->
-      let g, st = frozen g in
-      let ctx = Path.Batch.create ~anchors:true st in
-      List.for_all
-        (fun a ->
-          let targets, anchors = Path.Batch.eval_anchored ctx e a in
-          let visited = ref Term.Set.empty in
-          let expect =
-            encode_set st
-              (Path.eval
-                 ~visit:(fun x -> visited := Term.Set.add x !visited)
-                 g e (Store.term st a))
-          in
-          arrays_equal expect targets
-          && arrays_equal (encode_set st !visited) anchors)
-        (source_ids st srcs))
-
 (* Whole-set tracing: the id-space rows decode to exactly the term-space
    trace_set graph. *)
 let prop_trace =
@@ -235,36 +213,6 @@ let prop_engine_jobs_deterministic =
           && String.equal (report_bytes rep1) (report_bytes repj))
         [ 2; 4 ])
 
-(* --- incremental: batched rechecks are invisible in the output ----- *)
-
-let prop_incremental_batch =
-  QCheck.Test.make
-    ~name:"Incremental.apply ~batch:true ≡ ~batch:false" ~count:60
-    (QCheck.triple
-       (QCheck.make gen_cyc_graph
-          ~print:(fun g -> Format.asprintf "%a" Graph.pp g))
-       Test_engine.arbitrary_schema
-       (QCheck.make
-          QCheck.Gen.(pair (list_size (int_range 0 3) gen_cyc_triple)
-                        (list_size (int_range 0 3) gen_cyc_triple))
-          ~print:(fun (adds, removes) ->
-            Format.asprintf "adds: %a@.removes: %a" Graph.pp
-              (Graph.of_list adds) Graph.pp (Graph.of_list removes))))
-    (fun (g, schema, (adds, removes)) ->
-      let delta = Delta.make ~adds ~removes () in
-      let inc_b = Incremental.create ~schema g in
-      let inc_c = Incremental.create ~schema g in
-      ignore (Incremental.apply ~batch:true inc_b delta
-              : Incremental.update_stats);
-      ignore (Incremental.apply ~batch:false inc_c delta
-              : Incremental.update_stats);
-      String.equal
-        (report_bytes (Incremental.report inc_b))
-        (report_bytes (Incremental.report inc_c))
-      && String.equal
-           (Turtle.to_string (Incremental.fragment inc_b))
-           (Turtle.to_string (Incremental.fragment inc_c)))
-
 (* --- row checker: id-space rows decode to the term-space graph ----- *)
 
 let prop_row_checker =
@@ -319,11 +267,9 @@ let prop_row_checker =
 let props =
   [ prop_eval_batch;
     prop_eval_batch_inv;
-    prop_eval_anchored;
     prop_trace;
     prop_engine_kernel_identical;
     prop_engine_jobs_deterministic;
-    prop_incremental_batch;
     prop_row_checker ]
 
 let suite = []

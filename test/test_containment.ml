@@ -6,10 +6,8 @@
      the path memo's counter discipline.
    - Properties: soundness of [subsumes] against the conformance
      checker (a proven [a ⊑ b] is never contradicted on any random
-     graph); the syntactic core never proves more than the full test;
-     and the optimizer is invisible — [Engine.validate] and
-     [Engine.run] produce identical reports and fragments with the
-     planner on and off, while the stats counters stay consistent. *)
+     graph), and the syntactic core never proves more than the full
+     test. *)
 
 open Rdf
 open Shacl
@@ -125,7 +123,7 @@ let test_plan_shared_paths () =
        (fun (e, c) -> Rdf.Path.equal e p && c = 3)
        plan.Plan.shared_paths)
 
-(* ---------------- engine integration ------------------------------- *)
+(* ---------------- path memo ---------------------------------------- *)
 
 let paper_graph =
   let t = Vocab.Rdf.type_ in
@@ -137,48 +135,6 @@ let paper_graph =
       Triple.make (ext "p2") t (ext "Paper");
       Triple.make (ext "p2") author (ext "carol");
       Triple.make (ext "p3") t (ext "Paper") ]
-
-let paper_schema =
-  let author = Rdf.Path.Prop (Iri.of_string (ex "author")) in
-  let target =
-    Shape.Ge (1, Rdf.Path.Prop Vocab.Rdf.type_, Shape.Has_value (ext "Paper"))
-  in
-  Schema.def_list
-    [ ex "OneAuthor", Shape.Ge (1, author, Shape.Top), target;
-      ex "TwoAuthors", Shape.Ge (2, author, Shape.Top), target ]
-
-let report_equal (a : Validate.report) (b : Validate.report) =
-  a.Validate.conforms = b.Validate.conforms
-  && List.length a.results = List.length b.results
-  && List.for_all2
-       (fun (x : Validate.result) (y : Validate.result) ->
-         Term.equal x.focus y.focus
-         && Term.equal x.shape_name y.shape_name
-         && x.conforms = y.conforms)
-       a.results b.results
-
-let test_engine_skips () =
-  let report_off, stats_off = Engine.validate ~jobs:1 paper_schema paper_graph in
-  let report_on, stats_on =
-    Engine.validate ~jobs:1 ~optimize:true paper_schema paper_graph
-  in
-  check "reports identical" true (report_equal report_off report_on);
-  check_int "optimizer off never skips" 0 stats_off.Engine.Stats.checks_skipped;
-  (* p1 conforms to TwoAuthors, so its OneAuthor check is skipped *)
-  check "optimizer skips proven checks" true
-    (stats_on.Engine.Stats.checks_skipped > 0);
-  check "skipped nodes still counted" true
-    (stats_on.Engine.Stats.nodes_checked = stats_off.Engine.Stats.nodes_checked)
-
-let test_engine_fragment_differential () =
-  let requests = Engine.requests_of_schema paper_schema in
-  let frag_off, _ = Engine.run ~schema:paper_schema ~jobs:1 paper_graph requests in
-  let frag_on, _ =
-    Engine.run ~schema:paper_schema ~jobs:1 ~optimize:true paper_graph requests
-  in
-  check "fragments identical" true (Graph.equal frag_off frag_on)
-
-(* ---------------- path memo ---------------------------------------- *)
 
 let test_path_memo () =
   let memo = Path_memo.create () in
@@ -235,56 +191,6 @@ let prop_syntactic_weaker =
       (not (Containment.subsumes_syntactic na nb))
       || Containment.subsumes_normalized na nb)
 
-(* Random schemas where several defs share a target, so the skip and
-   target-dedup machinery actually fires. *)
-let gen_plan_schema =
-  let open QCheck.Gen in
-  let target =
-    oneofl
-      [ Shape.Has_value (Term.iri (ex "t1"));
-        Shape.Has_value (Term.iri (ex "t2"));
-        Shape.Ge (1, Rdf.Path.Prop Tgen.prop_r, Shape.Top) ]
-  in
-  let def i shape target =
-    { Schema.name = Term.iri (ex (Printf.sprintf "shape%d" i)); shape; target }
-  in
-  map
-    (fun specs -> Schema.make_exn (List.mapi (fun i (s, t) -> def i s t) specs))
-    (list_size (int_range 1 4) (pair (Tgen.gen_shape 2) target))
-
-let arbitrary_plan_schema =
-  QCheck.make gen_plan_schema ~print:(fun h -> Format.asprintf "%a" Schema.pp h)
-
-let prop_optimize_invisible =
-  QCheck.Test.make ~count:200
-    ~name:"Engine.validate report is optimizer-independent"
-    QCheck.(pair Tgen.arbitrary_graph arbitrary_plan_schema)
-    (fun (g, h) ->
-      let report_off, _ = Engine.validate ~jobs:1 h g in
-      List.for_all
-        (fun jobs ->
-          let report_on, stats = Engine.validate ~jobs ~optimize:true h g in
-          report_equal report_off report_on
-          && stats.Engine.Stats.path_memo_lookups
-             = stats.Engine.Stats.path_memo_hits
-               + stats.Engine.Stats.path_memo_misses)
-        [ 1; 2 ])
-
-let prop_optimize_fragment_invisible =
-  QCheck.Test.make ~count:200
-    ~name:"Engine.run fragment is optimizer-independent"
-    QCheck.(pair Tgen.arbitrary_graph arbitrary_plan_schema)
-    (fun (g, h) ->
-      let requests = Engine.requests_of_schema h in
-      let frag_off, _ = Engine.run ~schema:h ~jobs:1 g requests in
-      List.for_all
-        (fun jobs ->
-          let frag_on, _ =
-            Engine.run ~schema:h ~jobs ~optimize:true g requests
-          in
-          Graph.equal frag_off frag_on)
-        [ 1; 2 ])
-
 let suite =
   [ Alcotest.test_case "subsumption rules" `Quick test_rules;
     Alcotest.test_case "equivalence" `Quick test_equivalent;
@@ -292,14 +198,7 @@ let suite =
     Alcotest.test_case "plan: chain levels and reduction" `Quick test_plan_chain;
     Alcotest.test_case "plan: equivalence class" `Quick test_plan_equivalence;
     Alcotest.test_case "plan: shared paths" `Quick test_plan_shared_paths;
-    Alcotest.test_case "engine: skips with identical report" `Quick
-      test_engine_skips;
-    Alcotest.test_case "engine: fragment differential" `Quick
-      test_engine_fragment_differential;
     Alcotest.test_case "path memo counters and sharing" `Quick test_path_memo ]
 
 let props =
-  [ prop_subsumes_sound;
-    prop_syntactic_weaker;
-    prop_optimize_invisible;
-    prop_optimize_fragment_invisible ]
+  [ prop_subsumes_sound; prop_syntactic_weaker ]

@@ -123,8 +123,8 @@ let shapes_fingerprint (s : Engine.Stats.t) =
   String.concat "; "
     (List.map
        (fun (sh : Engine.Stats.shape_stat) ->
-         Printf.sprintf "%s:%b:%d:%d:%d" sh.label sh.pruned sh.candidates
-           sh.conforming sh.skipped)
+         Printf.sprintf "%s:%b:%d:%d" sh.label sh.pruned sh.candidates
+           sh.conforming)
        s.shapes)
 
 (* The projection of the statistics that is independent of [jobs]:
@@ -134,14 +134,12 @@ let shapes_fingerprint (s : Engine.Stats.t) =
    (engine.mli documents exactly this contract). *)
 let cross_jobs_fingerprint (s : Engine.Stats.t) =
   Format.asprintf
-    "checked=%d conf=%d skip=%d shared=%d emitted=%d retries=%d \
-     interned=%d shapes=[%s]"
-    s.nodes_checked s.conforming s.checks_skipped s.requests_shared
-    s.triples_emitted s.retries s.interned_terms (shapes_fingerprint s)
+    "checked=%d conf=%d emitted=%d retries=%d interned=%d shapes=[%s]"
+    s.nodes_checked s.conforming s.triples_emitted s.retries
+    s.interned_terms (shapes_fingerprint s)
 
 (* Everything except wall-clock fields: stable across repeated runs at
-   a fixed -j (the path-memo hit/miss split is worker-assignment
-   dependent under ~optimize with jobs > 1, but zero here). *)
+   a fixed -j. *)
 let stats_fingerprint (s : Engine.Stats.t) =
   Format.asprintf
     "%s memo=%d/%d/%d paths=%d probes=%d"
