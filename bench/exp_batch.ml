@@ -1,22 +1,20 @@
-(* Set-at-a-time batched path kernel: per-node vs batched engine.
+(* Id-space path kernel: per-node vs batched fragment extraction.
 
    Runs the full 57-shape survey suite (Workload.Bench_shapes) over a
-   generated Kg graph through Provenance.Engine twice — once with
-   ~kernel:`Per_node (the classic engine: every path evaluation
+   generated Kg graph through Provenance.Engine.run twice — once with
+   ~kernel:`Per_node (the term-space checker: every path evaluation
    anchored at one node, neighborhoods as persistent graphs) and once
    with the default ~kernel:`Batched (each (path, candidate-set) pair
-   primed once, set-at-a-time, into a shared read-only base; fragment
+   primed once in the id-space kernel into a shared read-only base;
    neighborhoods accumulated as store-row sets).  Reports, and records
    in BENCH_batch.json:
 
    - fragment extraction per-node vs batched at -j 1 (interleaved
      min-of-pairs), with the batched run's batch_calls /
      batch_sources / rows_materialized counters;
-   - validation per-node vs batched at -j 1;
-   - whether the outputs are identical — the fragment byte-for-byte on
-     the Turtle serialization (and as graph equality) and the
-     validation report byte-for-byte.  They must be: the kernel is a
-     pure evaluation-strategy change. *)
+   - whether the fragments are identical, byte-for-byte on the Turtle
+     serialization and as graph equality.  They must be: the kernel is
+     a pure evaluation-strategy change. *)
 
 open Shacl
 open Workload
@@ -54,7 +52,8 @@ let min_of_pairs ~pairs f_a f_b =
   (!best_a, Option.get !last_a, !best_b, Option.get !last_b)
 
 let run ~quick =
-  Util.header "Batched path kernel: per-node vs set-at-a-time (57-shape survey)";
+  Util.header
+    "Id-space path kernel: per-node vs batched fragments (57-shape survey)";
   let individuals = if quick then 6000 else 20000 in
   (* Freeze once, outside the timed region: both kernels run over the
      same interned store, so the comparison isolates the evaluation
@@ -88,28 +87,10 @@ let run ~quick =
     (Format.asprintf "%a" Util.pp_seconds t_frag_batch)
     (t_frag_per /. t_frag_batch)
     batch_calls batch_sources rows_materialized fragments_identical;
-  (* Validation: per-node vs batched, -j 1. *)
-  let t_val_per, (report_per, _), t_val_batch, (report_batch, vstats) =
-    min_of_pairs ~pairs:6
-      (fun () -> Engine.validate ~jobs:1 ~kernel:`Per_node schema g)
-      (fun () -> Engine.validate ~jobs:1 ~kernel:`Batched schema g)
-  in
-  let report_bytes r = Format.asprintf "%a" Validate.pp_report r in
-  let reports_identical =
-    String.equal (report_bytes report_per) (report_bytes report_batch)
-  in
-  Printf.printf
-    "validate per-node: %s; batched: %s  (%.2fx; %d batch call(s); reports \
-     identical: %b)\n"
-    (Format.asprintf "%a" Util.pp_seconds t_val_per)
-    (Format.asprintf "%a" Util.pp_seconds t_val_batch)
-    (t_val_per /. t_val_batch)
-    vstats.Engine.Stats.batch_calls reports_identical;
-  let all_identical = fragments_identical && reports_identical in
   let oc = open_out "BENCH_batch.json" in
   Printf.fprintf oc
     "{\n\
-    \  \"experiment\": \"batched path kernel: per-node vs set-at-a-time\",\n\
+    \  \"experiment\": \"id-space path kernel: per-node vs batched fragment extraction\",\n\
     \  \"workload\": \"Kg.generate ~seed:42 ~individuals:%d\",\n\
     \  \"triples\": %d,\n\
     \  \"shapes\": %d,\n\
@@ -122,21 +103,12 @@ let run ~quick =
     \    \"rows_materialized\": %d,\n\
     \    \"fragments_identical\": %b\n\
     \  },\n\
-    \  \"validate\": {\n\
-    \    \"per_node_seconds\": %.6f,\n\
-    \    \"batched_seconds\": %.6f,\n\
-    \    \"speedup\": %.3f,\n\
-    \    \"batch_calls\": %d,\n\
-    \    \"reports_identical\": %b\n\
-    \  },\n\
     \  \"identical\": %b\n\
      }\n"
     individuals triples (List.length entries) t_frag_per t_frag_batch
     (t_frag_per /. t_frag_batch)
-    batch_calls batch_sources rows_materialized fragments_identical t_val_per
-    t_val_batch
-    (t_val_per /. t_val_batch)
-    vstats.Engine.Stats.batch_calls reports_identical all_identical;
+    batch_calls batch_sources rows_materialized fragments_identical
+    fragments_identical;
   close_out oc;
   Printf.printf "wrote BENCH_batch.json%s\n"
-    (if all_identical then "" else "  ** MISMATCH per-node vs batched **")
+    (if fragments_identical then "" else "  ** MISMATCH per-node vs batched **")

@@ -18,7 +18,7 @@ let experiments =
     "parallel", ("Parallel fragment engine scaling", Exp_parallel.run);
     "containment", ("Cross-shape containment lattice", Exp_containment.run);
     "cluster", ("Sharded cluster: scatter-gather and failover", Exp_cluster.run);
-    "batch", ("Batched path kernel: per-node vs set-at-a-time", Exp_batch.run);
+    "batch", ("Id-space path kernel: per-node vs batched fragments", Exp_batch.run);
     "incremental",
     ("Incremental revalidation vs full recomputation", Exp_incremental.run) ]
 

@@ -255,16 +255,21 @@ let now = Unix.gettimeofday
 
 (* Collect, in deterministic order, the (path, focus-node set) pairs a
    set of shapes will evaluate: the focus paths of each shape paired
-   with its candidate array, unioned across shapes per path.  Only
-   paths the memo layer caches are kept. *)
+   with its candidate array, unioned across shapes per path.  Bare
+   steps ([p], [p⁻]) are left out: a single index probe costs no more
+   than a memo entry, and the row checker does not classify them. *)
 let collect_prime_items pairs =
+  let compound = function
+    | Rdf.Path.Prop _ | Rdf.Path.Inv (Rdf.Path.Prop _) -> false
+    | _ -> true
+  in
   let nodes_of : (Rdf.Path.t, Term.Set.t ref) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
     (fun (paths, candidates) ->
       List.iter
         (fun e ->
-          if Path_memo.worth_memoizing e then begin
+          if compound e then begin
             let add set =
               Array.fold_left (fun s v -> Term.Set.add v s) set candidates
             in
@@ -282,41 +287,8 @@ let collect_prime_items pairs =
       (e, Array.of_list (Term.Set.elements set)))
     !order
 
-(* Fill [base] with one batched-kernel evaluation per (path, node set),
-   parallelized over paths: each worker primes into a private base
-   merged after the pool joins (per-(graph, path) tables are disjoint
-   across items, so the merge is a plain union).  Priming charges the
-   budget exactly what per-node evaluation of the same (path, node)
-   pairs would; on exhaustion the phase stops with a partial base and
-   the chunks that needed the missing fuel fail at their own budget
-   checks, as they would have unprimed. *)
-let prime_base ~jobs ~budget ~into_counters base g items =
-  match items with
-  | [] -> ()
-  | _ ->
-      let pop = make_queue items in
-      let n = max 1 jobs in
-      let worker_bases = Array.init n (fun _ -> Path_memo.base_create ()) in
-      let worker_counters = Array.init n (fun _ -> Counters.create ()) in
-      let worker w =
-        let wb = worker_bases.(w) and wc = worker_counters.(w) in
-        let rec drain () =
-          match pop () with
-          | None -> ()
-          | Some (e, nodes) ->
-              Path_memo.prime ~counters:wc wb budget g e nodes;
-              drain ()
-        in
-        try drain () with Runtime.Budget.Exhausted _ -> ()
-      in
-      spawn_pool ~jobs:n worker;
-      Array.iter (fun wb -> Path_memo.base_merge ~into:base wb) worker_bases;
-      Array.iter
-        (fun wc -> Counters.add ~into:into_counters wc)
-        worker_counters
-
-(* Id-space priming for the rows pipeline: the same (path, node set)
-   items, evaluated in per-worker kernel contexts whose memos are then
+(* Id-space priming for the rows pipeline: the (path, node set) items,
+   evaluated in per-worker kernel contexts whose memos are then
    exported into one shared read-only [Rdf.Path.Batch.base].  Worker
    contexts adopt primed entries on first touch and replay their
    recorded charges, so budget and counter totals stay exactly what
@@ -679,7 +651,7 @@ let fragment_schema ?algorithm ?jobs schema g =
 (* ---------------- validation --------------------------------------- *)
 
 let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
-    ?(on_error = `Fail) ?(kernel = `Batched) ?restrict schema g =
+    ?(on_error = `Fail) ?restrict schema g =
   let jobs = max 1 jobs in
   let t0 = now () in
   let g = Graph.freeze g in
@@ -714,24 +686,6 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
     let (def : Schema.def), _ = plans_arr.(i) in
     Term.to_string def.Schema.name
   in
-  (* Batched kernel: every (shape focus path × target array) pair is
-     primed set-at-a-time into one shared base before the pool runs;
-     each chunk then gets its own memo table over the base, so chunk
-     statistics do not depend on which worker drained which chunk. *)
-  let prime_counters = Counters.create () in
-  let base =
-    match kernel, store with
-    | `Batched, Some _ ->
-        let b = Path_memo.base_create () in
-        prime_base ~jobs ~budget ~into_counters:prime_counters b g
-          (collect_prime_items
-             (List.map
-                (fun ((def : Schema.def), targets) ->
-                  (Conformance.focus_paths schema def.Schema.shape, targets))
-                plans));
-        Some b
-    | _ -> None
-  in
   (* Verdict writes go to disjoint slices of [verdicts], so they need no
      lock; a failed chunk's partial writes are harmless because a failed
      definition is dropped from the report wholesale. *)
@@ -741,10 +695,8 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
     let t = now () in
     let def, _ = plans_arr.(i) in
     let counters = Counters.create () in
-    let path_memo = Option.map (fun base -> Path_memo.create ~base ()) base in
     let check =
-      Conformance.checker ~counters ~budget ?path_memo schema g
-        def.Schema.shape
+      Conformance.checker ~counters ~budget schema g def.Schema.shape
     in
     let conforming = ref 0 in
     Array.iteri
@@ -812,7 +764,6 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
   | `Fail, Some e -> raise e
   | _ -> ());
   let final = fold_accs accs in
-  Counters.add ~into:final.counters prime_counters;
   let totals = final.counters in
   (* Assemble results exactly as the sequential [Validate.validate] does:
      per definition, a [Term.Set.fold] pushing to the front — i.e. each

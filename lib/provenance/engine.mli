@@ -49,20 +49,19 @@ type on_error = [ `Fail | `Skip ]
     partial result with the failure recorded in {!Stats}. *)
 
 type kernel = [ `Batched | `Per_node ]
-(** How path expressions are evaluated on a frozen graph.  [`Batched]
-    (the default) evaluates each distinct (path, candidate-set) pair of
-    the planned shapes once, set-at-a-time, before the pool runs:
-    {!validate} primes a read-only {!Shacl.Path_memo} base shared by
-    every worker through {!Rdf.Path.eval_batch}, and instrumented
-    fragment runs prime the kernel's id-space base and accumulate
+(** How an instrumented fragment run ({!run}) evaluates on a frozen
+    graph.  [`Batched] (the default) evaluates each distinct
+    (compound path, candidate-set) pair of the planned shapes once in
+    the id-space kernel ({!Rdf.Path.Batch}) before the pool runs, shares
+    that primed base read-only with every worker, and accumulates
     neighborhoods as store-row sets instead of graphs
-    ({!Neighborhood.row_checker}).  [`Per_node] is the classic engine:
-    every path evaluation anchored at one node at a time, as naive
-    fragment runs ([~algorithm:Naive]) are under either kernel.  Fragments,
-    reports and verdicts are byte-identical between the two; statistics
-    differ ([batch_calls] &c. are zero under [`Per_node], and the
-    batched kernel may charge a budget for path evaluations the
-    per-node engine would have short-circuited past). *)
+    ({!Neighborhood.row_checker}).  [`Per_node] runs the term-space
+    {!Neighborhood.checker} over {!Rdf.Path.eval}, one node at a time,
+    as naive fragment runs ([~algorithm:Naive]) do under either
+    kernel.  Fragments are byte-identical between the two; statistics
+    differ ([batch_calls] &c. are zero under [`Per_node], and priming
+    may charge a budget for path evaluations the per-node engine would
+    have short-circuited past). *)
 
 (** Execution statistics for one engine run. *)
 module Stats : sig
@@ -86,10 +85,11 @@ module Stats : sig
     memo_misses : int;
     path_evals : int;      (** path-expression evaluations *)
     path_memo_lookups : int;
-        (** per-(path, node) memo probes of compound paths
-            ([= path_memo_hits + path_memo_misses]) — a hit is an
-            evaluation answered by the chunk's memo table or the
-            primed base; nonzero only under [`Batched] *)
+        (** compound-path evaluations of the row checker, classified
+            against the kernel memo
+            ([= path_memo_hits + path_memo_misses]) — a hit is a
+            (path, node) pair the chunk already evaluated or the engine
+            primed; nonzero only for [`Batched] fragment runs *)
     path_memo_hits : int;
     path_memo_misses : int;
     triples_emitted : int; (** size of the merged fragment *)
@@ -99,14 +99,14 @@ module Stats : sig
         (** adjacency-index probes made by path evaluation (each [Prop]
             or inverse-[Prop] application at a node) *)
     batch_calls : int;
-        (** batched path-kernel invocations ({!Rdf.Path.eval_batch};
-            one per (path, source-set) priming).  Zero under
-            [`Per_node]. *)
+        (** (path, candidate-set) items primed in the id-space kernel
+            before a [`Batched] fragment run.  Zero under [`Per_node]
+            and for {!validate}. *)
     batch_sources : int;
-        (** source nodes evaluated across all batch calls *)
+        (** source nodes evaluated across all primed items *)
     rows_materialized : int;
-        (** target cells materialized by batch calls (a dense-compacted
-            relation counts its shared row once) *)
+        (** kernel memo entries (sub-path evaluations included) that
+            priming created *)
     planning : float;      (** seconds spent planning candidate sets *)
     wall : float;          (** end-to-end seconds for the run *)
     shapes : shape_stat list;  (** per-request breakdown, request order *)
@@ -186,15 +186,16 @@ val validate :
   ?jobs:int ->
   ?budget:Runtime.Budget.t ->
   ?on_error:on_error ->
-  ?kernel:kernel ->
   ?restrict:(Rdf.Term.t -> bool) ->
   Shacl.Schema.t -> Rdf.Graph.t -> Shacl.Validate.report * Stats.t
 (** Parallel, instrumented equivalent of [Validate.validate]: target
     nodes of each definition are sharded across the pool and checked for
     conformance only (no provenance is collected; [triples_emitted] is
-    0).  [restrict] keeps only the target nodes it accepts, as in
+    0) by {!Shacl.Conformance.checker}, one per chunk, over
+    {!Rdf.Path.eval}.  [restrict] keeps only the target nodes it accepts, as in
     {!run}: per-shard reports cover disjoint targets and their check and
-    violation counts sum to the unrestricted run's.  The report — including the order of its results — is identical
+    violation counts sum to the unrestricted run's.  The report —
+    including the order of its results — is identical
     to the sequential one, except that with [~on_error:`Skip] a failed
     definition's results are excluded wholesale (the report then covers
     exactly the definitions that were fully checked, and {!Stats.degraded}

@@ -488,21 +488,21 @@ let make_row_core ?counters ~budget ~schema st ctx =
     | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
     | None -> ()
   in
-  (* Charged path evaluation, mirroring [Path_memo.eval] over the
-     worker's kernel context: bare steps bypass the memo layer and pay
-     the per-node charge directly; compound paths classify as chunk or
-     primed-base hits (charge-free beyond the tick) or as misses, which
-     evaluate in the kernel with the per-node-equivalent charge
-     replayed.  [counted] is the per-checker (hence per-chunk)
-     classification table, so memo statistics do not depend on which
-     worker drained which chunk even though the context is shared. *)
+  (* Charged path evaluation over the worker's kernel context: bare
+     steps are not classified and pay their charge directly; compound
+     paths classify as chunk or primed-base hits (charge-free beyond
+     the tick) or as misses, which evaluate in the kernel with the
+     per-node-equivalent charge replayed.  [counted] is the
+     per-checker (hence per-chunk) classification table, so memo
+     statistics do not depend on which worker drained which chunk even
+     though the context is shared. *)
   let counted : unit ITbl.t = ITbl.create 256 in
-  let eval_ids e vid =
+  let eval_path e vid =
     Runtime.Budget.tick budget;
     match e with
     | Rdf.Path.Prop _ | Rdf.Path.Inv (Rdf.Path.Prop _) ->
-        (* bare steps bypass the memo-hit accounting ([Path_memo]
-           charges every call), but still evaluate through the kernel:
+        (* bare steps bypass the memo-hit accounting (a probe is as
+           cheap as a memo hit), but still evaluate through the kernel:
            a fresh evaluation charges one step and one probe (two steps
            inverted), a kernel-memoized one replays exactly that — and
            returns the {e same} array object, which is what lets the
@@ -581,7 +581,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
           (true, Rows.Flat [| row_between vid p vid |])
         else (false, Rows.empty)
     | Shape.Eq (Shape.Path e, p) ->
-        let reached = eval_ids e vid in
+        let reached = eval_path e vid in
         if arrays_equal reached (objects_arr vid p) then begin
           let info = intern_phi phi in
           let ep =
@@ -592,13 +592,13 @@ let make_row_core ?counters ~budget ~schema st ctx =
                 info.rp_alt <- Some ep;
                 ep
           in
-          (true, trace ep vid ~targets:(eval_ids ep vid))
+          (true, trace ep vid ~targets:(eval_path ep vid))
         end
         else (false, Rows.empty)
     | Shape.Disj (Shape.Id, p) ->
         (not (mem_sorted (objects_arr vid p) vid), Rows.empty)
     | Shape.Disj (Shape.Path e, p) ->
-        (disjoint_sorted (eval_ids e vid) (objects_arr vid p), Rows.empty)
+        (disjoint_sorted (eval_path e vid) (objects_arr vid p), Rows.empty)
     | Shape.Closed allowed ->
         let lo, hi = Store.subject_range st vid in
         let ok = ref true in
@@ -617,7 +617,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
     | Shape.More_than_eq (e, p) ->
         (positive_cmp vid e p (fun x y -> term_leq y x), Rows.empty)
     | Shape.Unique_lang e ->
-        let values = Array.map term (eval_ids e vid) in
+        let values = Array.map term (eval_path e vid) in
         let ok =
           Array.for_all
             (fun x ->
@@ -642,7 +642,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
             if c then (true, Rows.union acc bx) else (any, acc))
           (false, Rows.empty) l
     | Shape.Ge (n, e, psi) ->
-        let xs = eval_ids e vid in
+        let xs = eval_path e vid in
         (* witnesses are the conforming prefix of [xs] until the first
            failure, so no per-witness list is allocated in the common
            all-conform case — and reusing [xs] itself as the target
@@ -687,7 +687,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
               info.rp_neg <- Some s;
               s
         in
-        let xs = eval_ids e vid in
+        let xs = eval_path e vid in
         let sat_count = ref 0
         and witnesses = ref []
         and nw = ref 0
@@ -715,7 +715,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
         end
         else (false, Rows.empty)
     | Shape.Forall (e, psi) ->
-        let xs = eval_ids e vid in
+        let xs = eval_path e vid in
         let ok = ref true and acc = ref Rows.empty in
         let i = ref 0 in
         while !ok && !i < Array.length xs do
@@ -731,7 +731,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
         else (false, Rows.empty)
     | Shape.Not inner -> check_negated vid inner
   and positive_cmp vid e p holds =
-    let reached = eval_ids e vid in
+    let reached = eval_path e vid in
     let objs = objects_arr vid p in
     Array.for_all
       (fun x ->
@@ -749,7 +749,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
         if arrays_equal (objects_arr vid p) [| vid |] then (false, Rows.empty)
         else (true, p_rows vid p ~keep:(fun o -> o <> vid))
     | Shape.Eq (Shape.Path e, p) ->
-        let reached = eval_ids e vid in
+        let reached = eval_path e vid in
         let objs = objects_arr vid p in
         if arrays_equal reached objs then (false, Rows.empty)
         else begin
@@ -762,7 +762,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
           (true, Rows.Flat [| row_between vid p vid |])
         else (false, Rows.empty)
     | Shape.Disj (Shape.Path e, p) ->
-        let common = inter_sorted (eval_ids e vid) (objects_arr vid p) in
+        let common = inter_sorted (eval_path e vid) (objects_arr vid p) in
         if Array.length common = 0 then (false, Rows.empty)
         else begin
           let acc = ref (trace e vid ~targets:common) in
@@ -781,7 +781,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
     | Shape.More_than_eq (e, p) ->
         negated_cmp vid e p ~violates:(fun x y -> not (term_leq y x))
     | Shape.Unique_lang e ->
-        let reached = eval_ids e vid in
+        let reached = eval_path e vid in
         let terms = Array.map term reached in
         let keep = ref [] and nk = ref 0 in
         for i = Array.length reached - 1 downto 0 do
@@ -815,7 +815,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
         (* impossible after NNF *)
         assert false
   and negated_cmp vid e p ~violates =
-    let reached = eval_ids e vid in
+    let reached = eval_path e vid in
     let objs = objects_arr vid p in
     let rterms = Array.map term reached in
     let oterms = Array.map term objs in
@@ -836,7 +836,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
   go
 
 let make_instrumented ?counters ?(budget = Runtime.Budget.unlimited)
-    ?(schema = Schema.empty) ?path_memo ?touched g =
+    ?(schema = Schema.empty) ?touched g =
   let memo : (Term.t * Shape.t, bool * Graph.t) Hashtbl.t = Hashtbl.create 256 in
   (* [touched] collects the anchor of every graph probe this instance
      makes: each focus node entering [compute] (all non-path probes —
@@ -845,21 +845,15 @@ let make_instrumented ?counters ?(budget = Runtime.Budget.unlimited)
      [Path]'s [?visit] hook.  The resulting set is a sound dependency
      set for the verdict and the neighborhood: a re-run on a graph
      whose changed triples have neither endpoint in it makes exactly
-     the same probes with exactly the same answers.  [path_memo] is
-     bypassed while collecting — a memo hit would hide the probes the
-     cached evaluation made, attributing them to the wrong focus. *)
+     the same probes with exactly the same answers. *)
   let eval e v =
-    match path_memo with
-    | Some table when touched = None ->
-        Path_memo.eval ?counters table budget g e v
-    | _ ->
-        Runtime.Budget.tick budget;
-        (match counters with
-        | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
-        | None -> ());
-        Rdf.Path.eval
-          ~step:(Runtime.Budget.step_hook budget)
-          ~lookup:(count_store_lookup counters) ?visit:touched g e v
+    Runtime.Budget.tick budget;
+    (match counters with
+    | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
+    | None -> ());
+    Rdf.Path.eval
+      ~step:(Runtime.Budget.step_hook budget)
+      ~lookup:(count_store_lookup counters) ?visit:touched g e v
   in
   let trace_all e v ~targets =
     Rdf.Path.trace_all
@@ -1099,12 +1093,12 @@ let make_instrumented ?counters ?(budget = Runtime.Budget.unlimited)
 let check ?budget ?schema g v phi =
   make_instrumented ?budget ?schema g v (Shape.nnf phi)
 
-let checker ?counters ?budget ?schema ?path_memo ?touched g phi =
-  let go = make_instrumented ?counters ?budget ?schema ?path_memo ?touched g in
+let checker ?counters ?budget ?schema ?touched g phi =
+  let go = make_instrumented ?counters ?budget ?schema ?touched g in
   let normalized = Shape.nnf phi in
   fun v -> go v normalized
 
-let row_checker ?counters ?budget ?schema ?path_memo ?env g phi =
+let row_checker ?counters ?budget ?schema ?env g phi =
   match Graph.store g with
   | None ->
       invalid_arg "Neighborhood.row_checker: graph has no frozen store"
@@ -1118,7 +1112,7 @@ let row_checker ?counters ?budget ?schema ?path_memo ?env g phi =
          neighborhood is empty: the term checker decides the verdict, with
          the same charges, and no rows are emitted. *)
       let term_check =
-        lazy (checker ?counters ~budget:b ?schema ?path_memo g phi)
+        lazy (checker ?counters ~budget:b ?schema g phi)
       in
       let normalized = Shape.nnf phi in
       fun v ->

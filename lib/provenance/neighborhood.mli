@@ -47,7 +47,6 @@ val checker :
   ?counters:Shacl.Counters.t ->
   ?budget:Runtime.Budget.t ->
   ?schema:Shacl.Schema.t ->
-  ?path_memo:Shacl.Path_memo.t ->
   ?touched:(Rdf.Term.t -> unit) ->
   Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * Rdf.Graph.t)
 (** Batch variant of {!check}: the shape is normalized once and one memo
@@ -57,19 +56,15 @@ val checker :
     When [counters] is given, memo traffic and path evaluations are
     accumulated into it.  When [budget] is given, each memo lookup and
     path evaluation spends one unit of fuel and the returned closure may
-    raise [Runtime.Budget.Exhausted] at those safe points.  When
-    [path_memo] is given, [[E]](v) evaluations are shared through it —
-    including across separate [checker] instances handed the same
-    table.
+    raise [Runtime.Budget.Exhausted] at those safe points.  Path
+    expressions are evaluated by {!Rdf.Path.eval}.
 
     When [touched] is given, it receives the anchor of every graph
     probe the evaluation makes — each focus node visited plus every
     path-probe anchor (see {!Rdf.Path.eval}'s [visit]).  The collected
     anchors are a sound dependency set for the (verdict, neighborhood)
     pair: an update whose triples have neither endpoint among them
-    cannot change the result.  Supplying [touched] bypasses
-    [path_memo] (a memo hit would hide probes from the collector), and
-    anchors accumulate across {e all} nodes checked through one
+    cannot change the result.  Anchors accumulate across {e all} nodes checked through one
     [checker] instance — use one instance per focus node when per-node
     attribution matters, as the incremental engine does. *)
 
@@ -105,7 +100,6 @@ val row_checker :
   ?counters:Shacl.Counters.t ->
   ?budget:Runtime.Budget.t ->
   ?schema:Shacl.Schema.t ->
-  ?path_memo:Shacl.Path_memo.t ->
   ?env:row_env ->
   Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * int array)
 (** Like {!checker}, but the neighborhood is returned as a sorted,
@@ -119,8 +113,8 @@ val row_checker :
     same worker instead of created fresh.  Decoding row [r] with
     [Rdf.Store.row_triple] yields exactly the triples {!checker} would
     have returned.  A focus node the store's dictionary never interned
-    occurs in no triple, so it gets {!checker}'s verdict (over
-    [path_memo], when given) and no rows.  Raises [Invalid_argument]
+    occurs in no triple, so it gets {!checker}'s verdict and no
+    rows.  Raises [Invalid_argument]
     when [g] has no frozen store ([Rdf.Graph.freeze] it first). *)
 
 val naive_checker :

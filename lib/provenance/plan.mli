@@ -14,8 +14,8 @@
     - {b equivalence classes}: groups of definitions proven to accept
       exactly the same nodes;
     - {b shared paths}: path expressions (up to normalization) used by
-      more than one definition — the sharing opportunities for the
-      per-(path, node) memo table ({!Shacl.Path_memo}).
+      more than one definition — the evaluations a per-(path, node)
+      memo such as the id-space kernel's ({!Rdf.Path.Batch}) shares.
 
     Everything here is static: the plan depends only on the schema,
     never on a data graph, so it can be computed once and reused. *)

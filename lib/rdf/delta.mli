@@ -8,11 +8,10 @@
     the dependency index is probed with), and {!encode}/{!decode} give a
     self-contained byte representation for write-ahead logging.
 
-    Application preserves the graph's representation contract: updating
-    bumps {!Graph.uid} (via {!Graph.add}/{!Graph.remove}, which drop the
-    frozen store), and {!apply} re-freezes when the input was frozen, so
-    downstream caches keyed by uid — {!Shacl.Path_memo} in particular —
-    can never serve hits computed against the pre-delta triple set. *)
+    Application preserves the graph's representation contract: an
+    update drops the frozen store (via {!Graph.add}/{!Graph.remove}),
+    and {!apply} re-freezes when the input was frozen, so a store never
+    answers for the pre-delta triple set. *)
 
 type t = private {
   removes : Triple.t list;  (** applied first, in list order *)
@@ -31,8 +30,7 @@ val apply : t -> Graph.t -> Graph.t
 (** [apply d g] removes [d.removes] from [g], then adds [d.adds].
     Removing an absent triple and adding a present one are no-ops, as in
     {!Graph.remove}/{!Graph.add}.  If [g] was {!Graph.freeze}d the
-    result is frozen again (with a fresh uid whenever the triple set
-    actually changed). *)
+    result is frozen again. *)
 
 val effective : t -> Graph.t -> t
 (** [effective d g] drops the no-ops: removals of triples absent from

@@ -10,36 +10,25 @@
    sorted-array SPO/POS/OSP indexes) that answers the hot read paths
    with binary searches and no per-lookup allocation; any update drops
    the store, so a store never disagrees with the maps it was built
-   from.
-
-   [uid] identifies the triple set for external memo tables
-   (Shacl.Path_memo keys its entries per graph): two graphs with the
-   same uid always hold the same triples — updates allocate a fresh
-   uid, while [freeze] keeps it (same triples, new index). *)
+   from. *)
 
 type t = {
   spo : Term.Set.t Iri.Map.t Term.Map.t;
   pos : Term.Set.t Term.Map.t Iri.Map.t;
   osp : Iri.Set.t Term.Map.t Term.Map.t;
   size : int;
-  uid : int;
   store : Store.t option;
 }
-
-let uid_counter = Atomic.make 1
-let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
 let empty =
   { spo = Term.Map.empty;
     pos = Iri.Map.empty;
     osp = Term.Map.empty;
     size = 0;
-    uid = 0;
     store = None }
 
 let is_empty g = g.size = 0
 let cardinal g = g.size
-let uid g = g.uid
 let store g = g.store
 let frozen g = g.store <> None
 
@@ -81,7 +70,7 @@ let add s p o g =
       let preds = Option.value (Term.Map.find_opt s by_s) ~default:Iri.Set.empty in
       Term.Map.add o (Term.Map.add s (Iri.Set.add p preds) by_s) g.osp
     in
-    { spo; pos; osp; size = g.size + 1; uid = fresh_uid (); store = None }
+    { spo; pos; osp; size = g.size + 1; store = None }
 
 let add_triple t g = add (Triple.subject t) (Triple.predicate t) (Triple.object_ t) g
 
@@ -119,7 +108,7 @@ let remove t g =
       if Term.Map.is_empty by_s then Term.Map.remove o g.osp
       else Term.Map.add o by_s g.osp
     in
-    { spo; pos; osp; size = g.size - 1; uid = fresh_uid (); store = None }
+    { spo; pos; osp; size = g.size - 1; store = None }
 
 let fold f g acc =
   Term.Map.fold
@@ -293,9 +282,7 @@ let freeze_filter ~keep g =
   if !size = 0 then empty
   else
     freeze
-      { spo; pos = !pos; osp = !osp; size = !size;
-        uid = fresh_uid ();
-        store = None }
+      { spo; pos = !pos; osp = !osp; size = !size; store = None }
 
 let pp ppf g =
   let first = ref true in

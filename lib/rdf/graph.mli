@@ -26,8 +26,8 @@ val cardinal : t -> int
 (** {1 Freezing} *)
 
 val freeze : t -> t
-(** Same triple set (and same {!uid}), with an interned {!Store.t}
-    built for it.  Idempotent; [O(n log n)] the first time. *)
+(** Same triple set, with an interned {!Store.t} built for it.
+    Idempotent; [O(n log n)] the first time. *)
 
 val freeze_filter : keep:(Term.t -> bool) -> t -> t
 (** [freeze_filter ~keep g] is the subject partition of [g] — the
@@ -35,18 +35,13 @@ val freeze_filter : keep:(Term.t -> bool) -> t -> t
     Equivalent to [freeze (filter (fun t -> keep (Triple.subject t)) g)]
     but one pass: the kept per-subject index subtrees are shared with
     [g] and [keep] is consulted once per subject, not once per triple.
-    The result has a fresh {!uid} (it is a different triple set).  Shard
-    workers use it to load their slice of a hash-partitioned graph. *)
+    Shard workers use it to load their slice of a hash-partitioned
+    graph. *)
 
 val frozen : t -> bool
 
 val store : t -> Store.t option
 (** The interned store, when the graph has been {!freeze}d. *)
-
-val uid : t -> int
-(** Identity of the {e triple set}, for external memo tables: two
-    graphs with the same uid hold the same triples.  [empty] has uid 0;
-    every update allocates a fresh uid; {!freeze} keeps it. *)
 
 (** {1 Building} *)
 

@@ -61,18 +61,10 @@ let closure step seeds =
    same set on the updated graph.  The incremental engine records
    anchors to decide which verdicts a delta can affect.
 
-   Two interchangeable cores compute [[E]](a).  The map core walks the
-   graph's persistent indexes on terms.  The interned core — used when
-   the graph has been [Graph.freeze]d — runs the same recursion on
-   dense int ids over the frozen store's sorted-array indexes, and
-   decodes back to terms only at the result boundary.  Ids are assigned
-   in [Term.compare] order, so both cores visit nodes in the same
-   order, call [step]/[lookup] identically, and agree exactly; the
-   interned core replaces every term comparison (string and literal
-   compares) on the hot path with an int comparison.  When a [visit]
-   hook is present the map core is used unconditionally — the hook
-   needs the anchor as a term, and decoding ids probe-by-probe would
-   cost the interned core its advantage. *)
+   This is the literal definition of [[E]]^G over the graph's
+   persistent indexes, and the term-space oracle every faster evaluator
+   is tested against; [Batch] below is its id-space counterpart on a
+   frozen store. *)
 let rec eval_maps ~step ~lookup ~visit g e a =
   step ();
   match e with
@@ -115,142 +107,13 @@ and eval_inv_maps ~step ~lookup ~visit g e b =
   | Star e ->
       closure (fun x -> eval_inv_maps ~step ~lookup ~visit g e x) (Term.Set.singleton b)
 
-(* ---------------- interned core ------------------------------------ *)
-
-module IdSet = Set.Make (Int)
-
-let closure_ids step seeds =
-  let rec loop visited frontier =
-    if IdSet.is_empty frontier then visited
-    else
-      let next =
-        IdSet.fold (fun x acc -> IdSet.union acc (step x)) frontier IdSet.empty
-      in
-      let fresh = IdSet.diff next visited in
-      loop (IdSet.union visited fresh) fresh
-  in
-  loop seeds seeds
-
-let objects_ids st pid a =
-  let lo, hi = Store.objects_range st ~s:a ~p:pid in
-  let acc = ref IdSet.empty in
-  for i = lo to hi - 1 do
-    acc := IdSet.add (Store.spo_obj st i) !acc
-  done;
-  !acc
-
-let subjects_ids st pid b =
-  let lo, hi = Store.subjects_range st ~p:pid ~o:b in
-  let acc = ref IdSet.empty in
-  for i = lo to hi - 1 do
-    acc := IdSet.add (Store.pos_subj st i) !acc
-  done;
-  !acc
-
-let rec eval_ids ~step ~lookup st e a =
-  step ();
-  match e with
-  | Prop p -> (
-      lookup ();
-      match Store.pred_id st p with
-      | None -> IdSet.empty
-      | Some pid -> objects_ids st pid a)
-  | Inv e -> eval_inv_ids ~step ~lookup st e a
-  | Seq (e1, e2) ->
-      IdSet.fold
-        (fun m acc -> IdSet.union acc (eval_ids ~step ~lookup st e2 m))
-        (eval_ids ~step ~lookup st e1 a)
-        IdSet.empty
-  | Alt (e1, e2) ->
-      IdSet.union (eval_ids ~step ~lookup st e1 a) (eval_ids ~step ~lookup st e2 a)
-  | Opt e -> IdSet.add a (eval_ids ~step ~lookup st e a)
-  | Star e ->
-      closure_ids (fun x -> eval_ids ~step ~lookup st e x) (IdSet.singleton a)
-
-and eval_inv_ids ~step ~lookup st e b =
-  step ();
-  match e with
-  | Prop p -> (
-      lookup ();
-      match Store.pred_id st p with
-      | None -> IdSet.empty
-      | Some pid -> subjects_ids st pid b)
-  | Inv e -> eval_ids ~step ~lookup st e b
-  | Seq (e1, e2) ->
-      IdSet.fold
-        (fun m acc -> IdSet.union acc (eval_inv_ids ~step ~lookup st e1 m))
-        (eval_inv_ids ~step ~lookup st e2 b)
-        IdSet.empty
-  | Alt (e1, e2) ->
-      IdSet.union
-        (eval_inv_ids ~step ~lookup st e1 b)
-        (eval_inv_ids ~step ~lookup st e2 b)
-  | Opt e -> IdSet.add b (eval_inv_ids ~step ~lookup st e b)
-  | Star e ->
-      closure_ids (fun x -> eval_inv_ids ~step ~lookup st e x) (IdSet.singleton b)
-
-(* Ids are term-ordered, so the ascending fold decodes to an ascending
-   insertion sequence. *)
-let decode st ids =
-  IdSet.fold (fun i acc -> Term.Set.add (Store.term st i) acc) ids Term.Set.empty
-
-(* ---------------- dispatch ----------------------------------------- *)
-
-(* Bare [p] / [p⁻] stay on the persistent maps even when frozen: the
-   map answers with a shared, already-built set (no allocation at all),
-   which beats decoding a store range.  Compound paths on a frozen
-   graph run entirely in id space.  A start node the dictionary has
-   never seen falls back to the map core (all its adjacency lookups
-   answer empty there, so the call is cheap). *)
 let ignore_term (_ : Term.t) = ()
 
-let eval ?(step = ignore) ?(lookup = ignore) ?visit g e a =
-  match e with
-  | Prop p ->
-      step ();
-      lookup ();
-      (match visit with Some f -> f a | None -> ());
-      Graph.objects g a p
-  | Inv (Prop p) ->
-      step ();
-      step ();
-      lookup ();
-      (match visit with Some f -> f a | None -> ());
-      Graph.subjects g p a
-  | _ -> (
-      match visit with
-      | Some visit -> eval_maps ~step ~lookup ~visit g e a
-      | None -> (
-          match Graph.store g with
-          | Some st -> (
-              match Store.id st a with
-              | Some aid -> decode st (eval_ids ~step ~lookup st e aid)
-              | None -> eval_maps ~step ~lookup ~visit:ignore_term g e a)
-          | None -> eval_maps ~step ~lookup ~visit:ignore_term g e a))
+let eval ?(step = ignore) ?(lookup = ignore) ?(visit = ignore_term) g e a =
+  eval_maps ~step ~lookup ~visit g e a
 
-and eval_inv ?(step = ignore) ?(lookup = ignore) ?visit g e b =
-  match e with
-  | Prop p ->
-      step ();
-      lookup ();
-      (match visit with Some f -> f b | None -> ());
-      Graph.subjects g p b
-  | Inv (Prop p) ->
-      step ();
-      step ();
-      lookup ();
-      (match visit with Some f -> f b | None -> ());
-      Graph.objects g b p
-  | _ -> (
-      match visit with
-      | Some visit -> eval_inv_maps ~step ~lookup ~visit g e b
-      | None -> (
-          match Graph.store g with
-          | Some st -> (
-              match Store.id st b with
-              | Some bid -> decode st (eval_inv_ids ~step ~lookup st e bid)
-              | None -> eval_inv_maps ~step ~lookup ~visit:ignore_term g e b)
-          | None -> eval_inv_maps ~step ~lookup ~visit:ignore_term g e b))
+let eval_inv ?(step = ignore) ?(lookup = ignore) ?(visit = ignore_term) g e b =
+  eval_inv_maps ~step ~lookup ~visit g e b
 
 let holds g e a b = Term.Set.mem b (eval g e a)
 
@@ -332,8 +195,8 @@ let trace_all ?step ?visit g e a ~targets =
 
 (* Sorted-int-array set algebra for the batch kernel's results.  All
    arrays are ascending and duplicate-free; ids ascend with terms, so
-   these arrays decode to ascending term sequences like [IdSet] folds
-   do. *)
+   these arrays decode to ascending term sequences like [Term.Set]
+   folds do. *)
 let merge_sorted a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 then b
@@ -385,8 +248,8 @@ let inter_sorted a b =
 
 module Batch = struct
   (* One memoized evaluation: the targets of [[E]](a) (or the inverse
-     image for [inv]) and the exact [step]/[lookup] charge the per-node
-     core would have spent computing it — replayed to the user hooks on
+     image for [inv]) and the exact [step]/[lookup] charge {!eval}
+     would have spent computing it — replayed to the user hooks on
      every cache hit so the batch kernel stays hook-for-hook equivalent
      in *total* charge to evaluating each source independently.  Only
      the interleaving differs (a hit replays its steps before its
@@ -563,10 +426,10 @@ module Batch = struct
     let lo, hi = Store.subjects_range st ~p:pid ~o:b in
     Array.init (hi - lo) (fun k -> Store.pos_subj st (lo + k))
 
-  (* The recursion mirrors [eval_ids]/[eval_inv_ids] charge-for-charge:
-     one [step] per operator application, one [lookup] per adjacency
-     probe, sub-evaluations in ascending id order (the order [IdSet.fold]
-     iterates in).  [inv] folds [Inv] into the direction flag so one memo
+  (* The recursion mirrors [eval]/[eval_inv] charge-for-charge: one
+     [step] per operator application, one [lookup] per adjacency probe,
+     sub-evaluations in ascending id order (ids ascend with terms, so
+     this is the order [Term.Set.fold] iterates in).  [inv] folds [Inv] into the direction flag so one memo
      key space covers both directions. *)
   let rec eval_entry ctx e inv a =
     let key = pack (intern ctx e) inv a in
@@ -626,12 +489,12 @@ module Batch = struct
     | Opt e -> insert_sorted (sub ctx e inv a) a
     | Star e ->
         (* Delta-driven fixpoint: each round expands only the frontier
-           discovered in the previous one, exactly like [closure_ids] —
+           discovered in the previous one, exactly like [closure] —
            but every one-step expansion is a memo entry shared across
            all sources of the batch.  Visited stays a hash-plus-list so
            the cost is proportional to the closure, not the universe;
            each frontier is sorted so sub-evaluations run in ascending
-           id order like [closure_ids]'s. *)
+           id order like [closure]'s. *)
         let seen = Hashtbl.create 16 in
         Hashtbl.add seen a ();
         let acc = ref [ a ] and count = ref 1 in
@@ -665,7 +528,7 @@ module Batch = struct
   (* Uncharged reads for memo-layer bookkeeping above the kernel: the
      batched checker classifies an evaluation as a memo hit before
      asking for its result, and a hit must stay charge-free (one budget
-     tick at the caller) exactly like [Shacl.Path_memo]'s. *)
+     tick at the caller). *)
   let eval_cached ctx e a =
     let key = pack (intern ctx e) false a in
     match ITbl.find_opt ctx.memo key with
@@ -830,18 +693,6 @@ module Batch = struct
           rows
     end
 end
-
-let eval_batch ?step ?lookup st e ~sources =
-  let ctx = Batch.create ?step ?lookup st in
-  let rel = Relation.create (Store.n_terms st) in
-  Bitset.iter (fun a -> Relation.set_row rel a (Batch.eval ctx e a)) sources;
-  Relation.compact rel
-
-let eval_batch_inv ?step ?lookup st e ~sources =
-  let ctx = Batch.create ?step ?lookup st in
-  let rel = Relation.create (Store.n_terms st) in
-  Bitset.iter (fun a -> Relation.set_row rel a (Batch.eval_inv ctx e a)) sources;
-  Relation.compact rel
 
 let rec pp_prec pp_iri prec ppf e =
   let paren needed body =

@@ -54,11 +54,9 @@ val eval :
     at [s] (forward) or [o] (inverse), so an evaluation whose anchors
     avoid both endpoints of every changed triple is unaffected by the
     change; the incremental engine keys its dirtiness index on them.
-    On a {!Graph.freeze}d graph, compound paths are evaluated on the
-    interned store's int ids; both cores call [step] and [lookup]
-    identically and return the same set.  When [visit] is supplied the
-    term-map core is used (the hook wants terms, not ids) — same
-    result and same hook sequence, without per-probe id decoding. *)
+    This is the literal definition of [[E]]^G over the graph's
+    persistent indexes, on frozen and unfrozen graphs alike; {!Batch}
+    is its id-space counterpart on a frozen store. *)
 
 val eval_inv :
   ?step:(unit -> unit) -> ?lookup:(unit -> unit) ->
@@ -100,27 +98,31 @@ val trace_set :
     operator (midpoints and star zones are aggregated over the whole
     source/target sets rather than per pair). *)
 
-(** {1 Batched (set-at-a-time) evaluation}
+(** {1 Id-space evaluation}
 
-    The per-node core above evaluates [[[E]]^G(a)] one anchor at a time;
-    the batch kernel below propagates a whole set of sources through the
-    frozen store's sorted-array indexes in one pass — bitset frontiers,
-    a delta-driven (semi-naive) fixpoint for [Star], and memoized
-    per-(sub-path, node) expansions shared across every source of the
-    batch.  Results are grouped by source in a {!Relation.t}.
+    {!Batch} evaluates [[[E]]^G(a)] on a frozen {!Store.t}: nodes are
+    the dictionary's int ids, adjacency probes read the store's
+    sorted-array ranges, and results are sorted, duplicate-free id
+    arrays.  It runs {!eval}'s recursion and memoizes every
+    (sub-path, direction, node) evaluation in a per-context table, so a
+    sub-path reached again — from another source, another shape or
+    another operator of the same path — is answered from the memo.
+    Tracing ({!Batch.trace}) works in the same id space and emits
+    canonical store row ids.
 
-    {b Charge parity.}  The kernel calls [step] once per path-operator
-    application and [lookup] once per adjacency probe, exactly like the
-    per-node core; a memoized expansion {e replays} its recorded charge
-    to the hooks on every reuse.  Total charge — and therefore fuel
-    accounting — is identical to evaluating each source independently;
-    only the interleaving of [step]s and [lookup]s differs. *)
+    {b Charge replay.}  The kernel calls [step] once per path-operator
+    application and [lookup] once per adjacency probe, exactly like
+    {!eval}; a memoized evaluation {e replays} its recorded charge to
+    the hooks on every reuse.  Total charge — and therefore fuel
+    accounting — is identical to evaluating each source independently
+    with {!eval}; only the interleaving of [step]s and [lookup]s
+    differs. *)
 
 module Batch : sig
   type ctx
   (** A batch-evaluation context over one frozen store: the charge-
       replaying memo of per-(sub-path, direction, node) expansions.
-      Not thread-safe — one per domain, like [Shacl.Path_memo]. *)
+      Not thread-safe — one per domain. *)
 
   type base
   (** A read-only second layer underneath per-worker contexts, filled by
@@ -169,7 +171,7 @@ module Batch : sig
 
   val eval : ctx -> t -> int -> int array
   (** [[[E]]^G(a)] as a sorted, duplicate-free id array.  Equals the
-      per-node {!eval} result (decoded), with equal total hook charge. *)
+      {!eval} result (decoded), with equal total hook charge. *)
 
   val eval_inv : ctx -> t -> int -> int array
 
@@ -178,18 +180,8 @@ module Batch : sig
       [⋃ graph(paths(E, G, a, b))] over the given (sorted) source and
       target id arrays, sorted ascending.  Internal evaluations are
       answered from the context's memo with their charges replayed, so
-      the [step] total matches the per-node trace. *)
+      the [step] total matches the term-space trace. *)
 end
-
-val eval_batch :
-  ?step:(unit -> unit) -> ?lookup:(unit -> unit) ->
-  Store.t -> t -> sources:Bitset.t -> Relation.t
-(** [[[E]]^G] restricted to [sources], grouped by source; compacted to
-    the dense layout when every source saturates to the same row. *)
-
-val eval_batch_inv :
-  ?step:(unit -> unit) -> ?lookup:(unit -> unit) ->
-  Store.t -> t -> sources:Bitset.t -> Relation.t
 
 (** {1 Printing} *)
 

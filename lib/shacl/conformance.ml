@@ -6,7 +6,6 @@ type env = {
   memo : (Term.t * Shape.t, bool) Hashtbl.t option;
   counters : Counters.t option;
   budget : Runtime.Budget.t;
-  path_memo : Path_memo.t option;
 }
 
 (* [[E]](a), counting the evaluation when instrumented.  Path evaluation
@@ -15,20 +14,17 @@ type env = {
    with the memo table still consistent (entries are only added for
    completed subcomputations). *)
 let eval env e a =
-  match env.path_memo with
-  | Some table -> Path_memo.eval ?counters:env.counters table env.budget env.g e a
-  | None ->
-      Runtime.Budget.tick env.budget;
-      (match env.counters with
-      | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
-      | None -> ());
-      let lookup =
-        match env.counters with
-        | None -> ignore
-        | Some c ->
-            fun () -> c.Counters.store_lookups <- c.Counters.store_lookups + 1
-      in
-      Rdf.Path.eval ~step:(Runtime.Budget.step_hook env.budget) ~lookup env.g e a
+  Runtime.Budget.tick env.budget;
+  (match env.counters with
+  | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
+  | None -> ());
+  let lookup =
+    match env.counters with
+    | None -> ignore
+    | Some c ->
+        fun () -> c.Counters.store_lookups <- c.Counters.store_lookups + 1
+  in
+  Rdf.Path.eval ~step:(Runtime.Budget.step_hook env.budget) ~lookup env.g e a
 
 let rec conforms_env env a phi =
   match env.memo, phi with
@@ -149,24 +145,17 @@ and compare_all env a e p ~holds =
     (fun b -> Term.Set.for_all (fun c -> holds b c) objects)
     values
 
-let conforms ?(budget = Runtime.Budget.unlimited) ?path_memo h g a phi =
-  conforms_env
-    { schema = h; g; memo = None; counters = None; budget; path_memo }
-    a phi
+let conforms ?(budget = Runtime.Budget.unlimited) h g a phi =
+  conforms_env { schema = h; g; memo = None; counters = None; budget } a phi
 
-let memoized ?counters ?(budget = Runtime.Budget.unlimited) ?path_memo h g =
+let memoized ?counters ?(budget = Runtime.Budget.unlimited) h g =
   let env =
-    { schema = h;
-      g;
-      memo = Some (Hashtbl.create 256);
-      counters;
-      budget;
-      path_memo }
+    { schema = h; g; memo = Some (Hashtbl.create 256); counters; budget }
   in
   fun a phi -> conforms_env env a phi
 
-let checker ?counters ?budget ?path_memo h g phi =
-  let check = memoized ?counters ?budget ?path_memo h g in
+let checker ?counters ?budget h g phi =
+  let check = memoized ?counters ?budget h g in
   fun a -> check a phi
 
 let conforming_nodes ?budget h g phi =

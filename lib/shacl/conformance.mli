@@ -5,18 +5,14 @@
     [h] (used to resolve [hasShape] references). *)
 
 val conforms :
-  ?budget:Runtime.Budget.t -> ?path_memo:Path_memo.t ->
+  ?budget:Runtime.Budget.t ->
   Schema.t -> Rdf.Graph.t -> Rdf.Term.t -> Shape.t -> bool
 (** [conforms h g a phi] is [H, G, a ⊨ phi].  When [budget] is given it
     is consumed at memo lookups and path evaluations, and the check may
-    raise [Runtime.Budget.Exhausted].  When [path_memo] is given,
-    [[E]](v) evaluations are answered from (and recorded in) the shared
-    table — sound because the graph is immutable and path evaluation is
-    pure. *)
+    raise [Runtime.Budget.Exhausted]. *)
 
 val checker :
   ?counters:Counters.t -> ?budget:Runtime.Budget.t ->
-  ?path_memo:Path_memo.t ->
   Schema.t -> Rdf.Graph.t -> Shape.t ->
   Rdf.Term.t -> bool
 (** [checker h g phi] is a batch variant of {!conforms}: partially applied
@@ -32,7 +28,6 @@ val checker :
 
 val memoized :
   ?counters:Counters.t -> ?budget:Runtime.Budget.t ->
-  ?path_memo:Path_memo.t ->
   Schema.t -> Rdf.Graph.t ->
   Rdf.Term.t -> Shape.t -> bool
 (** Like {!checker}, but sharing one memo table across arbitrary shapes
@@ -52,8 +47,8 @@ val focus_paths : Schema.t -> Shape.t -> Rdf.Path.t list
     through the schema.  Quantifier {e bodies} are not descended into:
     they are checked at the path's targets, not at the focus.  Sorted
     and duplicate-free; invariant under {!Shape.nnf}.  This is the set
-    the batched engine primes per focus-node set
-    ({!Path_memo.prime}). *)
+    the engine's instrumented fragment runs prime in the id-space
+    kernel ({!Rdf.Path.Batch}) per candidate-node set. *)
 
 val count_path_satisfying :
   Schema.t -> Rdf.Graph.t -> Rdf.Term.t -> Rdf.Path.t -> Shape.t -> int

@@ -16,23 +16,30 @@ type t = {
   mutable memo_misses : int;   (** probes that fell through to compute *)
   mutable path_evals : int;    (** path-expression evaluations [[E]](v) *)
   mutable path_memo_lookups : int;
-      (** per-(path, node) memo probes ({!Path_memo}) *)
+      (** compound-path evaluations made by the id-space row checker
+          ([Provenance.Neighborhood.row_checker]), each classified
+          against the kernel's memo: a {e hit} is a (path, node) pair
+          this checker already evaluated or the engine primed up front,
+          a {e miss} is a fresh evaluation.  Bare steps ([p], [p⁻]) are
+          not classified.  [= path_memo_hits + path_memo_misses] *)
   mutable path_memo_hits : int;
-      (** path-memo probes answered from the table *)
+      (** classified evaluations answered from the kernel memo, charged
+          one budget tick *)
   mutable path_memo_misses : int;
-      (** path-memo probes that fell through to {!Rdf.Path.eval} *)
+      (** classified evaluations computed fresh (each also counts a
+          [path_eval]) *)
   mutable store_lookups : int;
       (** adjacency-index probes made by path evaluation (the [lookup]
-          hook of {!Rdf.Path.eval}) *)
+          hook of {!Rdf.Path.eval} and {!Rdf.Path.Batch}) *)
   mutable batch_calls : int;
-      (** invocations of the batched path kernel
-          ({!Rdf.Path.eval_batch}, one per (path, source-set) priming) *)
+      (** (path, candidate-set) items the engine primed in the id-space
+          kernel ({!Rdf.Path.Batch}) before an instrumented fragment
+          run *)
   mutable batch_sources : int;
-      (** source nodes evaluated across all batch calls *)
+      (** source nodes evaluated across all primed items *)
   mutable rows_materialized : int;
-      (** target-array cells materialized by batch calls
-          ({!Rdf.Relation.materialized} — a dense-compacted relation
-          counts its shared row once) *)
+      (** kernel memo entries — sub-path evaluations included — that
+          priming created *)
 }
 
 val create : unit -> t

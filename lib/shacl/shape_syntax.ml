@@ -160,7 +160,10 @@ let next_token lx =
       do
         lx.pos <- lx.pos + 1
       done;
-      Tint (int_of_string (String.sub lx.src start (lx.pos - start)))
+      (match int_of_string_opt (String.sub lx.src start (lx.pos - start)) with
+       | Some n -> Tint n
+       | None ->
+           raise (Err { position = start; message = "integer out of range" }))
   | Some c when is_word_char c ->
       let w = take_word lx in
       if String.contains w ':' then
@@ -265,6 +268,7 @@ let parse_term st : Term.t =
   | Tstring s -> (
       bump st;
       match st.tok with
+      | Tlit_suffix_lang "" -> perr st "empty language tag"
       | Tlit_suffix_lang tag ->
           bump st;
           Term.Literal (Literal.lang_string s ~lang:tag)

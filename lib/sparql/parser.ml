@@ -67,14 +67,22 @@ let take_while lx pred =
   done;
   String.sub lx.src start (lx.pos - start)
 
-let resolve_pname lx word =
+(* An IRI token starting at [start], or a positioned error there. *)
+let iri_at start body =
+  match Iri.of_string_opt body with
+  | Some iri -> iri
+  | None ->
+      raise
+        (Err { position = start; message = Printf.sprintf "invalid IRI %S" body })
+
+let resolve_pname lx ~start word =
   match String.index_opt word ':' with
   | None -> None
   | Some i ->
       let prefix = String.sub word 0 i in
       let local = String.sub word (i + 1) (String.length word - i - 1) in
       (match Namespace.expand lx.namespaces (prefix ^ ":" ^ local) with
-       | Some full -> Some (Iri.of_string full)
+       | Some full -> Some (iri_at start full)
        | None ->
            (* leave unresolved: PREFIX declarations are handled by the
               parser, which sees the raw word *)
@@ -121,11 +129,12 @@ let next_token lx =
       | Some '=' -> advance lx; advance lx; Tle
       | Some (' ' | '\t' | '?' | '$' | '\n') | None -> advance lx; Tlt
       | _ ->
+          let start = lx.pos in
           advance lx;
           let body = take_while lx (fun c -> c <> '>') in
           if peek lx <> Some '>' then lex_err lx "unterminated IRI";
           advance lx;
-          Tiri (Iri.of_string body))
+          Tiri (iri_at start body))
   | Some '>' ->
       advance lx;
       if peek lx = Some '=' then begin advance lx; Tge end else Tgt
@@ -165,6 +174,7 @@ let next_token lx =
       then Tdecimal text
       else Tint text
   | Some c when is_pname_char c ->
+      let start = lx.pos in
       let word = take_while lx is_pname_char in
       (* strip a trailing dot (statement terminator) *)
       let word =
@@ -177,7 +187,7 @@ let next_token lx =
       if String.length word > 1 && word.[0] = '_' && word.[1] = ':' then
         Tword word
       else if String.contains word ':' then
-        match resolve_pname lx word with
+        match resolve_pname lx ~start word with
         | Some iri -> Tiri iri
         | None -> Tword word
       else Tword word
@@ -221,6 +231,7 @@ let expect_keyword st k =
 
 let parse_literal_tail st lexical =
   match st.tok with
+  | Tlang "" -> perr st "empty language tag"
   | Tlang tag ->
       bump st;
       Term.Literal (Literal.lang_string lexical ~lang:tag)

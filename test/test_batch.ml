@@ -1,22 +1,21 @@
-(* The set-at-a-time batched path kernel (Rdf.Path.eval_batch and
-   Rdf.Path.Batch) against the per-node evaluator, and the engine layers
-   that ride on it.
+(* The id-space path kernel (Rdf.Path.Batch) against the term-space
+   evaluator (Rdf.Path.eval), and the engine layers that ride on it.
 
-   - Differential: eval_batch over a source set produces, source by
-     source, exactly the per-node eval results — and charges the step /
-     lookup hooks the same {e total} (the kernel's memo replays recorded
-     charges, so sharing must not change fuel accounting).  Same for the
-     inverse direction and whole-set tracing.
-   - Engine: ~kernel:`Batched is byte-identical to ~kernel:`Per_node on
-     both the fragment (Turtle serialization) and the validation
-     report, and the batched output does not depend on -j.
+   - Differential: Batch.eval over a set of sources in one context
+     produces, source by source, exactly the term-space eval results —
+     and charges the step / lookup hooks the same {e total} (the
+     kernel's memo replays recorded charges, so sharing across sources
+     must not change fuel accounting).  Same for the inverse direction
+     and whole-set tracing.
+   - Engine: ~kernel:`Batched fragments are byte-identical to
+     ~kernel:`Per_node ones, the validation report is byte-identical to
+     the sequential validator's, and neither depends on -j.
    - Row checker: id-space rows decode to the term checker's
-     neighborhood, with the same verdicts and counters.
+     neighborhood, with the same verdicts and consistent counters.
 
    Graphs here extend the shared vocabulary with blank nodes and a
    deliberate closed property walk, so [Star] saturates over nontrivial
-   strongly connected components and dense-relation compaction has
-   something to detect. *)
+   strongly connected components. *)
 
 open Rdf
 open Provenance
@@ -94,56 +93,51 @@ let arrays_equal (a : int array) b =
    Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
    !ok)
 
-(* One batched pass vs per-node evaluation: same rows, same total
-   charge.  [batch] runs the set-at-a-time side, [per_node] one
-   source; both get counting hooks. *)
-let check_batch_vs_per_node ~batch ~per_node (g, e, srcs) =
+(* Per-source kernel evaluations in one shared context vs the
+   term-space evaluator: same targets, same total charge.  [kernel]
+   runs one source in the kernel, [term] one source in term space;
+   both get counting hooks. *)
+let check_kernel_vs_term ~kernel ~term (g, e, srcs) =
   let g, st = frozen g in
   let ids = source_ids st srcs in
-  let sources = Bitset.of_list (Store.n_terms st) ids in
-  let bsteps = ref 0 and blookups = ref 0 in
-  let rel =
-    batch
-      ?step:(Some (fun () -> incr bsteps))
-      ?lookup:(Some (fun () -> incr blookups))
-      st e ~sources
+  let ksteps = ref 0 and klookups = ref 0 in
+  let ctx =
+    Path.Batch.create
+      ~step:(fun () -> incr ksteps)
+      ~lookup:(fun () -> incr klookups)
+      st
   in
-  let psteps = ref 0 and plookups = ref 0 in
+  let tsteps = ref 0 and tlookups = ref 0 in
   List.for_all
     (fun a ->
       let expect =
         encode_set st
-          (per_node
-             ?step:(Some (fun () -> incr psteps))
-             ?lookup:(Some (fun () -> incr plookups))
+          (term
+             ~step:(fun () -> incr tsteps)
+             ~lookup:(fun () -> incr tlookups)
              g e (Store.term st a))
       in
-      match Relation.row rel a with
-      | None -> QCheck.Test.fail_reportf "source %d missing from relation" a
-      | Some row ->
-          arrays_equal expect row
-          || QCheck.Test.fail_reportf "rows differ at source %d" a)
+      arrays_equal expect (kernel ctx e a)
+      || QCheck.Test.fail_reportf "targets differ at source %d" a)
     ids
-  && (Relation.n_rows rel = List.length ids
-     || QCheck.Test.fail_report "relation evaluated extra sources")
-  && ((!bsteps, !blookups) = (!psteps, !plookups)
+  && ((!ksteps, !klookups) = (!tsteps, !tlookups)
      || QCheck.Test.fail_reportf
-          "charge differs: batched %d step(s) / %d lookup(s), per-node %d / %d"
-          !bsteps !blookups !psteps !plookups)
+          "charge differs: kernel %d step(s) / %d lookup(s), eval %d / %d"
+          !ksteps !klookups !tsteps !tlookups)
 
-let prop_eval_batch =
+let prop_batch_eval =
   QCheck.Test.make
-    ~name:"eval_batch ≡ per-node eval (rows and total charge)" ~count:500
-    arbitrary_batch_case
-    (check_batch_vs_per_node ~batch:Path.eval_batch
-       ~per_node:(fun ?step ?lookup g e a -> Path.eval ?step ?lookup g e a))
+    ~name:"Batch.eval ≡ eval per source (targets and total charge)"
+    ~count:500 arbitrary_batch_case
+    (check_kernel_vs_term ~kernel:Path.Batch.eval
+       ~term:(fun ~step ~lookup g e a -> Path.eval ~step ~lookup g e a))
 
-let prop_eval_batch_inv =
+let prop_batch_eval_inv =
   QCheck.Test.make
-    ~name:"eval_batch_inv ≡ per-node eval_inv (rows and total charge)"
+    ~name:"Batch.eval_inv ≡ eval_inv per source (targets and total charge)"
     ~count:300 arbitrary_batch_case
-    (check_batch_vs_per_node ~batch:Path.eval_batch_inv
-       ~per_node:(fun ?step ?lookup g e a -> Path.eval_inv ?step ?lookup g e a))
+    (check_kernel_vs_term ~kernel:Path.Batch.eval_inv
+       ~term:(fun ~step ~lookup g e a -> Path.eval_inv ~step ~lookup g e a))
 
 (* Whole-set tracing: the id-space rows decode to exactly the term-space
    trace_set graph. *)
@@ -176,6 +170,8 @@ let prop_trace =
 
 let report_bytes r = Format.asprintf "%a" Shacl.Validate.pp_report r
 
+(* The report half compares the engine against the sequential
+   validator: validation has one evaluation strategy. *)
 let prop_engine_kernel_identical =
   QCheck.Test.make
     ~name:"Engine `Batched ≡ `Per_node (fragment and report bytes)"
@@ -187,11 +183,11 @@ let prop_engine_kernel_identical =
       let requests = Engine.requests_of_schema schema in
       let frag_per, _ = Engine.run ~schema ~kernel:`Per_node g requests in
       let frag_batch, _ = Engine.run ~schema ~kernel:`Batched g requests in
-      let rep_per, _ = Engine.validate ~kernel:`Per_node schema g in
-      let rep_batch, _ = Engine.validate ~kernel:`Batched schema g in
+      let rep_engine, _ = Engine.validate schema g in
+      let rep_seq = Shacl.Validate.validate schema g in
       String.equal (Turtle.to_string frag_per) (Turtle.to_string frag_batch)
       && Graph.equal frag_per frag_batch
-      && String.equal (report_bytes rep_per) (report_bytes rep_batch))
+      && String.equal (report_bytes rep_engine) (report_bytes rep_seq))
 
 let prop_engine_jobs_deterministic =
   QCheck.Test.make
@@ -202,19 +198,24 @@ let prop_engine_jobs_deterministic =
     (fun (g, schema) ->
       let requests = Engine.requests_of_schema schema in
       let frag1, _ = Engine.run ~schema ~jobs:1 ~kernel:`Batched g requests in
-      let rep1, _ = Engine.validate ~jobs:1 ~kernel:`Batched schema g in
+      let rep1, _ = Engine.validate ~jobs:1 schema g in
       List.for_all
         (fun jobs ->
           let fragj, _ =
             Engine.run ~schema ~jobs ~kernel:`Batched g requests
           in
-          let repj, _ = Engine.validate ~jobs ~kernel:`Batched schema g in
+          let repj, _ = Engine.validate ~jobs schema g in
           String.equal (Turtle.to_string frag1) (Turtle.to_string fragj)
           && String.equal (report_bytes rep1) (report_bytes repj))
         [ 2; 4 ])
 
 (* --- row checker: id-space rows decode to the term-space graph ----- *)
 
+(* The term checker evaluates every path afresh; the row checker
+   classifies each compound-path evaluation against the kernel memo as
+   a hit or a miss and counts a [path_eval] only for misses (bare steps
+   are evaluated and counted unclassified by both).  So every term-core
+   evaluation is a bare step, a hit or a miss in the row core. *)
 let prop_row_checker =
   QCheck.Test.make
     ~name:"row_checker ≡ checker (verdict, rows, counters)" ~count:200
@@ -225,18 +226,8 @@ let prop_row_checker =
       let g, st = frozen g in
       let c_term = Shacl.Counters.create () in
       let c_rows = Shacl.Counters.create () in
-      (* the id core memoizes [[E]](v) like a Path_memo-backed checker,
-         so that is the accounting oracle; the row checker gets its own
-         table too — its term-core fallback for focus nodes the store
-         never interned must account the same way *)
-      let check_term =
-        Neighborhood.checker ~counters:c_term
-          ~path_memo:(Shacl.Path_memo.create ()) g phi
-      in
-      let check_rows =
-        Neighborhood.row_checker ~counters:c_rows
-          ~path_memo:(Shacl.Path_memo.create ()) g phi
-      in
+      let check_term = Neighborhood.checker ~counters:c_term g phi in
+      let check_rows = Neighborhood.row_checker ~counters:c_rows g phi in
       List.for_all
         (fun v ->
           let verdict_t, nb_t = check_term v in
@@ -249,24 +240,30 @@ let prop_row_checker =
           verdict_t = verdict_r && Graph.equal nb_t nb_r)
         cyc_nodes
       && ((c_term.Shacl.Counters.memo_lookups, c_term.memo_hits,
-           c_term.memo_misses, c_term.path_evals, c_term.path_memo_lookups,
-           c_term.path_memo_hits, c_term.path_memo_misses)
+           c_term.memo_misses)
           = (c_rows.Shacl.Counters.memo_lookups, c_rows.memo_hits,
-             c_rows.memo_misses, c_rows.path_evals, c_rows.path_memo_lookups,
-             c_rows.path_memo_hits, c_rows.path_memo_misses)
+             c_rows.memo_misses)
          || QCheck.Test.fail_reportf
-              "counters differ: term (%d,%d,%d,%d,%d,%d,%d) rows \
-               (%d,%d,%d,%d,%d,%d,%d)"
+              "shape-memo counters differ: term (%d,%d,%d) rows (%d,%d,%d)"
               c_term.Shacl.Counters.memo_lookups c_term.memo_hits
-              c_term.memo_misses c_term.path_evals c_term.path_memo_lookups
-              c_term.path_memo_hits c_term.path_memo_misses
-              c_rows.Shacl.Counters.memo_lookups c_rows.memo_hits
-              c_rows.memo_misses c_rows.path_evals c_rows.path_memo_lookups
-              c_rows.path_memo_hits c_rows.path_memo_misses))
+              c_term.memo_misses c_rows.Shacl.Counters.memo_lookups
+              c_rows.memo_hits c_rows.memo_misses)
+      && (c_rows.path_memo_lookups
+          = c_rows.path_memo_hits + c_rows.path_memo_misses
+         || QCheck.Test.fail_reportf "row path memo: %d lookup(s) <> %d + %d"
+              c_rows.path_memo_lookups c_rows.path_memo_hits
+              c_rows.path_memo_misses)
+      && (c_term.path_evals
+          = c_rows.path_evals - c_rows.path_memo_misses
+            + c_rows.path_memo_lookups
+         || QCheck.Test.fail_reportf
+              "path evals: term %d, rows %d (%d lookup(s), %d miss(es))"
+              c_term.path_evals c_rows.path_evals c_rows.path_memo_lookups
+              c_rows.path_memo_misses))
 
 let props =
-  [ prop_eval_batch;
-    prop_eval_batch_inv;
+  [ prop_batch_eval;
+    prop_batch_eval_inv;
     prop_trace;
     prop_engine_kernel_identical;
     prop_engine_jobs_deterministic;

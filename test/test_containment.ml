@@ -1,9 +1,9 @@
 (* Cross-shape containment analysis and the schema-level planner.
 
    - Unit: the structural ⊑ rules (counting, conjunction weakening,
-     pair-constraint relaxation), equivalence, plan structure (levels,
-     transitive reduction of the skip DAG, equivalence classes), and
-     the path memo's counter discipline.
+     pair-constraint relaxation), equivalence, and plan structure
+     (levels, transitive reduction of the skip DAG, equivalence
+     classes).
    - Properties: soundness of [subsumes] against the conformance
      checker (a proven [a ⊑ b] is never contradicted on any random
      graph), and the syntactic core never proves more than the full
@@ -123,46 +123,6 @@ let test_plan_shared_paths () =
        (fun (e, c) -> Rdf.Path.equal e p && c = 3)
        plan.Plan.shared_paths)
 
-(* ---------------- path memo ---------------------------------------- *)
-
-let paper_graph =
-  let t = Vocab.Rdf.type_ in
-  let author = Iri.of_string (ex "author") in
-  Graph.of_list
-    [ Triple.make (ext "p1") t (ext "Paper");
-      Triple.make (ext "p1") author (ext "alice");
-      Triple.make (ext "p1") author (ext "bob");
-      Triple.make (ext "p2") t (ext "Paper");
-      Triple.make (ext "p2") author (ext "carol");
-      Triple.make (ext "p3") t (ext "Paper") ]
-
-let test_path_memo () =
-  let memo = Path_memo.create () in
-  let budget = Runtime.Budget.unlimited in
-  let c = Counters.create () in
-  let g = paper_graph in
-  let compound =
-    Rdf.Path.Seq (Rdf.Path.Prop Vocab.Rdf.type_, Rdf.Path.Opt p)
-  in
-  let r1 = Path_memo.eval ~counters:c memo budget g compound (ext "p1") in
-  let r2 = Path_memo.eval ~counters:c memo budget g compound (ext "p1") in
-  check "memoized result stable" true (Term.Set.equal r1 r2);
-  check "memoized result correct" true
-    (Term.Set.equal r1 (Rdf.Path.eval g compound (ext "p1")));
-  check_int "two lookups" 2 c.Counters.path_memo_lookups;
-  check_int "one hit" 1 c.Counters.path_memo_hits;
-  check_int "one miss" 1 c.Counters.path_memo_misses;
-  check_int "one real eval" 1 c.Counters.path_evals;
-  (* a structurally equal but physically distinct path shares the table *)
-  let copy = Rdf.Path.Seq (Rdf.Path.Prop Vocab.Rdf.type_, Rdf.Path.Opt p) in
-  let r3 = Path_memo.eval ~counters:c memo budget g copy (ext "p1") in
-  check "alias hits the shared table" true
-    (Term.Set.equal r1 r3 && c.Counters.path_memo_hits = 2);
-  (* bare property steps bypass the memo entirely *)
-  let _ = Path_memo.eval ~counters:c memo budget g p (ext "p1") in
-  check_int "trivial path adds no lookup" 3 c.Counters.path_memo_lookups;
-  check_int "trivial path still counts an eval" 2 c.Counters.path_evals
-
 (* ---------------- properties --------------------------------------- *)
 
 (* Soundness: a proven containment is never contradicted by the
@@ -197,8 +157,7 @@ let suite =
     Alcotest.test_case "node-test implication" `Quick test_node_test_implication;
     Alcotest.test_case "plan: chain levels and reduction" `Quick test_plan_chain;
     Alcotest.test_case "plan: equivalence class" `Quick test_plan_equivalence;
-    Alcotest.test_case "plan: shared paths" `Quick test_plan_shared_paths;
-    Alcotest.test_case "path memo counters and sharing" `Quick test_path_memo ]
+    Alcotest.test_case "plan: shared paths" `Quick test_plan_shared_paths ]
 
 let props =
   [ prop_subsumes_sound; prop_syntactic_weaker ]

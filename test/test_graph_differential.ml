@@ -158,25 +158,23 @@ let views_agree =
              = sorted_triples (Graph.predicate_triples gf p))
            props)
 
-(* Path evaluation: the interned core (frozen graph) and the map core
-   (unfrozen graph) must agree exactly — on the result set, and on the
-   [step] and [lookup] hook call counts, which budget/fuel accounting
-   depends on. *)
-let eval_counted g e a =
+(* Path evaluation: the id-space kernel ([Path.Batch] on the frozen
+   store, decoded with [Store.term]) and the term-space definition
+   ([Path.eval] on the unfrozen graph) must agree exactly — on the
+   result set, and on the total [step] and [lookup] hook call counts,
+   which budget/fuel accounting depends on.  Both directions run in
+   one kernel context, so the inverse evaluation also exercises the
+   memo's charge replay.  A start node the dictionary never interned
+   cannot enter id space; the next property covers it. *)
+let counting () =
   let steps = ref 0 and lookups = ref 0 in
-  let r =
-    Path.eval ~step:(fun () -> incr steps) ~lookup:(fun () -> incr lookups)
-      g e a
-  in
-  r, !steps, !lookups
-
-let eval_inv_counted g e b =
-  let steps = ref 0 and lookups = ref 0 in
-  let r =
-    Path.eval_inv ~step:(fun () -> incr steps)
-      ~lookup:(fun () -> incr lookups) g e b
-  in
-  r, !steps, !lookups
+  ( (fun () -> incr steps),
+    (fun () -> incr lookups),
+    fun () ->
+      let r = (!steps, !lookups) in
+      steps := 0;
+      lookups := 0;
+      r )
 
 let path_eval_agrees =
   Test.make ~count ~name:"path eval: interned core = map core (+ hook parity)"
@@ -184,23 +182,59 @@ let path_eval_agrees =
        (make (Gen.oneofl subjects) ~print:Term.to_string))
     (fun (l, e, a) ->
       let g, gf = graphs_of l in
-      let r1, s1, l1 = eval_counted g e a in
-      let r2, s2, l2 = eval_counted gf e a in
-      let i1, t1, m1 = eval_inv_counted g e a in
-      let i2, t2, m2 = eval_inv_counted gf e a in
-      Term.Set.equal r1 r2 && s1 = s2 && l1 = l2
-      && Term.Set.equal i1 i2 && t1 = t2 && m1 = m2)
+      let step, lookup, take = counting () in
+      let fwd = Path.eval ~step ~lookup g e a in
+      let fwd_charge = take () in
+      let bwd = Path.eval_inv ~step ~lookup g e a in
+      let bwd_charge = take () in
+      let interned =
+        Option.bind (Graph.store gf) (fun st ->
+            Option.map (fun aid -> (st, aid)) (Store.id st a))
+      in
+      match interned with
+      | None ->
+          Term.Set.subset fwd (Term.Set.singleton a)
+          && Term.Set.subset bwd (Term.Set.singleton a)
+      | Some (st, aid) ->
+          let ctx = Path.Batch.create ~step ~lookup st in
+          let decode ids =
+            Array.fold_left
+              (fun acc i -> Term.Set.add (Store.term st i) acc)
+              Term.Set.empty ids
+          in
+          let kfwd = decode (Path.Batch.eval ctx e aid) in
+          let kfwd_charge = take () in
+          let kbwd = decode (Path.Batch.eval_inv ctx e aid) in
+          let kbwd_charge = take () in
+          (Term.Set.equal fwd kfwd && Term.Set.equal bwd kbwd
+          || Test.fail_report "result sets differ")
+          && (fwd_charge = kfwd_charge && bwd_charge = kbwd_charge
+             || Test.fail_reportf
+                  "charge differs: eval %d/%d vs kernel %d/%d, eval_inv \
+                   %d/%d vs kernel %d/%d"
+                  (fst fwd_charge) (snd fwd_charge) (fst kfwd_charge)
+                  (snd kfwd_charge) (fst bwd_charge) (snd bwd_charge)
+                  (fst kbwd_charge) (snd kbwd_charge)))
 
-(* A start node the dictionary has never seen must fall back cleanly. *)
+(* A start node that occurs in no triple reaches itself through the
+   identity of [E*]/[E?] and nothing else. *)
+let rec nullable = function
+  | Path.Prop _ -> false
+  | Path.Inv e -> nullable e
+  | Path.Seq (e1, e2) -> nullable e1 && nullable e2
+  | Path.Alt (e1, e2) -> nullable e1 || nullable e2
+  | Path.Star _ | Path.Opt _ -> true
+
 let path_eval_unknown_start =
   Test.make ~count ~name:"path eval: unknown start node"
     (pair arbitrary_triples Tgen.arbitrary_path) (fun (l, e) ->
-      let g, gf = graphs_of l in
+      let _, gf = graphs_of l in
       let stranger = Term.iri "http://example.org/never-inserted" in
-      Term.Set.equal (Path.eval g e stranger) (Path.eval gf e stranger)
-      && Term.Set.equal
-           (Path.eval_inv g e stranger)
-           (Path.eval_inv gf e stranger))
+      let expect =
+        if nullable e then Term.Set.singleton stranger else Term.Set.empty
+      in
+      Term.Set.equal (Path.eval gf e stranger) expect
+      && Term.Set.equal (Path.eval_inv gf e stranger) expect)
 
 (* Neighborhoods: B(v, G, φ) must not depend on the representation. *)
 let neighborhood_agrees =
@@ -251,10 +285,10 @@ let store_internals =
           !rows_ok && !order_ok
           && Store.n_triples st = Graph.cardinal gf)
 
-(* Freezing is transparent: same triples, same uid; updating a frozen
-   graph drops the store and yields a fresh uid. *)
+(* Freezing is transparent: same triples; updating a frozen graph
+   drops the store. *)
 let freeze_transparent =
-  Test.make ~count ~name:"freeze: same graph, same uid; update thaws"
+  Test.make ~count ~name:"freeze: same graph, same triples; update thaws"
     (pair arbitrary_triples
        (make gen_triple ~print:(fun t -> Format.asprintf "%a" Triple.pp t)))
     (fun (l, extra) ->
@@ -262,14 +296,13 @@ let freeze_transparent =
       let gf = Graph.freeze g in
       let g' = Graph.add_triple extra gf in
       Graph.equal g gf
-      && Graph.uid g = Graph.uid gf
       && (Graph.is_empty g || Graph.frozen gf)
       && Graph.mem extra g'
       &&
-      (* a no-op add keeps the graph (store, uid and all); a real add
-         thaws and re-identifies it *)
+      (* a no-op add keeps the graph, store and all; a real add thaws
+         it *)
       if Graph.mem extra gf then Graph.frozen g' || Graph.is_empty g
-      else (not (Graph.frozen g')) && Graph.uid g' <> Graph.uid gf)
+      else not (Graph.frozen g'))
 
 let props =
   [ adjacency_agrees;
@@ -290,65 +323,27 @@ let d = Term.iri (Tgen.ex "d")
 let p = Tgen.prop_p
 let q = Tgen.prop_q
 
-(* The memo table is keyed per graph: evaluating the same compound path
-   at the same node after the graph changed must re-evaluate, not serve
-   the result cached for the old graph. *)
-let test_path_memo_not_stale () =
-  let table = Shacl.Path_memo.create () in
-  let budget = Runtime.Budget.unlimited in
-  let e = Path.Seq (Path.Prop p, Path.Prop q) in
-  let g1 = Graph.add a p b (Graph.add b q c Graph.empty) in
-  let r1 = Shacl.Path_memo.eval table budget g1 e a in
-  Alcotest.check Tgen.term_set_testable "before update"
-    (Term.Set.singleton c) r1;
-  let g2 = Graph.add b q d g1 in
-  let r2 = Shacl.Path_memo.eval table budget g2 e a in
-  Alcotest.check Tgen.term_set_testable "after add (fresh entry)"
-    (Term.Set.of_list [ c; d ]) r2;
-  let g3 = Graph.remove (Triple.make b q c) g2 in
-  let r3 = Shacl.Path_memo.eval table budget g3 e a in
-  Alcotest.check Tgen.term_set_testable "after remove (fresh entry)"
-    (Term.Set.singleton d) r3;
-  (* the old graphs still answer from their own entries *)
-  Alcotest.check Tgen.term_set_testable "old graph unchanged"
-    (Term.Set.singleton c)
-    (Shacl.Path_memo.eval table budget g1 e a)
-
-(* A frozen graph shares the uid of its unfrozen self, so a memo entry
-   computed pre-freeze is (correctly) reused post-freeze. *)
-let test_path_memo_across_freeze () =
-  let table = Shacl.Path_memo.create () in
-  let budget = Runtime.Budget.unlimited in
-  let e = Path.Seq (Path.Prop p, Path.Prop q) in
-  let g = Graph.add a p b (Graph.add b q c Graph.empty) in
-  let r1 = Shacl.Path_memo.eval table budget g e a in
-  let r2 = Shacl.Path_memo.eval table budget (Graph.freeze g) e a in
-  Alcotest.check Tgen.term_set_testable "same result across freeze" r1 r2
-
-let test_uid_contract () =
-  Alcotest.(check int) "empty uid" 0 (Graph.uid Graph.empty);
-  let g1 = Graph.add a p b Graph.empty in
-  let g2 = Graph.add a p b g1 in
-  Alcotest.(check int) "no-op add keeps uid" (Graph.uid g1) (Graph.uid g2);
+(* Updates thaw, no-ops do not, and freezing is idempotent. *)
+let test_freeze_contract () =
+  let g1 = Graph.freeze (Graph.add a p b Graph.empty) in
+  Alcotest.(check bool) "no-op add keeps the store" true
+    (Graph.frozen (Graph.add a p b g1));
   let g3 = Graph.add b q c g1 in
-  Alcotest.(check bool) "real add changes uid" false
-    (Graph.uid g1 = Graph.uid g3);
-  Alcotest.(check int) "freeze keeps uid" (Graph.uid g3)
-    (Graph.uid (Graph.freeze g3));
-  let g4 = Graph.remove (Triple.make b q c) g3 in
-  Alcotest.(check bool) "remove changes uid" false
-    (Graph.uid g3 = Graph.uid g4)
+  Alcotest.(check bool) "real add thaws" false (Graph.frozen g3);
+  let g3f = Graph.freeze g3 in
+  Alcotest.(check bool) "freeze is idempotent" true (Graph.freeze g3f == g3f);
+  Alcotest.(check bool) "remove thaws" false
+    (Graph.frozen (Graph.remove (Triple.make b q c) g3f))
 
 (* Removal from a frozen graph: the interned store is stale for the new
-   triple set, so it must be dropped (the result is unfrozen) and the
-   uid must move; a no-op removal touches nothing.  Deltas lean on
+   triple set, so it must be dropped (the result is unfrozen); a no-op
+   removal touches nothing.  Deltas lean on
    exactly these properties, so pin them down. *)
 let test_frozen_remove () =
   let g = Graph.freeze (Graph.add a p b (Graph.add b q c Graph.empty)) in
   Alcotest.(check bool) "fixture is frozen" true (Graph.frozen g);
   let g' = Graph.remove (Triple.make a p b) g in
   Alcotest.(check bool) "store dropped" false (Graph.frozen g');
-  Alcotest.(check bool) "uid moved" false (Graph.uid g = Graph.uid g');
   Alcotest.(check bool) "triple gone" false (Graph.mem (Triple.make a p b) g');
   Alcotest.(check bool) "other triple kept" true
     (Graph.mem (Triple.make b q c) g');
@@ -357,9 +352,9 @@ let test_frozen_remove () =
   Alcotest.(check bool) "original still frozen" true (Graph.frozen g);
   Alcotest.(check bool) "original still has the triple" true
     (Graph.mem (Triple.make a p b) g);
-  (* removing an absent triple is the identity, store and uid intact *)
+  (* removing an absent triple is the identity, store intact *)
   let g'' = Graph.remove (Triple.make a q c) g in
-  Alcotest.(check int) "no-op keeps uid" (Graph.uid g) (Graph.uid g'');
+  Alcotest.(check bool) "no-op is the identity" true (g'' == g);
   Alcotest.(check bool) "no-op keeps the store" true (Graph.frozen g'');
   (* a re-frozen removal result queries like a from-scratch build *)
   Alcotest.check Tgen.graph_testable "re-freeze equals rebuild"
@@ -395,11 +390,8 @@ let test_store_counts_probes () =
   Alcotest.(check bool) "lookup hook fired" true (!lookups > 0)
 
 let suite =
-  [ Alcotest.test_case "path memo: no stale hits across graphs" `Quick
-      test_path_memo_not_stale;
-    Alcotest.test_case "path memo: shared across freeze" `Quick
-      test_path_memo_across_freeze;
-    Alcotest.test_case "graph uid contract" `Quick test_uid_contract;
+  [ Alcotest.test_case "graph freeze/thaw contract" `Quick
+      test_freeze_contract;
     Alcotest.test_case "frozen remove" `Quick test_frozen_remove;
     Alcotest.test_case "frozen remove clears indexes" `Quick
       test_frozen_remove_clears_indexes;

@@ -34,6 +34,7 @@ let () =
       Tgen.qsuite "tpf:props" Test_tpf.props;
       "workload", Test_workload.suite;
       "sparql-parser", Test_sparql_parser.suite;
+      Tgen.qsuite "sparql-parser:props" Test_sparql_parser.props;
       "shapes-writer", Test_shapes_writer.suite;
       Tgen.qsuite "shapes-writer:props" Test_shapes_writer.props;
       "optimizer", Test_optimizer.suite;

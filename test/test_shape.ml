@@ -109,6 +109,61 @@ let test_parse_errors () =
   check "unknown keyword" true (Result.is_error (Shape_syntax.parse "frobnicate(top)"));
   check "bad count" true (Result.is_error (Shape_syntax.parse ">= ex:p . top"))
 
+(* An integer past [max_int] is a positioned error, not an exception. *)
+let test_parse_int_overflow () =
+  let src = ">= 99999999999999999999 ex:p . top" in
+  (match Shape_syntax.parse src with
+   | Error { position = 3; message = "integer out of range" } -> ()
+   | Error e -> Alcotest.failf "unexpected error: %a" Shape_syntax.pp_error e
+   | Ok s -> Alcotest.failf "unexpected shape: %a" Shape.pp s);
+  check "overflowing maxLength" true
+    (Result.is_error
+       (Shape_syntax.parse "test(maxLength = 123456789012345678901234567890)"));
+  check "overflow inside a path" true
+    (Result.is_error (Shape_syntax.parse_path "ex:p/99999999999999999999"));
+  check "empty language tag" true
+    (Result.is_error (Shape_syntax.parse {|hasValue("x"@)|}))
+
+(* Fuzz: [parse] and [parse_path] are total — raw bytes, and soups of
+   the syntax's own tokens (which reach far deeper into the parser than
+   random bytes do), always come back as [Ok] or [Error]. *)
+let shape_tokens =
+  [ ">="; "<="; "0"; "1"; "42"; "99999999999999999999"; "ex:p"; "rdf:type";
+    "nope:p"; "<http://example.org/p>"; "<a b>"; "<>"; "<||>"; "<"; ">";
+    "."; "("; ")"; "|"; "&"; "!"; ","; "="; "/"; "*"; "?"; "+"; "^"; "^^";
+    "top"; "bottom"; "forall"; "id"; "hasValue"; "shape"; "test"; "kind";
+    "IRI"; "datatype"; "minLength"; "pattern"; "flags"; "lang"; "eq"; "disj";
+    "closed"; "lessThan"; "uniqueLang"; "true"; {|"x"|}; {|"un|}; "@"; "@en";
+    "_:b"; "_:"; "#c\n"; "\xff" ]
+
+let gen_soup tokens =
+  let open QCheck.Gen in
+  let* words = list_size (int_range 0 25) (oneofl tokens) in
+  let* seps = list_repeat (List.length words) (oneofl [ ""; " "; "\n" ]) in
+  return (String.concat "" (List.map2 ( ^ ) words seps))
+
+let gen_hostile tokens =
+  QCheck.Gen.oneof
+    [ QCheck.Gen.string_size ~gen:QCheck.Gen.char (QCheck.Gen.int_range 0 80);
+      gen_soup tokens ]
+
+let total ~name parse =
+  QCheck.Test.make ~name ~count:1000
+    (QCheck.make (gen_hostile shape_tokens) ~print:String.escaped)
+    (fun src ->
+      match parse src with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) src)
+
+let prop_parse_total =
+  total ~name:"parse never raises on arbitrary bytes" (fun src ->
+      Result.map ignore (Shape_syntax.parse src))
+
+let prop_parse_path_total =
+  total ~name:"parse_path never raises on arbitrary bytes" (fun src ->
+      Result.map ignore (Shape_syntax.parse_path src))
+
 (* print-then-parse is the identity *)
 let prop_syntax_roundtrip =
   QCheck.Test.make ~name:"shape syntax roundtrip" ~count:500
@@ -136,6 +191,12 @@ let suite =
     "is_nnf", `Quick, test_is_nnf;
     "parse paper examples", `Quick, test_parse_examples;
     "parse node tests", `Quick, test_parse_tests;
-    "parse errors", `Quick, test_parse_errors ]
+    "parse errors", `Quick, test_parse_errors;
+    "integer overflow is a parse error", `Quick, test_parse_int_overflow ]
 
-let props = [ prop_syntax_roundtrip; prop_nnf_is_nnf; prop_nnf_idempotent ]
+let props =
+  [ prop_syntax_roundtrip;
+    prop_nnf_is_nnf;
+    prop_nnf_idempotent;
+    prop_parse_total;
+    prop_parse_path_total ]

@@ -150,6 +150,48 @@ let test_errors () =
   check "unbound prefix" true (bad "SELECT ?x WHERE { ?x nope:p ?y }");
   check "trailing garbage" true (bad "ASK { ?x ex:p ?y } garbage")
 
+(* A malformed IRI is a positioned error at its token, not an
+   exception from the IRI constructor. *)
+let test_invalid_iri () =
+  let error_at src =
+    match Parser.parse src with
+    | Error e -> Some e.position
+    | Ok _ -> None
+  in
+  Alcotest.(check (option int)) "bare bad IRI" (Some 0) (error_at "<||>");
+  Alcotest.(check (option int)) "bad IRI in a pattern" (Some 20)
+    (error_at "SELECT * WHERE { ?x <a b> ?y }");
+  Alcotest.(check (option int)) "bad PREFIX IRI" (Some 11)
+    (error_at "PREFIX my: <a b> ASK { ?x my:p ?y }");
+  let namespaces = Namespace.add "bad" "http://example.org/a b#" Namespace.default in
+  Alcotest.(check (option int)) "prefixed name expanding to a bad IRI"
+    (Some 9)
+    (match Parser.parse ~namespaces "ASK { ?x bad:p ?y }" with
+     | Error e -> Some e.position
+     | Ok _ -> None);
+  check "empty language tag" true
+    (Result.is_error (Parser.parse {|ASK { ?x ex:p "s"@ }|}))
+
+(* Fuzz: [parse] is total on raw bytes and on soups of SPARQL tokens. *)
+let sparql_tokens =
+  [ "SELECT"; "CONSTRUCT"; "ASK"; "WHERE"; "DISTINCT"; "PREFIX"; "BASE";
+    "FILTER"; "OPTIONAL"; "UNION"; "MINUS"; "BIND"; "AS"; "a"; "*"; "?x";
+    "$y"; "{"; "}"; "("; ")"; "."; ";"; ","; "/"; "|"; "^"; "+"; "?"; "!";
+    ">="; "<="; "<"; ">"; "="; "!="; "&&"; "||"; "ex:p"; "my:"; "nope:q";
+    "<http://example.org/p>"; "<a b>"; "<||>"; "<>"; {|"s"|}; {|"open|};
+    "@"; "@en"; "^^"; "123"; "-7"; "1.5e3"; "99999999999999999999999";
+    "_:b"; "_:"; "true"; "#c\n"; "\xff" ]
+
+let prop_parse_total =
+  QCheck.Test.make ~name:"parse never raises on arbitrary bytes" ~count:1000
+    (QCheck.make (Test_shape.gen_hostile sparql_tokens) ~print:String.escaped)
+    (fun src ->
+      match Parser.parse src with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "parse raised %s on %S"
+            (Printexc.to_string e) src)
+
 (* Parsing the text rendering of generated algebra is not guaranteed (the
    pretty-printer emits subselects), but simple patterns round-trip. *)
 let test_eval_matches_algebra () =
@@ -177,6 +219,7 @@ let suite =
     "construct and ask", `Quick, test_construct_ask;
     "prefix declarations", `Quick, test_prefixes;
     "parse errors", `Quick, test_errors;
-    "parsed equals hand-built", `Quick, test_eval_matches_algebra ]
+    "parsed equals hand-built", `Quick, test_eval_matches_algebra;
+    "invalid IRIs are parse errors", `Quick, test_invalid_iri ]
 
-let props = []
+let props = [ prop_parse_total ]
