@@ -96,7 +96,8 @@ let request_of_def (def : Schema.def) =
     shape = Shape.and_ [ def.shape; def.target ];
     target = Some def.target }
 
-let requests_of_schema schema = List.map request_of_def (Schema.defs schema)
+let requests_of_schema schema =
+  List.map request_of_def (Schema.defs (Schema.unfold schema))
 
 (* ---------------- planning ---------------------------------------- *)
 
@@ -381,6 +382,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
     ?(kernel = `Batched) ?restrict g requests =
   let jobs = max 1 jobs in
   let t0 = now () in
+  let schema = Schema.unfold schema in
   (* Freeze once up front: planning, checking and tracing all run
      against the interned store, and workers share it read-only. *)
   let g = Graph.freeze g in
@@ -654,6 +656,7 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
     ?(on_error = `Fail) ?restrict schema g =
   let jobs = max 1 jobs in
   let t0 = now () in
+  let schema = Schema.unfold schema in
   let g = Graph.freeze g in
   let store = Graph.store g in
   (* same contract as [run]: owned targets only, checked against the

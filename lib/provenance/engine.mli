@@ -139,6 +139,9 @@ val request_of_def : Shacl.Schema.def -> request
     [Schema.request_shapes]. *)
 
 val requests_of_schema : Shacl.Schema.t -> request list
+(** The requests of the definitions of [Schema.unfold schema], in
+    order: the same fragment as the schema as given, with no [hasShape]
+    hops into single-use untargeted definitions. *)
 
 val run :
   ?schema:Shacl.Schema.t ->

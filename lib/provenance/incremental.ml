@@ -18,7 +18,7 @@ type entry = {
 type key = int * Term.t    (* definition index, focus node *)
 
 type t = {
-  schema : Schema.t;
+  schema : Schema.t;               (* unfolded once, at [create] *)
   defs : Schema.def array;
   request_shapes : Shape.t array;  (* phi ∧ tau, as Engine.request_of_def *)
   consts : Term.Set.t array;       (* constants of the request shape *)
@@ -116,6 +116,7 @@ let drop_entry t i v =
 (* ---------------- construction -------------------------------------- *)
 
 let create ~schema g =
+  let schema = Schema.unfold schema in
   let defs = Array.of_list (Schema.defs schema) in
   let request_shapes =
     Array.map

@@ -84,6 +84,55 @@ let targeted (def : def) = not (Shape.equal def.target Shape.Bottom)
 let request_shapes t =
   List.map (fun def -> Shape.and_ [ def.shape; def.target ]) t.defs
 
+(* Evaluation-time unfolding.  [hasShape(s)] means [def(s)] (Tables
+   1-2) and schemas are acyclic, so substituting a definition's shape
+   for a reference to it changes no verdict and no neighborhood.  Only
+   untargeted definitions referenced exactly once are substituted: each
+   such body is copied into its single user and nowhere else, so no
+   definition's shape outgrows the schema.  Every definition is kept, in
+   order, with its own shape unfolded too (the copy inside its user is
+   physically the same value). *)
+let unfold t =
+  let count s uses =
+    match s with
+    | Shape.Has_shape n ->
+        Term.Map.update n (fun k -> Some (1 + Option.value k ~default:0)) uses
+    | _ -> uses
+  in
+  let uses =
+    List.fold_left
+      (fun uses def ->
+        Shape.fold_subshapes count def.shape
+          (Shape.fold_subshapes count def.target uses))
+      Term.Map.empty t.defs
+  in
+  let inlined name =
+    match find t name with
+    | Some def -> (not (targeted def)) && Term.Map.find_opt name uses = Some 1
+    | None -> false
+  in
+  let memo = ref Term.Map.empty in
+  let rec go = function
+    | Shape.Has_shape name when inlined name -> unfolded name
+    | shape -> Shape.map_children go shape
+  and unfolded name =
+    match Term.Map.find_opt name !memo with
+    | Some shape -> shape
+    | None ->
+        let shape = go (def_shape t name) in
+        memo := Term.Map.add name shape !memo;
+        shape
+  in
+  let defs =
+    List.map
+      (fun def -> { def with shape = unfolded def.name; target = go def.target })
+      t.defs
+  in
+  { defs;
+    by_name =
+      List.fold_left (fun m def -> Term.Map.add def.name def m) Term.Map.empty
+        defs }
+
 let pp ppf t =
   List.iter
     (fun def ->

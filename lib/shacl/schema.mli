@@ -46,4 +46,16 @@ val request_shapes : t -> Shape.t list
 (** [{phi ∧ tau | (s, phi, tau) ∈ H}] — the request shapes the schema
     fragment is built from (Section 4). *)
 
+val unfold : t -> t
+(** The schema the evaluators run: every [hasShape(s)] whose [s] is an
+    untargeted definition referenced exactly once in the schema (shapes
+    and targets counted) is replaced, recursively, by [s]'s shape.
+    Verdicts and neighborhoods are unchanged (Tables 1-2 define
+    [hasShape(s)] by [def(s)], and schemas are acyclic).  Shared and
+    targeted definitions keep their references.  Every definition stays,
+    in order, under its name; no shape grows beyond the schema's size.
+    Idempotent.  Whole-schema evaluation ([Validate.validate],
+    [Engine.validate], [Engine.run], [Incremental.create]) applies it
+    itself; loading, analysis and printing see the schema as given. *)
+
 val pp : Format.formatter -> t -> unit

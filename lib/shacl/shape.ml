@@ -98,8 +98,28 @@ let rec is_nnf = function
   | Ge (_, _, s) | Le (_, _, s) | Forall (_, s) -> is_nnf s
   | s -> ignore (is_atomic s : bool); true
 
-let equal = ( = )
-let compare = Stdlib.compare
+(* Structural, except that [closed(P)] compares [P] as a set: two
+   equal [Iri.Set.t] built in different orders can differ in their tree
+   layout, which [Stdlib.compare] would see.  Every other atom is
+   set-free, and different constructors are ordered by tag. *)
+let rec compare a b =
+  if a == b then 0
+  else
+    match a, b with
+    | Closed x, Closed y -> Iri.Set.compare x y
+    | Not x, Not y -> compare x y
+    | And l, And m | Or l, Or m -> List.compare compare l m
+    | Ge (n, e, x), Ge (m, f, y) | Le (n, e, x), Le (m, f, y) ->
+        let c = Int.compare n m in
+        if c <> 0 then c else compare_quantified e x f y
+    | Forall (e, x), Forall (f, y) -> compare_quantified e x f y
+    | _ -> Stdlib.compare a b
+
+and compare_quantified e x f y =
+  let c = Rdf.Path.compare e f in
+  if c <> 0 then c else compare x y
+
+let equal a b = compare a b = 0
 
 let rec fold_subshapes f shape acc =
   let acc = f shape acc in

@@ -80,6 +80,8 @@ val is_atomic : t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** Structural, with [closed(P)] compared by the set [P] (not by its
+    tree layout).  A total order. *)
 
 val fold_subshapes : (t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over the shape and every (transitive) subshape, parent first.

@@ -56,6 +56,7 @@ let target_nodes ?budget h g (def : Schema.def) =
   | None -> Conformance.conforming_nodes ?budget h g def.target
 
 let validate ?budget h g =
+  let h = Schema.unfold h in
   let results =
     List.concat_map
       (fun (def : Schema.def) ->
@@ -70,6 +71,7 @@ let validate ?budget h g =
   { conforms = List.for_all (fun (r : result) -> r.conforms) results; results }
 
 let conforms ?budget h g =
+  let h = Schema.unfold h in
   List.for_all
     (fun (def : Schema.def) ->
       let check = Conformance.checker ?budget h g def.shape in

@@ -31,7 +31,8 @@ val target_nodes :
     all graph nodes. *)
 
 val validate : ?budget:Runtime.Budget.t -> Schema.t -> Rdf.Graph.t -> report
-(** When [budget] is given, conformance checking consumes it and the
+(** Evaluates [Schema.unfold h]; the report names the definitions as
+    given.  When [budget] is given, conformance checking consumes it and the
     call may raise [Runtime.Budget.Exhausted]; use the engine's
     [Provenance.Engine.validate] for per-shape fault isolation. *)
 

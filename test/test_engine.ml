@@ -17,35 +17,11 @@ open Provenance
 
 let empty_schema = Schema.empty
 
-(* Schemas with real-SHACL (monotone) targets most of the time, and an
-   arbitrary — usually non-monotone — target shape otherwise, so both
-   planner paths (pruned and full-scan) are exercised. *)
-let gen_schema =
-  let open QCheck.Gen in
-  let monotone_target =
-    oneof
-      [ map (fun c -> Shape.Has_value c) (oneofl Tgen.nodes);
-        map
-          (fun p -> Shape.Ge (1, Rdf.Path.Prop p, Shape.Top))
-          (oneofl Tgen.props);
-        map
-          (fun p -> Shape.Ge (1, Rdf.Path.Inv (Rdf.Path.Prop p), Shape.Top))
-          (oneofl Tgen.props) ]
-  in
-  let target =
-    frequency [ 4, monotone_target; 1, Tgen.gen_shape 1 ]
-  in
-  let def i shape target =
-    { Schema.name = Term.iri (Printf.sprintf "http://example.org/shape%d" i);
-      shape;
-      target }
-  in
-  map
-    (fun specs -> Schema.make_exn (List.mapi (fun i (s, t) -> def i s t) specs))
-    (list_size (int_range 1 3) (pair (Tgen.gen_shape 2) target))
-
-let arbitrary_schema =
-  QCheck.make gen_schema ~print:(fun h -> Format.asprintf "%a" Schema.pp h)
+(* Schemas with references, real-SHACL (monotone) targets most of the
+   time and an arbitrary — usually non-monotone — target shape
+   otherwise, so both planner paths (pruned and full-scan) are
+   exercised. *)
+let arbitrary_schema = Tgen.arbitrary_schema ()
 
 let gen_shapes = QCheck.Gen.(list_size (int_range 1 3) (Tgen.gen_shape 2))
 
@@ -223,6 +199,68 @@ let prop_validate_parity =
           && List.length report.results = List.length oracle.results
           && List.for_all2 result_equal report.results oracle.results)
         [ 1; 2; 4 ])
+
+(* --- evaluation-time unfolding ------------------------------------ *)
+
+(* [Schema.unfold] changes no verdict and no neighborhood.  The entry
+   points unfold by themselves, so their runs on [h] and on [unfold h]
+   are compared with each other and pinned to evaluations that resolve
+   every [hasShape] by lookup in [h]: per definition and node, the
+   verdicts of shape and target and the literal Table 2 neighborhood of
+   the request agree between the loaded and the unfolded definition, and
+   the engine's fragment equals [Fragment.frag_schema h].  Sufficiency
+   (Thm 3.4): every conforming target's neighborhood lies inside the
+   unfolded-schema fragment and the target conforms in both. *)
+let prop_unfold_differential =
+  QCheck.Test.make
+    ~name:"Schema.unfold: same reports, fragments and neighborhoods"
+    ~count:500
+    QCheck.(pair Tgen.arbitrary_graph arbitrary_schema)
+    (fun (g, h) ->
+      let u = Schema.unfold h in
+      let nodes = Term.Set.union (Graph.nodes g) (Term.Set.of_list Tgen.nodes) in
+      let request (d : Schema.def) = Shape.and_ [ d.shape; d.target ] in
+      let same_def (d : Schema.def) (d' : Schema.def) =
+        Term.equal d.name d'.name
+        && Term.Set.for_all
+             (fun v ->
+               Conformance.conforms h g v d.shape
+               = Conformance.conforms u g v d'.shape
+               && Conformance.conforms h g v d.target
+                  = Conformance.conforms u g v d'.target
+               && Graph.equal
+                    (Neighborhood.b ~schema:h g v (request d))
+                    (Neighborhood.b ~schema:u g v (request d')))
+             nodes
+      in
+      let report_bytes r = Format.asprintf "%a" Validate.pp_report r in
+      let report = Validate.validate h g in
+      let reports =
+        [ Validate.validate u g;
+          fst (Engine.validate h g);
+          fst (Engine.validate ~jobs:2 u g) ]
+      in
+      let oracle = Fragment.frag_schema h g in
+      let fragment = Engine.fragment_schema u g in
+      let sufficient (r : Validate.result) =
+        (not r.conforms)
+        ||
+        let phi = request (Option.get (Schema.find h r.shape_name)) in
+        let nb = Neighborhood.b ~schema:h g r.focus phi in
+        Graph.subset nb fragment
+        && Conformance.conforms h nb r.focus phi
+        && Conformance.conforms h fragment r.focus phi
+      in
+      List.length (Schema.defs h) = List.length (Schema.defs u)
+      && List.for_all2 same_def (Schema.defs h) (Schema.defs u)
+      && List.for_all
+           (fun (r : Validate.report) ->
+             String.equal (report_bytes report) (report_bytes r)
+             && List.equal result_equal report.results r.results)
+           reports
+      && Graph.equal oracle fragment
+      && Graph.equal oracle (Engine.fragment_schema h g)
+      && List.for_all sufficient report.results)
 
 (* --- stats invariants ----------------------------------------------- *)
 
@@ -525,5 +563,5 @@ let props =
   [ prop_differential_instrumented; prop_differential_naive;
     prop_differential_schema; prop_determinism; prop_byte_determinism;
     prop_conformance_preserved;
-    prop_sufficiency_engine; prop_validate_parity; prop_stats_invariants;
-    prop_fault_isolation ]
+    prop_sufficiency_engine; prop_validate_parity; prop_unfold_differential;
+    prop_stats_invariants; prop_fault_isolation ]

@@ -396,23 +396,6 @@ let test_incremental_skips_unrelated () =
   Alcotest.(check int) "no rechecks" 0 st.Incremental.rechecked;
   check_matches_scratch "after unrelated delta" schema_ge inc
 
-(* Random schemas over the shared vocabulary.  Shape generators contain
-   no references, so any definition list forms a valid (non-recursive)
-   schema. *)
-let gen_schema =
-  QCheck.Gen.(
-    int_range 1 2 >>= fun n ->
-    let rec defs i acc =
-      if i >= n then return (Shacl.Schema.make_exn (List.rev acc))
-      else
-        Tgen.gen_shape 2 >>= fun shape ->
-        Tgen.gen_shape 1 >>= fun target ->
-        defs (i + 1)
-          ({ Shacl.Schema.name = ex ("S" ^ string_of_int i); shape; target }
-          :: acc)
-    in
-    defs 0 [])
-
 let gen_delta =
   QCheck.Gen.(
     map2
@@ -429,7 +412,7 @@ let arbitrary_case =
              Format.fprintf ppf "delta:@,%a" Delta.pp d))
         deltas)
     QCheck.Gen.(
-      triple gen_schema Tgen.gen_graph
+      triple (Tgen.gen_schema ()) Tgen.gen_graph
         (list_size (int_range 1 3) gen_delta))
 
 (* The acceptance property: after every delta of an arbitrary stream,

@@ -43,6 +43,7 @@ let () =
       "validate", Test_validate.suite;
       Tgen.qsuite "validate:props" Test_validate.props;
       "schema", Test_schema.suite;
+      Tgen.qsuite "schema:props" Test_schema.props;
       "analysis", Test_analysis.suite;
       Tgen.qsuite "analysis:props" Test_analysis.props;
       "containment", Test_containment.suite;

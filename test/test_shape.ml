@@ -61,6 +61,22 @@ let test_is_nnf () =
     (Shape.is_nnf
        (Shape.Ge (1, path_p, Shape.Not (Shape.Closed Rdf.Iri.Set.empty))))
 
+(* closed(P) compares P as a set: the same four properties added in
+   opposite orders give differently balanced trees. *)
+let test_closed_equal () =
+  let ps = List.map (fun l -> Rdf.Iri.of_string (ex l)) [ "a"; "b"; "c"; "d" ] in
+  let up = Rdf.Iri.Set.of_list ps and down = Rdf.Iri.Set.of_list (List.rev ps) in
+  check "tree layouts differ" true (Stdlib.compare up down <> 0);
+  check "equal" true (Shape.equal (Shape.Closed up) (Shape.Closed down));
+  check "compare = 0" true
+    (Shape.compare (Shape.Closed up) (Shape.Closed down) = 0);
+  check "equal under structure" true
+    (Shape.equal
+       (Shape.Forall (path_p, Shape.Not (Shape.Closed up)))
+       (Shape.Forall (path_p, Shape.Not (Shape.Closed down))));
+  check "different sets differ" false
+    (Shape.equal (Shape.Closed up) (Shape.Closed (Rdf.Iri.Set.of_list [ p ])))
+
 let test_parse_examples () =
   let parse = Shape_syntax.parse_exn in
   (* The paper's WorkshopShape (Example 2.2) *)
@@ -189,6 +205,7 @@ let suite =
     "NNF De Morgan", `Quick, test_nnf_de_morgan;
     "smart constructors", `Quick, test_smart_constructors;
     "is_nnf", `Quick, test_is_nnf;
+    "closed(P) compares as a set", `Quick, test_closed_equal;
     "parse paper examples", `Quick, test_parse_examples;
     "parse node tests", `Quick, test_parse_tests;
     "parse errors", `Quick, test_parse_errors;

@@ -55,30 +55,9 @@ let test_example_4_3 () =
   Alcotest.(check bool) "a does not conform in G" false
     (Conformance.conforms schema g a shape)
 
-(* Theorem 4.1 needs monotone targets; build random schemas with
-   real-SHACL target forms. *)
-let gen_schema =
-  let open QCheck.Gen in
-  let target =
-    oneof
-      [ map (fun c -> Shape.Has_value c) (oneofl Tgen.nodes);
-        map (fun p -> Shape.Ge (1, Rdf.Path.Prop p, Shape.Top)) (oneofl Tgen.props);
-        map
-          (fun p -> Shape.Ge (1, Rdf.Path.Inv (Rdf.Path.Prop p), Shape.Top))
-          (oneofl Tgen.props) ]
-  in
-  let def i shape target =
-    { Schema.name = Term.iri (Printf.sprintf "http://example.org/shape%d" i);
-      shape;
-      target }
-  in
-  map
-    (fun specs ->
-      Schema.make_exn (List.mapi (fun i (s, t) -> def i s t) specs))
-    (list_size (int_range 1 3) (pair (Tgen.gen_shape 2) target))
-
-let arbitrary_schema =
-  QCheck.make gen_schema ~print:(fun h -> Format.asprintf "%a" Schema.pp h)
+(* Theorem 4.1 needs monotone targets: random schemas with references
+   and real-SHACL target forms. *)
+let arbitrary_schema = Tgen.arbitrary_schema ~monotone:true ()
 
 let prop_theorem_4_1 =
   QCheck.Test.make ~name:"Theorem 4.1: schema fragment conforms" ~count:300

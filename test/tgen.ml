@@ -86,12 +86,19 @@ let gen_node_test =
       return (Shacl.Node_test.Language "en") ]
 
 (* Shapes of bounded depth, covering every constructor.  Counting bounds
-   are kept small so both satisfied and violated cases arise. *)
-let rec gen_shape depth =
+   are kept small so both satisfied and violated cases arise.  [refs]
+   adds [hasShape] leaves naming those shapes, at any depth. *)
+let rec gen_shape ?(refs = []) depth =
   let open Gen in
+  let ref_leaf =
+    match refs with
+    | [] -> []
+    | _ -> [ 5, map (fun s -> Shacl.Shape.Has_shape s) (oneofl refs) ]
+  in
   let leaf =
     frequency
-      [ 1, return Shacl.Shape.Top;
+      (ref_leaf
+      @ [ 1, return Shacl.Shape.Top;
         1, return Shacl.Shape.Bottom;
         2, map (fun c -> Shacl.Shape.Has_value c) gen_object;
         2, map (fun t -> Shacl.Shape.Test t) gen_node_test;
@@ -114,39 +121,80 @@ let rec gen_shape depth =
         1,
         map2 (fun e p -> Shacl.Shape.Less_than_eq (e, p)) (gen_path 1) gen_prop;
         1, map2 (fun e p -> Shacl.Shape.More_than (e, p)) (gen_path 1) gen_prop;
-        1, map (fun e -> Shacl.Shape.Unique_lang e) (gen_path 1) ]
+        1, map (fun e -> Shacl.Shape.Unique_lang e) (gen_path 1) ])
   in
   if depth <= 0 then leaf
   else
     frequency
       [ 4, leaf;
-        2, map (fun s -> Shacl.Shape.Not s) (gen_shape (depth - 1));
+        2, map (fun s -> Shacl.Shape.Not s) (gen_shape ~refs (depth - 1));
         2,
         map
           (fun l -> Shacl.Shape.And l)
-          (list_size (int_range 2 3) (gen_shape (depth - 1)));
+          (list_size (int_range 2 3) (gen_shape ~refs (depth - 1)));
         2,
         map
           (fun l -> Shacl.Shape.Or l)
-          (list_size (int_range 2 3) (gen_shape (depth - 1)));
+          (list_size (int_range 2 3) (gen_shape ~refs (depth - 1)));
         3,
         map3
           (fun n e s -> Shacl.Shape.Ge (n, e, s))
           (int_range 0 2) (gen_path 1)
-          (gen_shape (depth - 1));
+          (gen_shape ~refs (depth - 1));
         3,
         map3
           (fun n e s -> Shacl.Shape.Le (n, e, s))
           (int_range 0 2) (gen_path 1)
-          (gen_shape (depth - 1));
+          (gen_shape ~refs (depth - 1));
         2,
         map2
           (fun e s -> Shacl.Shape.Forall (e, s))
           (gen_path 1)
-          (gen_shape (depth - 1)) ]
+          (gen_shape ~refs (depth - 1)) ]
 
 let arbitrary_shape =
   make (gen_shape 2) ~print:Shacl.Shape.to_string
+
+(* Acyclic schemas with references.  Definition [i], named [shape<i>],
+   may reference only definitions [0 .. i-1], so every draw is a valid
+   schema; references occur at any depth of a shape (under [Not] and the
+   quantifiers too) and in targets.  About a quarter of the definitions
+   are untargeted, and a reference to one is single-use or shared as the
+   draw falls.  Targets are the real-SHACL (monotone) forms, or, unless
+   [monotone], sometimes an arbitrary shape, so the planner's full-scan
+   path runs too. *)
+let gen_schema ?(monotone = false) () =
+  let open Gen in
+  let name i = Term.iri (ex (Printf.sprintf "shape%d" i)) in
+  let real_target =
+    oneof
+      [ map (fun c -> Shacl.Shape.Has_value c) (oneofl nodes);
+        map (fun p -> Shacl.Shape.Ge (1, Rdf.Path.Prop p, Shacl.Shape.Top))
+          gen_prop;
+        map
+          (fun p ->
+            Shacl.Shape.Ge (1, Rdf.Path.Inv (Rdf.Path.Prop p), Shacl.Shape.Top))
+          gen_prop ]
+  in
+  let gen_target refs =
+    frequency
+      ([ 5, real_target; 2, return Shacl.Shape.Bottom ]
+      @ if monotone then [] else [ 2, gen_shape ~refs 1 ])
+  in
+  int_range 1 4 >>= fun n ->
+  let rec defs i acc =
+    if i >= n then return (Shacl.Schema.make_exn (List.rev acc))
+    else
+      let refs = List.init i name in
+      gen_shape ~refs 2 >>= fun shape ->
+      gen_target refs >>= fun target ->
+      defs (i + 1) ({ Shacl.Schema.name = name i; shape; target } :: acc)
+  in
+  defs 0 []
+
+let arbitrary_schema ?monotone () =
+  make (gen_schema ?monotone ())
+    ~print:(fun h -> Format.asprintf "%a" Shacl.Schema.pp h)
 
 let arbitrary_shape_deep =
   make (gen_shape 3) ~print:Shacl.Shape.to_string
