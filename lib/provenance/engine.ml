@@ -328,16 +328,12 @@ let prime_row_base ~jobs ~budget ~into_counters base st items =
                 Array.to_list nodes |> List.filter_map (Store.id st)
               in
               if sources <> [] then begin
-                let before = Rdf.Path.Batch.memo_size ctx in
                 List.iter
                   (fun vid -> ignore (Rdf.Path.Batch.eval ctx e vid))
                   sources;
                 wc.Counters.batch_calls <- wc.Counters.batch_calls + 1;
                 wc.Counters.batch_sources <-
-                  wc.Counters.batch_sources + List.length sources;
-                wc.Counters.rows_materialized <-
-                  wc.Counters.rows_materialized
-                  + (Rdf.Path.Batch.memo_size ctx - before)
+                  wc.Counters.batch_sources + List.length sources
               end;
               drain ()
         in
@@ -350,7 +346,14 @@ let prime_row_base ~jobs ~budget ~into_counters base st items =
         worker_bases;
       Array.iter
         (fun wc -> Counters.add ~into:into_counters wc)
-        worker_counters
+        worker_counters;
+      (* Rows of the merged base, not the sum of per-worker memo growth:
+         an item adds fewer rows to a context that already expanded its
+         sub-paths, so that sum depends on which worker drained which
+         item, while the merged set does not. *)
+      into_counters.Counters.rows_materialized <-
+        into_counters.Counters.rows_materialized
+        + Rdf.Path.Batch.base_size base
 
 (* ---------------- fault isolation ---------------------------------- *)
 

@@ -105,8 +105,9 @@ module Stats : sig
     batch_sources : int;
         (** source nodes evaluated across all primed items *)
     rows_materialized : int;
-        (** kernel memo entries (sub-path evaluations included) that
-            priming created *)
+        (** distinct kernel memo entries (sub-path evaluations included)
+            that priming created, counted on the merged base — the same
+            for every [jobs] and every draining order *)
     planning : float;      (** seconds spent planning candidate sets *)
     wall : float;          (** end-to-end seconds for the run *)
     shapes : shape_stat list;  (** per-request breakdown, request order *)

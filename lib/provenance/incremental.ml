@@ -22,6 +22,7 @@ type t = {
   defs : Schema.def array;
   request_shapes : Shape.t array;  (* phi ∧ tau, as Engine.request_of_def *)
   consts : Term.Set.t array;       (* constants of the request shape *)
+  reads : Iri.Set.t option array;  (* Validate.target_reads of each target *)
   mutable graph : Graph.t;
   entries : (key, entry) Hashtbl.t;
   (* support term -> the stored pairs it appears in *)
@@ -31,6 +32,10 @@ type t = {
   mutable fragment : Graph.t;
   mutable tsets : Term.Set.t array;  (* current target set per def *)
   mutable csets : Term.Set.t array;  (* targets ∪ constants per def *)
+  (* per def: |target set| and the targets whose verdict is false — the
+     report's check and violation counts, kept without building it *)
+  n_targets : int array;
+  n_violations : int array;
   mutable updates : int;
   mutable total_dirty : int;
   mutable total_rechecked : int;
@@ -113,6 +118,14 @@ let drop_entry t i v =
       index_remove t (i, v) entry.support;
       if entry.verdict then release_nb t entry.nb
 
+(* Recount def [i]'s violations over its current target set. *)
+let recount t i =
+  t.n_targets.(i) <- Term.Set.cardinal t.tsets.(i);
+  t.n_violations.(i) <-
+    Term.Set.fold
+      (fun v n -> if (Hashtbl.find t.entries (i, v)).verdict then n else n + 1)
+      t.tsets.(i) 0
+
 (* ---------------- construction -------------------------------------- *)
 
 let create ~schema g =
@@ -129,6 +142,10 @@ let create ~schema g =
       defs;
       request_shapes;
       consts;
+      reads =
+        Array.map
+          (fun (def : Schema.def) -> Validate.target_reads def.target)
+          defs;
       graph = Graph.freeze g;
       entries = Hashtbl.create 256;
       index = Hashtbl.create 256;
@@ -136,6 +153,8 @@ let create ~schema g =
       fragment = Graph.empty;
       tsets = Array.make (Array.length defs) Term.Set.empty;
       csets = Array.make (Array.length defs) Term.Set.empty;
+      n_targets = Array.make (Array.length defs) 0;
+      n_violations = Array.make (Array.length defs) 0;
       updates = 0;
       total_dirty = 0;
       total_rechecked = 0 }
@@ -146,7 +165,8 @@ let create ~schema g =
       let cset = Term.Set.union tset consts.(i) in
       t.tsets.(i) <- tset;
       t.csets.(i) <- cset;
-      Term.Set.iter (fun v -> set_entry t i v (eval_pair t i v)) cset)
+      Term.Set.iter (fun v -> set_entry t i v (eval_pair t i v)) cset;
+      recount t i)
     defs;
   t
 
@@ -166,6 +186,12 @@ let apply t delta =
   (* Normalize away no-ops so the anchor set covers real changes only. *)
   let delta = Delta.effective delta t.graph in
   let anchors = Delta.terms delta in
+  let preds =
+    List.fold_left
+      (fun acc tr -> Iri.Set.add (Triple.predicate tr) acc)
+      Iri.Set.empty
+      (delta.Delta.removes @ delta.Delta.adds)
+  in
   (* Collect the dirty pairs from the pre-delta index before any entry
      moves: the stored supports describe the evaluations made against
      the old graph, which is exactly what the delta can invalidate. *)
@@ -176,30 +202,59 @@ let apply t delta =
       | Some bucket -> Hashtbl.iter (fun key () -> Hashtbl.replace dirty key ()) bucket
       | None -> ())
     anchors;
+  let dirty_of = Array.make (Array.length t.defs) [] in
+  Hashtbl.iter (fun (i, v) () -> dirty_of.(i) <- v :: dirty_of.(i)) dirty;
+  (* Frozen in, frozen out: [Delta.apply] patches the store rather than
+     rebuilding it, so this [freeze] returns its argument — except for a
+     graph that was empty at [create], which [Graph.freeze] left
+     unfrozen and which gets its store here, once. *)
   t.graph <- Graph.freeze (Delta.apply delta t.graph);
   let rechecked = ref 0 in
+  let recheck i v =
+    drop_entry t i v;
+    incr rechecked;
+    set_entry t i v (eval_pair t i v)
+  in
   Array.iteri
     (fun i def ->
-      (* Target sets are cheap relative to conformance checks and are
-         recomputed exactly — membership has no support set of its
-         own. *)
-      let tset = Validate.target_nodes t.schema t.graph def in
-      let cset = Term.Set.union tset t.consts.(i) in
-      let old = t.csets.(i) in
-      Term.Set.iter
-        (fun v -> if not (Term.Set.mem v cset) then drop_entry t i v)
-        old;
-      Term.Set.iter
-        (fun v ->
-          let entered = not (Term.Set.mem v old) in
-          if entered || Hashtbl.mem dirty (i, v) then begin
-            if not entered then drop_entry t i v;
-            incr rechecked;
-            set_entry t i v (eval_pair t i v)
-          end)
-        cset;
-      t.tsets.(i) <- tset;
-      t.csets.(i) <- cset)
+      (* A target set moves only if the delta touches a predicate its
+         form reads; other forms are re-derived exactly — membership
+         has no support set of its own. *)
+      let tset =
+        match t.reads.(i) with
+        | Some reads when Iri.Set.disjoint reads preds -> t.tsets.(i)
+        | _ -> Validate.target_nodes t.schema t.graph def
+      in
+      if tset == t.tsets.(i) || Term.Set.equal tset t.tsets.(i) then
+        (* Same candidates: only the dirty pairs move, each adjusting
+           the violation count if it is a target. *)
+        List.iter
+          (fun v ->
+            let before = (Hashtbl.find t.entries (i, v)).verdict in
+            recheck i v;
+            let after = (Hashtbl.find t.entries (i, v)).verdict in
+            if before <> after && Term.Set.mem v tset then
+              t.n_violations.(i) <-
+                (t.n_violations.(i) + if after then -1 else 1))
+          dirty_of.(i)
+      else begin
+        let cset = Term.Set.union tset t.consts.(i) in
+        let old = t.csets.(i) in
+        Term.Set.iter
+          (fun v -> if not (Term.Set.mem v cset) then drop_entry t i v)
+          old;
+        Term.Set.iter
+          (fun v ->
+            if not (Term.Set.mem v old) then begin
+              incr rechecked;
+              set_entry t i v (eval_pair t i v)
+            end
+            else if Hashtbl.mem dirty (i, v) then recheck i v)
+          cset;
+        t.tsets.(i) <- tset;
+        t.csets.(i) <- cset;
+        recount t i
+      end)
     t.defs;
   let stats =
     { removed = List.length delta.Delta.removes;
@@ -239,6 +294,10 @@ let report t =
   { Validate.conforms =
       List.for_all (fun (r : Validate.result) -> r.conforms) results;
     results }
+
+let checks t = Array.fold_left ( + ) 0 t.n_targets
+let violations t = Array.fold_left ( + ) 0 t.n_violations
+let conforms t = violations t = 0
 
 type stats = {
   pairs : int;

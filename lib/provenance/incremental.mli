@@ -15,8 +15,9 @@
     re-evaluates to exactly the same verdict, neighborhood and support
     on the updated graph — it is skipped wholesale.  Only the pairs hit
     by the dependency index (support term → pairs), plus nodes entering
-    or leaving the candidate set (target sets are recomputed exactly per
-    delta), are touched.
+    or leaving the candidate set (a target set is re-derived exactly
+    whenever the delta touches a predicate its form reads), are
+    touched.
 
     The support set strictly contains the terms of the neighborhood —
     neighborhoods alone are {e not} a sound dependency set: a vacuously
@@ -48,6 +49,18 @@ val report : t -> Shacl.Validate.report
 (** The maintained validation report — equal (including result order)
     to [fst (Engine.validate schema g)] on the current graph. *)
 
+val conforms : t -> bool
+(** [(report t).conforms], read off maintained counts: no report is
+    built. *)
+
+val checks : t -> int
+(** [List.length (report t).results] — the number of (target,
+    definition) pairs — without building the report. *)
+
+val violations : t -> int
+(** [List.length (Shacl.Validate.violations (report t))] without
+    building the report. *)
+
 type update_stats = {
   removed : int;    (** triples actually removed by the delta *)
   added : int;      (** triples actually added *)
@@ -56,8 +69,13 @@ type update_stats = {
 }
 
 val apply : t -> Rdf.Delta.t -> update_stats
-(** Apply one delta: update the graph, re-derive target sets, recheck
-    exactly the dirty and entering pairs, and patch the fragment. *)
+(** Apply one delta: patch the frozen graph ({!Rdf.Delta.apply}),
+    re-derive the target sets the delta can move (a target whose form
+    reads none of the delta's predicates, see
+    {!Shacl.Validate.target_reads}, keeps its set), recheck exactly the
+    dirty and entering pairs, and patch the fragment and the verdict
+    counts.  A definition whose target set is unchanged costs only its
+    dirty pairs. *)
 
 type stats = {
   pairs : int;            (** stored (definition, node) pairs *)

@@ -9,11 +9,7 @@ let empty = { removes = []; adds = [] }
 let is_empty d = d.removes = [] && d.adds = []
 let size d = List.length d.removes + List.length d.adds
 
-let apply d g =
-  let was_frozen = Graph.frozen g in
-  let g = List.fold_left (fun g tr -> Graph.remove tr g) g d.removes in
-  let g = List.fold_left (fun g tr -> Graph.add_triple tr g) g d.adds in
-  if was_frozen then Graph.freeze g else g
+let apply d g = Graph.patch ~removes:d.removes ~adds:d.adds g
 
 let effective d g =
   { removes = List.filter (fun tr -> Graph.mem tr g) d.removes;

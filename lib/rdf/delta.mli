@@ -8,10 +8,11 @@
     the dependency index is probed with), and {!encode}/{!decode} give a
     self-contained byte representation for write-ahead logging.
 
-    Application preserves the graph's representation contract: an
-    update drops the frozen store (via {!Graph.add}/{!Graph.remove}),
-    and {!apply} re-freezes when the input was frozen, so a store never
-    answers for the pre-delta triple set. *)
+    Application preserves the graph's representation contract —
+    frozen in, frozen out: {!apply} patches a frozen graph's store for
+    the change ({!Graph.patch}) instead of re-freezing, so a store never
+    answers for the pre-delta triple set and an update costs what it
+    touches. *)
 
 type t = private {
   removes : Triple.t list;  (** applied first, in list order *)
@@ -30,7 +31,11 @@ val apply : t -> Graph.t -> Graph.t
 (** [apply d g] removes [d.removes] from [g], then adds [d.adds].
     Removing an absent triple and adding a present one are no-ops, as in
     {!Graph.remove}/{!Graph.add}.  If [g] was {!Graph.freeze}d the
-    result is frozen again. *)
+    result is frozen too, with a store equal to a from-scratch freeze of
+    the new triple set.  That includes a result the delta empties: it
+    keeps an empty store (where [Graph.freeze Graph.empty] has none), so
+    a stream of deltas that drains a frozen graph and refills it stays
+    frozen at every step.  An unfrozen [g] gives an unfrozen result. *)
 
 val effective : t -> Graph.t -> t
 (** [effective d g] drops the no-ops: removals of triples absent from

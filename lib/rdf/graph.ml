@@ -8,9 +8,9 @@
    functional, sharable, cheap to update.  [freeze] packs the same
    triple set into an interned, int-packed [Store.t] (term dictionary +
    sorted-array SPO/POS/OSP indexes) that answers the hot read paths
-   with binary searches and no per-lookup allocation; any update drops
-   the store, so a store never disagrees with the maps it was built
-   from. *)
+   with binary searches and no per-lookup allocation.  [add]/[remove]
+   drop the store and [patch] patches it, so a store never disagrees
+   with the maps beside it. *)
 
 type t = {
   spo : Term.Set.t Iri.Map.t Term.Map.t;
@@ -109,6 +109,18 @@ let remove t g =
       else Term.Map.add o by_s g.osp
     in
     { spo; pos; osp; size = g.size - 1; store = None }
+
+(* A frozen graph keeps a store: the old one patched for the change
+   (see [Store.patch]), a linear pass with no sort instead of a
+   re-freeze.  An emptied graph keeps its (empty) store, so a stream of
+   updates that drains and refills it stays frozen throughout. *)
+let patch ~removes ~adds g =
+  let g' = List.fold_left (fun g tr -> remove tr g) g removes in
+  let g' = List.fold_left (fun g tr -> add_triple tr g) g' adds in
+  match g.store with
+  | Some st when g' != g ->
+      { g' with store = Some (Store.patch st ~removes ~adds) }
+  | _ -> g'
 
 let fold f g acc =
   Term.Map.fold

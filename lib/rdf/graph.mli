@@ -12,8 +12,9 @@
     additionally packs the triple set into an interned, int-packed
     {!Store.t} (term dictionary + sorted-array indexes) that the read
     paths dispatch to; read-heavy phases (validation, tracing) should
-    freeze the graph once up front.  Updating a frozen graph simply
-    drops the store. *)
+    freeze the graph once up front.  {!add} and {!remove} on a frozen
+    graph drop the store; {!patch} (what {!Delta.apply} uses) patches
+    it for the change instead. *)
 
 type t
 
@@ -52,6 +53,15 @@ val add : Term.t -> Iri.t -> Term.t -> t -> t
 
 val add_triple : Triple.t -> t -> t
 val remove : Triple.t -> t -> t
+val patch : removes:Triple.t list -> adds:Triple.t list -> t -> t
+(** [patch ~removes ~adds g] removes [removes] from [g], then adds
+    [adds].  If [g] is frozen the result is frozen too, with the store
+    {!Store.patch}ed rather than rebuilt — in time linear in the store,
+    not [O(n log n)] — and equal to the one {!freeze} would build.  This
+    holds for an emptied result as well, which keeps an empty store
+    (unlike [freeze empty]), so draining and refilling a frozen graph
+    leaves it frozen.  An unfrozen [g] gives an unfrozen result. *)
+
 val of_list : Triple.t list -> t
 val to_list : t -> Triple.t list
 (** In the canonical (subject, predicate, object) order. *)

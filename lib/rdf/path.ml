@@ -544,7 +544,8 @@ module Batch = struct
   let base_mem ctx e a =
     Option.is_some (base_find ctx (pack (intern ctx e) false a))
 
-  let memo_size ctx = ITbl.length ctx.memo
+  let base_size b =
+    Hashtbl.fold (fun _ table n -> n + ITbl.length table) b.btables 0
 
   (* Publish every entry of [ctx] — sub-paths included — into a shared
      base, keyed structurally so contexts with different interning

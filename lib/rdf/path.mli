@@ -166,8 +166,10 @@ module Batch : sig
       above the kernel can build int keys without re-hashing path
       structure. *)
 
-  val memo_size : ctx -> int
-  (** Number of memo entries currently held (priming statistics). *)
+  val base_size : base -> int
+  (** Number of entries in a base: after merging every worker's export,
+      the distinct (sub-path, direction, node) expansions priming
+      created, whichever worker created them (priming statistics). *)
 
   val eval : ctx -> t -> int -> int array
   (** [[[E]]^G(a)] as a sorted, duplicate-free id array.  Equals the

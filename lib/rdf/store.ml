@@ -56,6 +56,17 @@ let sort_rows s p o order =
   Array.sort cmp order;
   order
 
+(* The rows of the three key columns, sorted lexicographically in that
+   key order. *)
+let sorted_columns keys1 keys2 keys3 =
+  let n = Array.length keys1 in
+  let order = sort_rows keys1 keys2 keys3 (Array.init n Fun.id) in
+  let a = Array.make n 0 and b = Array.make n 0 and c = Array.make n 0 in
+  Array.iteri
+    (fun k r -> a.(k) <- keys1.(r); b.(k) <- keys2.(r); c.(k) <- keys3.(r))
+    order;
+  a, b, c
+
 let of_triples triples =
   let m = Array.length triples in
   (* distinct terms, sorted, so ids agree with Term.compare *)
@@ -103,16 +114,8 @@ let of_triples triples =
       let i = n - 1 - k in
       spo_s.(i) <- rs.(r); spo_p.(i) <- rp.(r); spo_o.(i) <- ro.(r))
     !keep;
-  let perm keys1 keys2 keys3 =
-    let order = sort_rows keys1 keys2 keys3 (Array.init n Fun.id) in
-    let a = Array.make n 0 and b = Array.make n 0 and c = Array.make n 0 in
-    Array.iteri
-      (fun k r -> a.(k) <- keys1.(r); b.(k) <- keys2.(r); c.(k) <- keys3.(r))
-      order;
-    a, b, c
-  in
-  let pos_p, pos_o, pos_s = perm spo_p spo_o spo_s in
-  let osp_o, osp_s, osp_p = perm spo_o spo_s spo_p in
+  let pos_p, pos_o, pos_s = sorted_columns spo_p spo_o spo_s in
+  let osp_o, osp_s, osp_p = sorted_columns spo_o spo_s spo_p in
   let node_ids = Array.make (Dict.size dict) false in
   Array.iter (fun s -> node_ids.(s) <- true) spo_s;
   Array.iter (fun o -> node_ids.(o) <- true) spo_o;
@@ -219,6 +222,220 @@ let row_of_triple t tr =
   with
   | Some s, Some p, Some o -> triple_row t s p o
   | _ -> None
+
+(* ---------------- patching ----------------------------------------- *)
+
+(* [patch t ~removes ~adds] is the store [of_triples] builds for
+   (G - removes) ∪ adds, derived from [t] in time linear in the rows and
+   terms, with no sort of the old rows.  Ids are ranks in Term.compare
+   order, so a term entering or leaving the graph shifts the ids above
+   it by one; the shift is monotone, which keeps every index ordering
+   of the remapped old rows sorted, and the few added rows are merged
+   in.  When no term enters or leaves, the dictionary is shared. *)
+
+let len (lo, hi) = hi - lo
+
+let row_lt a b c x y z = a < x || (a = x && (b < y || (b = y && c < z)))
+
+(* One index ordering of the patched store: the old rows (key columns
+   [a, b, c]) through [remap], minus those at the sorted positions
+   [skip], merged with the sorted added rows [xa, xb, xc]. *)
+let merge_rows ~remap ~skip (a, b, c) (xa, xb, xc) =
+  let n_old = Array.length a and m = Array.length xa in
+  let n_skip = Array.length skip in
+  let n = n_old - n_skip + m in
+  let ra = Array.make n 0 and rb = Array.make n 0 and rc = Array.make n 0 in
+  let i = ref 0 and j = ref 0 and s = ref 0 in
+  for k = 0 to n - 1 do
+    while !s < n_skip && skip.(!s) = !i do incr i; incr s done;
+    let take_old =
+      !i < n_old
+      && (!j >= m
+         || row_lt remap.(a.(!i)) remap.(b.(!i)) remap.(c.(!i))
+              xa.(!j) xb.(!j) xc.(!j))
+    in
+    if take_old then begin
+      ra.(k) <- remap.(a.(!i));
+      rb.(k) <- remap.(b.(!i));
+      rc.(k) <- remap.(c.(!i));
+      incr i
+    end
+    else begin
+      ra.(k) <- xa.(!j); rb.(k) <- xb.(!j); rc.(k) <- xc.(!j); incr j
+    end
+  done;
+  ra, rb, rc
+
+(* Sorted [a] minus sorted [b], both duplicate-free. *)
+let rec diff_sorted a b =
+  match a, b with
+  | [], _ -> []
+  | _, [] -> a
+  | x :: a', y :: b' ->
+      if x < y then x :: diff_sorted a' b
+      else if x > y then diff_sorted a b'
+      else diff_sorted a' b'
+
+(* Number of dictionary terms strictly below [x]. *)
+let rank dict x =
+  let lo = ref 0 and hi = ref (Dict.size dict) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Term.compare (Dict.term dict mid) x < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let patch t ~removes ~adds =
+  let rows l =
+    List.sort_uniq Int.compare (List.filter_map (row_of_triple t) l)
+  in
+  (* a triple both removed and added stays *)
+  let gone = diff_sorted (rows removes) (rows adds) in
+  let added =
+    List.sort_uniq Triple.compare
+      (List.filter (fun tr -> row_of_triple t tr = None) adds)
+  in
+  if gone = [] && added = [] then t
+  else begin
+    let endpoints tr = [ Triple.subject tr; Triple.object_ tr ] in
+    let terms_of tr = Term.Iri (Triple.predicate tr) :: endpoints tr in
+    (* terms entering the graph *)
+    let fresh =
+      List.concat_map terms_of added
+      |> List.filter (fun x -> id t x = None)
+      |> List.sort_uniq Term.compare |> Array.of_list
+    in
+    (* terms leaving it: every occurrence sits in a removed row and no
+       added triple mentions them *)
+    let occ = Hashtbl.create 16 in
+    let bump x =
+      Hashtbl.replace occ x
+        (1 + Option.value (Hashtbl.find_opt occ x) ~default:0)
+    in
+    List.iter
+      (fun r -> bump t.spo_s.(r); bump t.spo_p.(r); bump t.spo_o.(r))
+      gone;
+    let kept = Hashtbl.create 16 in
+    List.iter
+      (fun tr ->
+        List.iter
+          (fun x -> Option.iter (fun i -> Hashtbl.replace kept i ()) (id t x))
+          (terms_of tr))
+      added;
+    let dropped =
+      Hashtbl.fold
+        (fun x k acc ->
+          if
+            (not (Hashtbl.mem kept x))
+            && k
+               = len (subject_range t x)
+                 + len (object_range t x)
+                 + len (predicate_range t x)
+          then x :: acc
+          else acc)
+        occ []
+    in
+    let n_old = n_terms t in
+    let dict, remap =
+      if Array.length fresh = 0 && dropped = [] then
+        (t.dict, Array.init n_old Fun.id)
+      else begin
+        let is_dropped = Array.make n_old false in
+        List.iter (fun x -> is_dropped.(x) <- true) dropped;
+        let k = Array.length fresh in
+        let terms =
+          Array.make (n_old - List.length dropped + k) (Term.Blank "")
+        in
+        let remap = Array.make n_old (-1) in
+        (* fresh.(j) goes right before the old term of id ins.(j) *)
+        let ins = Array.map (rank t.dict) fresh in
+        let next = ref 0 and j = ref 0 in
+        let emit x = terms.(!next) <- x; incr next in
+        for i = 0 to n_old - 1 do
+          while !j < k && ins.(!j) <= i do emit fresh.(!j); incr j done;
+          if not is_dropped.(i) then begin
+            remap.(i) <- !next;
+            emit (Dict.term t.dict i)
+          end
+        done;
+        while !j < k do emit fresh.(!j); incr j done;
+        (Dict.of_sorted terms, remap)
+      end
+    in
+    let nid x =
+      match Dict.find dict x with Some i -> i | None -> assert false
+    in
+    let m = List.length added in
+    let xs = Array.make m 0 and xp = Array.make m 0 and xo = Array.make m 0 in
+    List.iteri
+      (fun k tr ->
+        xs.(k) <- nid (Triple.subject tr);
+        xp.(k) <- nid (Term.Iri (Triple.predicate tr));
+        xo.(k) <- nid (Triple.object_ tr))
+      added;
+    (* positions of the removed rows in each ordering *)
+    let skip pos =
+      Array.of_list (List.sort Int.compare (List.map pos gone))
+    in
+    let skip_spo = Array.of_list gone in
+    let skip_pos =
+      skip (fun r ->
+          lb3 t.pos_p t.pos_o t.pos_s t.spo_p.(r) t.spo_o.(r) t.spo_s.(r) t.n)
+    in
+    let skip_osp =
+      skip (fun r ->
+          lb3 t.osp_o t.osp_s t.osp_p t.spo_o.(r) t.spo_s.(r) t.spo_p.(r) t.n)
+    in
+    let spo_s, spo_p, spo_o =
+      merge_rows ~remap ~skip:skip_spo
+        (t.spo_s, t.spo_p, t.spo_o)
+        (sorted_columns xs xp xo)
+    in
+    let pos_p, pos_o, pos_s =
+      merge_rows ~remap ~skip:skip_pos
+        (t.pos_p, t.pos_o, t.pos_s)
+        (sorted_columns xp xo xs)
+    in
+    let osp_o, osp_s, osp_p =
+      merge_rows ~remap ~skip:skip_osp
+        (t.osp_o, t.osp_s, t.osp_p)
+        (sorted_columns xo xs xp)
+    in
+    let n = Array.length spo_s in
+    (* node flags carry over; only the endpoints of changed rows can
+       gain or lose their last subject/object position *)
+    let node_ids = Array.make (Dict.size dict) false in
+    Array.iteri
+      (fun i b -> if b && remap.(i) >= 0 then node_ids.(remap.(i)) <- true)
+      t.node_ids;
+    let nodes = ref t.nodes in
+    let occurs a i = ub1 a i n > lb1 a i n in
+    let touch x =
+      let was = match id t x with Some i -> t.node_ids.(i) | None -> false in
+      match Dict.find dict x with
+      | Some i when occurs spo_s i || occurs osp_o i ->
+          node_ids.(i) <- true;
+          if not was then nodes := Term.Set.add (Dict.term dict i) !nodes
+      | found ->
+          Option.iter (fun i -> node_ids.(i) <- false) found;
+          if was then nodes := Term.Set.remove x !nodes
+    in
+    List.iter (fun r -> List.iter touch (endpoints (row_triple t r))) gone;
+    List.iter (fun tr -> List.iter touch (endpoints tr)) added;
+    { dict; n; spo_s; spo_p; spo_o; pos_p; pos_o; pos_s; osp_o; osp_s; osp_p;
+      nodes = !nodes; node_ids }
+  end
+
+let equal a b =
+  let rec same_terms i =
+    i >= n_terms a || (Term.equal (term a i) (term b i) && same_terms (i + 1))
+  in
+  a.n = b.n && n_terms a = n_terms b && same_terms 0
+  && a.spo_s = b.spo_s && a.spo_p = b.spo_p && a.spo_o = b.spo_o
+  && a.pos_p = b.pos_p && a.pos_o = b.pos_o && a.pos_s = b.pos_s
+  && a.osp_o = b.osp_o && a.osp_s = b.osp_s && a.osp_p = b.osp_p
+  && a.node_ids = b.node_ids
+  && Term.Set.equal a.nodes b.nodes
 
 (* ---------------- term-level conveniences --------------------------- *)
 

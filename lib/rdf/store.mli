@@ -19,6 +19,19 @@ type t
 val of_triples : Triple.t array -> t
 (** Build from a triple array (duplicates are removed). *)
 
+val patch : t -> removes:Triple.t list -> adds:Triple.t list -> t
+(** [patch t ~removes ~adds] is the store of [(G - removes) ∪ adds],
+    where [G] is [t]'s triple set: {!equal} to {!of_triples} on that
+    set, ids and row order included, but built from [t] in
+    [O(triples + terms)] with no sort of the old rows.  Absent removes,
+    present adds and duplicates are no-ops; a triple in both lists
+    stays.  When no term enters or leaves the graph, the dictionary is
+    shared with [t]. *)
+
+val equal : t -> t -> bool
+(** Same dictionary (term of every id), same rows in all three
+    orderings, same node set. *)
+
 val n_triples : t -> int
 val n_terms : t -> int
 val dict : t -> Dict.t

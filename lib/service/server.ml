@@ -159,6 +159,14 @@ let validated (report : Shacl.Validate.report) =
       checks = List.length report.Shacl.Validate.results;
       violations = List.length (Shacl.Validate.violations report) }
 
+(* The same reply from the maintained counts: no report is built under
+   the update lock. *)
+let validated_live inc =
+  Wire.Validated
+    { conforms = Provenance.Incremental.conforms inc;
+      checks = Provenance.Incremental.checks inc;
+      violations = Provenance.Incremental.violations inc }
+
 let execute t budget : Wire.op -> Wire.reply = function
   | Wire.Validate ->
       if Shacl.Schema.defs t.schema = [] then
@@ -166,10 +174,8 @@ let execute t budget : Wire.op -> Wire.reply = function
       else begin
         match t.live with
         | Some live ->
-            (* the report is maintained; no re-validation happens *)
-            validated
-              (locked live.lock (fun () ->
-                   Provenance.Incremental.report live.inc))
+            (* the verdicts are maintained; no re-validation happens *)
+            locked live.lock (fun () -> validated_live live.inc)
         | None ->
             let report, _stats =
               Provenance.Engine.validate ?restrict:t.restrict ~jobs:1 ~budget
@@ -284,14 +290,13 @@ let execute t budget : Wire.op -> Wire.reply = function
                   if js.records >= t.config.snapshot_every then
                     Runtime.Journal.snapshot live.journal
                       (Provenance.Incremental.graph live.inc);
-                  let report = Provenance.Incremental.report live.inc in
                   Wire.Updated
                     { seq;
                       added = st.added;
                       removed = st.removed;
                       dirty = st.dirty;
                       rechecked = st.rechecked;
-                      conforms = report.Shacl.Validate.conforms })))
+                      conforms = Provenance.Incremental.conforms live.inc })))
   | Wire.Health -> Wire.Healthy { uptime = Unix.gettimeofday () -. t.started }
   | Wire.Stats -> Wire.Statistics (stats t)
   | Wire.Ping -> Wire.Pong { shard = t.shard }

@@ -50,6 +50,30 @@ let rec fast_targets g target =
   | Shape.Bottom -> Some Term.Set.empty
   | _ -> None
 
+(* The predicates [fast_targets] reads, form by form; [None] for a form
+   it does not answer (any change may move the fallback's scan). *)
+let rec target_reads target =
+  match target with
+  | Shape.Has_value _ | Shape.Bottom -> Some Iri.Set.empty
+  | Shape.Ge
+      ( 1,
+        Rdf.Path.Seq (Rdf.Path.Prop ty, Rdf.Path.Star (Rdf.Path.Prop sub)),
+        Shape.Has_value _ )
+    when Iri.equal ty Vocab.Rdf.type_ && Iri.equal sub Vocab.Rdfs.sub_class_of
+    ->
+      Some (Iri.Set.of_list [ ty; sub ])
+  | Shape.Ge (1, Rdf.Path.Prop p, Shape.Top)
+  | Shape.Ge (1, Rdf.Path.Inv (Rdf.Path.Prop p), Shape.Top) ->
+      Some (Iri.Set.singleton p)
+  | Shape.Or parts ->
+      List.fold_left
+        (fun acc part ->
+          match acc, target_reads part with
+          | Some acc, Some s -> Some (Iri.Set.union acc s)
+          | _ -> None)
+        (Some Iri.Set.empty) parts
+  | _ -> None
+
 let target_nodes ?budget h g (def : Schema.def) =
   match fast_targets g def.target with
   | Some nodes -> nodes

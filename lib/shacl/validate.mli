@@ -22,6 +22,14 @@ val fast_targets : Rdf.Graph.t -> Shape.t -> Rdf.Term.Set.t option
     thereof — or [None] when the shape is not of such a form.  Exposed
     for the fragment engine's candidate planner. *)
 
+val target_reads : Shape.t -> Rdf.Iri.Set.t option
+(** The predicates whose triples {!fast_targets} reads for this target
+    form — [rdf:type] and [rdfs:subClassOf] for a class target, [p] for
+    subjects-of/objects-of [p], none for node targets and [Bottom], the
+    union over an [Or] — or [None] when [fast_targets] does not answer
+    the form.  A change to the graph that touches none of them leaves
+    the target set as it was. *)
+
 val target_nodes :
   ?budget:Runtime.Budget.t ->
   Schema.t -> Rdf.Graph.t -> Schema.def -> Rdf.Term.Set.t

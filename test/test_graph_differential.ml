@@ -304,6 +304,74 @@ let freeze_transparent =
       if Graph.mem extra gf then Graph.frozen g' || Graph.is_empty g
       else not (Graph.frozen g'))
 
+(* Patching is rebuilding: [Store.patch] on a store and a delta is
+   equal, field for field, to [Store.of_triples] on the new triple set,
+   and [Delta.apply] on a frozen graph carries exactly that store.  The
+   graph side's vocabulary adds [ex:r] as a node, so one IRI sits in
+   predicate and node position; the delta side adds terms the graph
+   never has, in every position.  Graphs are small, so removes often
+   take a term's last occurrence (as subject, object or predicate), and
+   one case in six drains the graph. *)
+let both = Term.Iri Tgen.prop_r
+
+let gen_graph_triple =
+  Gen.map3 Triple.make
+    (Gen.oneofl (both :: subjects))
+    (Gen.oneofl props)
+    (Gen.oneofl (both :: objects))
+
+let gen_delta_triple =
+  Gen.map3 Triple.make
+    (Gen.oneofl
+       (Term.iri (Tgen.ex "fresh") :: Term.blank "fresh" :: both :: subjects))
+    (Gen.oneofl (Iri.of_string (Tgen.ex "freshProp") :: props))
+    (Gen.oneofl
+       (Term.iri (Tgen.ex "fresh") :: Term.blank "fresh"
+       :: Term.str "fresh \xE2\x9C\x93" :: both :: objects))
+
+let gen_patch_case =
+  let open Gen in
+  list_size (int_range 0 12) gen_graph_triple >>= fun l ->
+  let from_graph n = if l = [] then return [] else list_size n (oneofl l) in
+  let drain = map (fun removes -> (l, removes, [])) (shuffle_l l) in
+  let mixed =
+    frequency [ 1, return l; 5, from_graph (int_range 0 5) ] >>= fun present ->
+    list_size (int_range 0 2) gen_delta_triple >>= fun absent ->
+    list_size (int_range 0 4) gen_delta_triple >>= fun fresh ->
+    from_graph (int_range 0 2) >>= fun readd ->
+    (* duplicate adds: part of the list again *)
+    int_range 0 2 >>= fun dup ->
+    let adds = fresh @ readd in
+    let adds = adds @ List.filteri (fun i _ -> i < dup) adds in
+    shuffle_l (present @ absent) >>= fun removes -> return (l, removes, adds)
+  in
+  frequency [ 1, drain; 5, mixed ]
+
+let arbitrary_patch_case =
+  make gen_patch_case ~print:(fun (l, removes, adds) ->
+      Printf.sprintf "graph:\n%s\nremoves:\n%s\nadds:\n%s"
+        (print_triples l) (print_triples removes) (print_triples adds))
+
+let store_patch_agrees =
+  Test.make ~count:1000 ~name:"store patch = of_triples on the new triple set"
+    arbitrary_patch_case (fun (l, removes, adds) ->
+      let st = Store.of_triples (Array.of_list l) in
+      let g' = Graph.patch ~removes ~adds (Graph.of_list l) in
+      let expected = Store.of_triples (Array.of_list (Graph.to_list g')) in
+      let patched = Store.patch st ~removes ~adds in
+      let via_delta =
+        Delta.apply
+          (Delta.make ~removes ~adds ())
+          (Graph.freeze (Graph.of_list l))
+      in
+      Store.equal patched expected
+      && Graph.equal via_delta g'
+      &&
+      (* frozen in, frozen out: [freeze] leaves an empty input unfrozen *)
+      match Graph.store via_delta with
+      | Some st' -> Store.equal st' expected
+      | None -> l = [] && not (Graph.frozen via_delta))
+
 let props =
   [ adjacency_agrees;
     views_agree;
@@ -312,7 +380,8 @@ let props =
     neighborhood_agrees;
     fragment_agrees;
     store_internals;
-    freeze_transparent ]
+    freeze_transparent;
+    store_patch_agrees ]
 
 (* ---------------- unit regressions ---------------------------------- *)
 

@@ -400,8 +400,8 @@ let gen_delta =
   QCheck.Gen.(
     map2
       (fun removes adds -> Delta.make ~removes ~adds ())
-      (list_size (int_range 0 3) Tgen.gen_triple)
-      (list_size (int_range 0 3) Tgen.gen_triple))
+      (list_size (int_range 0 3) Tgen.gen_triple_with_classes)
+      (list_size (int_range 0 3) Tgen.gen_triple_with_classes))
 
 let arbitrary_case =
   QCheck.make
@@ -412,7 +412,7 @@ let arbitrary_case =
              Format.fprintf ppf "delta:@,%a" Delta.pp d))
         deltas)
     QCheck.Gen.(
-      triple (Tgen.gen_schema ()) Tgen.gen_graph
+      triple (Tgen.gen_schema ()) Tgen.gen_graph_with_classes
         (list_size (int_range 1 3) gen_delta))
 
 (* The acceptance property: after every delta of an arbitrary stream,
@@ -422,7 +422,11 @@ let arbitrary_case =
    [Fragment.frag_schema] — and the maintained fragment is sufficient
    (Thm 3.4): every target the report marks conforming still conforms
    to its request shape [phi ∧ tau] inside the fragment, because its
-   neighborhood ⊆ fragment ⊆ graph. *)
+   neighborhood ⊆ fragment ⊆ graph.  The maintained graph's store is
+   the one a from-scratch freeze builds, and the maintained verdict
+   counts are the report's.  Graphs and deltas include class triples,
+   so every target form the skip in [Incremental.apply] reasons about
+   meets deltas that do and do not move it. *)
 let prop_incremental_differential =
   QCheck.Test.make ~count:500
     ~name:"incremental ≡ from-scratch under random delta streams"
@@ -444,7 +448,18 @@ let prop_incremental_differential =
           let g = Incremental.graph inc in
           let report = Incremental.report inc in
           let fragment = Incremental.fragment inc in
-          String.equal
+          let same_store =
+            let scratch = Store.of_triples (Array.of_list (Graph.to_list g)) in
+            match Graph.store g with
+            | Some st -> Store.equal st scratch
+            | None -> Graph.is_empty g
+          in
+          same_store
+          && Incremental.conforms inc = report.conforms
+          && Incremental.checks inc = List.length report.results
+          && Incremental.violations inc
+             = List.length (Shacl.Validate.violations report)
+          && String.equal
             (report_bytes (Shacl.Validate.validate schema g))
             (report_bytes report)
           && Graph.equal (Provenance.Fragment.frag_schema schema g) fragment
@@ -455,6 +470,39 @@ let prop_incremental_differential =
                       (request_shape r.shape_name))
                report.results)
         deltas)
+
+(* Frozen in, frozen out, through the empty graph: [Graph.freeze]
+   leaves an empty graph unfrozen, so a delta stream that drains the
+   graph must keep the (empty) store for the refill to come out
+   frozen. *)
+let test_incremental_drain_refill () =
+  let g0 = Graph.of_list [ t "a" p "b"; t "b" q "c" ] in
+  let inc = Incremental.create ~schema:schema_ge g0 in
+  let drain = Delta.make ~removes:(Graph.to_list g0) () in
+  let drained = Delta.apply drain (Graph.freeze g0) in
+  Alcotest.(check bool) "drained graph is empty" true (Graph.is_empty drained);
+  Alcotest.(check bool) "drained graph stays frozen" true
+    (Graph.frozen drained);
+  ignore (Incremental.apply inc drain : Incremental.update_stats);
+  Alcotest.(check bool) "incremental graph stays frozen" true
+    (Graph.frozen (Incremental.graph inc));
+  check_matches_scratch "drained" schema_ge inc;
+  Alcotest.(check bool) "violated when drained" false
+    (Incremental.conforms inc);
+  let refill = Delta.make ~adds:[ t "a" p "d" ] () in
+  Alcotest.(check bool) "refill of the drained graph is frozen" true
+    (Graph.frozen (Delta.apply refill drained));
+  ignore (Incremental.apply inc refill : Incremental.update_stats);
+  let g = Incremental.graph inc in
+  Alcotest.(check bool) "refilled graph is frozen" true (Graph.frozen g);
+  Alcotest.(check bool) "store = from-scratch freeze" true
+    (let scratch = Graph.freeze (Graph.of_list [ t "a" p "d" ]) in
+     match Graph.store g, Graph.store scratch with
+     | Some st, Some scratch -> Store.equal st scratch
+     | _ -> false);
+  check_matches_scratch "refilled" schema_ge inc;
+  Alcotest.(check bool) "conforms after refill" true (Incremental.conforms inc);
+  Alcotest.(check int) "one check" 1 (Incremental.checks inc)
 
 (* Durability end-to-end at the library level: journal the same stream,
    recover, and the recovered graph supports the same verdicts. *)
@@ -497,6 +545,8 @@ let suite =
       test_incremental_vacuous_le_flip;
     Alcotest.test_case "incremental skips unrelated deltas" `Quick
       test_incremental_skips_unrelated;
+    Alcotest.test_case "incremental drain and refill stay frozen" `Quick
+      test_incremental_drain_refill;
     Alcotest.test_case "journal + incremental agree" `Quick
       test_journal_incremental_agree ]
 

@@ -39,6 +39,20 @@ let gen_triple =
 let gen_graph =
   Gen.map Graph.of_list (Gen.list_size (Gen.int_range 0 25) gen_triple)
 
+(* Class membership and hierarchy over the IRI nodes, the triples class
+   targets read. *)
+let class_props = [ Vocab.Rdf.type_; Vocab.Rdfs.sub_class_of ]
+
+let gen_class_triple =
+  Gen.map3 Triple.make gen_subject (Gen.oneofl class_props) (Gen.oneofl nodes)
+
+let gen_triple_with_classes =
+  Gen.frequency [ 2, gen_triple; 1, gen_class_triple ]
+
+let gen_graph_with_classes =
+  Gen.map Graph.of_list
+    (Gen.list_size (Gen.int_range 0 25) gen_triple_with_classes)
+
 let arbitrary_graph =
   make gen_graph ~print:(fun g -> Format.asprintf "%a" Graph.pp g)
 
@@ -160,22 +174,43 @@ let arbitrary_shape =
    schema; references occur at any depth of a shape (under [Not] and the
    quantifiers too) and in targets.  About a quarter of the definitions
    are untargeted, and a reference to one is single-use or shared as the
-   draw falls.  Targets are the real-SHACL (monotone) forms, or, unless
+   draw falls.  Targets are the real-SHACL (monotone) forms — node,
+   subjects-of, objects-of and class targets, and unions of them (the
+   forms [Validate.fast_targets] answers from the indexes) — or, unless
    [monotone], sometimes an arbitrary shape, so the planner's full-scan
    path runs too. *)
 let gen_schema ?(monotone = false) () =
   let open Gen in
   let name i = Term.iri (ex (Printf.sprintf "shape%d" i)) in
-  let real_target =
-    oneof
+  let rec real_target depth =
+    let forms =
       [ map (fun c -> Shacl.Shape.Has_value c) (oneofl nodes);
         map (fun p -> Shacl.Shape.Ge (1, Rdf.Path.Prop p, Shacl.Shape.Top))
           gen_prop;
         map
           (fun p ->
             Shacl.Shape.Ge (1, Rdf.Path.Inv (Rdf.Path.Prop p), Shacl.Shape.Top))
-          gen_prop ]
+          gen_prop;
+        map
+          (fun c ->
+            Shacl.Shape.Ge
+              ( 1,
+                Rdf.Path.Seq
+                  ( Rdf.Path.Prop Vocab.Rdf.type_,
+                    Rdf.Path.Star (Rdf.Path.Prop Vocab.Rdfs.sub_class_of) ),
+                Shacl.Shape.Has_value c ))
+          (oneofl nodes) ]
+    in
+    if depth <= 0 then oneof forms
+    else
+      frequency
+        [ 4, oneof forms;
+          1,
+          map
+            (fun l -> Shacl.Shape.Or l)
+            (list_size (int_range 2 3) (real_target (depth - 1))) ]
   in
+  let real_target = real_target 1 in
   let gen_target refs =
     frequency
       ([ 5, real_target; 2, return Shacl.Shape.Bottom ]
