@@ -5,7 +5,8 @@
      dune exec bench/main.exe                 # all experiments, quick sizes
      dune exec bench/main.exe -- fig1 --full  # one experiment, paper-ish sizes
 
-   Experiments: fig1 fig2 fig3 query-survey tpf ldf ablations *)
+   Experiments: fig1 fig2 fig3 query-survey tpf ldf ablations parallel
+   containment cluster batch incremental load *)
 
 let experiments =
   [ "fig1", ("Figure 1: provenance extraction overhead", Exp_fig1.run);
@@ -20,7 +21,8 @@ let experiments =
     "cluster", ("Sharded cluster: scatter-gather and failover", Exp_cluster.run);
     "batch", ("Id-space path kernel: per-node vs batched fragments", Exp_batch.run);
     "incremental",
-    ("Incremental revalidation vs full recomputation", Exp_incremental.run) ]
+    ("Incremental revalidation vs full recomputation", Exp_incremental.run);
+    "load", ("Loading: Turtle text to a frozen graph", Exp_load.run) ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

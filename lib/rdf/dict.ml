@@ -1,8 +1,9 @@
 (* Hash-consed term dictionary: Term.t <-> dense int ids.
 
    Ids are assigned by rank in Term.compare order when built with
-   [of_sorted], so id comparison agrees with term comparison and ordered
-   id iteration decodes to term-ordered output.  [term] always returns
+   [of_sorted] or renumbered with [sort], so id comparison agrees with
+   term comparison and ordered id iteration decodes to term-ordered
+   output.  [term] always returns
    the single stored copy of a term, so decoded terms are physically
    shared (hash-consing). *)
 
@@ -40,7 +41,7 @@ let intern t x =
   | Some i -> i
   | None ->
       if t.n = Array.length t.terms then begin
-        let grown = Array.make (2 * t.n) dummy in
+        let grown = Array.make (max 1 (2 * t.n)) dummy in
         Array.blit t.terms 0 grown 0 t.n;
         t.terms <- grown
       end;
@@ -49,6 +50,16 @@ let intern t x =
       t.n <- i + 1;
       H.add t.ids x i;
       i
+
+let sort t =
+  let order = Array.init t.n Fun.id in
+  let terms = t.terms in
+  Array.stable_sort (fun i j -> Term.compare terms.(i) terms.(j)) order;
+  let rank = Array.make t.n 0 in
+  Array.iteri (fun k i -> rank.(i) <- k) order;
+  t.terms <- Array.map (fun i -> terms.(i)) order;
+  H.filter_map_inplace (fun _ i -> Some rank.(i)) t.ids;
+  rank
 
 let of_sorted terms =
   let n = Array.length terms in

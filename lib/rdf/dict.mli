@@ -16,7 +16,13 @@ val of_sorted : Term.t array -> t
     order, so ordered id iteration decodes to term-ordered output. *)
 
 val intern : t -> Term.t -> int
-(** Id of the term, adding it if absent. *)
+(** Id of the term, adding it if absent (ids in first-seen order). *)
+
+val sort : t -> int array
+(** [sort t] renumbers [t]'s ids in place by rank in [Term.compare]
+    order — the ids {!of_sorted} would assign — and returns the map from
+    each old id to its new one.  One sort of the distinct terms; no term
+    is hashed again. *)
 
 val find : t -> Term.t -> int option
 (** Read-only lookup; [None] for terms never interned. *)

@@ -8,9 +8,10 @@
    functional, sharable, cheap to update.  [freeze] packs the same
    triple set into an interned, int-packed [Store.t] (term dictionary +
    sorted-array SPO/POS/OSP indexes) that answers the hot read paths
-   with binary searches and no per-lookup allocation.  [add]/[remove]
-   drop the store and [patch] patches it, so a store never disagrees
-   with the maps beside it. *)
+   with binary searches and no per-lookup allocation.  [of_store] goes
+   the other way — the parser builds the store first and the maps from
+   its sorted orders.  [add]/[remove] drop the store and [patch] patches
+   it, so a store never disagrees with the maps beside it. *)
 
 type t = {
   spo : Term.Set.t Iri.Map.t Term.Map.t;
@@ -185,7 +186,8 @@ let subject_triples g s =
           Iri.Map.fold
             (fun p objs acc ->
               Term.Set.fold (fun o acc -> Triple.make s p o :: acc) objs acc)
-            by_p [])
+            by_p []
+          |> List.rev)
 
 let object_triples g o =
   match g.store with
@@ -197,7 +199,8 @@ let object_triples g o =
           Term.Map.fold
             (fun s preds acc ->
               Iri.Set.fold (fun p acc -> Triple.make s p o :: acc) preds acc)
-            by_s [])
+            by_s []
+          |> List.rev)
 
 let predicate_triples g p =
   match g.store with
@@ -209,7 +212,8 @@ let predicate_triples g p =
           Term.Map.fold
             (fun o subs acc ->
               Term.Set.fold (fun s acc -> Triple.make s p o :: acc) subs acc)
-            by_o [])
+            by_o []
+          |> List.rev)
 
 let out_predicates g s =
   match g.store with
@@ -249,6 +253,67 @@ let freeze g =
     iter (fun t -> arr.(!k) <- t; incr k) g;
     { g with store = Some (Store.of_triples arr) }
   end
+
+(* The three maps of a store's triple set, each built by one walk over
+   the store's matching sorted order: a run of rows sharing a key
+   becomes one map entry, so keys arrive ascending and every term is the
+   dictionary's shared copy. *)
+let of_store st =
+  let term = Store.term st in
+  let iri i =
+    match term i with Term.Iri p -> p | _ -> invalid_arg "Graph.of_store"
+  in
+  (* fold [f k lo hi] over the maximal runs [lo, hi) of equal [key]
+     within the rows [lo, hi) *)
+  let rec runs key lo hi f acc =
+    if lo >= hi then acc
+    else begin
+      let k = key lo in
+      let j = ref (lo + 1) in
+      while !j < hi && key !j = k do incr j done;
+      runs key !j hi f (f k lo !j acc)
+    end
+  in
+  let elements col lo hi =
+    let l = ref [] in
+    for i = hi - 1 downto lo do l := col i :: !l done;
+    !l
+  in
+  let terms col lo hi =
+    Term.Set.of_list (elements (fun i -> term (col i)) lo hi)
+  and iris col lo hi =
+    Iri.Set.of_list (elements (fun i -> iri (col i)) lo hi)
+  in
+  let n = Store.n_triples st in
+  let spo =
+    runs (Store.spo_subj st) 0 n
+      (fun s lo hi ->
+        Term.Map.add (term s)
+          (runs (Store.spo_pred st) lo hi
+             (fun p lo hi ->
+               Iri.Map.add (iri p) (terms (Store.spo_obj st) lo hi))
+             Iri.Map.empty))
+      Term.Map.empty
+  and pos =
+    runs (Store.pos_pred st) 0 n
+      (fun p lo hi ->
+        Iri.Map.add (iri p)
+          (runs (Store.pos_obj st) lo hi
+             (fun o lo hi ->
+               Term.Map.add (term o) (terms (Store.pos_subj st) lo hi))
+             Term.Map.empty))
+      Iri.Map.empty
+  and osp =
+    runs (Store.osp_obj st) 0 n
+      (fun o lo hi ->
+        Term.Map.add (term o)
+          (runs (Store.osp_subj st) lo hi
+             (fun s lo hi ->
+               Term.Map.add (term s) (iris (Store.osp_pred st) lo hi))
+             Term.Map.empty))
+      Term.Map.empty
+  in
+  { spo; pos; osp; size = n; store = Some st }
 
 (* Subject-filtered freeze: the partition of [g] on the subjects [keep]
    accepts, frozen in one pass.  The subject test runs once per subject

@@ -8,13 +8,16 @@
 
     All operations are purely functional; graphs can be shared freely.
 
-    The persistent maps are the {e builder} representation.  {!freeze}
-    additionally packs the triple set into an interned, int-packed
-    {!Store.t} (term dictionary + sorted-array indexes) that the read
-    paths dispatch to; read-heavy phases (validation, tracing) should
-    freeze the graph once up front.  {!add} and {!remove} on a frozen
-    graph drop the store; {!patch} (what {!Delta.apply} uses) patches
-    it for the change instead. *)
+    The persistent maps are the {e builder} representation.  A {e
+    frozen} graph also carries an interned, int-packed {!Store.t} (term
+    dictionary + sorted-array indexes) that the read paths dispatch to.
+    {!Turtle.parse} returns frozen graphs: it builds the store first and
+    the maps from it ({!of_store}).  A graph built in memory is frozen by
+    {!freeze}; read-heavy phases (validation, tracing) should freeze it
+    once up front.  {!add} and {!remove} on a frozen graph drop the
+    store; {!patch} (what {!Delta.apply} uses) patches it for the change
+    instead.  Frozen or not, a graph answers every query alike, list
+    order included. *)
 
 type t
 
@@ -27,8 +30,16 @@ val cardinal : t -> int
 (** {1 Freezing} *)
 
 val freeze : t -> t
-(** Same triple set, with an interned {!Store.t} built for it.
-    Idempotent; [O(n log n)] the first time. *)
+(** Same triple set, with an interned {!Store.t} built for it
+    ({!Store.of_triples}); the maps are kept.  Idempotent.  The first
+    time it costs one hash per term occurrence, one sort of the [d]
+    distinct terms and a few linear passes: [O(n + d log d)] for [n]
+    triples.  The empty graph stays unfrozen. *)
+
+val of_store : Store.t -> t
+(** The frozen graph of a store's triple set.  The three maps are built
+    by one linear walk over each of the store's sorted orders and share
+    the dictionary's term copies. *)
 
 val freeze_filter : keep:(Term.t -> bool) -> t -> t
 (** [freeze_filter ~keep g] is the subject partition of [g] — the
@@ -91,13 +102,16 @@ val predicates_between : t -> Term.t -> Term.t -> Iri.Set.t
 (** [predicates_between g s o] is [{p | (s, p, o) ∈ g}]. *)
 
 val subject_triples : t -> Term.t -> Triple.t list
-(** All triples with the given subject. *)
+(** All triples with the given subject, ascending by (predicate,
+    object). *)
 
 val object_triples : t -> Term.t -> Triple.t list
-(** All triples with the given object. *)
+(** All triples with the given object, ascending by (subject,
+    predicate). *)
 
 val predicate_triples : t -> Iri.t -> Triple.t list
-(** All triples with the given predicate. *)
+(** All triples with the given predicate, ascending by (object,
+    subject). *)
 
 val out_predicates : t -> Term.t -> Iri.Set.t
 (** Predicates of the outgoing edges of a node. *)

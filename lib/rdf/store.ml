@@ -43,6 +43,7 @@ let iri_of_id t i =
 
 (* ---------------- construction ------------------------------------- *)
 
+(* Comparison sort of a few rows: [patch]'s added rows. *)
 let sort_rows s p o order =
   (* [order] is a permutation of row indices; sort it lexicographically
      by the three key columns given. *)
@@ -67,64 +68,83 @@ let sorted_columns keys1 keys2 keys3 =
     order;
   a, b, c
 
-let of_triples triples =
-  let m = Array.length triples in
-  (* distinct terms, sorted, so ids agree with Term.compare *)
-  let seen = Hashtbl.create (2 * m + 1) in
-  let note x = if not (Hashtbl.mem seen x) then Hashtbl.add seen x () in
-  Array.iter
-    (fun tr ->
-      note (Triple.subject tr);
-      note (Term.Iri (Triple.predicate tr));
-      note (Triple.object_ tr))
-    triples;
-  let terms = Array.make (Hashtbl.length seen) (Term.Blank "") in
-  let k = ref 0 in
-  Hashtbl.iter (fun x () -> terms.(!k) <- x; incr k) seen;
-  Array.sort Term.compare terms;
-  let dict = Dict.of_sorted terms in
-  let intern x =
-    match Dict.find dict x with Some i -> i | None -> assert false
-  in
-  let rs = Array.make m 0 and rp = Array.make m 0 and ro = Array.make m 0 in
-  Array.iteri
-    (fun i tr ->
-      rs.(i) <- intern (Triple.subject tr);
-      rp.(i) <- intern (Term.Iri (Triple.predicate tr));
-      ro.(i) <- intern (Triple.object_ tr))
-    triples;
+(* Stable counting sort of the row indices [rows] by [key.(row)], keys
+   in [0, k): one count, one prefix sum, one scatter — O(rows + k), no
+   comparator. *)
+let by_key k key rows =
+  let m = Array.length rows in
+  let next = Array.make (k + 1) 0 in
+  for i = 0 to m - 1 do
+    let x = key.(rows.(i)) + 1 in
+    next.(x) <- next.(x) + 1
+  done;
+  for x = 1 to k do
+    next.(x) <- next.(x) + next.(x - 1)
+  done;
+  let out = Array.make m 0 in
+  for i = 0 to m - 1 do
+    let r = rows.(i) in
+    let x = key.(r) in
+    out.(next.(x)) <- r;
+    next.(x) <- next.(x) + 1
+  done;
+  out
+
+(* The [n] rows in lexicographic order of [keys] (most significant
+   first): least-significant-digit passes of [by_key], each stable, so
+   a key the rows are already sorted by needs no pass of its own. *)
+let radix k keys n = List.fold_right (by_key k) keys (Array.init n Fun.id)
+
+let gather col rows = Array.map (fun r -> col.(r)) rows
+
+let of_interned dict ~n:m s p o =
+  let rank = Dict.sort dict in
+  let k = Dict.size dict in
+  let rs = Array.init m (fun i -> rank.(s.(i)))
+  and rp = Array.init m (fun i -> rank.(p.(i)))
+  and ro = Array.init m (fun i -> rank.(o.(i))) in
   (* canonical SPO order, deduplicated *)
-  let order = sort_rows rs rp ro (Array.init m Fun.id) in
-  let keep = ref [] and n = ref 0 in
+  let order = radix k [ rs; rp; ro ] m in
+  let keep = Array.make m 0 and n = ref 0 in
   Array.iteri
-    (fun k r ->
+    (fun j r ->
       let dup =
-        k > 0
+        j > 0
         &&
-        let q = order.(k - 1) in
+        let q = order.(j - 1) in
         rs.(q) = rs.(r) && rp.(q) = rp.(r) && ro.(q) = ro.(r)
       in
-      if not dup then begin keep := r :: !keep; incr n end)
+      if not dup then begin keep.(!n) <- r; incr n end)
     order;
-  let n = !n in
-  let spo_s = Array.make n 0 and spo_p = Array.make n 0
-  and spo_o = Array.make n 0 in
-  List.iteri
-    (fun k r ->
-      let i = n - 1 - k in
-      spo_s.(i) <- rs.(r); spo_p.(i) <- rp.(r); spo_o.(i) <- ro.(r))
-    !keep;
-  let pos_p, pos_o, pos_s = sorted_columns spo_p spo_o spo_s in
-  let osp_o, osp_s, osp_p = sorted_columns spo_o spo_s spo_p in
-  let node_ids = Array.make (Dict.size dict) false in
+  let order = Array.sub keep 0 !n and n = !n in
+  let spo_s = gather rs order and spo_p = gather rp order
+  and spo_o = gather ro order in
+  (* POS from SPO: the rows are already sorted by s, so passes on o and
+     then p give (p, o, s); OSP from POS likewise by s, then o *)
+  let order = radix k [ spo_p; spo_o ] n in
+  let pos_p = gather spo_p order and pos_o = gather spo_o order
+  and pos_s = gather spo_s order in
+  let order = radix k [ pos_o; pos_s ] n in
+  let osp_o = gather pos_o order and osp_s = gather pos_s order
+  and osp_p = gather pos_p order in
+  let node_ids = Array.make k false in
   Array.iter (fun s -> node_ids.(s) <- true) spo_s;
   Array.iter (fun o -> node_ids.(o) <- true) spo_o;
-  let nodes = ref Term.Set.empty in
-  for i = Array.length node_ids - 1 downto 0 do
-    if node_ids.(i) then nodes := Term.Set.add (Dict.term dict i) !nodes
+  let nodes = ref [] in
+  for i = k - 1 downto 0 do
+    if node_ids.(i) then nodes := Dict.term dict i :: !nodes
   done;
   { dict; n; spo_s; spo_p; spo_o; pos_p; pos_o; pos_s; osp_o; osp_s; osp_p;
-    nodes = !nodes; node_ids }
+    nodes = Term.Set.of_list !nodes; node_ids }
+
+let of_triples triples =
+  let m = Array.length triples in
+  let dict = Dict.create ~hint:(m + 1) () in
+  let column f = Array.map (fun tr -> Dict.intern dict (f tr)) triples in
+  let s = column Triple.subject
+  and p = column (fun tr -> Term.Iri (Triple.predicate tr))
+  and o = column Triple.object_ in
+  of_interned dict ~n:m s p o
 
 let is_node_id t i = i >= 0 && i < Array.length t.node_ids && t.node_ids.(i)
 
@@ -192,10 +212,12 @@ let spo_subj t i = t.spo_s.(i)
 let subjects_range t ~p ~o = lb2 t.pos_p t.pos_o p o t.n, ub2 t.pos_p t.pos_o p o t.n
 let pos_subj t i = t.pos_s.(i)
 let pos_obj t i = t.pos_o.(i)
+let pos_pred t i = t.pos_p.(i)
 
 let preds_range t ~o ~s = lb2 t.osp_o t.osp_s o s t.n, ub2 t.osp_o t.osp_s o s t.n
 let osp_pred t i = t.osp_p.(i)
 let osp_subj t i = t.osp_s.(i)
+let osp_obj t i = t.osp_o.(i)
 
 let subject_range t s = lb1 t.spo_s s t.n, ub1 t.spo_s s t.n
 let object_range t o = lb1 t.osp_o o t.n, ub1 t.osp_o o t.n

@@ -1,12 +1,14 @@
 (** Frozen, interned, int-packed triple store (the graph's query core).
 
-    Built once from a triple set by {!Graph.freeze}: every term is
-    interned into a {!Dict} (dense ids in [Term.compare] order) and the
-    triples are packed into three sorted int-column indexes — SPO, POS
-    and OSP row orderings — so every access pattern of SHACL validation
-    and provenance tracing is a binary search to a contiguous row range
-    with {b no per-lookup allocation}.  Immutable after construction;
-    safe to share across domains.
+    Built in one bulk pass — by {!Turtle.parse} straight from the
+    parsed id columns, or by {!Graph.freeze} from a graph's triples —
+    and then only {!patch}ed.  Every term is interned into a {!Dict}
+    (dense ids in [Term.compare] order) and the triples are packed into
+    three sorted int-column indexes — SPO, POS and OSP row orderings —
+    so every access pattern of SHACL validation and provenance tracing
+    is a binary search to a contiguous row range with {b no per-lookup
+    allocation}.  Immutable after construction; safe to share across
+    domains.
 
     Id-boundary rules: functions suffixed [_ids]/[_range] and the
     [fold_*] callbacks speak dense int ids; terms cross the boundary
@@ -16,8 +18,22 @@
 
 type t
 
+val of_interned : Dict.t -> n:int -> int array -> int array -> int array -> t
+(** [of_interned dict ~n s p o] is the store of the rows
+    [(s.(i), p.(i), o.(i))] for [i < n] (duplicates are removed), whose
+    entries are ids of [dict] in any numbering — typically first-seen
+    order, as {!Dict.intern} assigns them.  Every term of [dict] must
+    occur in some row.  [dict] is renumbered in place ({!Dict.sort}) and
+    becomes the store's; the columns are only read.
+
+    The one build: ranks the distinct terms with one sort, then orders
+    the rows by stable counting-sort passes over the id columns — three
+    for SPO, two each to derive POS from SPO and OSP from POS — each
+    [O(rows + terms)]. *)
+
 val of_triples : Triple.t array -> t
-(** Build from a triple array (duplicates are removed). *)
+(** Build from a triple array (duplicates are removed): interns the
+    terms in first-seen order, then {!of_interned}. *)
 
 val patch : t -> removes:Triple.t list -> adds:Triple.t list -> t
 (** [patch t ~removes ~adds] is the store of [(G - removes) ∪ adds],
@@ -74,10 +90,12 @@ val spo_subj : t -> int -> int
 val subjects_range : t -> p:int -> o:int -> int * int
 val pos_subj : t -> int -> int
 val pos_obj : t -> int -> int
+val pos_pred : t -> int -> int
 
 val preds_range : t -> o:int -> s:int -> int * int
 val osp_pred : t -> int -> int
 val osp_subj : t -> int -> int
+val osp_obj : t -> int -> int
 
 val subject_range : t -> int -> int * int
 (** SPO rows of a subject. *)

@@ -16,7 +16,11 @@ let is_literal = function Literal _ -> true | Iri _ | Blank _ -> false
 let as_iri = function Iri i -> Some i | Blank _ | Literal _ -> None
 let as_literal = function Literal l -> Some l | Iri _ | Blank _ -> None
 
+(* Both short-circuit on a physically shared term: a store's dictionary
+   and the graph built from it hand out one copy of each term. *)
 let equal a b =
+  a == b
+  ||
   match a, b with
   | Iri x, Iri y -> Iri.equal x y
   | Blank x, Blank y -> String.equal x y
@@ -26,11 +30,13 @@ let equal a b =
 let rank = function Iri _ -> 0 | Blank _ -> 1 | Literal _ -> 2
 
 let compare a b =
-  match a, b with
-  | Iri x, Iri y -> Iri.compare x y
-  | Blank x, Blank y -> String.compare x y
-  | Literal x, Literal y -> Literal.compare x y
-  | _ -> Int.compare (rank a) (rank b)
+  if a == b then 0
+  else
+    match a, b with
+    | Iri x, Iri y -> Iri.compare x y
+    | Blank x, Blank y -> String.compare x y
+    | Literal x, Literal y -> Literal.compare x y
+    | _ -> Int.compare (rank a) (rank b)
 
 let hash = function
   | Iri i -> Hashtbl.hash (0, Iri.hash i)

@@ -36,53 +36,63 @@ type token =
   | Carets                     (* ^^ *)
   | Eof
 
+(* The lexer reads bytes of [src] in place: [at_end] and [cur] replace
+   an option-returning peek, and the scans below walk indexes, so no
+   character costs an allocation.  [line] counts the newlines passed. *)
 type lexer = {
   src : string;
+  len : int;
   mutable pos : int;
   mutable line : int;
 }
 
 let fail lx message = raise (Error { file = None; line = lx.line; message })
 
-let peek_char lx =
-  if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
+let at_end lx = lx.pos >= lx.len
+
+(* The current byte; only when not [at_end]. *)
+let cur lx = String.unsafe_get lx.src lx.pos
+let looking_at lx c = lx.pos < lx.len && cur lx = c
 
 let advance lx =
-  (match peek_char lx with Some '\n' -> lx.line <- lx.line + 1 | _ -> ());
+  if looking_at lx '\n' then lx.line <- lx.line + 1;
   lx.pos <- lx.pos + 1
 
-let rec skip_ws lx =
-  match peek_char lx with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance lx;
-      skip_ws lx
-  | Some '#' ->
-      let rec to_eol () =
-        match peek_char lx with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance lx;
-            to_eol ()
-      in
-      to_eol ();
-      skip_ws lx
-  | _ -> ()
+let skip_ws lx =
+  let src = lx.src and len = lx.len in
+  let i = ref lx.pos and line = ref lx.line and more = ref true in
+  while !more && !i < len do
+    match String.unsafe_get src !i with
+    | ' ' | '\t' | '\r' -> incr i
+    | '\n' -> incr i; incr line
+    | '#' ->
+        (* a comment runs to the newline, which the loop then counts *)
+        while !i < len && String.unsafe_get src !i <> '\n' do incr i done
+    | _ -> more := false
+  done;
+  lx.pos <- !i;
+  lx.line <- !line
 
 let is_pn_char c =
   match c with
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true
   | c -> Char.code c >= 128 (* permissive UTF-8 continuation *)
 
+let is_word_char c = is_pn_char c || c = ':' || c = '%'
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+let is_tag_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' -> true
+  | _ -> false
+
+(* None of the predicates above accepts a newline, so the scan leaves
+   [line] alone. *)
+let skip_while lx pred =
+  while lx.pos < lx.len && pred (cur lx) do lx.pos <- lx.pos + 1 done
+
 let take_while lx pred =
   let start = lx.pos in
-  let rec go () =
-    match peek_char lx with
-    | Some c when pred c ->
-        advance lx;
-        go ()
-    | _ -> ()
-  in
-  go ();
+  skip_while lx pred;
   String.sub lx.src start (lx.pos - start)
 
 let hex_value c =
@@ -114,11 +124,11 @@ let add_utf8 buf code =
 let read_unicode_escape lx n =
   let code = ref 0 in
   for _ = 1 to n do
-    match peek_char lx with
-    | Some c when hex_value c >= 0 ->
-        code := (!code * 16) + hex_value c;
-        advance lx
-    | _ -> fail lx "invalid \\u escape"
+    if (not (at_end lx)) && hex_value (cur lx) >= 0 then begin
+      code := (!code * 16) + hex_value (cur lx);
+      advance lx
+    end
+    else fail lx "invalid \\u escape"
   done;
   (* Only Unicode scalar values are representable: reject anything past
      U+10FFFF and the surrogate range. *)
@@ -130,24 +140,41 @@ let read_unicode_escape lx n =
 let read_escape lx buf =
   advance lx;
   (* consume backslash *)
-  match peek_char lx with
-  | Some 't' -> advance lx; Buffer.add_char buf '\t'
-  | Some 'n' -> advance lx; Buffer.add_char buf '\n'
-  | Some 'r' -> advance lx; Buffer.add_char buf '\r'
-  | Some 'b' -> advance lx; Buffer.add_char buf '\b'
-  | Some 'f' -> advance lx; Buffer.add_char buf '\012'
-  | Some '"' -> advance lx; Buffer.add_char buf '"'
-  | Some '\'' -> advance lx; Buffer.add_char buf '\''
-  | Some '\\' -> advance lx; Buffer.add_char buf '\\'
-  | Some 'u' -> advance lx; add_utf8 buf (read_unicode_escape lx 4)
-  | Some 'U' -> advance lx; add_utf8 buf (read_unicode_escape lx 8)
-  | _ -> fail lx "invalid escape sequence"
+  let simple c = advance lx; Buffer.add_char buf c in
+  if at_end lx then fail lx "invalid escape sequence"
+  else
+    match cur lx with
+    | 't' -> simple '\t'
+    | 'n' -> simple '\n'
+    | 'r' -> simple '\r'
+    | 'b' -> simple '\b'
+    | 'f' -> simple '\012'
+    | '"' -> simple '"'
+    | '\'' -> simple '\''
+    | '\\' -> simple '\\'
+    | 'u' -> advance lx; add_utf8 buf (read_unicode_escape lx 4)
+    | 'U' -> advance lx; add_utf8 buf (read_unicode_escape lx 8)
+    | _ -> fail lx "invalid escape sequence"
+
+(* The text from [lx.pos] up to the first byte [stop] accepts, sliced
+   out of the source when that byte is [close] (consumed); otherwise
+   [None], with [lx.pos] at the byte.  The fast path of IRIs and short
+   strings: only an escape, a newline or the end of input leaves it for
+   the buffered reader. *)
+let slice_to lx ~close ~stop =
+  let start = lx.pos in
+  skip_while lx (fun c -> not (stop c));
+  if looking_at lx close then begin
+    lx.pos <- lx.pos + 1;
+    Some (String.sub lx.src start (lx.pos - 1 - start))
+  end
+  else None
 
 let read_string lx quote =
   (* Called with lx.pos on the opening quote. *)
   advance lx;
   let long =
-    lx.pos + 1 < String.length lx.src
+    lx.pos + 1 < lx.len
     && lx.src.[lx.pos] = quote
     && lx.src.[lx.pos + 1] = quote
   in
@@ -155,58 +182,90 @@ let read_string lx quote =
     advance lx;
     advance lx
   end;
-  let buf = Buffer.create 16 in
-  let at_long_close () =
-    lx.pos + 2 < String.length lx.src
-    && lx.src.[lx.pos] = quote
-    && lx.src.[lx.pos + 1] = quote
-    && lx.src.[lx.pos + 2] = quote
+  let start = lx.pos in
+  let fast =
+    if long then None
+    else
+      slice_to lx ~close:quote ~stop:(fun c ->
+          c = quote || c = '\\' || c = '\n' || c = '\r')
   in
-  let rec go () =
-    match peek_char lx with
-    | None -> fail lx "unterminated string literal"
-    | Some '\\' -> read_escape lx buf; go ()
-    | Some c when c = quote && not long -> advance lx
-    | Some c when c = quote && at_long_close () ->
-        advance lx; advance lx; advance lx
-    | Some c ->
-        if (not long) && (c = '\n' || c = '\r') then
-          fail lx "newline in string literal"
-        else begin
-          advance lx;
-          Buffer.add_char buf c;
-          go ()
-        end
-  in
-  go ();
-  Buffer.contents buf
+  match fast with
+  | Some s -> s
+  | None ->
+      let buf = Buffer.create 16 in
+      Buffer.add_substring buf lx.src start (lx.pos - start);
+      let at_long_close () =
+        lx.pos + 2 < lx.len
+        && lx.src.[lx.pos] = quote
+        && lx.src.[lx.pos + 1] = quote
+        && lx.src.[lx.pos + 2] = quote
+      in
+      let rec go () =
+        if at_end lx then fail lx "unterminated string literal"
+        else
+          match cur lx with
+          | '\\' -> read_escape lx buf; go ()
+          | c when c = quote && not long -> advance lx
+          | c when c = quote && at_long_close () ->
+              advance lx; advance lx; advance lx
+          | c ->
+              if (not long) && (c = '\n' || c = '\r') then
+                fail lx "newline in string literal"
+              else begin
+                advance lx;
+                Buffer.add_char buf c;
+                go ()
+              end
+      in
+      go ();
+      Buffer.contents buf
+
+let read_iriref lx =
+  (* Called with lx.pos past the '<'. *)
+  let start = lx.pos in
+  match
+    slice_to lx ~close:'>' ~stop:(fun c -> c = '>' || c = '\\' || c = '\n')
+  with
+  | Some raw -> raw
+  | None ->
+      let buf = Buffer.create 16 in
+      Buffer.add_substring buf lx.src start (lx.pos - start);
+      let rec go () =
+        if at_end lx then fail lx "unterminated IRI"
+        else
+          match cur lx with
+          | '>' -> advance lx
+          | '\\' -> read_escape lx buf; go ()
+          | c ->
+              advance lx;
+              Buffer.add_char buf c;
+              go ()
+      in
+      go ();
+      Buffer.contents buf
 
 let read_number lx =
   let start = lx.pos in
-  (match peek_char lx with
-   | Some ('+' | '-') -> advance lx
-   | _ -> ());
-  let _ = take_while lx (function '0' .. '9' -> true | _ -> false) in
+  if looking_at lx '+' || looking_at lx '-' then advance lx;
+  skip_while lx is_digit;
   let has_dot =
-    match peek_char lx with
-    | Some '.' when
-        lx.pos + 1 < String.length lx.src
-        && (match lx.src.[lx.pos + 1] with '0' .. '9' -> true | _ -> false) ->
-        advance lx;
-        let _ = take_while lx (function '0' .. '9' -> true | _ -> false) in
-        true
-    | _ -> false
+    looking_at lx '.'
+    && lx.pos + 1 < lx.len
+    && is_digit lx.src.[lx.pos + 1]
+    && begin
+         advance lx;
+         skip_while lx is_digit;
+         true
+       end
   in
   let has_exp =
-    match peek_char lx with
-    | Some ('e' | 'E') ->
-        advance lx;
-        (match peek_char lx with
-         | Some ('+' | '-') -> advance lx
-         | _ -> ());
-        let _ = take_while lx (function '0' .. '9' -> true | _ -> false) in
-        true
-    | _ -> false
+    (looking_at lx 'e' || looking_at lx 'E')
+    && begin
+         advance lx;
+         if looking_at lx '+' || looking_at lx '-' then advance lx;
+         skip_while lx is_digit;
+         true
+       end
   in
   let text = String.sub lx.src start (lx.pos - start) in
   if has_exp then Double_lit text
@@ -224,83 +283,79 @@ let strip_trailing_dot lx s =
 
 let next_token lx =
   skip_ws lx;
-  match peek_char lx with
-  | None -> Eof
-  | Some '<' ->
-      advance lx;
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek_char lx with
-        | None -> fail lx "unterminated IRI"
-        | Some '>' -> advance lx
-        | Some '\\' -> read_escape lx buf; go ()
-        | Some c ->
-            advance lx;
-            Buffer.add_char buf c;
-            go ()
-      in
-      go ();
-      Iriref (Buffer.contents buf)
-  | Some '"' -> String_lit (read_string lx '"')
-  | Some '\'' -> String_lit (read_string lx '\'')
-  | Some '@' ->
-      advance lx;
-      let word = take_while lx (function
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' -> true
-        | _ -> false)
-      in
-      (match String.lowercase_ascii word with
-       | "prefix" -> Kw_prefix
-       | "base" -> Kw_base
-       | "" -> fail lx "empty language tag"
-       | _ -> Lang_tag word)
-  | Some '_' ->
-      advance lx;
-      (match peek_char lx with
-       | Some ':' ->
-           advance lx;
-           let label = take_while lx is_pn_char in
-           Blank_label (strip_trailing_dot lx label)
-       | _ -> fail lx "expected ':' after '_'")
-  | Some '.' ->
-      (* distinguish statement dot from decimal like .5 (rare; treat as dot) *)
-      advance lx;
-      Dot
-  | Some ';' -> advance lx; Semicolon
-  | Some ',' -> advance lx; Comma
-  | Some '[' -> advance lx; Lbracket
-  | Some ']' -> advance lx; Rbracket
-  | Some '(' -> advance lx; Lparen
-  | Some ')' -> advance lx; Rparen
-  | Some '^' ->
-      advance lx;
-      (match peek_char lx with
-       | Some '^' -> advance lx; Carets
-       | _ -> fail lx "expected '^^'")
-  | Some (('0' .. '9' | '+' | '-') as _c) -> read_number lx
-  | Some _ ->
-      let word =
-        take_while lx (fun c -> is_pn_char c || c = ':' || c = '%')
-      in
-      if word = "" then fail lx "unexpected character"
-      else if String.contains word ':' then
-        let word = strip_trailing_dot lx word in
-        if word.[String.length word - 1] = ':' then Pname_ns word
-        else Pname word
-      else
-        match word with
-        | "a" -> Kw_a
-        | "true" -> Kw_true
-        | "false" -> Kw_false
-        | "PREFIX" | "prefix" -> Kw_prefix
-        | "BASE" | "base" -> Kw_base
-        | w ->
-            (* A bare word followed by ':'?  Handled above; otherwise error. *)
-            fail lx (Printf.sprintf "unexpected token %S" w)
+  if at_end lx then Eof
+  else
+    match cur lx with
+    | '<' ->
+        advance lx;
+        Iriref (read_iriref lx)
+    | '"' -> String_lit (read_string lx '"')
+    | '\'' -> String_lit (read_string lx '\'')
+    | '@' ->
+        advance lx;
+        let word = take_while lx is_tag_char in
+        (match String.lowercase_ascii word with
+         | "prefix" -> Kw_prefix
+         | "base" -> Kw_base
+         | "" -> fail lx "empty language tag"
+         | _ -> Lang_tag word)
+    | '_' ->
+        advance lx;
+        if looking_at lx ':' then begin
+          advance lx;
+          let label = take_while lx is_pn_char in
+          Blank_label (strip_trailing_dot lx label)
+        end
+        else fail lx "expected ':' after '_'"
+    | '.' ->
+        (* statement dot, not a decimal like .5 (rare; treat as dot) *)
+        advance lx;
+        Dot
+    | ';' -> advance lx; Semicolon
+    | ',' -> advance lx; Comma
+    | '[' -> advance lx; Lbracket
+    | ']' -> advance lx; Rbracket
+    | '(' -> advance lx; Lparen
+    | ')' -> advance lx; Rparen
+    | '^' ->
+        advance lx;
+        if looking_at lx '^' then begin advance lx; Carets end
+        else fail lx "expected '^^'"
+    | '0' .. '9' | '+' | '-' -> read_number lx
+    | _ ->
+        let word = take_while lx is_word_char in
+        if word = "" then fail lx "unexpected character"
+        else if String.contains word ':' then
+          let word = strip_trailing_dot lx word in
+          if word.[String.length word - 1] = ':' then Pname_ns word
+          else Pname word
+        else
+          match word with
+          | "a" -> Kw_a
+          | "true" -> Kw_true
+          | "false" -> Kw_false
+          | "PREFIX" | "prefix" -> Kw_prefix
+          | "BASE" | "base" -> Kw_base
+          | w ->
+              (* a bare word followed by ':' is handled above *)
+              fail lx (Printf.sprintf "unexpected token %S" w)
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* The parser builds the store directly: every term it reads is
+   interned into [dict] (ids in first-seen order) and every triple
+   appended to the id columns [cs]/[cp]/[co]; [Store.of_interned] then
+   sorts them once.  A term is interned when a triple first uses it, so
+   a datatype IRI or an empty [[]] statement adds nothing.  IRIs are
+   resolved and validated once per distinct spelling: [iris] (raw
+   [<...>] text) and [pnames] (prefixed names) cache the resolved node,
+   and both are cleared whenever [@prefix] or [@base] rebinds. *)
+
+module Strtbl = Hashtbl.Make (String)
+
+type node = { term : Term.t; mutable id : int (* -1 until interned *) }
 
 type parser_state = {
   lx : lexer;
@@ -308,7 +363,18 @@ type parser_state = {
   mutable prefixes : (string * string) list;
   mutable base : string;
   mutable bnode_count : int;
-  mutable graph : Graph.t;
+  bnode_prefix : string Lazy.t;
+  iris : node Strtbl.t;
+  pnames : node Strtbl.t;
+  rdf_type : node;
+  rdf_first : node;
+  rdf_rest : node;
+  rdf_nil : node;
+  dict : Dict.t;
+  mutable n : int;
+  mutable cs : int array;
+  mutable cp : int array;
+  mutable co : int array;
 }
 
 let bump st = st.tok <- next_token st.lx
@@ -318,10 +384,48 @@ let perror st message =
 let expect st tok what =
   if st.tok = tok then bump st else perror st ("expected " ^ what)
 
+let node term = { term; id = -1 }
+
+let id_of st nd =
+  if nd.id < 0 then nd.id <- Dict.intern st.dict nd.term;
+  nd.id
+
+let intern st term = Dict.intern st.dict term
+
+let emit st s p o =
+  if st.n = Array.length st.cs then begin
+    let grow a = Array.append a (Array.make (max 16 st.n) 0) in
+    st.cs <- grow st.cs;
+    st.cp <- grow st.cp;
+    st.co <- grow st.co
+  end;
+  st.cs.(st.n) <- id_of st s;
+  st.cp.(st.n) <- id_of st p;
+  st.co.(st.n) <- o;
+  st.n <- st.n + 1
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i j = j = m || (s.[i + j] = sub.[j] && at i (j + 1)) in
+  let rec from i = i + m <= n && (at i 0 || from (i + 1)) in
+  from 0
+
+(* Labels of [[]] and collection cells are [genid<N>] unless the
+   document itself spells a [_:genid...] label; then they take the first
+   prefix [b<k>genid] the document never spells after [_:], so a fresh
+   label never equals a spelled one. *)
+let fresh_prefix src =
+  let spelled p = contains src ("_:" ^ p) in
+  let rec pick k =
+    let p = Printf.sprintf "b%dgenid" k in
+    if spelled p then pick (k + 1) else p
+  in
+  if spelled "genid" then pick 1 else "genid"
+
 let fresh_bnode st =
-  let label = Printf.sprintf "genid%d" st.bnode_count in
+  let label = Lazy.force st.bnode_prefix ^ string_of_int st.bnode_count in
   st.bnode_count <- st.bnode_count + 1;
-  Term.Blank label
+  node (Term.Blank label)
 
 let resolve_iri st raw =
   (* Minimal relative-reference handling: anything without a scheme is
@@ -353,65 +457,81 @@ let expand_pname st name =
        | Some ns -> resolve_iri st (ns ^ local)
        | None -> perror st (Printf.sprintf "unbound prefix %S" prefix))
 
-let emit st s p o = st.graph <- Graph.add s p o st.graph
+let cached table st key resolve =
+  match Strtbl.find_opt table key with
+  | Some nd -> nd
+  | None ->
+      let nd = node (Term.Iri (resolve st key)) in
+      Strtbl.add table key nd;
+      nd
 
+let rebound st =
+  Strtbl.reset st.iris;
+  Strtbl.reset st.pnames
+
+(* An IRI node, interned on first use in a triple. *)
 let parse_iri st =
   match st.tok with
   | Iriref raw ->
       bump st;
-      resolve_iri st raw
+      cached st.iris st raw resolve_iri
   | Pname name ->
       bump st;
-      expand_pname st name
+      cached st.pnames st name expand_pname
   | Kw_a ->
       bump st;
-      Vocab.Rdf.type_
+      st.rdf_type
   | _ -> perror st "expected IRI"
 
-let rec parse_object st : Term.t =
+let parse_datatype st =
+  match (parse_iri st).term with
+  | Term.Iri dt -> dt
+  | Term.Blank _ | Term.Literal _ -> perror st "expected IRI"
+
+let rec parse_object st : int =
   match st.tok with
-  | Iriref _ | Pname _ -> Term.Iri (parse_iri st)
+  | Iriref _ | Pname _ -> id_of st (parse_iri st)
   | Blank_label label ->
       bump st;
-      Term.Blank label
+      intern st (Term.Blank label)
   | Lbracket ->
       bump st;
-      let node = fresh_bnode st in
-      if st.tok <> Rbracket then parse_predicate_object_list st node;
+      let nd = fresh_bnode st in
+      if st.tok <> Rbracket then parse_predicate_object_list st nd;
       expect st Rbracket "']'";
-      node
+      id_of st nd
   | Lparen ->
       bump st;
-      parse_collection st
+      id_of st (parse_collection st)
   | String_lit s -> (
       bump st;
       match st.tok with
       | Lang_tag tag ->
           bump st;
-          Term.Literal (Literal.lang_string s ~lang:tag)
+          intern st (Term.Literal (Literal.lang_string s ~lang:tag))
       | Carets ->
           bump st;
-          let dt = parse_iri st in
-          Term.Literal (Literal.make ~datatype:dt s)
-      | _ -> Term.str s)
+          let dt = parse_datatype st in
+          intern st (Term.Literal (Literal.make ~datatype:dt s))
+      | _ -> intern st (Term.str s))
   | Integer_lit s ->
       bump st;
-      Term.Literal (Literal.make ~datatype:Vocab.Xsd.integer s)
+      intern st (Term.Literal (Literal.make ~datatype:Vocab.Xsd.integer s))
   | Decimal_lit s ->
       bump st;
-      Term.Literal (Literal.make ~datatype:Vocab.Xsd.decimal s)
+      intern st (Term.Literal (Literal.make ~datatype:Vocab.Xsd.decimal s))
   | Double_lit s ->
       bump st;
-      Term.Literal (Literal.make ~datatype:Vocab.Xsd.double s)
+      intern st (Term.Literal (Literal.make ~datatype:Vocab.Xsd.double s))
   | Kw_true ->
       bump st;
-      Term.bool true
+      intern st (Term.bool true)
   | Kw_false ->
       bump st;
-      Term.bool false
+      intern st (Term.bool false)
   | _ -> perror st "expected object term"
 
-and parse_collection st : Term.t =
+and parse_collection st : node =
   (* Already past '('.  Builds the rdf:first/rdf:rest chain. *)
   let rec items acc =
     if st.tok = Rparen then begin
@@ -422,19 +542,20 @@ and parse_collection st : Term.t =
   in
   let elements = items [] in
   match elements with
-  | [] -> Term.Iri Vocab.Rdf.nil
+  | [] -> st.rdf_nil
   | _ ->
       let cells = List.map (fun _ -> fresh_bnode st) elements in
-      List.iteri
-        (fun i (cell, elt) ->
-          emit st cell Vocab.Rdf.first elt;
-          let rest =
-            match List.nth_opt cells (i + 1) with
-            | Some next -> next
-            | None -> Term.Iri Vocab.Rdf.nil
-          in
-          emit st cell Vocab.Rdf.rest rest)
-        (List.combine cells elements);
+      let rec chain cells elements =
+        match cells, elements with
+        | cell :: rest, elt :: elements ->
+            emit st cell st.rdf_first elt;
+            (match rest with
+             | next :: _ -> emit st cell st.rdf_rest (id_of st next)
+             | [] -> emit st cell st.rdf_rest (id_of st st.rdf_nil));
+            chain rest elements
+        | _ -> ()
+      in
+      chain cells elements;
       List.hd cells
 
 and parse_object_list st subject pred =
@@ -460,12 +581,12 @@ and parse_predicate_object_list st subject =
   in
   more ()
 
-let parse_subject st : Term.t =
+let parse_subject st : node =
   match st.tok with
-  | Iriref _ | Pname _ -> Term.Iri (parse_iri st)
+  | Iriref _ | Pname _ -> parse_iri st
   | Blank_label label ->
       bump st;
-      Term.Blank label
+      node (Term.Blank label)
   | Lparen ->
       bump st;
       parse_collection st
@@ -490,21 +611,23 @@ let parse_statement st =
         | _ -> perror st "expected IRI after prefix name"
       in
       st.prefixes <- (prefix, ns) :: List.remove_assoc prefix st.prefixes;
+      rebound st;
       if st.tok = Dot then bump st
   | Kw_base ->
       bump st;
       (match st.tok with
        | Iriref raw ->
            bump st;
-           st.base <- raw
+           st.base <- raw;
+           rebound st
        | _ -> perror st "expected IRI after @base");
       if st.tok = Dot then bump st
   | Lbracket ->
       bump st;
-      let node = fresh_bnode st in
-      if st.tok <> Rbracket then parse_predicate_object_list st node;
+      let nd = fresh_bnode st in
+      if st.tok <> Rbracket then parse_predicate_object_list st nd;
       expect st Rbracket "']'";
-      if st.tok <> Dot then parse_predicate_object_list st node;
+      if st.tok <> Dot then parse_predicate_object_list st nd;
       expect st Dot "'.'"
   | _ ->
       let subject = parse_subject st in
@@ -512,16 +635,31 @@ let parse_statement st =
       expect st Dot "'.'"
 
 let parse ?(base = "") src =
-  let lx = { src; pos = 0; line = 1 } in
+  let lx = { src; len = String.length src; pos = 0; line = 1 } in
+  let hint = 1 + (String.length src / 64) in
   let st =
-    { lx; tok = Eof; prefixes = []; base; bnode_count = 0; graph = Graph.empty }
+    { lx; tok = Eof; prefixes = []; base; bnode_count = 0;
+      bnode_prefix = lazy (fresh_prefix src);
+      iris = Strtbl.create 64;
+      pnames = Strtbl.create 64;
+      rdf_type = node (Term.Iri Vocab.Rdf.type_);
+      rdf_first = node (Term.Iri Vocab.Rdf.first);
+      rdf_rest = node (Term.Iri Vocab.Rdf.rest);
+      rdf_nil = node (Term.Iri Vocab.Rdf.nil);
+      dict = Dict.create ~hint ();
+      n = 0;
+      cs = Array.make hint 0;
+      cp = Array.make hint 0;
+      co = Array.make hint 0 }
   in
   try
     st.tok <- next_token lx;
     while st.tok <> Eof do
       parse_statement st
     done;
-    Ok st.graph
+    if st.n = 0 then Ok Graph.empty
+    else
+      Ok (Graph.of_store (Store.of_interned st.dict ~n:st.n st.cs st.cp st.co))
   with
   | Error e -> Result.Error e
   (* A parser for untrusted input must not leak exceptions through the

@@ -18,7 +18,15 @@ val pp_error : Format.formatter -> error -> unit
 
 val parse : ?base:string -> string -> (Graph.t, error) result
 (** Parse a Turtle document given as a string.  Total on arbitrary
-    input: malformed bytes yield [Error], never an exception. *)
+    input: malformed bytes yield [Error], never an exception.
+
+    The result is frozen ({!Graph.frozen}): the parser interns terms as
+    it reads them and builds the {!Store.t} and the maps in one bulk
+    pass, so a later {!Graph.freeze} costs nothing.  A document with no
+    triple gives {!Graph.empty}, which is unfrozen.  Anonymous nodes
+    ([[]] and collection cells) get fresh labels [genid<N>], or another
+    prefix when the document spells a [_:genid...] label itself, so a
+    fresh label never equals a spelled one. *)
 
 val parse_exn : ?base:string -> string -> Graph.t
 (** Like {!parse}; raises [Failure] with a located message on error. *)

@@ -63,7 +63,11 @@ type recovery = {
 
 val recover : ?policy:policy -> string -> recovery
 (** [recover dir] opens (creating the directory if needed) and replays
-    the journal.  Raises {!Corrupt} on mid-segment damage and
+    the journal.  The replayed records are folded into one net delta
+    (per triple the last operation wins) and applied to the snapshot
+    with one {!Rdf.Graph.patch}, so the result equals record-by-record
+    application — frozen when the snapshot is — at the cost of one
+    patch, not one per record.  Raises {!Corrupt} on mid-segment damage and
     [Unix.Unix_error]/[Sys_error] on I/O failure.  On a [fresh] journal
     the caller typically {!snapshot}s its base graph immediately so
     later recoveries start from it. *)

@@ -131,7 +131,8 @@ let adjacency_agrees =
 let sorted_triples ts = List.sort Triple.compare ts
 
 (* Whole-node views: the store-backed lists contain the same triples as
-   the map-backed ones (order is unspecified, so compare sorted). *)
+   the map-backed ones (compared sorted here; [accessors_agree] below
+   checks the order too). *)
 let views_agree =
   Test.make ~count ~name:"triple views and nodes: store = maps"
     arbitrary_triples (fun l ->
@@ -372,6 +373,109 @@ let store_patch_agrees =
       | Some st' -> Store.equal st' expected
       | None -> l = [] && not (Graph.frozen via_delta))
 
+(* Every list and set accessor answers alike, order included, on the
+   map-built graph [g], on [freeze g] (store-backed reads, same maps)
+   and on the graph the parser loads from [g]'s Turtle (maps built from
+   the store). *)
+let accessors_agree =
+  Test.make ~count ~name:"accessors: g = freeze g = parsed g, order included"
+    arbitrary_triples (fun l ->
+      let g = Graph.of_list l in
+      let reps = [ Graph.freeze g; Turtle.parse_exn (Turtle.to_string g) ] in
+      let triples = List.equal Triple.equal in
+      let terms a b =
+        List.equal Term.equal (Term.Set.elements a) (Term.Set.elements b)
+      and iris a b =
+        List.equal Iri.equal (Iri.Set.elements a) (Iri.Set.elements b)
+      in
+      let agree eq f = List.for_all (fun g' -> eq (f g) (f g')) reps in
+      let for_keys keys f = List.for_all f keys in
+      agree triples Graph.to_list
+      && agree triples (fun g -> List.of_seq (Graph.to_seq g))
+      && agree triples (fun g -> List.rev (Graph.fold List.cons g []))
+      && agree terms Graph.nodes
+      && agree terms Graph.subjects_all
+      && agree iris Graph.predicates_all
+      && for_keys subjects (fun s ->
+             agree triples (fun g -> Graph.subject_triples g s)
+             && agree iris (fun g -> Graph.out_predicates g s)
+             && for_keys props (fun p ->
+                    agree terms (fun g -> Graph.objects g s p))
+             && for_keys objects (fun o ->
+                    agree iris (fun g -> Graph.predicates_between g s o)))
+      && for_keys objects (fun o ->
+             agree triples (fun g -> Graph.object_triples g o)
+             && for_keys props (fun p ->
+                    agree terms (fun g -> Graph.subjects g p o)))
+      && for_keys props (fun p ->
+             agree triples (fun g -> Graph.predicate_triples g p)))
+
+(* ---------------- bulk load ----------------------------------------- *)
+
+(* Literals whose Turtle needs escapes, a custom and a built-in
+   datatype, and a language tag with a subtag; with the blank nodes and
+   unicode literals above, every lexer path of the loader runs. *)
+let load_objects =
+  both :: objects
+  @ [ Term.str "quote \" backslash \\ tab \t";
+      Term.str "two\nlines\r\n";
+      Term.str "";
+      Term.Literal
+        (Literal.make ~datatype:(Iri.of_string (Tgen.ex "dt")) "v 1");
+      Term.Literal (Literal.make ~datatype:Vocab.Xsd.decimal "2.50");
+      Term.Literal (Literal.make ~datatype:Vocab.Xsd.double "1.0e3");
+      Term.Literal (Literal.lang_string "x" ~lang:"en-GB") ]
+
+let gen_load_case =
+  let open Gen in
+  list_size (int_range 0 40)
+    (map3 Triple.make
+       (oneofl (both :: subjects))
+       (oneofl props) (oneofl load_objects))
+  >>= fun l -> shuffle_l (l @ l) >|= fun shuffled -> (l, shuffled)
+
+(* [Turtle.parse] builds the store from its id columns and the maps from
+   the store.  Checked against the map builder ([Graph.of_list]), the
+   comparison-sort store path ([Store.patch] of the empty store) and
+   [Store.of_triples] on the triples shuffled and duplicated. *)
+let bulk_load_agrees =
+  Test.make ~count:1000 ~name:"bulk load: parse (to_string g) = builders"
+    (make gen_load_case ~print:(fun (l, _) -> print_triples l))
+    (fun (l, shuffled) ->
+      let g = Graph.of_list l in
+      let parsed = Turtle.parse_exn (Turtle.to_string g) in
+      let keys = both :: subjects and okeys = load_objects in
+      let maps_agree =
+        List.for_all
+          (fun s ->
+            List.for_all
+              (fun p ->
+                Term.Set.equal (Graph.objects parsed s p) (Graph.objects g s p))
+              props
+            && List.for_all
+                 (fun o ->
+                   Iri.Set.equal
+                     (Graph.predicates_between parsed s o)
+                     (Graph.predicates_between g s o))
+                 okeys)
+          keys
+        && List.for_all
+             (fun o ->
+               List.for_all
+                 (fun p ->
+                   Term.Set.equal (Graph.subjects parsed p o)
+                     (Graph.subjects g p o))
+                 props)
+             okeys
+      in
+      let compared = Store.patch (Store.of_triples [||]) ~removes:[] ~adds:l in
+      let shuffled = Store.of_triples (Array.of_list shuffled) in
+      Graph.equal parsed g && maps_agree
+      &&
+      match Graph.store parsed with
+      | None -> l = [] && not (Graph.frozen parsed)
+      | Some st -> Store.equal st compared && Store.equal st shuffled)
+
 let props =
   [ adjacency_agrees;
     views_agree;
@@ -381,7 +485,9 @@ let props =
     fragment_agrees;
     store_internals;
     freeze_transparent;
-    store_patch_agrees ]
+    store_patch_agrees;
+    accessors_agree;
+    bulk_load_agrees ]
 
 (* ---------------- unit regressions ---------------------------------- *)
 

@@ -521,6 +521,59 @@ let test_journal_incremental_agree () =
         (Incremental.graph inc) r2.Journal.graph;
       Journal.close r2.Journal.journal)
 
+(* Recovery folds the replayed records into one net delta and patches
+   the snapshot once; that must equal applying the records one by one,
+   store included, for any interleaving of removes and re-adds —
+   within a record too, where an add beats a remove. *)
+let gen_replay_case =
+  let open QCheck.Gen in
+  let triple = Tgen.gen_triple in
+  list_size (int_range 0 12) triple >>= fun base ->
+  let reuse = if base = [] then triple else oneof [ oneofl base; triple ] in
+  let record =
+    list_size (int_range 0 4) reuse >>= fun removes ->
+    list_size (int_range 0 4) reuse >>= fun adds ->
+    (* a triple removed and re-added in one record *)
+    (match removes with
+     | tr :: _ -> frequency [ 3, return adds; 1, return (tr :: adds) ]
+     | [] -> return adds)
+    >|= fun adds -> Delta.make ~removes ~adds ()
+  in
+  list_size (int_range 1 8) record >|= fun records -> (base, records)
+
+let prop_recover_net_delta =
+  QCheck.Test.make ~count:100
+    ~name:"journal recovery = record-by-record application"
+    (QCheck.make gen_replay_case ~print:(fun (base, records) ->
+         Format.asprintf "base:@.%a@.records:@.%a" Graph.pp
+           (Graph.of_list base)
+           (Format.pp_print_list Delta.pp)
+           records))
+    (fun (base, records) ->
+      with_dir (fun dir ->
+          let base = Graph.freeze (Graph.of_list base) in
+          let r = Journal.recover dir in
+          Journal.snapshot r.Journal.journal base;
+          List.iter
+            (fun d -> ignore (Journal.append r.Journal.journal d : int))
+            records;
+          Journal.close r.Journal.journal;
+          let r2 = Journal.recover dir in
+          Journal.close r2.Journal.journal;
+          let expected =
+            List.fold_left (fun g d -> Delta.apply d g) base records
+          in
+          let got = r2.Journal.graph in
+          r2.Journal.replayed = List.length records
+          && Graph.equal got expected
+          && Graph.frozen got = Graph.frozen expected
+          && (Graph.is_empty base || Graph.frozen got)
+          &&
+          match Graph.store got, Graph.store expected with
+          | Some a, Some b -> Store.equal a b
+          | None, None -> true
+          | _ -> false))
+
 let suite =
   [ Alcotest.test_case "delta apply/freeze" `Quick test_delta_apply;
     Alcotest.test_case "delta terms" `Quick test_delta_terms;
@@ -550,4 +603,7 @@ let suite =
     Alcotest.test_case "journal + incremental agree" `Quick
       test_journal_incremental_agree ]
 
-let props = [ prop_delta_roundtrip; prop_incremental_differential ]
+let props =
+  [ prop_delta_roundtrip;
+    prop_incremental_differential;
+    prop_recover_net_delta ]

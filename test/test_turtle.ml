@@ -162,6 +162,161 @@ let test_parse_file_errors () =
       Alcotest.(check (option string)) "missing file recorded"
         (Some "/nonexistent/input.ttl") e.file
 
+(* ---------------- the one-pass loader ------------------------------ *)
+
+let lines g = List.map (Format.asprintf "%a" Triple.pp) (Graph.to_list g)
+
+let check_lines what expected src =
+  Alcotest.(check (list string)) what expected (lines (Turtle.parse_exn src))
+
+(* The resolved-IRI tables are per binding: a rebound prefix or base
+   must not answer with the IRI an earlier binding resolved. *)
+let test_prefix_rebound () =
+  check_lines "ex: means three namespaces in turn"
+    [ "<http://a.org/s> <http://a.org/p> <http://a.org/o> .";
+      "<http://b.org/s> <http://b.org/p> <http://b.org/o> .";
+      "<http://c.org/s> <http://c.org/p> <http://c.org/o> ." ]
+    "@prefix ex: <http://a.org/> .\nex:s ex:p ex:o .\n\
+     @prefix ex: <http://b.org/> .\nex:s ex:p ex:o .\n\
+     PREFIX ex: <http://c.org/>\nex:s ex:p ex:o .\n"
+
+let test_base_changes () =
+  check_lines "relative IRIs follow the current base"
+    [ "<http://a.org/s> <http://a.org/p> <http://a.org/o> .";
+      "<http://b.org/x/s> <http://b.org/x/p> <http://b.org/x/o> .";
+      "<http://c.org/rel/s> <http://c.org/p> <http://c.org/rel/o> .";
+      "<http://c.org/s> <http://c.org/p> <http://c.org/#o> ." ]
+    "@base <http://a.org/> .\n<s> <p> <o> .\n\
+     @base <http://b.org/x/> .\n<s> <p> <o> .\n\
+     BASE <http://c.org/>\n<s> <p> <#o> .\n\
+     @prefix r: <rel/> .\nr:s <p> r:o .\n";
+  (* a namespace bound while no base is set stays relative, so its
+     names resolve against whatever base is current when they occur *)
+  check_lines "a relative namespace follows a later base"
+    [ "<http://a.org/rel/x> <http://e.org/p> <http://a.org/rel/y> .";
+      "<http://a.org/z> <http://e.org/p> <http://a.org/rel/x> .";
+      "<rel/x> <http://e.org/p> <rel/y> ." ]
+    "@prefix r: <rel/> .\nr:x <http://e.org/p> r:y .\n\
+     @base <http://a.org/> .\nr:x <http://e.org/p> r:y .\n\
+     <z> <http://e.org/p> r:x .\n"
+
+let test_iriref_escapes () =
+  check_lines "\\u and \\U escapes in IRIs"
+    [ "<http://e.org/\xC3\xA9t\xC3\xA9> <http://e.org/p\xF0\x9F\x98\x80> \
+       <http://e.org/xA> ." ]
+    "<http://e.org/\\u00E9t\\u00e9> <http://e.org/p\\U0001F600> \
+     <http://e.org/x\\u0041> .\n";
+  (* an escaped and a plain spelling of one IRI are one term *)
+  let g =
+    Turtle.parse_exn
+      "<http://e.org/\\u0061> <http://e.org/p> <http://e.org/a> .\n"
+  in
+  check_int "one node" 1 (Term.Set.cardinal (Graph.nodes g))
+
+let test_pname_trailing_dot () =
+  check_lines "a final dot ends the statement"
+    [ "<http://e.org/a> <http://e.org/p> <http://e.org/b> .";
+      "<http://e.org/c.d> <http://e.org/p> <http://e.org/e.f> .";
+      "<http://e.org/g> <http://e.org/p> _:b1 ." ]
+    "@prefix ex: <http://e.org/> .\nex:a ex:p ex:b.\n\
+     ex:c.d ex:p ex:e.f.\nex:g ex:p _:b1.\n"
+
+(* Error lines and messages, as the reader reported them before it
+   loaded in one pass: after multi-line comments and long strings the
+   line counts must not drift. *)
+let error_table =
+  [ ( "@prefix ex: <http://example.org/> .\n# one\n# two\n# three\n\
+       ex:a ex:p ex:b ;\n  ex:q .\n",
+      6, "expected object term" );
+    ( "@prefix ex: <http://example.org/> .\n\
+       ex:a ex:p \"\"\"l1\nl2\nl3\"\"\" ex:oops .\n",
+      4, "expected '.'" );
+    ( "@prefix ex: <http://example.org/> .\n# c\nex:a ex:p \"\"\"l1\nl2\n\n",
+      6, "unterminated string literal" );
+    ( "# c1\n# c2\n@prefix ex: <http://example.org/> .\n\
+       ex:a ex:p \"abc\ndef\" .\n",
+      4, "newline in string literal" );
+    ( "@prefix ex: <http://example.org/> .\nex:a ex:p '''x\ny''' .\n\
+       # tail\n<http://e.org/\\u00ZZ> ex:p ex:b .\n",
+      5, "invalid \\u escape" );
+    ( "# a\n#b\n\n# c\nfoo:x <http://e.org/p> <http://e.org/o> .\n",
+      5, "unbound prefix \"foo\"" );
+    ( "<http://e.org/s> <http://e.org/p> <http://e.org/o> # trailing\n\
+       # more\n",
+      3, "expected '.'" );
+    ( "<http://e.org/s> <http://e.org/p> \"\"\"a\n\n\"\"\", \
+       <http://e.org/a b> .\n",
+      3, "invalid IRI \"http://e.org/a b\"" );
+    ( "<http://e.org/s> <http://e.org/p> \"\"\"# not a comment\n\"\"\" ;\n\
+       \  <http://e.org/q> ] .\n",
+      3, "expected object term" ) ]
+
+let test_error_lines () =
+  List.iter
+    (fun (src, line, message) ->
+      match Turtle.parse src with
+      | Ok _ -> Alcotest.failf "expected an error on %S" src
+      | Error e ->
+          Alcotest.(check (pair int string))
+            (String.escaped src) (line, message) (e.line, e.message))
+    error_table
+
+(* [[]] and collection cells get fresh labels that no spelled label can
+   equal: a document naming [_:genid0] itself used to have that node
+   merged with its first anonymous one. *)
+let test_fresh_labels_never_collide () =
+  let spelled = Term.Blank "genid0" in
+  let s = Term.iri "http://e.org/s" and q = Iri.of_string "http://e.org/q" in
+  List.iter
+    (fun src ->
+      let g = Turtle.parse_exn src in
+      check_int "triples" 3 (Graph.cardinal g);
+      Alcotest.(check (list string)) "the spelled node keeps its one triple"
+        [ "_:genid0 <http://e.org/p> <http://e.org/a> ." ]
+        (List.map (Format.asprintf "%a" Triple.pp)
+           (Graph.subject_triples g spelled));
+      let anon = Term.Set.choose (Graph.objects g s q) in
+      check "anonymous node is another node" false (Term.equal anon spelled);
+      check_int "anonymous node has its own triple" 1
+        (List.length (Graph.subject_triples g anon)))
+    [ "@prefix ex: <http://e.org/> .\n\
+       _:genid0 ex:p ex:a .\nex:s ex:q [ ex:r ex:b ] .\n";
+      "@prefix ex: <http://e.org/> .\n\
+       ex:s ex:q [ ex:r ex:b ] .\n_:genid0 ex:p ex:a .\n" ];
+  (* a collection's cells too *)
+  let g =
+    Turtle.parse_exn
+      "@prefix ex: <http://e.org/> .\n\
+       ex:s ex:l ( ex:x ) .\n_:genid0 ex:p ex:a .\n"
+  in
+  check_int "cell and spelled node apart" 4 (Graph.cardinal g);
+  (* documents that spell no [_:genid] label keep the [genid<N>] names *)
+  check_lines "unchanged names"
+    [ "<http://e.org/s> <http://e.org/q> _:genid0 .";
+      "_:genid0 <http://e.org/r> <http://e.org/b> ." ]
+    "@prefix ex: <http://e.org/> .\nex:s ex:q [ ex:r ex:b ] .\n"
+
+let test_loaded_frozen () =
+  let g =
+    Turtle.parse_exn
+      "@prefix ex: <http://e.org/> .\nex:a ex:p ex:b , \"x\"@en ; ex:q [] .\n"
+  in
+  check "parsed graph is frozen" true (Graph.frozen g);
+  check "equal to the list-built graph" true
+    (Graph.equal g (Graph.of_list (Graph.to_list g)));
+  (* no triple, no store: the empty graph, as [freeze] leaves it *)
+  List.iter
+    (fun src ->
+      let g = Turtle.parse_exn src in
+      check "empty" true (Graph.is_empty g);
+      check "empty stays unfrozen" false (Graph.frozen g))
+    [ ""; "# nothing\n"; "@prefix ex: <http://e.org/> ."; "[] ." ];
+  (* an empty [[]] statement interns nothing *)
+  let g = Turtle.parse_exn "[] .\n<http://e.org/s> <http://e.org/p> 1 .\n" in
+  match Graph.store g with
+  | None -> Alcotest.fail "expected a store"
+  | Some st -> check_int "three terms" 3 (Store.n_terms st)
+
 let test_roundtrip_sample () =
   let src =
     {|@prefix ex: <http://example.org/> .
@@ -218,6 +373,14 @@ let suite =
     "parse errors", `Quick, test_errors;
     "hostile inputs stay errors", `Quick, test_hostile_inputs;
     "parse_file errors carry the filename", `Quick, test_parse_file_errors;
-    "roundtrip sample", `Quick, test_roundtrip_sample ]
+    "roundtrip sample", `Quick, test_roundtrip_sample;
+    "prefix rebound mid-document", `Quick, test_prefix_rebound;
+    "@base changes", `Quick, test_base_changes;
+    "\\u escapes in IRIREFs", `Quick, test_iriref_escapes;
+    "pnames with a trailing dot", `Quick, test_pname_trailing_dot;
+    "error lines after comments and long strings", `Quick, test_error_lines;
+    "fresh blank labels never collide", `Quick,
+    test_fresh_labels_never_collide;
+    "parse returns a frozen graph", `Quick, test_loaded_frozen ]
 
 let props = [ prop_roundtrip; prop_parse_total ]
