@@ -1,15 +1,15 @@
 (* Cross-shape containment lattice of the survey schema.
 
-   Runs Plan.make — the static containment analysis the [analyze]
-   command reports — over the full 57-shape survey suite
+   Runs Analysis.Containment.lattice — the static containment analysis
+   the [analyze] command reports — over the full 57-shape survey suite
    (Workload.Bench_shapes) and records in BENCH_containment.json the
-   lattice it proves (edges, equivalence classes, skippable shapes,
-   levels, shared paths) and the planning time.  The analysis is
-   graph-independent, so no data graph is involved. *)
+   lattice it proves (edges, equivalence pairs and classes) and the
+   time it takes.  The analysis is graph-independent, so no data graph
+   is involved. *)
 
 open Shacl
 open Workload
-module Plan = Provenance.Plan
+module Containment = Analysis.Containment
 
 let schema_of_entries entries =
   Schema.make_exn
@@ -24,22 +24,19 @@ let run ~quick:_ =
   Util.header "Containment lattice (57-shape survey)";
   let entries = Bench_shapes.all in
   let schema = schema_of_entries entries in
-  let t_plan, plan = Util.time (fun () -> Plan.make schema) in
-  let edges = Plan.(List.length plan.edges) in
+  let t_lattice, lattice = Util.time (fun () -> Containment.lattice schema) in
+  let edges = List.length lattice.edges in
   let equivalences =
-    Plan.(List.length (List.filter (fun e -> e.equivalent) plan.edges)) / 2
+    List.length
+      (List.filter (fun (e : Containment.edge) -> e.equivalent) lattice.edges)
+    / 2
   in
-  let classes = List.length (Plan.equivalence_classes plan) in
-  let skippable = Plan.skippable plan in
-  let levels = Plan.n_levels plan in
-  let shared_paths = Plan.(List.length plan.shared_paths) in
+  let classes = List.length lattice.classes in
   Printf.printf
     "%d shapes; lattice: %d proven edge(s) (%d equivalence pair(s), %d \
-     class(es)), %d skippable shape(s), %d level(s), %d shared path(s); \
-     planned in %s\n"
-    (List.length entries) edges equivalences classes skippable levels
-    shared_paths
-    (Format.asprintf "%a" Util.pp_seconds t_plan);
+     class(es)); proven in %s\n"
+    (List.length entries) edges equivalences classes
+    (Format.asprintf "%a" Util.pp_seconds t_lattice);
   let oc = open_out "BENCH_containment.json" in
   Printf.fprintf oc
     "{\n\
@@ -49,13 +46,9 @@ let run ~quick:_ =
     \    \"proven_edges\": %d,\n\
     \    \"equivalence_pairs\": %d,\n\
     \    \"equivalence_classes\": %d,\n\
-    \    \"skippable_shapes\": %d,\n\
-    \    \"levels\": %d,\n\
-    \    \"shared_paths\": %d,\n\
-    \    \"planning_seconds\": %.6f\n\
+    \    \"lattice_seconds\": %.6f\n\
     \  }\n\
      }\n"
-    (List.length entries) edges equivalences classes skippable levels
-    shared_paths t_plan;
+    (List.length entries) edges equivalences classes t_lattice;
   close_out oc;
   print_endline "wrote BENCH_containment.json"

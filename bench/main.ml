@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- fig1 --full  # one experiment, paper-ish sizes
 
    Experiments: fig1 fig2 fig3 query-survey tpf ldf ablations parallel
-   containment cluster batch incremental load *)
+   containment batch incremental load *)
 
 let experiments =
   [ "fig1", ("Figure 1: provenance extraction overhead", Exp_fig1.run);
@@ -18,7 +18,6 @@ let experiments =
     "ablations", ("Design-choice ablations", Exp_ablation.run);
     "parallel", ("Parallel fragment engine scaling", Exp_parallel.run);
     "containment", ("Cross-shape containment lattice", Exp_containment.run);
-    "cluster", ("Sharded cluster: scatter-gather and failover", Exp_cluster.run);
     "batch", ("Id-space path kernel: per-node vs batched fragments", Exp_batch.run);
     "incremental",
     ("Incremental revalidation vs full recomputation", Exp_incremental.run);

@@ -7,13 +7,7 @@
      fragment      extract the shape fragment of a graph
      to-sparql     show the SPARQL translation of a shape's queries
      serve         long-running fragment/validation service over TCP
-                   (with --shard: one member of a consistent-hash cluster)
      request       resilient client for a running serve instance
-     cluster       spawn an N-shard x R-replica cluster of serve --shard
-                   processes on ephemeral local ports
-     cluster-request
-                   scatter-gather client: failover, hedging, and partial
-                   results (exit 3) when a whole shard is unreachable
 
    Error handling: argument-shaped problems (unreadable files, malformed
    --prefix bindings) are rejected by cmdliner argument converters with a
@@ -345,36 +339,36 @@ let analyze_cmd =
           | None -> die "analyze requires --shapes"
         in
         let diagnostics = Analysis.Analyzer.analyze schema in
-        let plan = Provenance.Plan.make schema in
+        let lattice = Analysis.Containment.lattice schema in
         if json then begin
           print_string "{\n  \"diagnostics\": [\n";
           print_string
             (String.concat ",\n" (List.map diagnostic_json diagnostics));
-          print_string "\n  ],\n  \"plan\": ";
-          (* splice the plan document in, re-indented one level *)
-          let plan_doc = String.trim (Provenance.Plan.to_json plan) in
+          print_string "\n  ],\n  \"lattice\": ";
+          (* splice the lattice document in, re-indented one level *)
+          let doc =
+            String.trim (Analysis.Containment.lattice_to_json lattice)
+          in
           print_string
             (String.concat "\n"
                (List.mapi
                   (fun i line -> if i = 0 then line else "  " ^ line)
-                  (String.split_on_char '\n' plan_doc)));
+                  (String.split_on_char '\n' doc)));
           print_string "\n}\n"
         end
         else begin
           List.iter
             (fun d -> Format.printf "%a@." Analysis.Diagnostic.pp d)
             diagnostics;
-          Format.printf "%a" Provenance.Plan.pp plan
+          Format.printf "%a" Analysis.Containment.pp_lattice lattice
         end;
         if Analysis.Diagnostic.has_errors diagnostics then 1 else 0)
   in
   let doc =
-    "Run the cross-shape containment analysis over a shapes graph and \
-     print the containment lattice plus the evaluation plan it implies: \
-     proven containments and equivalences, execution levels, the checks \
-     each proven containment makes redundant, and the paths several \
-     shapes share.  The plan is a static report; validation does not \
-     change with it.  Exits non-zero when the schema has errors."
+    "Statically analyze a shapes graph and print its diagnostics (as \
+     $(b,lint) does) plus the cross-shape containment lattice: every \
+     proven containment and equivalence between its shape definitions.  \
+     Exits non-zero when the schema has errors."
   in
   Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ shapes_arg $ json_arg)
 
@@ -570,44 +564,6 @@ let host_arg =
   let doc = "Address to bind (serve) or reach (request)." in
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc)
 
-(* A 0-based ring slot "I/N": this worker owns slot I of an N-shard
-   consistent-hash ring. *)
-let shard_conv =
-  let parse s =
-    match String.index_opt s '/' with
-    | Some k -> (
-        let i = int_of_string_opt (String.sub s 0 k) in
-        let n =
-          int_of_string_opt (String.sub s (k + 1) (String.length s - k - 1))
-        in
-        match i, n with
-        | Some i, Some n when n >= 1 && i >= 0 && i < n -> Ok (i, n)
-        | _ ->
-            Error
-              (`Msg
-                 (Printf.sprintf
-                    "bad shard %S: need I/N with 0 <= I < N (0-based)" s)))
-    | None -> Error (`Msg (Printf.sprintf "bad shard %S, expected I/N" s))
-  in
-  Arg.conv ~docv:"I/N" (parse, fun ppf (i, n) -> Format.fprintf ppf "%d/%d" i n)
-
-let shard_arg =
-  let doc =
-    "Serve as shard $(docv) (0-based) of an N-shard cluster: candidate \
-     enumeration is restricted to the nodes this ring slot owns, while the \
-     whole graph stays loaded so every restricted answer is exact.  All \
-     members of a cluster must agree on N, --ring-seed and --vnodes."
-  in
-  Arg.(value & opt (some shard_conv) None & info [ "shard" ] ~docv:"I/N" ~doc)
-
-let ring_seed_arg =
-  let doc = "Seed of the consistent-hash ring layout." in
-  Arg.(value & opt int 0 & info [ "ring-seed" ] ~docv:"SEED" ~doc)
-
-let vnodes_arg =
-  let doc = "Virtual nodes per shard on the ring." in
-  Arg.(value & opt pos_int_conv 64 & info [ "vnodes" ] ~docv:"N" ~doc)
-
 (* "Resource exhausted": the server shed the request (still overloaded
    after every retry) — distinct from a runtime failure so scripts can
    back off and try later. *)
@@ -670,7 +626,7 @@ let serve_cmd =
        recovered (snapshot plus replay, a torn tail from a crash is \
        discarded) and the recovered graph supersedes the data file.  A \
        corrupt journal — damage before the tail — aborts startup with \
-       its byte offset (exit 123).  Incompatible with --shard."
+       its byte offset (exit 123)."
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR" ~doc)
   in
@@ -702,11 +658,8 @@ let serve_cmd =
       value & opt pos_int_conv 1024 & info [ "snapshot-every" ] ~docv:"N" ~doc)
   in
   let run data shapes prefixes host port port_file jobs queue request_timeout
-      request_fuel drain shard ring_seed vnodes journal fsync snapshot_every =
+      request_fuel drain journal fsync snapshot_every =
     wrap (fun () ->
-        if journal <> None && shard <> None then
-          die "--journal and --shard are incompatible: shard workers hold \
-               static replicas";
         let namespaces = namespaces_of prefixes in
         let graph = load_graph data in
         let schema = load_schema shapes in
@@ -758,25 +711,11 @@ let serve_cmd =
         Sys.set_signal Sys.sigterm on_signal;
         Sys.set_signal Sys.sigint on_signal;
         let server =
-          try
-            match shard with
-            | None ->
-                Service.Server.start ~namespaces ?journal config ~schema ~graph
-            | Some (i, n) ->
-                let ring =
-                  Service.Ring.make ~vnodes ~seed:ring_seed ~shards:n ()
-                in
-                Service.Shard.start ~namespaces ~ring ~shard:i config ~schema
-                  ~graph
+          try Service.Server.start ~namespaces ?journal config ~schema ~graph
           with Unix.Unix_error (e, fn, _) ->
             die "cannot listen on %s:%d: %s: %s" host port fn
               (Unix.error_message e)
         in
-        (match shard with
-        | Some (i, n) ->
-            Format.printf "shaclprov: shard %d/%d (ring seed %d, %d vnodes)@."
-              i n ring_seed vnodes
-        | None -> ());
         Format.printf "shaclprov: listening on %s:%d (%d worker(s), queue %d)@."
           host (Service.Server.port server) jobs queue;
         (* flush so scripts watching stdout (or the port file) can start *)
@@ -813,17 +752,13 @@ let serve_cmd =
     Term.(
       const run $ data_arg $ shapes_arg $ prefix_arg $ host_arg $ port_arg
       $ port_file_arg $ serve_jobs_arg $ queue_arg $ request_timeout_arg
-      $ request_fuel_arg $ drain_arg $ shard_arg $ ring_seed_arg $ vnodes_arg
-      $ journal_arg $ fsync_arg $ snapshot_every_arg)
+      $ request_fuel_arg $ drain_arg $ journal_arg $ fsync_arg
+      $ snapshot_every_arg)
 
 (* ---------------- request ------------------------------------------ *)
 
-(* Render an ok-class reply and return the process exit code.  Shared
-   by [request] (single server) and [cluster-request] (router): the
-   only difference between the two is that the router may answer
-   [Partial], which prints the merged payload plus a missing-shard
-   manifest and exits 3 — degraded, exactly like --on-error=skip. *)
-let rec print_reply = function
+(* Render an ok-class reply and return the process exit code. *)
+let print_reply = function
   | Service.Wire.Validated { conforms; checks; violations } ->
       if conforms then begin
         Format.printf "conforms (%d checks)@." checks;
@@ -873,32 +808,17 @@ let rec print_reply = function
             j.Service.Wire.j_fsyncs j.Service.Wire.j_seq
             j.Service.Wire.j_dirty j.Service.Wire.j_rechecked);
       0
-  | Service.Wire.Pong { shard } ->
-      (match shard with
-      | Some i -> Format.printf "pong (shard %d)@." i
-      | None -> Format.printf "pong@.");
-      0
   | Service.Wire.Slept ms ->
       Format.printf "slept %dms@." ms;
       0
-  | Service.Wire.Partial { value; missing } ->
-      ignore (print_reply value : int);
-      Format.eprintf "shaclprov: partial result, %d shard(s) missing:@."
-        (List.length missing);
-      List.iter
-        (fun g -> Format.eprintf "  %a@." Runtime.Outcome.pp_gap g)
-        missing;
-      exit_degraded
   | Service.Wire.(Overloaded _ | Failed _ | Error _) ->
       die "unexpected reply"  (* the client maps these to Error *)
 
-(* The operation argument and its translation to a wire op, shared by
-   [request] and [cluster-request]. *)
+(* The operation argument and its translation to a wire op. *)
 let op_arg =
   let doc =
     "Operation: $(b,validate), $(b,fragment), $(b,neighborhood), \
-     $(b,update), $(b,health), $(b,stats), $(b,ping) or $(b,sleep) \
-     (diagnostic)."
+     $(b,update), $(b,health), $(b,stats) or $(b,sleep) (diagnostic)."
   in
   Arg.(
     required
@@ -907,8 +827,7 @@ let op_arg =
            (enum
               [ "validate", `Validate; "fragment", `Fragment;
                 "neighborhood", `Neighborhood; "update", `Update;
-                "health", `Health; "stats", `Stats; "ping", `Ping;
-                "sleep", `Sleep ]))
+                "health", `Health; "stats", `Stats; "sleep", `Sleep ]))
         None
     & info [] ~docv:"OP" ~doc)
 
@@ -930,7 +849,6 @@ let wire_op ~shapes ~node ~ms ~add ~remove = function
   | `Fragment -> Service.Wire.Fragment shapes
   | `Health -> Service.Wire.Health
   | `Stats -> Service.Wire.Stats
-  | `Ping -> Service.Wire.Ping
   | `Sleep -> Service.Wire.Sleep ms
   | `Neighborhood -> (
       match node, shapes with
@@ -1042,395 +960,6 @@ let request_cmd =
       $ node_opt_arg $ timeout_arg $ fuel_arg $ retries_arg $ retry_base_arg
       $ retry_cap_arg $ retry_deadline_arg $ ms_arg $ add_arg $ remove_arg)
 
-(* ---------------- cluster-request ---------------------------------- *)
-
-(* A SHARD=PORT or SHARD=HOST:PORT member binding; repeated bindings of
-   the same shard are its replicas, in the order given. *)
-let endpoint_conv =
-  let fail s =
-    Error
-      (`Msg
-         (Printf.sprintf
-            "bad endpoint %S, expected SHARD=PORT or SHARD=HOST:PORT" s))
-  in
-  let parse s =
-    match String.index_opt s '=' with
-    | Some i when i > 0 -> (
-        match int_of_string_opt (String.sub s 0 i) with
-        | Some shard when shard >= 0 -> (
-            let rest = String.sub s (i + 1) (String.length s - i - 1) in
-            match String.rindex_opt rest ':' with
-            | Some j -> (
-                let host = String.sub rest 0 j in
-                match
-                  int_of_string_opt
-                    (String.sub rest (j + 1) (String.length rest - j - 1))
-                with
-                | Some port when port > 0 && host <> "" ->
-                    Ok (shard, host, port)
-                | _ -> fail s)
-            | None -> (
-                match int_of_string_opt rest with
-                | Some port when port > 0 -> Ok (shard, "127.0.0.1", port)
-                | _ -> fail s))
-        | _ -> fail s)
-    | _ -> fail s
-  in
-  let print ppf (shard, host, port) =
-    Format.fprintf ppf "%d=%s:%d" shard host port
-  in
-  Arg.conv ~docv:"SHARD=HOST:PORT" (parse, print)
-
-(* Lines of "SHARD HOST PORT" (what [cluster] writes); blank lines and
-   #-comments are skipped. *)
-let read_ports_file file =
-  let ic =
-    try open_in file
-    with Sys_error msg -> die "cannot read ports file: %s" msg
-  in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let rec go lineno acc =
-    match input_line ic with
-    | exception End_of_file -> List.rev acc
-    | line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go (lineno + 1) acc
-        else
-          match String.split_on_char ' ' line with
-          | [ shard; host; port ] -> (
-              match int_of_string_opt shard, int_of_string_opt port with
-              | Some shard, Some port when shard >= 0 && port > 0 ->
-                  go (lineno + 1) ((shard, host, port) :: acc)
-              | _ -> die "%s:%d: bad member line %S" file lineno line)
-          | _ -> die "%s:%d: bad member line %S (want SHARD HOST PORT)" file lineno line
-  in
-  go 1 []
-
-(* Group (shard, host, port) bindings into the router's endpoint map,
-   checking the shard ids tile 0..max with no holes. *)
-let group_endpoints = function
-  | [] -> die "no cluster members: give --endpoint or --ports-file"
-  | eps ->
-      let shards = 1 + List.fold_left (fun m (s, _, _) -> max m s) 0 eps in
-      let groups = Array.make shards [] in
-      List.iter
-        (fun (s, host, port) ->
-          groups.(s) <- { Service.Router.host; port } :: groups.(s))
-        eps;
-      Array.iteri
-        (fun i g ->
-          if g = [] then
-            die "no endpoint for shard %d (members name shards 0..%d)" i
-              (shards - 1))
-        groups;
-      Array.map (fun g -> Array.of_list (List.rev g)) groups
-
-let cluster_request_cmd =
-  let endpoint_arg =
-    let doc =
-      "A cluster member, $(b,SHARD=PORT) or $(b,SHARD=HOST:PORT) (host \
-       defaults to 127.0.0.1).  Repeatable; repeated bindings of one \
-       shard are its replicas in failover order.  Shard ids are 0-based \
-       and must cover 0..N-1."
-    in
-    Arg.(value & opt_all endpoint_conv [] & info [ "endpoint" ] ~docv:"MEMBER" ~doc)
-  in
-  let ports_file_arg =
-    let doc =
-      "Read members from $(docv), one $(b,SHARD HOST PORT) line each \
-       (the format '$(b,shaclprov cluster)' writes).  Combines with \
-       --endpoint."
-    in
-    Arg.(value & opt (some file) None & info [ "ports-file" ] ~docv:"FILE" ~doc)
-  in
-  let call_timeout_arg =
-    let doc = "Per-attempt socket timeout in seconds for one shard call." in
-    Arg.(value & opt pos_float_conv 30.0 & info [ "call-timeout" ] ~docv:"SECS" ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "Overall scatter-gather deadline in seconds: shards that have not \
-       answered by then are reported as missing ranges of a partial \
-       result (exit 3) instead of holding the request."
-    in
-    Arg.(
-      value
-      & opt (some pos_float_conv) None
-      & info [ "deadline" ] ~docv:"SECS" ~doc)
-  in
-  let hedge_delay_arg =
-    let doc =
-      "Fixed hedge delay in seconds: race a straggling replica against \
-       the next one after $(docv).  Default: adaptive, the 0.9 quantile \
-       of recent call latencies."
-    in
-    Arg.(
-      value
-      & opt (some pos_float_conv) None
-      & info [ "hedge-delay" ] ~docv:"SECS" ~doc)
-  in
-  let retries_arg =
-    let doc = "Call attempts per replica before failing over." in
-    Arg.(value & opt pos_int_conv 2 & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let run op shapes prefixes node timeout fuel endpoints ports_file ring_seed
-      vnodes call_timeout deadline hedge_delay retries ms add remove =
-    wrap (fun () ->
-        let namespaces = namespaces_of prefixes in
-        let members =
-          endpoints
-          @ (match ports_file with None -> [] | Some f -> read_ports_file f)
-        in
-        let replicas = group_endpoints members in
-        let ring =
-          Service.Ring.make ~vnodes ~seed:ring_seed
-            ~shards:(Array.length replicas) ()
-        in
-        let policy = Runtime.Retry.policy ~max_attempts:retries () in
-        let router =
-          Service.Router.create
-            (Service.Router.config ~namespaces ~policy ~call_timeout ?deadline
-               ?hedge_delay ~ring ~replicas ())
-        in
-        let op = wire_op ~shapes ~node ~ms ~add ~remove op in
-        let request = Service.Wire.request ?timeout ?fuel op in
-        match Service.Router.call router request with
-        | Ok reply -> print_reply reply
-        | Error (Service.Client.Overloaded queued) ->
-            Format.eprintf "shaclprov: cluster overloaded (%d queued)@." queued;
-            exit_overloaded
-        | Error (Service.Client.Failed (reason, detail)) ->
-            Format.eprintf "shaclprov: request failed (%s): %s@."
-              (match reason with
-              | Service.Wire.Timeout -> "timeout"
-              | Service.Wire.Fuel -> "fuel"
-              | Service.Wire.Crash -> "crash")
-              detail;
-            exit_degraded
-        | Error e -> die "%a" Service.Client.pp_error e)
-  in
-  let doc =
-    "Send one request to a sharded cluster of '$(b,shaclprov serve \
-     --shard)' workers: scatter to every shard, fail over across \
-     replicas, hedge stragglers, and merge the restricted answers into \
-     exactly the single-server reply.  When every replica of some shard \
-     is unreachable the merged result is partial: the payload covers the \
-     answering shards, the missing hash ranges go to standard error, and \
-     the exit code is 3.  Exits 0 on success (1 for a non-conforming \
-     validate), 2 on overload, 123 on other errors.  All members must \
-     have been started with the same --ring-seed and --vnodes given \
-     here."
-  in
-  Cmd.v
-    (Cmd.info "cluster-request" ~doc)
-    Term.(
-      const run $ op_arg $ shape_exprs_arg $ prefix_arg $ node_opt_arg
-      $ timeout_arg $ fuel_arg $ endpoint_arg $ ports_file_arg $ ring_seed_arg
-      $ vnodes_arg $ call_timeout_arg $ deadline_arg $ hedge_delay_arg
-      $ retries_arg $ ms_arg $ add_arg $ remove_arg)
-
-(* ---------------- cluster ------------------------------------------ *)
-
-(* Write [lines] to [path] via a same-directory temp file and rename,
-   so a concurrent reader sees the old content or the new, never a
-   torn prefix. *)
-let write_lines_atomic path lines =
-  let tmp =
-    Filename.temp_file
-      ~temp_dir:(Filename.dirname path)
-      (Filename.basename path ^ ".") ".tmp"
-  in
-  (try
-     let oc = open_out tmp in
-     (try List.iter (fun l -> output_string oc (l ^ "\n")) lines
-      with e -> close_out_noerr oc; raise e);
-     close_out oc
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
-let cluster_cmd =
-  let shards_count_arg =
-    let doc = "Number of shards." in
-    Arg.(value & opt pos_int_conv 3 & info [ "shards" ] ~docv:"N" ~doc)
-  in
-  let replicas_arg =
-    let doc = "Replicas per shard." in
-    Arg.(value & opt pos_int_conv 1 & info [ "replicas" ] ~docv:"R" ~doc)
-  in
-  let ports_file_arg =
-    let doc =
-      "Write the member table to $(docv) (atomically, one $(b,SHARD HOST \
-       PORT) line per member) once every worker is listening — the file \
-       '$(b,shaclprov cluster-request --ports-file)' reads."
-    in
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "ports-file" ] ~docv:"FILE" ~doc)
-  in
-  let jobs_arg =
-    let doc = "Worker domains per member." in
-    Arg.(value & opt pos_int_conv 2 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let queue_arg =
-    let doc = "Admission-queue capacity per member." in
-    Arg.(value & opt pos_int_conv 64 & info [ "queue" ] ~docv:"N" ~doc)
-  in
-  let startup_timeout_arg =
-    let doc = "Seconds to wait for every member to come up." in
-    Arg.(value & opt pos_float_conv 30.0 & info [ "startup-timeout" ] ~docv:"SECS" ~doc)
-  in
-  let run data shapes prefixes host shards replicas ports_file ring_seed
-      vnodes jobs queue startup_timeout =
-    wrap (fun () ->
-        let member_port_file i r =
-          Printf.sprintf "%s.shard-%d-%d" ports_file i r
-        in
-        let spawn i r =
-          let pf = member_port_file i r in
-          (try Sys.remove pf with Sys_error _ -> ());
-          let argv =
-            List.concat
-              [ [ Sys.executable_name; "serve"; "-d"; data ];
-                (match shapes with None -> [] | Some s -> [ "-s"; s ]);
-                List.concat_map
-                  (fun (p, iri) -> [ "-p"; p ^ "=" ^ iri ])
-                  prefixes;
-                [ "--host"; host; "--port"; "0"; "--port-file"; pf;
-                  "--shard"; Printf.sprintf "%d/%d" i shards;
-                  "--ring-seed"; string_of_int ring_seed;
-                  "--vnodes"; string_of_int vnodes;
-                  "-j"; string_of_int jobs;
-                  "--queue"; string_of_int queue ] ]
-          in
-          Unix.create_process Sys.executable_name (Array.of_list argv)
-            Unix.stdin Unix.stdout Unix.stderr
-        in
-        let members =
-          List.concat_map
-            (fun i ->
-              List.init replicas (fun r -> (i, r, spawn i r)))
-            (List.init shards Fun.id)
-        in
-        let kill_all signal =
-          List.iter
-            (fun (_, _, pid) ->
-              try Unix.kill pid signal with Unix.Unix_error _ -> ())
-            members
-        in
-        (* wait until every member has written its port file; a member
-           exiting during startup is fatal *)
-        let read_port pf =
-          match open_in pf with
-          | exception Sys_error _ -> None
-          | ic ->
-              Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-              (match input_line ic with
-              | exception End_of_file -> None
-              | line -> int_of_string_opt (String.trim line))
-        in
-        let deadline = Unix.gettimeofday () +. startup_timeout in
-        let rec await_ports () =
-          let ports =
-            List.filter_map
-              (fun (i, r, pid) ->
-                match read_port (member_port_file i r) with
-                | Some port -> Some (i, r, pid, port)
-                | None -> None)
-              members
-          in
-          if List.length ports = List.length members then ports
-          else begin
-            List.iter
-              (fun (i, r, pid) ->
-                match Unix.waitpid [ Unix.WNOHANG ] pid with
-                | 0, _ -> ()
-                | _ ->
-                    kill_all Sys.sigterm;
-                    die "shard %d replica %d exited during startup" i r
-                | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                    kill_all Sys.sigterm;
-                    die "shard %d replica %d exited during startup" i r)
-              members;
-            if Unix.gettimeofday () > deadline then begin
-              kill_all Sys.sigterm;
-              die "cluster startup timed out after %gs" startup_timeout
-            end;
-            (try Unix.sleepf 0.05
-             with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            await_ports ()
-          end
-        in
-        let up = await_ports () in
-        write_lines_atomic ports_file
-          (List.map
-             (fun (i, _, _, port) -> Printf.sprintf "%d %s %d" i host port)
-             up);
-        List.iter
-          (fun (i, r, _) ->
-            try Sys.remove (member_port_file i r) with Sys_error _ -> ())
-          members;
-        Format.printf "shaclprov: cluster up, %d shard(s) x %d replica(s), \
-                       members in %s@."
-          shards replicas ports_file;
-        Format.pp_print_flush Format.std_formatter ();
-        (* run until signalled, forwarding the stop to every member and
-           reaping them.  A member dying on its own is logged and
-           tolerated — killing members is how failover is exercised,
-           and the router degrades to a partial result when a whole
-           shard is gone.  Only losing every member fails the run. *)
-        let stop = ref false in
-        let on_signal = Sys.Signal_handle (fun _ -> stop := true) in
-        Sys.set_signal Sys.sigterm on_signal;
-        Sys.set_signal Sys.sigint on_signal;
-        let forwarded = ref false and all_died = ref false in
-        let alive = ref (List.map (fun (i, r, pid) -> (i, r, pid)) members) in
-        while !alive <> [] do
-          if !stop && not !forwarded then begin
-            forwarded := true;
-            kill_all Sys.sigterm
-          end;
-          let survivors =
-            List.filter
-              (fun (i, r, pid) ->
-                match Unix.waitpid [ Unix.WNOHANG ] pid with
-                | 0, _ -> true
-                | _ ->
-                    if not !stop then
-                      Format.eprintf
-                        "shaclprov: shard %d replica %d exited; cluster \
-                         degraded@."
-                        i r;
-                    false
-                | exception Unix.Unix_error (Unix.ECHILD, _, _) -> false)
-              !alive
-          in
-          alive := survivors;
-          if !alive = [] && not !stop then all_died := true;
-          if !alive <> [] then
-            try Unix.sleepf 0.2
-            with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        done;
-        (try Sys.remove ports_file with Sys_error _ -> ());
-        if !all_died then die "every cluster member exited" else 0)
-  in
-  let doc =
-    "Run an N-shard, R-replica fragment cluster of local '$(b,shaclprov \
-     serve --shard)' processes: every member loads the data once, binds \
-     an ephemeral port, and the member table is written to --ports-file \
-     for '$(b,shaclprov cluster-request)'.  SIGINT/SIGTERM drain every \
-     member.  A member dying on its own is tolerated (that is what \
-     replicas are for); only losing every member fails the run."
-  in
-  Cmd.v
-    (Cmd.info "cluster" ~doc)
-    Term.(
-      const run $ data_arg $ shapes_arg $ prefix_arg $ host_arg
-      $ shards_count_arg $ replicas_arg $ ports_file_arg $ ring_seed_arg
-      $ vnodes_arg $ jobs_arg $ queue_arg $ startup_timeout_arg)
-
 (* ---------------- main --------------------------------------------- *)
 
 let () =
@@ -1444,4 +973,4 @@ let () =
        (Cmd.group info
           [ validate_cmd; lint_cmd; analyze_cmd; neighborhood_cmd;
             explain_cmd; fragment_cmd; query_cmd; to_sparql_cmd; serve_cmd;
-            request_cmd; cluster_cmd; cluster_request_cmd ]))
+            request_cmd ]))

@@ -60,10 +60,11 @@ and norm_inv = function
 (* Canonicalize an NNF shape for conformance-semantic comparison:
    normalize paths, flatten and sort conjunctions/disjunctions, and
    collapse the trivial quantifiers ([≥0 E.phi] ≡ T, [≥n E.⊥] ≡ ⊥ for
-   n ≥ 1, [≤n E.⊥] ≡ T, [∀E.T] ≡ T).  Only conformance is preserved —
-   NOT neighborhoods ([≥0 E.phi] traces witnesses, T traces nothing) —
-   so canonical forms may be used for subsumption and equivalence but
-   never substituted into fragment extraction. *)
+   n ≥ 1, [≤n E.phi] ≡ ⊥ for n < 0, [≤n E.⊥] ≡ T, [∀E.T] ≡ T).  Only
+   conformance is preserved — NOT neighborhoods ([≥0 E.phi] traces
+   witnesses, T traces nothing) — so canonical forms may be used for
+   subsumption and equivalence but never substituted into fragment
+   extraction. *)
 let rec canon phi =
   match phi with
   | Shape.Top | Shape.Bottom | Shape.Has_shape _ | Shape.Test _
@@ -99,6 +100,7 @@ let rec canon phi =
         let psi = canon psi in
         if Shape.equal psi Shape.Bottom then Shape.Bottom
         else Shape.Ge (n, norm_path e, psi)
+  | Shape.Le (n, _, _) when n < 0 -> Shape.Bottom
   | Shape.Le (n, e, psi) ->
       let psi = canon psi in
       if Shape.equal psi Shape.Bottom then Shape.Top
@@ -266,3 +268,110 @@ let redundant_conjuncts schema phi =
       | _ -> ())
     resolved;
   List.rev !results
+
+(* ------------------------------------------------------------------ *)
+(* The schema's containment lattice                                   *)
+(* ------------------------------------------------------------------ *)
+
+type edge = { sub : int; sup : int; equivalent : bool }
+
+type lattice = {
+  defs : Schema.def array;
+  edges : edge list;
+  classes : int list list;
+}
+
+let lattice schema =
+  let defs = Array.of_list (Schema.defs schema) in
+  let n = Array.length defs in
+  let norm =
+    Array.map (fun (d : Schema.def) -> normalize schema d.shape) defs
+  in
+  (* The syntactic core only: the unsatisfiability fallback pays its
+     simplifier cost on every one of the ~n² pairs that fail. *)
+  let sub =
+    Array.init n (fun i ->
+        Array.init n (fun j -> i <> j && subsumes_syntactic norm.(i) norm.(j)))
+  in
+  let edges = ref [] in
+  for i = n - 1 downto 0 do
+    for j = n - 1 downto 0 do
+      if sub.(i).(j) then
+        edges := { sub = i; sup = j; equivalent = sub.(j).(i) } :: !edges
+    done
+  done;
+  (* Equivalence classes: connected components of the mutual edges,
+     each represented by its smallest index. *)
+  let parent = Array.init n Fun.id in
+  let rec root i = if parent.(i) = i then i else root parent.(i) in
+  List.iter
+    (fun e ->
+      if e.equivalent then begin
+        let a = root e.sub and b = root e.sup in
+        if a <> b then parent.(max a b) <- min a b
+      end)
+    !edges;
+  let members = Array.make n [] in
+  for i = n - 1 downto 0 do
+    members.(root i) <- i :: members.(root i)
+  done;
+  let classes =
+    List.filter
+      (fun c -> List.compare_length_with c 1 > 0)
+      (Array.to_list members)
+  in
+  { defs; edges = !edges; classes }
+
+let def_name l i = (l.defs.(i) : Schema.def).name
+
+let pp_lattice ppf l =
+  Format.fprintf ppf "lattice: %d shape(s)@." (Array.length l.defs);
+  let section title sep edges =
+    if edges <> [] then begin
+      Format.fprintf ppf "%s:@." title;
+      List.iter
+        (fun e ->
+          Format.fprintf ppf "  %a %s %a@." Term.pp (def_name l e.sub) sep
+            Term.pp (def_name l e.sup))
+        edges
+    end
+  in
+  section "containments (sub [= sup)" "[="
+    (List.filter (fun e -> not e.equivalent) l.edges);
+  section "equivalences" "=="
+    (List.filter (fun e -> e.equivalent && e.sub < e.sup) l.edges)
+
+(* Hand-rolled JSON, as elsewhere in the repo (no JSON dependency). *)
+let json_string s =
+  let buf = Buffer.create (String.length s + 8) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let lattice_to_json l =
+  let name i = json_string (Term.to_string (def_name l i)) in
+  let names is = "[" ^ String.concat ", " (List.map name is) ^ "]" in
+  let edge e =
+    Printf.sprintf "    {\"sub\": %s, \"sup\": %s, \"equivalent\": %b}"
+      (name e.sub) (name e.sup) e.equivalent
+  in
+  let block = function
+    | [] -> "[]"
+    | lines -> "[\n" ^ String.concat ",\n" lines ^ "\n  ]"
+  in
+  Printf.sprintf
+    "{\n  \"shapes\": %s,\n  \"edges\": %s,\n  \"classes\": %s\n}\n"
+    (names (List.init (Array.length l.defs) Fun.id))
+    (block (List.map edge l.edges))
+    (block (List.map (fun c -> "    " ^ names c) l.classes))

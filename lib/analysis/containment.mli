@@ -36,7 +36,7 @@ val norm_path : Rdf.Path.t -> Rdf.Path.t
     {!subsumes_normalized}: the structural ⊑ rules without the
     unsatisfiability fallback.  Strictly weaker (sound, proves a subset
     of the edges) but much cheaper on the failing pairs, which makes it
-    the right test for the evaluation planner's all-pairs sweep. *)
+    the right test for {!lattice}'s all-pairs sweep. *)
 val subsumes_syntactic : Shacl.Shape.t -> Shacl.Shape.t -> bool
 
 (** [subsumes_normalized a b] decides [a ⊑ b] for shapes already in
@@ -61,3 +61,38 @@ val test_implies : Shacl.Node_test.t -> Shacl.Node_test.t -> bool
     conjuncts are reported rather than silently merged. *)
 val redundant_conjuncts :
   Shacl.Schema.t -> Shacl.Shape.t -> (Shacl.Shape.t * Shacl.Shape.t) list
+
+(** {1 The containment lattice of a schema}
+
+    Every proven containment between the definitions of a schema, and
+    the equivalence classes they induce.  The lattice is static: it
+    depends only on the schema, never on a data graph.  The [analyze]
+    command prints it. *)
+
+type edge = {
+  sub : int;  (** index, in [Schema.defs] order, of the contained shape *)
+  sup : int;  (** index of the containing shape *)
+  equivalent : bool;  (** the reverse containment is proven too *)
+}
+
+type lattice = {
+  defs : Shacl.Schema.def array;  (** in [Schema.defs] order *)
+  edges : edge list;
+      (** every proven [sub ⊑ sup] between distinct definitions, by
+          [sub] then [sup] *)
+  classes : int list list;
+      (** the equivalence classes with more than one member, each in
+          index order, ordered by smallest member *)
+}
+
+val lattice : Shacl.Schema.t -> lattice
+(** The lattice over every definition, targeted or not, proven with
+    {!subsumes_syntactic} on the {!normalize}d shapes.  Vacuous edges
+    (an unsatisfiable [sub], a tautological [sup]) are kept. *)
+
+val pp_lattice : Format.formatter -> lattice -> unit
+(** The shape count, then the strict containments ([sub \[= sup]) and
+    the equivalences ([a == b], each pair once). *)
+
+val lattice_to_json : lattice -> string
+(** The shapes, every edge and the classes as a JSON document. *)

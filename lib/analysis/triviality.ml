@@ -19,6 +19,7 @@ let rec trivial schema phi =
           trivial schema (Shape.nnf (Shape.Not (Schema.def_shape schema s)))
       | _ -> false)
   | Shape.And l | Shape.Or l -> List.for_all (trivial schema) l
+  | Shape.Le (n, _, _) when n < 0 -> true (* no node conforms *)
   | Shape.Le (_, _, psi) ->
       (* the witnesses traced are the successors satisfying ¬psi *)
       Unsat.is_unsatisfiable schema (Shape.not_ psi)

@@ -192,6 +192,7 @@ let simplify schema phi =
           let psi = simp psi in
           if Shape.equal psi Shape.Bottom then Shape.Bottom
           else Shape.Ge (n, e, psi)
+    | Shape.Le (n, _, _) when n < 0 -> Shape.Bottom
     | Shape.Le (n, e, psi) -> Shape.Le (n, e, simp psi)
     | Shape.Forall (e, psi) -> Shape.Forall (e, simp psi)
     | atomic -> atomic

@@ -382,7 +382,7 @@ let probe_sites label =
 
 let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
     ?(jobs = 1) ?(budget = Runtime.Budget.unlimited) ?(on_error = `Fail)
-    ?(kernel = `Batched) ?restrict g requests =
+    ?(kernel = `Batched) g requests =
   let jobs = max 1 jobs in
   let t0 = now () in
   let schema = Schema.unfold schema in
@@ -392,20 +392,11 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
   let store = Graph.store g in
   let nrows = match store with Some st -> Store.n_triples st | None -> 0 in
   let all_nodes = lazy (Graph.nodes g) in
-  (* [restrict] narrows the *candidate* set, not the graph: each kept
-     candidate is still checked against the whole graph, so a shard
-     worker's answer is exact over the nodes it owns and the union over
-     a partition of the node space is exactly the unrestricted run. *)
-  let restrict_list l =
-    match restrict with None -> l | Some keep -> List.filter keep l
-  in
   let plans =
     List.map
       (fun r ->
         let candidates, pruned = plan ~schema ~all_nodes g r in
-        ( r,
-          Array.of_list (restrict_list (Term.Set.elements candidates)),
-          pruned ))
+        r, Array.of_list (Term.Set.elements candidates), pruned)
       requests
   in
   let shapes = Array.of_list (List.map (fun (r, _, _) -> r.shape) plans) in
@@ -656,24 +647,18 @@ let fragment_schema ?algorithm ?jobs schema g =
 (* ---------------- validation --------------------------------------- *)
 
 let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
-    ?(on_error = `Fail) ?restrict schema g =
+    ?(on_error = `Fail) schema g =
   let jobs = max 1 jobs in
   let t0 = now () in
   let schema = Schema.unfold schema in
   let g = Graph.freeze g in
   let store = Graph.store g in
-  (* same contract as [run]: owned targets only, checked against the
-     whole graph *)
   let plans =
     List.map
       (fun (def : Schema.def) ->
-        let nodes = Term.Set.elements (Validate.target_nodes schema g def) in
-        let nodes =
-          match restrict with
-          | None -> nodes
-          | Some keep -> List.filter keep nodes
-        in
-        def, Array.of_list nodes)
+        ( def,
+          Array.of_list
+            (Term.Set.elements (Validate.target_nodes schema g def)) ))
       (Schema.defs schema)
   in
   let planning = now () -. t0 in

@@ -151,19 +151,10 @@ val run :
   ?budget:Runtime.Budget.t ->
   ?on_error:on_error ->
   ?kernel:kernel ->
-  ?restrict:(Rdf.Term.t -> bool) ->
   Rdf.Graph.t -> request list -> Rdf.Graph.t * Stats.t
 (** [run g requests] computes [⋃ Frag(G, shape)] over the requests and
     reports statistics.  [jobs] defaults to 1 (no domains spawned);
     [budget] defaults to unlimited; [on_error] defaults to [`Fail].
-
-    [restrict] drops planned candidate nodes it rejects — the {e graph}
-    stays whole, so every kept candidate is still checked (and its
-    neighborhood traced) against all of [g].  This is the cluster-shard
-    contract: partition the node space with one [restrict] per shard and
-    the union of the per-shard fragments is exactly the unrestricted
-    fragment, because [Frag] is a union of per-candidate neighborhoods
-    (Thm 4.1) and each candidate is owned by exactly one shard.
 
     The pool spawns at most [Domain.recommended_domain_count ()]
     domains regardless of [jobs] — oversubscribing a machine's cores
@@ -190,17 +181,13 @@ val validate :
   ?jobs:int ->
   ?budget:Runtime.Budget.t ->
   ?on_error:on_error ->
-  ?restrict:(Rdf.Term.t -> bool) ->
   Shacl.Schema.t -> Rdf.Graph.t -> Shacl.Validate.report * Stats.t
 (** Parallel, instrumented equivalent of [Validate.validate]: target
     nodes of each definition are sharded across the pool and checked for
     conformance only (no provenance is collected; [triples_emitted] is
     0) by {!Shacl.Conformance.checker}, one per chunk, over
-    {!Rdf.Path.eval}.  [restrict] keeps only the target nodes it accepts, as in
-    {!run}: per-shard reports cover disjoint targets and their check and
-    violation counts sum to the unrestricted run's.  The report —
-    including the order of its results — is identical
-    to the sequential one, except that with [~on_error:`Skip] a failed
-    definition's results are excluded wholesale (the report then covers
-    exactly the definitions that were fully checked, and {!Stats.degraded}
-    is true). *)
+    {!Rdf.Path.eval}.  The report — including the order of its results —
+    is identical to the sequential one, except that with
+    [~on_error:`Skip] a failed definition's results are excluded
+    wholesale (the report then covers exactly the definitions that were
+    fully checked, and {!Stats.degraded} is true). *)

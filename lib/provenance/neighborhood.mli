@@ -13,11 +13,18 @@
     - {b Why-not provenance} (Remark 3.7): when [v] does not conform,
       [B(v, G, ¬phi)] explains the non-conformance.
 
-    Two implementations are provided: {!b} follows the naive per-case
-    algorithm of Section 3.3 (conformance checks and tracing are separate
-    recursive passes), while {!check} is the "instrumented validator" of
-    Section 5.2 — a single pass that decides conformance and collects the
-    neighborhood simultaneously.  They compute the same function. *)
+    Three cores compute the same function:
+
+    - the naive core ({!b}, {!naive_checker}) follows the per-case
+      algorithm of Section 3.3: conformance checks and tracing are
+      separate recursive passes;
+    - the term core ({!check}, {!checker}) is the "instrumented
+      validator" of Section 5.2: a single pass that decides conformance
+      and collects the neighborhood as a graph;
+    - the row core ({!row_checker}) is the same single pass in id space
+      over a frozen store: paths are evaluated and traced by the
+      id-space kernel ({!Rdf.Path.Batch}) and the neighborhood comes
+      back as store row ids. *)
 
 val b :
   ?budget:Runtime.Budget.t ->
@@ -106,9 +113,10 @@ val row_checker :
     duplicate-free array of canonical SPO row ids of the frozen store —
     the batched engine ORs these straight into its fragment bitset, and
     tracing runs in the id-space kernel ({!Rdf.Path.Batch}) with the
-    same total budget charge as the term-space trace.  Compound-path
-    evaluations also run in the kernel (bare steps stay on the
-    persistent term maps, which already hold their answer).  When [env]
+    same total budget charge as the term-space trace.  Every path
+    evaluation runs in the kernel too ({!Rdf.Path.Batch.eval}): bare
+    steps skip the path-memo hit accounting, compound paths are counted
+    as memo hits or misses.  When [env]
     is given the kernel context is shared with other checkers of the
     same worker instead of created fresh.  Decoding row [r] with
     [Rdf.Store.row_triple] yields exactly the triples {!checker} would

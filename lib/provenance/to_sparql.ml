@@ -157,6 +157,7 @@ let rec cq ?(schema = Schema.empty) shape ~var =
            ([ var ], union_all (List.map (fun psi -> recur psi ~var) l)))
   | Shape.Ge (0, _, _) -> node_pattern var
   | Shape.Ge (n, e, psi) -> ge_query ~schema ~var n e psi
+  | Shape.Le (n, _, _) when n < 0 -> Values [] (* the normal form of ¬≥0 *)
   | Shape.Le (n, e, psi) ->
       Minus
         (node_pattern var, Project ([ var ], ge_query ~schema ~var (n + 1) e psi))

@@ -315,52 +315,6 @@ let of_store st =
   in
   { spo; pos; osp; size = n; store = Some st }
 
-(* Subject-filtered freeze: the partition of [g] on the subjects [keep]
-   accepts, frozen in one pass.  The subject test runs once per subject
-   (the SPO walk keeps whole per-subject subtrees, shared structurally
-   with [g]); only the secondary POS/OSP indexes are rebuilt, so this is
-   cheaper than [filter keep |> freeze], which re-adds every kept triple
-   into all three indexes one at a time. *)
-let freeze_filter ~keep g =
-  let spo =
-    Term.Map.fold
-      (fun s by_p acc -> if keep s then Term.Map.add s by_p acc else acc)
-      g.spo Term.Map.empty
-  in
-  let size = ref 0 in
-  let pos = ref Iri.Map.empty in
-  let osp = ref Term.Map.empty in
-  Term.Map.iter
-    (fun s by_p ->
-      Iri.Map.iter
-        (fun p objs ->
-          Term.Set.iter
-            (fun o ->
-              incr size;
-              (let by_o =
-                 Option.value (Iri.Map.find_opt p !pos) ~default:Term.Map.empty
-               in
-               let subs =
-                 Option.value (Term.Map.find_opt o by_o) ~default:Term.Set.empty
-               in
-               pos :=
-                 Iri.Map.add p (Term.Map.add o (Term.Set.add s subs) by_o) !pos);
-              let by_s =
-                Option.value (Term.Map.find_opt o !osp) ~default:Term.Map.empty
-              in
-              let preds =
-                Option.value (Term.Map.find_opt s by_s) ~default:Iri.Set.empty
-              in
-              osp :=
-                Term.Map.add o (Term.Map.add s (Iri.Set.add p preds) by_s) !osp)
-            objs)
-        by_p)
-    spo;
-  if !size = 0 then empty
-  else
-    freeze
-      { spo; pos = !pos; osp = !osp; size = !size; store = None }
-
 let pp ppf g =
   let first = ref true in
   iter

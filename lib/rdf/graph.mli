@@ -41,15 +41,6 @@ val of_store : Store.t -> t
     by one linear walk over each of the store's sorted orders and share
     the dictionary's term copies. *)
 
-val freeze_filter : keep:(Term.t -> bool) -> t -> t
-(** [freeze_filter ~keep g] is the subject partition of [g] — the
-    triples whose {e subject} satisfies [keep] — already frozen.
-    Equivalent to [freeze (filter (fun t -> keep (Triple.subject t)) g)]
-    but one pass: the kept per-subject index subtrees are shared with
-    [g] and [keep] is consulted once per subject, not once per triple.
-    Shard workers use it to load their slice of a hash-partitioned
-    graph. *)
-
 val frozen : t -> bool
 
 val store : t -> Store.t option

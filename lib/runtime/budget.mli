@@ -6,7 +6,7 @@
     path-evaluation steps.  When either resource runs out, {!Exhausted}
     is raised at the next safe point, unwinding cleanly to whoever
     installed the budget — typically the fragment engine, which turns it
-    into a per-shape [Outcome.Failed] instead of a crash.
+    into a per-shape failure ({!Outcome.reason}) instead of a crash.
 
     Budgets are shared across worker domains: the fuel counter is an
     atomic, the deadline an immutable absolute time, so a single budget

@@ -3,43 +3,13 @@ type reason =
   | Fuel_exhausted
   | Crashed of string
 
-type gap = {
-  shard : int;
-  ranges : (int * int) list;
-  reason : reason;
-}
-
-type 'a t =
-  | Completed of 'a
-  | Partial of { value : 'a; missing : gap list }
-  | Failed of { label : string; reason : reason }
-
 let reason_of_exn = function
   | Budget.Exhausted Budget.Deadline -> Timed_out
   | Budget.Exhausted Budget.Fuel -> Fuel_exhausted
   | Fault.Injected site -> Crashed ("injected fault at " ^ site)
   | e -> Crashed (Printexc.to_string e)
 
-let is_failed = function
-  | Failed _ -> true
-  | Completed _ | Partial _ -> false
-
-let is_partial = function
-  | Partial _ -> true
-  | Completed _ | Failed _ -> false
-
-let partial value = function
-  | [] -> Completed value
-  | missing -> Partial { value; missing }
-
 let pp_reason ppf = function
   | Timed_out -> Format.pp_print_string ppf "timed out"
   | Fuel_exhausted -> Format.pp_print_string ppf "fuel exhausted"
   | Crashed msg -> Format.fprintf ppf "crashed: %s" msg
-
-let pp_gap ppf g =
-  Format.fprintf ppf "shard %d (%a): %a" g.shard
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (lo, hi) -> Format.fprintf ppf "[%d,%d)" lo hi))
-    g.ranges pp_reason g.reason

@@ -1,38 +1,17 @@
-(** Structured per-unit results for resilient execution.
+(** Why a unit of resilient execution failed.
 
     The fragment engine evaluates many independent units of work (one
     per request shape); fault isolation means a unit that times out,
-    runs out of fuel, or crashes becomes a [Failed] outcome carried in
-    the execution statistics while the run as a whole completes.  The
+    runs out of fuel, or crashes is recorded with its {!reason} in the
+    execution statistics while the run as a whole completes.  The
     Sufficiency theorem (Thm 3.4) makes this semantically sound: every
     neighborhood the engine did compute is independently valid, so
-    partial output is correct output, just incomplete.
-
-    {!Partial} is the same contract lifted to cluster scope: a
-    scatter-gathered result whose [value] is exact over the shards that
-    answered, with the unreachable shards' hash ranges listed as
-    {!gap}s, so a caller can tell {e which part} of the key space the
-    answer is silent about — and re-ask just that part later. *)
+    partial output is correct output, just incomplete. *)
 
 type reason =
   | Timed_out        (** the run's wall-clock deadline passed *)
   | Fuel_exhausted   (** the run's evaluation-fuel bound was spent *)
   | Crashed of string  (** any other exception; the payload describes it *)
-
-(** A hole in a scatter-gathered result: one shard (with the hash-ring
-    ranges it owns, as half-open [\[lo, hi)] intervals on the
-    [Service.Ring] key space) that contributed nothing, and why. *)
-type gap = {
-  shard : int;
-  ranges : (int * int) list;
-  reason : reason;
-}
-
-type 'a t =
-  | Completed of 'a
-  | Partial of { value : 'a; missing : gap list }
-      (** exact over the answering shards; silent on [missing] *)
-  | Failed of { label : string; reason : reason }
 
 val reason_of_exn : exn -> reason
 (** Classify an exception caught at an isolation boundary:
@@ -40,13 +19,4 @@ val reason_of_exn : exn -> reason
     [Fault.Injected] and everything else to {!Crashed} with a printed
     description. *)
 
-val is_failed : 'a t -> bool
-val is_partial : 'a t -> bool
-
-val partial : 'a -> gap list -> 'a t
-(** [partial v gaps] is [Completed v] when [gaps] is empty, otherwise
-    [Partial { value = v; missing = gaps }] — the router's merge step in
-    one call. *)
-
 val pp_reason : Format.formatter -> reason -> unit
-val pp_gap : Format.formatter -> gap -> unit

@@ -54,8 +54,6 @@ type t = {
   schema : Shacl.Schema.t;
   graph : Rdf.Graph.t;  (* the graph at startup; live servers move on *)
   live : live option;
-  shard : int option;
-  restrict : (Rdf.Term.t -> bool) option;
   lsock : Unix.file_descr;
   bound_port : int;
   started : float;
@@ -178,7 +176,7 @@ let execute t budget : Wire.op -> Wire.reply = function
             locked live.lock (fun () -> validated_live live.inc)
         | None ->
             let report, _stats =
-              Provenance.Engine.validate ?restrict:t.restrict ~jobs:1 ~budget
+              Provenance.Engine.validate ~jobs:1 ~budget
                 t.schema t.graph
             in
             validated report
@@ -225,8 +223,8 @@ let execute t budget : Wire.op -> Wire.reply = function
             | l -> List.rev l
           in
           let fragment, _stats =
-            Provenance.Engine.run ?restrict:t.restrict ~schema:t.schema ~jobs:1
-              ~budget (current_graph t) requests
+            Provenance.Engine.run ~schema:t.schema ~jobs:1 ~budget
+              (current_graph t) requests
           in
           Wire.Fragmented
             { triples = Rdf.Graph.cardinal fragment;
@@ -299,7 +297,6 @@ let execute t budget : Wire.op -> Wire.reply = function
                       conforms = Provenance.Incremental.conforms live.inc })))
   | Wire.Health -> Wire.Healthy { uptime = Unix.gettimeofday () -. t.started }
   | Wire.Stats -> Wire.Statistics (stats t)
-  | Wire.Ping -> Wire.Pong { shard = t.shard }
   | Wire.Sleep ms ->
       (* diagnostic: bounded so a stray request cannot park a worker
          beyond any plausible drain deadline *)
@@ -436,10 +433,8 @@ let write_port_file path port =
      raise e);
   Sys.rename tmp path
 
-let start ?(namespaces = Rdf.Namespace.default) ?shard ?restrict ?journal
-    config ~schema ~graph =
-  if journal <> None && (shard <> None || restrict <> None) then
-    invalid_arg "Server.start: a journalled server cannot be a shard worker";
+let start ?(namespaces = Rdf.Namespace.default) ?journal config ~schema
+    ~graph =
   (* Freeze once at load: every request evaluates against the same
      interned store instead of each engine run freezing its own copy. *)
   let graph = Rdf.Graph.freeze graph in
@@ -479,7 +474,7 @@ let start ?(namespaces = Rdf.Namespace.default) ?shard ?restrict ?journal
           in_flight = Atomic.make 0 }
       in
       let t =
-        { config; namespaces; schema; graph; live; shard; restrict; lsock;
+        { config; namespaces; schema; graph; live; lsock;
           bound_port;
           started = Unix.gettimeofday ();
           stop = Atomic.make false;

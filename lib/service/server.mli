@@ -60,8 +60,6 @@ type t
 
 val start :
   ?namespaces:Rdf.Namespace.t ->
-  ?shard:int ->
-  ?restrict:(Rdf.Term.t -> bool) ->
   ?journal:Runtime.Journal.t ->
   config ->
   schema:Shacl.Schema.t ->
@@ -72,20 +70,13 @@ val start :
     cannot be bound.  [namespaces] resolves prefixed names in request
     shapes and prefixes reply Turtle.
 
-    [shard] and [restrict] turn the server into a cluster shard worker
-    (see {!Shard}): [shard] is echoed on [ping] replies, and [restrict]
-    limits which candidate nodes [validate] / [fragment] requests
-    enumerate — the graph itself stays whole, so each restricted answer
-    is exact over the nodes the shard owns.
-
     [journal] makes the server accept [update] requests against the
     (already recovered — see {!Runtime.Journal.recover}) write-ahead
     log: [graph] must be the recovered graph, each delta is appended
     and fsynced before its acknowledgment, and [validate] / schema
     [fragment] requests are answered from the incrementally maintained
-    report and fragment.  Mutually exclusive with [shard] / [restrict]
-    (raises [Invalid_argument]).  Startup pays one full evaluation to
-    seed the incremental state. *)
+    report and fragment.  Startup pays one full evaluation to seed the
+    incremental state. *)
 
 val write_port_file : string -> int -> unit
 (** Atomically publish a bound port at [path]: written to a temp file in

@@ -245,7 +245,6 @@ type op =
   | Update of { add : string; remove : string }
   | Health
   | Stats
-  | Ping
   | Sleep of int
 
 type request = {
@@ -303,9 +302,7 @@ type reply =
     }
   | Healthy of { uptime : float }
   | Statistics of stats
-  | Pong of { shard : int option }
   | Slept of int
-  | Partial of { value : reply; missing : Runtime.Outcome.gap list }
   | Overloaded of { queued : int }
   | Failed of { reason : failure; detail : string }
   | Error of string
@@ -362,7 +359,6 @@ let op_name = function
   | Update _ -> "update"
   | Health -> "health"
   | Stats -> "stats"
-  | Ping -> "ping"
   | Sleep _ -> "sleep"
 
 let encode_request r =
@@ -424,7 +420,6 @@ let decode_request line =
         else Ok (Update { add; remove })
     | Some "health" -> Ok Health
     | Some "stats" -> Ok Stats
-    | Some "ping" -> Ok Ping
     | Some "sleep" -> (
         let* ms = int_field "ms" json in
         match ms with
@@ -484,50 +479,7 @@ let bool_field key json =
   | Some (Json.Bool b) -> Ok b
   | _ -> Result.Error (Printf.sprintf "field %S must be a boolean" key)
 
-let encode_gap (g : Runtime.Outcome.gap) =
-  let open Json in
-  let reason, detail = failure_of_outcome g.reason in
-  Obj
-    [ "shard", Num (float_of_int g.shard);
-      "ranges",
-      Arr
-        (List.map
-           (fun (lo, hi) ->
-             Arr [ Num (float_of_int lo); Num (float_of_int hi) ])
-           g.ranges);
-      "reason", Str (failure_name reason);
-      "detail", Str detail ]
-
-let decode_gap json =
-  let* shard = required "gap shard" (int_field "shard" json) in
-  let* reason = required "gap reason" (string_field "reason" json) in
-  let* detail = required "gap detail" (string_field "detail" json) in
-  let* reason =
-    match failure_of_name reason with
-    | Some Timeout -> Ok Runtime.Outcome.Timed_out
-    | Some Fuel -> Ok Runtime.Outcome.Fuel_exhausted
-    | Some Crash -> Ok (Runtime.Outcome.Crashed detail)
-    | None -> Result.Error (Printf.sprintf "unknown gap reason %S" reason)
-  in
-  (* ring positions reach 2^30, past [int_field]'s bound, so the pairs
-     are decoded from raw numbers *)
-  let* ranges =
-    match field "ranges" json with
-    | Some (Json.Arr l) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | Json.Arr [ Json.Num lo; Json.Num hi ] :: rest
-            when Float.is_integer lo && Float.is_integer hi ->
-              go ((int_of_float lo, int_of_float hi) :: acc) rest
-          | _ ->
-              Result.Error "gap \"ranges\" must be an array of [lo,hi] pairs"
-        in
-        go [] l
-    | _ -> Result.Error "gap is missing \"ranges\""
-  in
-  Ok { Runtime.Outcome.shard; ranges; reason }
-
-let rec reply_fields reply =
+let reply_fields reply =
   let open Json in
   match reply with
   | Validated { conforms; checks; violations } ->
@@ -551,20 +503,8 @@ let rec reply_fields reply =
   | Healthy { uptime } ->
       [ "status", Str "ok"; "op", Str "health"; "uptime", Num uptime ]
   | Statistics s -> [ "status", Str "ok"; "op", Str "stats" ] @ stats_fields s
-  | Pong { shard } ->
-      [ "status", Str "ok"; "op", Str "ping" ]
-      @ (match shard with
-        | None -> []
-        | Some i -> [ "shard", Num (float_of_int i) ])
   | Slept ms ->
       [ "status", Str "ok"; "op", Str "sleep"; "ms", Num (float_of_int ms) ]
-  | Partial { value; missing } ->
-      (* an [ok] payload, demoted: same op-specific fields, with the
-         status discriminator flipped and the silent shards appended *)
-      List.map
-        (fun (k, v) -> if k = "status" then k, Str "partial" else k, v)
-        (reply_fields value)
-      @ [ "missing", Arr (List.map encode_gap missing) ]
   | Overloaded { queued } ->
       [ "status", Str "overloaded"; "queued", Num (float_of_int queued) ]
   | Failed { reason; detail } ->
@@ -579,7 +519,7 @@ let encode_reply ?id reply =
   in
   Json.to_string (Json.Obj fields)
 
-(* The op-specific payload shared by [ok] and [partial] replies. *)
+(* The op-specific payload of an [ok] reply. *)
 let decode_ok json =
   let* op = required "op" (string_field "op" json) in
   match op with
@@ -641,9 +581,6 @@ let decode_ok json =
         (Statistics
            { uptime; jobs; queue_bound; accepted; served; shed; failed;
              rejected; dropped; crashes; in_flight; queued; journal })
-  | "ping" ->
-      let* shard = int_field "shard" json in
-      Ok (Pong { shard })
   | "sleep" ->
       let* ms = required "ms" (int_field "ms" json) in
       Ok (Slept ms)
@@ -661,25 +598,6 @@ let decode_reply line =
   let* reply =
     match status with
     | "ok" -> decode_ok json
-    | "partial" ->
-        let* value = decode_ok json in
-        let* missing =
-          match field "missing" json with
-          | Some (Json.Arr l) ->
-              let rec go acc = function
-                | [] -> Ok (List.rev acc)
-                | (Json.Obj _ as g) :: rest ->
-                    let* g = decode_gap g in
-                    go (g :: acc) rest
-                | _ ->
-                    Result.Error "\"missing\" must be an array of gap objects"
-              in
-              go [] l
-          | _ -> Result.Error "partial reply is missing \"missing\""
-        in
-        if missing = [] then
-          Result.Error "partial reply must list at least one gap"
-        else Ok (Partial { value; missing })
     | "overloaded" ->
         let* queued = required "queued" (int_field "queued" json) in
         Ok (Overloaded { queued })

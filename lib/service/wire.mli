@@ -21,9 +21,7 @@
     tests use it to saturate the queue deterministically.
 
     Replies carry a ["status"] discriminator: ["ok"] with op-specific
-    payload, ["partial"] (a router's scatter-gathered payload with some
-    shards unreachable; carries a ["missing"] manifest of their hash
-    ranges), ["overloaded"] (the admission queue was full — the request
+    payload, ["overloaded"] (the admission queue was full — the request
     was never started), ["failed"] (the request started but its worker
     crashed or exhausted its budget; ["reason"] is one of
     ["timeout"]/["fuel"]/["crash"]) or ["error"] (the request itself was
@@ -61,13 +59,8 @@ type op =
           journal: the delta is appended and fsynced to the write-ahead
           log {e before} the {!Updated} acknowledgment is sent, then
           folded into the live graph by incremental revalidation. *)
-  | Health
+  | Health  (** liveness probe: answers {!Healthy} with the uptime *)
   | Stats
-  | Ping
-      (** liveness probe: answers {!Pong} with the worker's shard slot.
-          Deliberately trivial to evaluate; under saturation the probe
-          is answered [overloaded] instead, which still proves the
-          process is alive *)
   | Sleep of int  (** diagnostic: hold a worker for [ms] milliseconds *)
 
 type request = {
@@ -132,16 +125,7 @@ type reply =
     }
   | Healthy of { uptime : float }
   | Statistics of stats
-  | Pong of { shard : int option }
-      (** [shard] identifies the worker's ring slot when it serves one *)
   | Slept of int
-  | Partial of { value : reply; missing : Runtime.Outcome.gap list }
-      (** a scatter-gathered [ok] payload with at least one shard
-          silent: [value] is exact over the shards that answered, and
-          [missing] lists each unreachable shard with the hash ranges it
-          owns.  Encoded as the [ok] fields with [status] flipped to
-          ["partial"] plus a ["missing"] array; routers produce it,
-          shard workers never do. *)
   | Overloaded of { queued : int }
   | Failed of { reason : failure; detail : string }
   | Error of string

@@ -81,6 +81,10 @@ and compute env a phi =
          false
        with Exit -> true)
   | Shape.Le (n, e, psi) ->
+      (* [n < 0] (the normal form of [¬≥0]) admits no node, even one
+         without successors *)
+      n >= 0
+      &&
       let found = ref 0 in
       (try
          Term.Set.iter

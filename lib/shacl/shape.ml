@@ -86,7 +86,6 @@ let rec nnf shape =
       | Not phi -> nnf phi
       | And l -> Or (List.map (fun s -> nnf (Not s)) l)
       | Or l -> And (List.map (fun s -> nnf (Not s)) l)
-      | Ge (0, _, _) -> Bottom
       | Ge (n, e, phi) -> Le (n - 1, e, nnf phi)
       | Le (n, e, phi) -> Ge (n + 1, e, nnf phi)
       | Forall (e, phi) -> Ge (1, e, nnf (Not phi))
@@ -164,21 +163,6 @@ let constants shape =
 
 let size shape = fold_subshapes (fun _ n -> n + 1) shape 0
 
-let fold_paths f shape acc =
-  fold_subshapes
-    (fun s acc ->
-      match s with
-      | Eq (Path e, p) | Disj (Path e, p) ->
-          f (Rdf.Path.Prop p) (f e acc)
-      | Eq (Id, p) | Disj (Id, p) -> f (Rdf.Path.Prop p) acc
-      | Less_than (e, p) | Less_than_eq (e, p)
-      | More_than (e, p) | More_than_eq (e, p) ->
-          f (Rdf.Path.Prop p) (f e acc)
-      | Unique_lang e -> f e acc
-      | Ge (_, e, _) | Le (_, e, _) | Forall (e, _) -> f e acc
-      | _ -> acc)
-    shape acc
-
 (* ------------------------------------------------------------------ *)
 (* Printing                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -233,6 +217,10 @@ let pp_with pp_iri pp_term ppf shape =
     | Ge (n, e, s) ->
         paren (prec > 2) (fun ppf ->
             Format.fprintf ppf ">=%d %a . %a" n pp_path e (go 3) s)
+    | Le (n, e, s) when n < 0 ->
+        (* the normal form of [¬≥0 E.s]; the syntax has no negative
+           counts, so it prints as the negation it came from *)
+        go prec ppf (Not (Ge (0, e, s)))
     | Le (n, e, s) ->
         paren (prec > 2) (fun ppf ->
             Format.fprintf ppf "<=%d %a . %a" n pp_path e (go 3) s)

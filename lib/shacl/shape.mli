@@ -63,8 +63,12 @@ val has_value_iri : string -> t
 val nnf : t -> t
 (** Pushes negation down to atomic shapes (Section 3.1): De Morgan for
     [∧]/[∨], and
-    [¬≥n+1 E.phi ≡ ≤n E.phi], [¬≥0 E.phi ≡ ⊥],
-    [¬≤n E.phi ≡ ≥n+1 E.phi], [¬∀E.phi ≡ ≥1 E.¬phi].
+    [¬≥n E.phi ≡ ≤n-1 E.phi], [¬≤n E.phi ≡ ≥n+1 E.phi],
+    [¬∀E.phi ≡ ≥1 E.¬phi].  [¬≥0 E.phi] becomes [≤-1 E.phi], which no
+    node satisfies, rather than [⊥]: negating it again gives back
+    [≥0 E.phi], so [nnf (Not (nnf phi))] and [nnf (Not phi)] agree on
+    conformance {e and} on neighborhoods (the [≥0] form traces its
+    witnesses, [⊤] would trace nothing).
     Quantifier bodies are normalized recursively.  [Has_shape] references
     are left in place (their definitions are normalized at use site, as in
     Table 2 rules 1–2). *)
@@ -102,9 +106,6 @@ val referenced_names : t -> Rdf.Term.Set.t
 
 val size : t -> int
 (** Number of AST nodes, counting paths as 1. *)
-
-val fold_paths : (Rdf.Path.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** Folds over every path expression occurring in the shape. *)
 
 val constants : t -> Rdf.Term.Set.t
 (** All terms [c] such that [hasValue(c)] occurs in the shape (used to

@@ -51,6 +51,10 @@ let test_counting () =
   check "<=1 p" false (conforms g (ex "a") (Shape.Le (1, pp_, Shape.Top)));
   check "<=0 on node without p" true
     (conforms g (ex "d") (Shape.Le (0, pp_, Shape.Top)));
+  (* [≤-1], the normal form of [¬≥0], holds nowhere, not even on a node
+     without successors *)
+  check "<=-1 on node without p" false
+    (conforms g (ex "d") (Shape.Le (-1, pp_, Shape.Top)));
   check ">=1 with filter" true
     (conforms g (ex "a") (Shape.Ge (1, pp_, Shape.Has_value (ex "c"))));
   check ">=2 with filter" false

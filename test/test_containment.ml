@@ -1,9 +1,8 @@
-(* Cross-shape containment analysis and the schema-level planner.
+(* Cross-shape containment analysis and the schema's lattice.
 
    - Unit: the structural ⊑ rules (counting, conjunction weakening,
-     pair-constraint relaxation), equivalence, and plan structure
-     (levels, transitive reduction of the skip DAG, equivalence
-     classes).
+     pair-constraint relaxation), equivalence, and the lattice (every
+     proven edge, equivalence classes).
    - Properties: soundness of [subsumes] against the conformance
      checker (a proven [a ⊑ b] is never contradicted on any random
      graph), and the syntactic core never proves more than the full
@@ -12,7 +11,6 @@
 open Rdf
 open Shacl
 open Analysis
-open Provenance
 
 let ex local = "http://example.org/" ^ local
 let ext local = Term.iri (ex local)
@@ -72,56 +70,46 @@ let test_node_test_implication () =
   check "min-length relaxes" true
     (Containment.test_implies (Node_test.Min_length 4) (Node_test.Min_length 2))
 
-(* ---------------- plan structure ----------------------------------- *)
+(* ---------------- the lattice -------------------------------------- *)
 
-(* A containment chain C ⊑ B ⊑ A: the planner must schedule C first
-   and, after transitive reduction, keep only the direct predecessor
-   on each skip list (A skips via B alone — B already conforms
-   wherever C does). *)
+(* A containment chain C ⊑ B ⊑ A: the lattice records every proven
+   edge, the transitive C ⊑ A included, and no equivalence. *)
 let chain_schema =
   Schema.def_list
     [ ex "A", Shape.Ge (1, p, Shape.Top), Shape.Has_value (ext "t");
       ex "B", Shape.Ge (2, p, Shape.Top), Shape.Has_value (ext "t");
       ex "C", Shape.Ge (3, p, Shape.Top), Shape.Has_value (ext "t") ]
 
-let test_plan_chain () =
-  let plan = Plan.make chain_schema in
-  check_int "three defs" 3 (Plan.n_defs plan);
-  check_int "three levels" 3 (Plan.n_levels plan);
+let test_lattice_chain () =
+  let l = Containment.lattice chain_schema in
+  check_int "three defs" 3 (Array.length l.defs);
   (* defs are in Schema.defs order: A = 0, B = 1, C = 2 *)
-  check_int "C runs first" 0 plan.Plan.levels.(2);
-  check_int "B second" 1 plan.Plan.levels.(1);
-  check_int "A last" 2 plan.Plan.levels.(0);
-  check "C skips via nothing" true (plan.Plan.skip_preds.(2) = []);
-  check "B skips via C" true (plan.Plan.skip_preds.(1) = [ 2 ]);
-  check "A skips via B only (transitive reduction)" true
-    (plan.Plan.skip_preds.(0) = [ 1 ]);
-  (* the full relation still records the transitive edge *)
-  check "C [= A proven" true
-    (List.exists
-       (fun (e : Plan.edge) -> e.sub = 2 && e.sup = 0)
-       plan.Plan.edges)
+  check "edges B [= A, C [= A, C [= B" true
+    (List.map (fun (e : Containment.edge) -> e.sub, e.sup, e.equivalent)
+       l.edges
+    = [ 1, 0, false; 2, 0, false; 2, 1, false ]);
+  check "no equivalence class" true (l.classes = [])
 
-let test_plan_equivalence () =
+let test_lattice_equivalence () =
   let schema =
     Schema.def_list
       [ ex "A", Shape.Ge (1, p, Shape.Top), Shape.Has_value (ext "t");
+        ex "B", Shape.Ge (2, p, Shape.Top), Shape.Has_value (ext "t");
         ex "Acopy", Shape.Ge (1, p, Shape.Top), Shape.Has_value (ext "t") ]
   in
-  let plan = Plan.make schema in
-  check "one equivalence class" true
-    (Plan.equivalence_classes plan = [ [ 0; 1 ] ]);
-  check_int "two levels" 2 (Plan.n_levels plan);
-  check "copy skips via representative" true (plan.Plan.skip_preds.(1) = [ 0 ]);
-  check "representative skips via nothing" true (plan.Plan.skip_preds.(0) = [])
-
-let test_plan_shared_paths () =
-  let plan = Plan.make chain_schema in
-  (* all three defs constrain the same path after normalization *)
-  check "p shared by 3 defs" true
-    (List.exists
-       (fun (e, c) -> Rdf.Path.equal e p && c = 3)
-       plan.Plan.shared_paths)
+  let l = Containment.lattice schema in
+  check "one equivalence class" true (l.classes = [ [ 0; 2 ] ]);
+  check "the mutual edges are marked equivalent" true
+    (List.for_all
+       (fun (e : Containment.edge) ->
+         e.equivalent = ((e.sub = 0 && e.sup = 2) || (e.sub = 2 && e.sup = 0)))
+       l.edges);
+  check "B sits below both copies" true
+    (List.for_all
+       (fun sup ->
+         List.exists (fun (e : Containment.edge) -> e.sub = 1 && e.sup = sup)
+           l.edges)
+       [ 0; 2 ])
 
 (* ---------------- properties --------------------------------------- *)
 
@@ -140,7 +128,7 @@ let prop_subsumes_sound =
              || Conformance.conforms empty g v b)
            (Graph.nodes g))
 
-(* The planner's cheap test proves a subset of the full test's edges. *)
+(* The lattice's cheap test proves a subset of the full test's edges. *)
 let prop_syntactic_weaker =
   QCheck.Test.make ~count:500
     ~name:"subsumes_syntactic implies subsumes_normalized"
@@ -155,9 +143,9 @@ let suite =
   [ Alcotest.test_case "subsumption rules" `Quick test_rules;
     Alcotest.test_case "equivalence" `Quick test_equivalent;
     Alcotest.test_case "node-test implication" `Quick test_node_test_implication;
-    Alcotest.test_case "plan: chain levels and reduction" `Quick test_plan_chain;
-    Alcotest.test_case "plan: equivalence class" `Quick test_plan_equivalence;
-    Alcotest.test_case "plan: shared paths" `Quick test_plan_shared_paths ]
+    Alcotest.test_case "lattice: chain edges" `Quick test_lattice_chain;
+    Alcotest.test_case "lattice: equivalence class" `Quick
+      test_lattice_equivalence ]
 
 let props =
   [ prop_subsumes_sound; prop_syntactic_weaker ]

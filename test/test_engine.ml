@@ -262,6 +262,56 @@ let prop_unfold_differential =
       && Graph.equal oracle (Engine.fragment_schema h g)
       && List.for_all sufficient report.results)
 
+(* The shrunk seed-90 counterexample of [prop_unfold_differential]:
+   [shape2 = ¬(≥0 q?. uniqueLang(q|q))] is untargeted and used once, so
+   unfolding inlines it under [≤1 p].  The [≤1 p] neighborhood traces
+   the successors that conform to [¬shape2], i.e. to [≥0 q?. ...], which
+   traces their [q] edges.  Inlined, that negation went through the
+   normal form of [shape2]'s body, which used to be [⊥] (negated: [⊤],
+   tracing nothing), so the unfolded schema lost those triples. *)
+let test_unfold_negated_ge0 () =
+  let g =
+    Turtle.parse_exn
+      "@prefix ex: <http://example.org/> .\n\
+       ex:a ex:r ex:b, ex:d, \"bonjour\"@fr .\n\
+       ex:b ex:p ex:d, \"bonjour\"@fr, \"x\" ; ex:q 2 .\n\
+       ex:c ex:p ex:b, 1 .\n\
+       ex:d ex:q \"x\" ; ex:r ex:e .\n\
+       ex:e ex:p ex:d ; ex:q 5 ; ex:r ex:e .\n"
+  in
+  let def i shape target =
+    { Schema.name = Term.iri (Printf.sprintf "http://example.org/shape%d" i);
+      shape = Shape_syntax.parse_exn shape;
+      target = Shape_syntax.parse_exn target }
+  in
+  let h =
+    Schema.make_exn
+      [ def 0 "hasValue(\"x\")"
+          "hasValue(ex:a) | >=1 rdf:type/rdfs:subClassOf* . hasValue(ex:a) \
+           | >=1 rdf:type/rdfs:subClassOf* . hasValue(ex:d)";
+        def 1 "forall ex:p . !moreThan(ex:p, ex:q)" "hasValue(ex:b)";
+        def 2 "!(>=0 ex:q? . uniqueLang(ex:q|ex:q))" "bottom";
+        def 3 ">=0 ex:r? . (<=1 ex:p . shape(ex:shape2))"
+          "<=0 ex:r|ex:q . shape(ex:shape1)" ]
+  in
+  let u = Schema.unfold h in
+  let request (d : Schema.def) = Shape.and_ [ d.shape; d.target ] in
+  List.iter2
+    (fun (d : Schema.def) (d' : Schema.def) ->
+      Term.Set.iter
+        (fun v ->
+          Alcotest.(check bool)
+            (Format.asprintf "neighborhood of %a for %a" Term.pp v Term.pp
+               d.name)
+            true
+            (Graph.equal
+               (Neighborhood.b ~schema:h g v (request d))
+               (Neighborhood.b ~schema:u g v (request d'))))
+        (Graph.nodes g))
+    (Schema.defs h) (Schema.defs u);
+  Alcotest.(check bool) "unfolded engine fragment = oracle" true
+    (Graph.equal (Fragment.frag_schema h g) (Engine.fragment_schema u g))
+
 (* --- stats invariants ----------------------------------------------- *)
 
 let stats_invariants (stats : Engine.Stats.t) fragment =
@@ -587,7 +637,9 @@ let suite =
     "`Fail policy re-raises", `Quick, test_fault_fail_policy_raises;
     "fuel outcome recorded", `Quick, test_fuel_outcome_recorded;
     "validate `Skip excludes failed def", `Quick,
-    test_validate_skip_excludes_failed ]
+    test_validate_skip_excludes_failed;
+    "unfold: a negated >=0 keeps its neighborhood", `Quick,
+    test_unfold_negated_ge0 ]
 
 let props =
   [ prop_differential_instrumented; prop_differential_naive;

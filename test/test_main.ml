@@ -27,7 +27,6 @@ let () =
       Tgen.qsuite "runtime:props" Test_runtime.props;
       "service", Test_service.suite;
       Tgen.qsuite "service:props" Test_service.props;
-      "cluster", Test_cluster.suite;
       "to-sparql", Test_to_sparql.suite;
       Tgen.qsuite "to-sparql:props" Test_to_sparql.props;
       "tpf", Test_tpf.suite;

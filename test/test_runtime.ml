@@ -5,6 +5,9 @@
      never raises.
    - Fault: probes raise only at the configured site (and, with [@N],
      only on the N-th probe); disabled faults are free.
+   - Retry: backoff delays stay within their cap, and an injectable
+     clock proves the overall wall-clock deadline cuts the attempt
+     loop, independent of per-attempt outcomes.
    - Regression: adversarially deep inputs — deeply nested shapes and
      long property-path chains — exhaust the fuel guard as a clean
      [Budget.Exhausted Fuel] at a safe point instead of overflowing the
@@ -243,6 +246,54 @@ let test_retry_first_try_no_sleep () =
   Alcotest.(check bool) "ok" true (result = Ok ());
   Alcotest.(check bool) "no sleep on immediate success" false !slept
 
+(* A fake clock: [now] reads it, [sleep] advances it.  No real time
+   passes in these tests. *)
+let fake_clock start =
+  let t = ref start in
+  (fun () -> !t), (fun d -> t := !t +. d)
+
+let test_retry_deadline_cuts_attempts () =
+  let now, sleep = fake_clock 0.0 in
+  let attempts = ref 0 in
+  let policy =
+    Runtime.Retry.policy ~max_attempts:100 ~base_delay:1.0 ~cap_delay:1.0 ()
+  in
+  let result =
+    Runtime.Retry.run ~sleep ~rand:(fun f -> f) ~now ~deadline:3.5 policy
+      ~retryable:(fun _ -> true)
+      (fun _ -> incr attempts; Error `Transient)
+  in
+  Alcotest.(check bool) "still the error" true (result = Error `Transient);
+  (* attempts at t=0,1,2,3; the next sleep would land past 3.5 *)
+  Alcotest.(check int) "deadline cut the loop" 4 !attempts
+
+let test_retry_deadline_clamps_last_sleep () =
+  let now, sleep = fake_clock 0.0 in
+  let slept = ref [] in
+  let sleep d = slept := d :: !slept; sleep d in
+  let policy =
+    Runtime.Retry.policy ~max_attempts:10 ~base_delay:10.0 ~cap_delay:10.0 ()
+  in
+  ignore
+    (Runtime.Retry.run ~sleep ~rand:(fun f -> f) ~now ~deadline:4.0 policy
+       ~retryable:(fun _ -> true)
+       (fun _ -> Error `Transient)
+      : (unit, _) result);
+  List.iter
+    (fun d -> Alcotest.(check bool) "sleep within deadline" true (d <= 4.0))
+    !slept
+
+let test_retry_no_deadline_unchanged () =
+  let now, sleep = fake_clock 0.0 in
+  let attempts = ref 0 in
+  let policy = Runtime.Retry.policy ~max_attempts:5 ~base_delay:1.0 () in
+  ignore
+    (Runtime.Retry.run ~sleep ~rand:(fun f -> f) ~now policy
+       ~retryable:(fun _ -> true)
+       (fun _ -> incr attempts; Error `Transient)
+      : (unit, _) result);
+  Alcotest.(check int) "all attempts used" 5 !attempts
+
 (* Policies drawn small enough to compute the exponential exactly. *)
 let arbitrary_policy_attempt =
   QCheck.make
@@ -317,6 +368,12 @@ let suite =
     test_retry_non_retryable_once;
     "retry: eventual success", `Quick, test_retry_eventual_success;
     "retry: no sleep on first success", `Quick, test_retry_first_try_no_sleep;
+    "retry: deadline cuts the attempt loop", `Quick,
+    test_retry_deadline_cuts_attempts;
+    "retry: deadline clamps backoff sleeps", `Quick,
+    test_retry_deadline_clamps_last_sleep;
+    "retry: no deadline leaves the loop alone", `Quick,
+    test_retry_no_deadline_unchanged;
     "fault: site match", `Quick, test_fault_site_match;
     "fault: nth probe only", `Quick, test_fault_nth_probe;
     "fault: spec parsing", `Quick, test_fault_spec_parsing;

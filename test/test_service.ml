@@ -3,6 +3,7 @@
    - Wire: JSON codec total on arbitrary bytes, request/reply roundtrips.
    - Bqueue: bounded admission with explicit shedding and drain-on-close.
    - Pool: crashed workers are replaced and the queue keeps draining.
+   - Server.write_port_file: atomic publication.
    - End-to-end (in-process server on an ephemeral port): every op over
      a real socket, per-request budgets, load shedding, worker-fault
      isolation with client retry, graceful drain, and the determinism
@@ -611,6 +612,35 @@ let test_e2e_update_without_journal () =
       | Ok _ -> Alcotest.fail "update must be refused without a journal"
       | Error e -> Alcotest.failf "expected Remote_error: %a" Client.pp_error e)
 
+(* ---------------- Server.write_port_file ----------------------------- *)
+
+let test_write_port_file_atomic () =
+  let path = Filename.temp_file "shaclprov_port" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Server.write_port_file path 4321;
+      let read () =
+        let ic = open_in path in
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> input_line ic)
+      in
+      Alcotest.(check string) "content" "4321" (read ());
+      (* overwriting is atomic too: the rename replaces the old file *)
+      Server.write_port_file path 65000;
+      Alcotest.(check string) "overwritten" "65000" (read ());
+      (* no temp litter left beside the file *)
+      let dir = Filename.dirname path and base = Filename.basename path in
+      let litter =
+        Array.to_list (Sys.readdir dir)
+        |> List.filter (fun f ->
+               f <> base
+               && String.length f > String.length base
+               && String.sub f 0 (String.length base) = base)
+      in
+      Alcotest.(check (list string)) "no temp litter" [] litter)
+
 let suite =
   [ "json: roundtrip", `Quick, test_json_roundtrip;
     "json: single line", `Quick, test_json_single_line;
@@ -646,7 +676,9 @@ let suite =
     "e2e: journalled update and recovery", `Quick,
     test_e2e_journal_update_and_recover;
     "e2e: update refused without a journal", `Quick,
-    test_e2e_update_without_journal ]
+    test_e2e_update_without_journal;
+    "server: port file is written atomically", `Quick,
+    test_write_port_file_atomic ]
 
 (* Wire codec property: any request roundtrips, including shapes with
    hostile bytes. *)

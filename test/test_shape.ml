@@ -16,7 +16,7 @@ let test_nnf_quantifiers () =
   check_shape "¬≤n ≡ ≥n+1"
     (Shape.Ge (3, path_p, Shape.Top))
     (Shape.nnf (Shape.Not (Shape.Le (2, path_p, Shape.Top))));
-  check_shape "¬≥0 ≡ ⊥" Shape.Bottom
+  check_shape "¬≥0 ≡ ≤-1" (Shape.Le (-1, path_p, Shape.Top))
     (Shape.nnf (Shape.Not (Shape.Ge (0, path_p, Shape.Top))));
   check_shape "¬∀ ≡ ≥1 ¬"
     (Shape.Ge (1, path_p, Shape.Not (Shape.Has_value (Rdf.Term.iri (ex "c")))))
@@ -200,9 +200,52 @@ let prop_nnf_idempotent =
   QCheck.Test.make ~name:"nnf idempotent" ~count:500 Tgen.arbitrary_shape_deep
     (fun s -> Shape.equal (Shape.nnf s) (Shape.nnf (Shape.nnf s)))
 
+(* Negating a normal form again must give what negating the source
+   gives: [nnf (Not (nnf phi))] = [nnf (Not phi)], up to one duality.
+   [¬∀E.psi] normalizes to [≥1 E.¬psi], whose negation is [≤0 E.¬psi],
+   not [∀E.psi]; Table 2 gives the two the same conformance and the
+   same neighborhood (every [E]-successor, traced with its
+   [psi]-neighborhood), so both sides are compared with each [∀E.psi]
+   spelled as [≤0 E.¬psi]. *)
+let rec forall_as_le phi =
+  match phi with
+  | Shape.Forall (e, psi) ->
+      Shape.Le (0, e, forall_as_le (Shape.nnf (Shape.Not psi)))
+  | _ -> Shape.map_children forall_as_le phi
+
+let prop_nnf_commutes_with_negation =
+  QCheck.Test.make ~name:"nnf commutes with negation" ~count:1000
+    Tgen.arbitrary_shape_deep
+    (fun s ->
+      Shape.equal
+        (forall_as_le (Shape.nnf (Shape.Not (Shape.nnf s))))
+        (forall_as_le (Shape.nnf (Shape.Not s))))
+
+(* The shrunk engine counterexample behind the property: [¬≥0 E.psi]
+   used to normalize to [⊥], whose negation [⊤] traces nothing, while
+   negating the source gives back [≥0 E.psi], which traces [E]. *)
+let test_nnf_negated_ge0 () =
+  let ge0 =
+    Shape.Ge
+      ( 0,
+        Rdf.Path.Opt (Rdf.Path.Prop (Rdf.Iri.of_string (ex "q"))),
+        Shape.Unique_lang path_p )
+  in
+  check_shape "¬¬≥0 through nnf" ge0
+    (Shape.nnf (Shape.Not (Shape.nnf (Shape.Not ge0))));
+  check_shape "¬¬≥0 directly" ge0 (Shape.nnf (Shape.Not (Shape.Not ge0)));
+  (* the syntax has no negative counts: [≤-1 E.psi] prints as the
+     negation it normalizes from, and re-parses to the same form *)
+  let negated = Shape.nnf (Shape.Not ge0) in
+  let printed = Shape_syntax.print negated in
+  match Shape_syntax.parse printed with
+  | Ok s -> check_shape "printed normal form re-parses" negated (Shape.nnf s)
+  | Error _ -> Alcotest.failf "cannot re-parse %S" printed
+
 let suite =
   [ "NNF of quantifiers", `Quick, test_nnf_quantifiers;
     "NNF De Morgan", `Quick, test_nnf_de_morgan;
+    "NNF of a negated >=0 negates back", `Quick, test_nnf_negated_ge0;
     "smart constructors", `Quick, test_smart_constructors;
     "is_nnf", `Quick, test_is_nnf;
     "closed(P) compares as a set", `Quick, test_closed_equal;
@@ -215,5 +258,6 @@ let props =
   [ prop_syntax_roundtrip;
     prop_nnf_is_nnf;
     prop_nnf_idempotent;
+    prop_nnf_commutes_with_negation;
     prop_parse_total;
     prop_parse_path_total ]

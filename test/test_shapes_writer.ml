@@ -92,7 +92,6 @@ let prop_semantic_roundtrip =
     (fun (g, (v, shape)) ->
       (* exclude the SHACL-less extension *)
       let has_more_than =
-        Shape.fold_paths (fun _ acc -> acc) shape false |> fun _ ->
         let rec scan s =
           match s with
           | Shape.More_than _ | Shape.More_than_eq _ -> true
