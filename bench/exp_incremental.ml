@@ -11,9 +11,12 @@
    exp_containment.  After the remove half of each cycle the
    incremental report and fragment are checked against the from-scratch
    answers (report via its printed form, fragment byte-for-byte on the
-   Turtle serialization).  Results go to BENCH_incremental.json:
-   per delta size, the dirty-pair and recheck counts, the incremental
-   and full latencies, and the speedup. *)
+   Turtle serialization).  Results go to BENCH_incremental.json: the
+   initial build's time at -j 1 and at -j = cores, the live heap the
+   built state holds, whether the two builds agree (report, fragment,
+   statistics and counts), and per delta size, the dirty-pair and
+   recheck counts, the incremental and full latencies, and the
+   speedup. *)
 
 open Shacl
 open Workload
@@ -46,6 +49,23 @@ let sample_triples ~seed ~k g =
 
 let report_bytes r = Format.asprintf "%a" Validate.pp_report r
 
+let same_state a b =
+  String.equal
+    (report_bytes (Incremental.report a))
+    (report_bytes (Incremental.report b))
+  && String.equal
+       (Rdf.Turtle.to_string (Incremental.fragment a))
+       (Rdf.Turtle.to_string (Incremental.fragment b))
+  && Incremental.stats a = Incremental.stats b
+  && Incremental.checks a = Incremental.checks b
+  && Incremental.violations a = Incremental.violations b
+
+(* Live major-heap words after a compaction, in MB. *)
+let live_mb () =
+  Gc.compact ();
+  float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8))
+  /. 1048576.
+
 type row = {
   label : string;
   delta : int;       (* triples removed (and later re-added) per apply *)
@@ -67,15 +87,27 @@ let run ~quick =
   Printf.printf "graph: %d individuals, %d triples; %d shapes\n" individuals
     triples
     (List.length (Schema.defs schema));
-  let t_create, inc =
-    Util.time (fun () -> Incremental.create ~schema g)
+  (* Build on a frozen copy, so the heap figure is the state's own and
+     not the graph store's; the deltas below still start from [g]. *)
+  let frozen = Rdf.Graph.freeze g in
+  let cores = Domain.recommended_domain_count () in
+  let live0 = live_mb () in
+  let t_create_1, inc1 =
+    Util.time (fun () -> Incremental.create ~jobs:1 ~schema frozen)
   in
+  let state_mb = live_mb () -. live0 in
+  let t_create_n, inc =
+    Util.time (fun () -> Incremental.create ~jobs:cores ~schema frozen)
+  in
+  let identical_jobs = same_state inc1 inc in
   let s0 = Incremental.stats inc in
   Printf.printf
-    "seeded incremental state in %s (%d stored pair(s), %d fragment \
-     triple(s))\n"
-    (Format.asprintf "%a" Util.pp_seconds t_create)
-    s0.Incremental.pairs s0.Incremental.fragment_triples;
+    "seeded incremental state in %s at -j 1, %s at -j %d (%d stored \
+     pair(s), %d fragment triple(s), %.1f MB live%s)\n"
+    (Format.asprintf "%a" Util.pp_seconds t_create_1)
+    (Format.asprintf "%a" Util.pp_seconds t_create_n)
+    cores s0.Incremental.pairs s0.Incremental.fragment_triples state_mb
+    (if identical_jobs then "" else "; ** -j 1 and -j N states differ **");
   let sizes =
     [ "1 triple", 1; "10 triples", 10; "1% of graph", max 1 (triples / 100) ]
   in
@@ -153,13 +185,18 @@ let run ~quick =
     \  \"workload\": \"Kg.generate ~seed:42 ~individuals:%d\",\n\
     \  \"triples\": %d,\n\
     \  \"shapes\": %d,\n\
-    \  \"seed_seconds\": %.6f,\n\
+    \  \"cores\": %d,\n\
+    \  \"create_seconds_j1\": %.6f,\n\
+    \  \"create_seconds_jcores\": %.6f,\n\
+    \  \"state_live_mb\": %.1f,\n\
+    \  \"identical_jobs\": %b,\n\
     \  \"stored_pairs\": %d,\n\
     \  \"fragment_triples\": %d,\n\
     \  \"deltas\": [\n"
     individuals triples
     (List.length (Schema.defs schema))
-    t_create s0.Incremental.pairs s0.Incremental.fragment_triples;
+    cores t_create_1 t_create_n state_mb identical_jobs s0.Incremental.pairs
+    s0.Incremental.fragment_triples;
   List.iteri
     (fun i r ->
       Printf.fprintf oc

@@ -582,7 +582,11 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "port-file" ] ~docv:"FILE" ~doc)
   in
   let serve_jobs_arg =
-    let doc = "Number of worker domains answering requests." in
+    let doc =
+      "Number of worker domains answering requests.  With --journal, \
+       also the number of domains (at most the core count) that build \
+       the incremental state at start-up and after recovery."
+    in
     Arg.(value & opt pos_int_conv 4 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let queue_arg =

@@ -127,51 +127,6 @@ let plan ~schema ~all_nodes g r =
       Term.Set.union base stray_constants, true
   | _ -> Term.Set.union (Lazy.force all_nodes) (Shape.constants r.shape), false
 
-(* ---------------- domain pool -------------------------------------- *)
-
-let with_lock lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-(* A mutex-protected work queue; [pop] is the only cross-domain
-   synchronization point on the hot path. *)
-let make_queue items =
-  let queue = ref items in
-  let lock = Mutex.create () in
-  fun () ->
-    with_lock lock (fun () ->
-        match !queue with
-        | [] -> None
-        | x :: rest ->
-            queue := rest;
-            Some x)
-
-(* Run [worker 0 .. worker (n-1)] on [n] domains, where [n] is [jobs]
-   capped at the hardware's recommended domain count — oversubscribing
-   domains on fewer cores only buys stop-the-world GC barriers and OS
-   timesharing (the Domain documentation advises against it).  Work
-   distribution stays keyed to [jobs] (chunking happens before the
-   pool), so statistics at a fixed -j do not depend on the machine;
-   only which worker drains which chunk does, and the per-worker
-   accumulators make that unobservable.  The index lets each worker own
-   a private accumulator.  Each domain body is wrapped so that an
-   exception cannot tear down the pool mid-join: every domain is always
-   joined — leaving the shared queue in a consistent, released state —
-   and only then is the first captured error re-raised on the calling
-   domain. *)
-let spawn_pool ~jobs worker =
-  let n = min jobs (Domain.recommended_domain_count ()) in
-  if n <= 1 then worker 0
-  else
-    let domains =
-      List.init n (fun w ->
-          Domain.spawn (fun () ->
-              match worker w with () -> None | exception e -> Some e))
-    in
-    match List.filter_map Domain.join domains with
-    | [] -> ()
-    | e :: _ -> raise e
-
 (* ---------------- per-worker accumulators --------------------------- *)
 
 (* Everything a run accumulates, owned by exactly one domain at a time:
@@ -300,7 +255,7 @@ let prime_row_base ~jobs ~budget ~into_counters base st items =
   match items with
   | [] -> ()
   | _ ->
-      let pop = make_queue items in
+      let pop = Workers.make_queue items in
       let n = max 1 jobs in
       let worker_bases =
         Array.init n (fun _ -> Rdf.Path.Batch.base_create ())
@@ -340,7 +295,7 @@ let prime_row_base ~jobs ~budget ~into_counters base st items =
         (try drain () with Runtime.Budget.Exhausted _ -> ());
         Rdf.Path.Batch.export ctx ~into:worker_bases.(w)
       in
-      spawn_pool ~jobs:n worker;
+      Workers.spawn_pool ~jobs:n worker;
       Array.iter
         (fun wb -> Rdf.Path.Batch.base_merge ~into:base wb)
         worker_bases;
@@ -432,7 +387,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
            List.map (fun chunk -> i, chunk) (chunks_of ~jobs candidates))
          plans)
   in
-  let pop = make_queue items in
+  let pop = Workers.make_queue items in
   (* One accumulator per worker: the hot path merges chunk results into
      the worker's own record without taking any lock; the records are
      folded together once after the pool is joined. *)
@@ -553,7 +508,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
     in
     drain ()
   in
-  spawn_pool ~jobs worker;
+  Workers.spawn_pool ~jobs worker;
   (* Sequential degradation: retry each failed chunk once on this domain
      (faults may be transient; a fresh kernel context also helps after
      an overflow), unless the budget is already gone — then skip
@@ -720,7 +675,7 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
              |> List.filter (fun (_, _, chunk) -> Array.length chunk > 0))
          plans)
   in
-  let pop = make_queue items in
+  let pop = Workers.make_queue items in
   let worker w =
     let acc = accs.(w) in
     let rec drain () =
@@ -734,7 +689,7 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
     in
     drain ()
   in
-  spawn_pool ~jobs worker;
+  Workers.spawn_pool ~jobs worker;
   let first_error = ref None in
   List.iter
     (fun (((i, _, _) as item), e) ->

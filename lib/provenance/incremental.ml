@@ -9,10 +9,12 @@
 open Rdf
 open Shacl
 
+(* The fragment refcount and the dependency index only iterate [nb] and
+   [support], so they are flat arrays, not a graph and a set. *)
 type entry = {
   verdict : bool;
-  nb : Graph.t;            (* empty when [verdict] is false *)
-  support : Term.Set.t;    (* probe anchors of the evaluation *)
+  nb : Triple.t array;     (* sorted; empty when [verdict] is false *)
+  support : Term.t array;  (* sorted probe anchors of the evaluation *)
 }
 
 type key = int * Term.t    (* definition index, focus node *)
@@ -44,7 +46,7 @@ type t = {
 (* ---------------- fragment refcounting ------------------------------ *)
 
 let retain_nb t nb =
-  Graph.iter
+  Array.iter
     (fun tr ->
       match Hashtbl.find_opt t.refcount tr with
       | Some n -> Hashtbl.replace t.refcount tr (n + 1)
@@ -54,7 +56,7 @@ let retain_nb t nb =
     nb
 
 let release_nb t nb =
-  Graph.iter
+  Array.iter
     (fun tr ->
       match Hashtbl.find_opt t.refcount tr with
       | Some 1 ->
@@ -67,7 +69,7 @@ let release_nb t nb =
 (* ---------------- dependency index ---------------------------------- *)
 
 let index_add t key support =
-  Term.Set.iter
+  Array.iter
     (fun term ->
       let bucket =
         match Hashtbl.find_opt t.index term with
@@ -81,7 +83,7 @@ let index_add t key support =
     support
 
 let index_remove t key support =
-  Term.Set.iter
+  Array.iter
     (fun term ->
       match Hashtbl.find_opt t.index term with
       | None -> ()
@@ -103,7 +105,9 @@ let eval_pair t i v =
       t.request_shapes.(i)
   in
   let verdict, nb = check v in
-  { verdict; nb; support = !support }
+  { verdict;
+    nb = Array.of_list (Graph.to_list nb);
+    support = Array.of_list (Term.Set.elements !support) }
 
 let set_entry t i v entry =
   Hashtbl.replace t.entries (i, v) entry;
@@ -128,7 +132,7 @@ let recount t i =
 
 (* ---------------- construction -------------------------------------- *)
 
-let create ~schema g =
+let create ?(jobs = 1) ~schema g =
   let schema = Schema.unfold schema in
   let defs = Array.of_list (Schema.defs schema) in
   let request_shapes =
@@ -137,6 +141,23 @@ let create ~schema g =
       defs
   in
   let consts = Array.map Shape.constants request_shapes in
+  let graph = Graph.freeze g in
+  let tsets =
+    Array.map (fun def -> Validate.target_nodes schema graph def) defs
+  in
+  let csets = Array.mapi (fun i tset -> Term.Set.union tset consts.(i)) tsets in
+  (* Every (definition, candidate) pair, definitions in schema order and
+     nodes ascending within each. *)
+  let pairs =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun i cset ->
+              Array.of_list
+                (List.map (fun v -> i, v) (Term.Set.elements cset)))
+            csets))
+  in
+  let n = Array.length pairs in
   let t =
     { schema;
       defs;
@@ -146,28 +167,47 @@ let create ~schema g =
         Array.map
           (fun (def : Schema.def) -> Validate.target_reads def.target)
           defs;
-      graph = Graph.freeze g;
+      graph;
       entries = Hashtbl.create 256;
       index = Hashtbl.create 256;
       refcount = Hashtbl.create 256;
       fragment = Graph.empty;
-      tsets = Array.make (Array.length defs) Term.Set.empty;
-      csets = Array.make (Array.length defs) Term.Set.empty;
+      tsets;
+      csets;
       n_targets = Array.make (Array.length defs) 0;
       n_violations = Array.make (Array.length defs) 0;
       updates = 0;
       total_dirty = 0;
       total_rechecked = 0 }
   in
-  Array.iteri
-    (fun i def ->
-      let tset = Validate.target_nodes schema t.graph def in
-      let cset = Term.Set.union tset consts.(i) in
-      t.tsets.(i) <- tset;
-      t.csets.(i) <- cset;
-      Term.Set.iter (fun v -> set_entry t i v (eval_pair t i v)) cset;
-      recount t i)
-    defs;
+  (* The pairs are independent, so workers evaluate them into per-pair
+     slots, in blocks of up to 64 pairs and at least four blocks per
+     worker. *)
+  let jobs = max 1 jobs in
+  let slots = Array.make n { verdict = false; nb = [||]; support = [||] } in
+  let block = max 1 (min 64 (n / (4 * jobs))) in
+  Workers.iter ~jobs
+    (fun lo ->
+      for k = lo to min n (lo + block) - 1 do
+        let i, v = pairs.(k) in
+        slots.(k) <- eval_pair t i v
+      done)
+    (List.init ((n + block - 1) / block) (fun b -> b * block));
+  (* The slots then feed three independent structures, each filled by
+     one task in pair order, as [set_entry] over the pairs would — so
+     the state, hash table layout included, is the same at every
+     [jobs].  The index and the entries share the key tuples. *)
+  Workers.iter ~jobs
+    (function
+      | `Index ->
+          Array.iteri (fun k key -> index_add t key slots.(k).support) pairs
+      | `Fragment ->
+          Array.iter (fun e -> if e.verdict then retain_nb t e.nb) slots
+      | `Entries ->
+          Array.iteri (fun k key -> Hashtbl.replace t.entries key slots.(k))
+            pairs)
+    [ `Index; `Fragment; `Entries ];
+  Array.iteri (fun i _ -> recount t i) defs;
   t
 
 let graph t = t.graph

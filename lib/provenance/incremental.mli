@@ -29,13 +29,27 @@
     The maintained fragment is patched in place through a triple
     refcount (a triple leaves when the last neighborhood containing it
     does), and {!report}/{!fragment} reproduce {!Engine.validate} and
-    {!Engine.run} on the current graph byte-for-byte. *)
+    {!Engine.run} on the current graph byte-for-byte.
+
+    {b Memory.}  A stored pair keeps its neighborhood as a sorted
+    [Rdf.Triple.t array] and its support set as a sorted
+    [Rdf.Term.t array]: the refcount and the dependency index only
+    iterate them, so no per-pair graph indexes or set trees are held.
+    On the 57-shape survey over a 9,680-triple graph (25,724 pairs)
+    the state holds about 13 MB live, against 35 MB with a persistent
+    graph and term set per pair. *)
 
 type t
 
-val create : schema:Shacl.Schema.t -> Rdf.Graph.t -> t
+val create : ?jobs:int -> schema:Shacl.Schema.t -> Rdf.Graph.t -> t
 (** Full initial evaluation: every (definition, candidate) pair is
-    checked once, as a from-scratch run would. *)
+    checked once, as a from-scratch run would, each by its own fresh
+    {!Neighborhood.checker}.  The pairs are independent and are
+    evaluated on [jobs] domains (default 1; capped at the core count
+    by {!Workers.spawn_pool}, and [jobs <= 1] spawns none), then
+    entered into the state one by one in (definition, node) order — so
+    the state, and every later {!apply}, {!update_stats} and view, is
+    the same for any [jobs]. *)
 
 val graph : t -> Rdf.Graph.t
 (** The current graph (frozen). *)

@@ -439,12 +439,15 @@ let start ?(namespaces = Rdf.Namespace.default) ?journal config ~schema
      interned store instead of each engine run freezing its own copy. *)
   let graph = Rdf.Graph.freeze graph in
   (* Initial full evaluation of the incremental engine — the one
-     from-scratch run; every later update pays only for its dirty set. *)
+     from-scratch run; every later update pays only for its dirty set.
+     It runs on as many domains as will answer requests, before any of
+     them is spawned. *)
   let live =
     Option.map
       (fun journal ->
         { journal;
-          inc = Provenance.Incremental.create ~schema graph;
+          inc =
+            Provenance.Incremental.create ~jobs:config.jobs ~schema graph;
           lock = Mutex.create () })
       journal
   in

@@ -36,7 +36,9 @@ type config = {
   host : string;                  (** bind address, default 127.0.0.1 *)
   port : int;                     (** 0 picks an ephemeral port *)
   port_file : string option;      (** write the bound port here, for scripts *)
-  jobs : int;                     (** worker domains *)
+  jobs : int;
+      (** worker domains; a journalled server also builds its
+          incremental state on this many (capped at the core count) *)
   queue_bound : int;              (** admission-queue capacity *)
   request_timeout : float option; (** per-request wall-clock cap, seconds *)
   request_fuel : int option;      (** per-request evaluation-fuel cap *)
@@ -76,7 +78,8 @@ val start :
     and fsynced before its acknowledgment, and [validate] / schema
     [fragment] requests are answered from the incrementally maintained
     report and fragment.  Startup pays one full evaluation to seed the
-    incremental state. *)
+    incremental state, spread over [config.jobs] domains
+    ({!Provenance.Incremental.create}). *)
 
 val write_port_file : string -> int -> unit
 (** Atomically publish a bound port at [path]: written to a temp file in

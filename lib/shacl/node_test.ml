@@ -96,15 +96,36 @@ let to_str_regex regex =
   go 0 false;
   Buffer.contents buf
 
+(* Compiled patterns, keyed by (regex, case-insensitive).  Compiling
+   costs some twenty matches, and a schema tests few distinct patterns
+   against many nodes.  The table is per domain because engine and
+   incremental-build workers test patterns concurrently; it is emptied
+   when full, which bounds it without bookkeeping. *)
+let regex_cache_bound = 64
+
+let regex_cache : (string * bool, Str.regexp) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let compiled_regex ~regex ~case_insensitive =
+  let cache = Domain.DLS.get regex_cache in
+  let key = regex, case_insensitive in
+  match Hashtbl.find_opt cache key with
+  | Some re -> re
+  | None ->
+      let translated = to_str_regex regex in
+      let re =
+        if case_insensitive then Str.regexp_case_fold translated
+        else Str.regexp translated
+      in
+      if Hashtbl.length cache >= regex_cache_bound then Hashtbl.reset cache;
+      Hashtbl.add cache key re;
+      re
+
 let regex_matches ~regex ~flags s =
   let case_insensitive =
     match flags with Some f -> String.contains f 'i' | None -> false
   in
-  let translated = to_str_regex regex in
-  let re =
-    if case_insensitive then Str.regexp_case_fold translated
-    else Str.regexp translated
-  in
+  let re = compiled_regex ~regex ~case_insensitive in
   (* sh:pattern means "matches somewhere" unless anchored. *)
   try
     ignore (Str.search_forward re s 0);

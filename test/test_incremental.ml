@@ -417,7 +417,9 @@ let arbitrary_case =
 
 (* The acceptance property: after every delta of an arbitrary stream,
    the incremental state matches the sequential oracles recomputed from
-   scratch on the current graph — the report byte-for-byte against
+   scratch on the current graph, and a state built with [~jobs:3] (the
+   pairs evaluated on worker domains) reports the same [update_stats],
+   report and fragment bytes — the report byte-for-byte against
    [Validate.validate], the fragment as a graph against
    [Fragment.frag_schema] — and the maintained fragment is sufficient
    (Thm 3.4): every target the report marks conforming still conforms
@@ -433,6 +435,7 @@ let prop_incremental_differential =
     arbitrary_case
     (fun (schema, g0, deltas) ->
       let inc = Incremental.create ~schema g0 in
+      let inc3 = Incremental.create ~jobs:3 ~schema g0 in
       let report_bytes r = Format.asprintf "%a" Shacl.Validate.pp_report r in
       let request_shape name =
         let def =
@@ -444,7 +447,8 @@ let prop_incremental_differential =
       in
       List.for_all
         (fun d ->
-          ignore (Incremental.apply inc d : Incremental.update_stats);
+          let st = Incremental.apply inc d in
+          let st3 = Incremental.apply inc3 d in
           let g = Incremental.graph inc in
           let report = Incremental.report inc in
           let fragment = Incremental.fragment inc in
@@ -455,6 +459,11 @@ let prop_incremental_differential =
             | None -> Graph.is_empty g
           in
           same_store
+          && st = st3
+          && String.equal (report_bytes report)
+               (report_bytes (Incremental.report inc3))
+          && String.equal (Turtle.to_string fragment)
+               (Turtle.to_string (Incremental.fragment inc3))
           && Incremental.conforms inc = report.conforms
           && Incremental.checks inc = List.length report.results
           && Incremental.violations inc
@@ -470,6 +479,66 @@ let prop_incremental_differential =
                       (request_shape r.shape_name))
                report.results)
         deltas)
+
+(* Everything observable about a state: the report and fragment bytes,
+   the statistics and the maintained counts. *)
+let check_same_state what a b =
+  let report_bytes inc =
+    Format.asprintf "%a" Shacl.Validate.pp_report (Incremental.report inc)
+  in
+  let fragment_bytes inc = Turtle.to_string (Incremental.fragment inc) in
+  Alcotest.(check string) (what ^ ": report") (report_bytes a) (report_bytes b);
+  Alcotest.(check string)
+    (what ^ ": fragment") (fragment_bytes a) (fragment_bytes b);
+  Alcotest.(check bool) (what ^ ": stats") true
+    (Incremental.stats a = Incremental.stats b);
+  Alcotest.(check int) (what ^ ": checks") (Incremental.checks a)
+    (Incremental.checks b);
+  Alcotest.(check int)
+    (what ^ ": violations") (Incremental.violations a)
+    (Incremental.violations b)
+
+let survey_schema =
+  Shacl.Schema.make_exn
+    (List.map
+       (fun (e : Workload.Bench_shapes.entry) ->
+         { Shacl.Schema.name = Term.iri (Workload.Kg.ns ^ "bench/" ^ e.id);
+           shape = e.shape;
+           target = e.target })
+       Workload.Bench_shapes.all)
+
+(* The pairs are evaluated on worker domains but assembled in pair
+   order, so the state does not depend on [jobs]. *)
+let test_incremental_jobs_deterministic () =
+  let g = Workload.Kg.generate ~seed:7 ~individuals:300 in
+  let seq = Incremental.create ~jobs:1 ~schema:survey_schema g in
+  let par = Incremental.create ~jobs:4 ~schema:survey_schema g in
+  Alcotest.(check bool) "has pairs" true
+    ((Incremental.stats seq).Incremental.pairs > 0);
+  check_same_state "-j 1 vs -j 4" seq par;
+  check_matches_scratch "-j 4" survey_schema par
+
+(* Degenerate builds at [~jobs:4]: fewer pairs than workers, or none. *)
+let test_incremental_jobs_degenerate () =
+  (* subjects of [q]: the graph has no [q] triple *)
+  let untargeted =
+    Shacl.Schema.make_exn
+      [ { Shacl.Schema.name = ex "S";
+          shape = Shacl.Shape.Ge (1, Rdf.Path.Prop p, Shacl.Shape.Top);
+          target = Shacl.Shape.Ge (1, Rdf.Path.Prop q, Shacl.Shape.Top) } ]
+  in
+  let g = Graph.of_list [ t "a" p "b"; t "b" p "c" ] in
+  List.iter
+    (fun (what, schema, g, checks, conforms) ->
+      let par = Incremental.create ~jobs:4 ~schema g in
+      check_same_state what (Incremental.create ~jobs:1 ~schema g) par;
+      check_matches_scratch (what ^ ", -j 4") schema par;
+      Alcotest.(check int) (what ^ ": checks") checks (Incremental.checks par);
+      Alcotest.(check bool) (what ^ ": conforms") conforms
+        (Incremental.conforms par))
+    [ "empty graph", schema_ge, Graph.empty, 1, false;
+      "untargeted definition", untargeted, g, 0, true;
+      "empty schema", Shacl.Schema.empty, g, 0, true ]
 
 (* Frozen in, frozen out, through the empty graph: [Graph.freeze]
    leaves an empty graph unfrozen, so a delta stream that drains the
@@ -600,6 +669,10 @@ let suite =
       test_incremental_skips_unrelated;
     Alcotest.test_case "incremental drain and refill stay frozen" `Quick
       test_incremental_drain_refill;
+    Alcotest.test_case "incremental state is the same at -j 1 and -j 4"
+      `Quick test_incremental_jobs_deterministic;
+    Alcotest.test_case "incremental -j 4: empty graph, no targets" `Quick
+      test_incremental_jobs_degenerate;
     Alcotest.test_case "journal + incremental agree" `Quick
       test_journal_incremental_agree ]
 

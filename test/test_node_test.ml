@@ -73,6 +73,73 @@ let test_patterns () =
   check "pattern applies to IRI" true (sat (pat "example") iri);
   check "pattern fails on blank" false (sat (pat ".*") blank)
 
+(* Compiled patterns are cached per (regex, case-insensitivity) in a
+   bounded per-domain table: a compile cached under one flag setting
+   must not answer for the other, and emptying a full table must not
+   change a verdict. *)
+let test_pattern_cache () =
+  let open Node_test in
+  let pat ?flags regex = Pattern { regex; flags } in
+  let hello = str "hello" in
+  for _ = 1 to 3 do
+    check "i flag folds case" true (sat (pat ~flags:"i" "^HELLO$") hello);
+    check "no flag keeps case" false (sat (pat "^HELLO$") hello);
+    check "flags without i keep case" false
+      (sat (pat ~flags:"m" "^HELLO$") hello);
+    check "i flag, unanchored" true (sat (pat ~flags:"i" "LL") hello);
+    check "unanchored inside" true (sat (pat "ell") hello);
+    check "start anchor rejects" false (sat (pat "^ell") hello);
+    check "end anchor rejects" false (sat (pat "ell$") hello);
+    check "both anchors" true (sat (pat "^h.*o$") hello)
+  done;
+  (* many more distinct patterns than the table holds, twice over *)
+  for _ = 1 to 2 do
+    for k = 0 to 199 do
+      let r = Printf.sprintf "^v%d$" k in
+      check "fresh pattern" true (sat (pat r) (str (Printf.sprintf "v%d" k)));
+      check "fresh pattern rejects" false
+        (sat (pat r) (str (Printf.sprintf "v%dx" k)))
+    done
+  done;
+  let on_domain () =
+    List.for_all
+      (fun k ->
+        let r = Printf.sprintf "X%d$" k and s = str (Printf.sprintf "ax%d" k) in
+        sat (pat ~flags:"i" r) s && not (sat (pat r) s))
+      (List.init 100 Fun.id)
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn on_domain) in
+  check "concurrent domains" true (List.for_all Domain.join domains)
+
+(* The survey's two [sh:pattern] shapes: every generated value matches,
+   and one value that misses the pattern is the only violation. *)
+let test_survey_patterns () =
+  let g = Workload.Kg.generate ~seed:1 ~individuals:300 in
+  let entry description =
+    List.find
+      (fun (e : Workload.Bench_shapes.entry) -> e.description = description)
+      Workload.Bench_shapes.all
+  in
+  List.iter
+    (fun (description, prop, bad) ->
+      let schema = Workload.Bench_shapes.schema_of (entry description) in
+      let report = Validate.validate schema g in
+      Alcotest.(check bool) (description ^ ": has targets") true
+        (report.results <> []);
+      Alcotest.(check bool) (description ^ ": conforms") true
+        report.conforms;
+      let focus = (List.hd report.results).focus in
+      let g' =
+        Graph.add focus (Iri.of_string (Workload.Kg.ns ^ prop)) (str bad) g
+      in
+      let report' = Validate.validate schema g' in
+      Alcotest.(check int)
+        (description ^ ": one violation")
+        1
+        (List.length (Validate.violations report')))
+    [ "emails match a mail pattern", "email", "user@mail.example.org";
+      "descriptions mention their entity", "description", "a summary" ]
+
 let test_language () =
   let open Node_test in
   let en = Term.Literal (Literal.lang_string "hi" ~lang:"en") in
@@ -110,6 +177,8 @@ let suite =
     "value ranges", `Quick, test_ranges;
     "string lengths", `Quick, test_lengths;
     "patterns", `Quick, test_patterns;
+    "pattern cache: flags, anchors, bound, domains", `Quick, test_pattern_cache;
+    "survey pattern shapes keep their verdicts", `Quick, test_survey_patterns;
     "language ranges", `Quick, test_language;
     "printer/parser agreement", `Quick, test_printer_parser_agree ]
 
