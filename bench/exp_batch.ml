@@ -4,14 +4,12 @@
    generated Kg graph through Provenance.Engine.run twice — once with
    ~kernel:`Per_node (the term-space checker: every path evaluation
    anchored at one node, neighborhoods as persistent graphs) and once
-   with the default ~kernel:`Batched (each (path, candidate-set) pair
-   primed once in the id-space kernel into a shared read-only base;
-   neighborhoods accumulated as store-row sets).  Reports, and records
-   in BENCH_batch.json:
+   with the default ~kernel:`Batched (paths evaluated in the id-space
+   kernel, memoized per worker; neighborhoods accumulated as store-row
+   sets).  Reports, and records in BENCH_batch.json:
 
    - fragment extraction per-node vs batched at -j 1 (interleaved
-     min-of-pairs), with the batched run's batch_calls /
-     batch_sources / rows_materialized counters;
+     min-of-pairs);
    - whether the fragments are identical, byte-for-byte on the Turtle
      serialization and as graph equality.  They must be: the kernel is
      a pure evaluation-strategy change. *)
@@ -66,7 +64,7 @@ let run ~quick =
     triples (List.length entries);
   (* Fragment extraction: per-node vs batched, -j 1. *)
   let requests = Engine.requests_of_schema schema in
-  let t_frag_per, (frag_per, _), t_frag_batch, (frag_batch, fstats) =
+  let t_frag_per, (frag_per, _), t_frag_batch, (frag_batch, _) =
     min_of_pairs ~pairs:4
       (fun () -> Engine.run ~schema ~jobs:1 ~kernel:`Per_node g requests)
       (fun () -> Engine.run ~schema ~jobs:1 ~kernel:`Batched g requests)
@@ -77,16 +75,12 @@ let run ~quick =
          (Rdf.Turtle.to_string frag_per)
          (Rdf.Turtle.to_string frag_batch)
   in
-  let batch_calls = fstats.Engine.Stats.batch_calls in
-  let batch_sources = fstats.Engine.Stats.batch_sources in
-  let rows_materialized = fstats.Engine.Stats.rows_materialized in
   Printf.printf
-    "fragment per-node: %s; batched: %s  (%.2fx; %d batch call(s), %d \
-     source(s), %d row(s); fragments identical: %b)\n"
+    "fragment per-node: %s; batched: %s  (%.2fx; fragments identical: %b)\n"
     (Format.asprintf "%a" Util.pp_seconds t_frag_per)
     (Format.asprintf "%a" Util.pp_seconds t_frag_batch)
     (t_frag_per /. t_frag_batch)
-    batch_calls batch_sources rows_materialized fragments_identical;
+    fragments_identical;
   let oc = open_out "BENCH_batch.json" in
   Printf.fprintf oc
     "{\n\
@@ -98,17 +92,13 @@ let run ~quick =
     \    \"per_node_seconds\": %.6f,\n\
     \    \"batched_seconds\": %.6f,\n\
     \    \"speedup\": %.3f,\n\
-    \    \"batch_calls\": %d,\n\
-    \    \"batch_sources\": %d,\n\
-    \    \"rows_materialized\": %d,\n\
     \    \"fragments_identical\": %b\n\
     \  },\n\
     \  \"identical\": %b\n\
      }\n"
     individuals triples (List.length entries) t_frag_per t_frag_batch
     (t_frag_per /. t_frag_batch)
-    batch_calls batch_sources rows_materialized fragments_identical
-    fragments_identical;
+    fragments_identical fragments_identical;
   close_out oc;
   Printf.printf "wrote BENCH_batch.json%s\n"
     (if fragments_identical then "" else "  ** MISMATCH per-node vs batched **")

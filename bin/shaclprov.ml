@@ -400,10 +400,10 @@ let neighborhood_cmd =
                 Format.printf "%a conforms; neighborhood:@.%s@." Rdf.Term.pp v
                   (Rdf.Turtle.to_string ~prefixes:namespaces neighborhood)
             | false, _ ->
-                let explanation =
-                  Option.value
-                    (Provenance.Neighborhood.why_not ~schema g v shape)
-                    ~default:Rdf.Graph.empty
+                (* why-not provenance (Remark 3.7): B(v, ¬shape) *)
+                let _, explanation =
+                  Provenance.Neighborhood.check ~schema g v
+                    (Shacl.Shape.Not shape)
                 in
                 Format.printf
                   "%a does not conform; why-not explanation:@.%s@." Rdf.Term.pp

@@ -18,12 +18,15 @@
     {- {b Sharding.}  Candidates are split into per-shape chunks and
        distributed over a pool of [jobs] domains pulling from a
        mutex-protected work queue.  Each chunk is checked with its own
-       instrumented {!Neighborhood.checker} (private memo table, private
-       {!Shacl.Counters} record), so workers share nothing but the
+       instrumented checker (private (node, shape) memo table, private
+       {!Shacl.Counters} record); under the [`Batched] kernel the
+       checkers of one worker also share that worker's id-space kernel
+       memo ({!Neighborhood.row_env}).  Workers share nothing but the
        immutable graph and schema.}
-    {- {b Merging.}  Chunks accumulate result triples into private hash
-       tables that are merged only when the chunk completes, and the
-       fragment graph is built in a single pass.}}
+    {- {b Merging.}  Chunks accumulate result triples into private
+       bitsets over the store's rows that are merged only when the
+       chunk completes, and the fragment graph is built in a single
+       pass.}}
 
     {b Resilience.}  The chunk is also the engine's fault-isolation
     unit.  A chunk that raises — an injected [Runtime.Fault], an
@@ -50,18 +53,17 @@ type on_error = [ `Fail | `Skip ]
 
 type kernel = [ `Batched | `Per_node ]
 (** How an instrumented fragment run ({!run}) evaluates on a frozen
-    graph.  [`Batched] (the default) evaluates each distinct
-    (compound path, candidate-set) pair of the planned shapes once in
-    the id-space kernel ({!Rdf.Path.Batch}) before the pool runs, shares
-    that primed base read-only with every worker, and accumulates
-    neighborhoods as store-row sets instead of graphs
-    ({!Neighborhood.row_checker}).  [`Per_node] runs the term-space
+    graph.  [`Batched] (the default) runs the id-space row checker
+    ({!Neighborhood.row_checker}): paths are evaluated lazily in the
+    id-space kernel ({!Rdf.Path.Batch}), memoized in one kernel context
+    per worker, and neighborhoods are accumulated as store-row sets
+    instead of graphs.  [`Per_node] runs the term-space
     {!Neighborhood.checker} over {!Rdf.Path.eval}, one node at a time,
     as naive fragment runs ([~algorithm:Naive]) do under either
     kernel.  Fragments are byte-identical between the two; statistics
-    differ ([batch_calls] &c. are zero under [`Per_node], and priming
-    may charge a budget for path evaluations the per-node engine would
-    have short-circuited past). *)
+    and fuel charges differ (a path-memo hit of the row checker costs
+    one budget tick where the term checker evaluates the path
+    again). *)
 
 (** Execution statistics for one engine run. *)
 module Stats : sig
@@ -85,11 +87,10 @@ module Stats : sig
     memo_misses : int;
     path_evals : int;      (** path-expression evaluations *)
     path_memo_lookups : int;
-        (** compound-path evaluations of the row checker, classified
-            against the kernel memo
+        (** compound-path evaluations of the row checker
             ([= path_memo_hits + path_memo_misses]) — a hit is a
-            (path, node) pair the chunk already evaluated or the engine
-            primed; nonzero only for [`Batched] fragment runs *)
+            (path, node) pair the chunk already evaluated; nonzero only
+            for [`Batched] fragment runs *)
     path_memo_hits : int;
     path_memo_misses : int;
     triples_emitted : int; (** size of the merged fragment *)
@@ -99,15 +100,11 @@ module Stats : sig
         (** adjacency-index probes made by path evaluation (each [Prop]
             or inverse-[Prop] application at a node) *)
     batch_calls : int;
-        (** (path, candidate-set) items primed in the id-space kernel
-            before a [`Batched] fragment run.  Zero under [`Per_node]
-            and for {!validate}. *)
     batch_sources : int;
-        (** source nodes evaluated across all primed items *)
     rows_materialized : int;
-        (** distinct kernel memo entries (sub-path evaluations included)
-            that priming created, counted on the merged base — the same
-            for every [jobs] and every draining order *)
+        (** Always 0: the engine evaluates paths lazily and has no
+            priming pass to count.  Kept so existing readers of the
+            record still compile. *)
     planning : float;      (** seconds spent planning candidate sets *)
     wall : float;          (** end-to-end seconds for the run *)
     shapes : shape_stat list;  (** per-request breakdown, request order *)

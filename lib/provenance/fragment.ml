@@ -24,12 +24,3 @@ let frag ?(schema = Schema.empty) ?(algorithm = Instrumented) ?budget g shapes =
 
 let frag_schema ?algorithm ?budget schema g =
   frag ~schema ?algorithm ?budget g (Schema.request_shapes schema)
-
-let conforming_and_neighborhoods ?(schema = Schema.empty) g shape =
-  let check = Neighborhood.checker ~schema g shape in
-  let candidates = Term.Set.union (Graph.nodes g) (Shape.constants shape) in
-  Term.Set.fold
-    (fun v acc ->
-      let conforms, neighborhood = check v in
-      if conforms then (v, neighborhood) :: acc else acc)
-    candidates []

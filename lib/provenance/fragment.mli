@@ -32,11 +32,3 @@ val frag_schema :
   Shacl.Schema.t -> Rdf.Graph.t -> Rdf.Graph.t
 (** [Frag(G, H)]: fragment for the schema's request shapes, with the
     schema in context for [hasShape] resolution. *)
-
-val conforming_and_neighborhoods :
-  ?schema:Shacl.Schema.t ->
-  Rdf.Graph.t -> Shacl.Shape.t ->
-  (Rdf.Term.t * Rdf.Graph.t) list
-(** All nodes conforming to the shape, each with its neighborhood — the
-    "validated terms and their provenance" output of the instrumented
-    engine. *)

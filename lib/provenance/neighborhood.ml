@@ -281,7 +281,7 @@ end
 type row_env = Rdf.Path.Batch.ctx
 
 let row_env ?(budget = Runtime.Budget.unlimited) ?counters ?lookup ?lookup_n
-    ?base g =
+    g =
   match Graph.store g with
   | None -> invalid_arg "Neighborhood.row_env: graph has no frozen store"
   | Some st ->
@@ -304,7 +304,7 @@ let row_env ?(budget = Runtime.Budget.unlimited) ?counters ?lookup ?lookup_n
                   c.Counters.store_lookups <- c.Counters.store_lookups + k) )
         | None, None -> (None, None)
       in
-      Rdf.Path.Batch.create ?step ?lookup ?lookup_n ?base st
+      Rdf.Path.Batch.create ?step ?lookup ?lookup_n st
 
 (* ------------------------------------------------------------------ *)
 (* Id-space row core: the instrumented checker specialized to the     *)
@@ -490,12 +490,12 @@ let make_row_core ?counters ~budget ~schema st ctx =
   in
   (* Charged path evaluation over the worker's kernel context: bare
      steps are not classified and pay their charge directly; compound
-     paths classify as chunk or primed-base hits (charge-free beyond
-     the tick) or as misses, which evaluate in the kernel with the
-     per-node-equivalent charge replayed.  [counted] is the
-     per-checker (hence per-chunk) classification table, so memo
-     statistics do not depend on which worker drained which chunk even
-     though the context is shared. *)
+     paths classify as hits (charge-free beyond the tick) when this
+     checker already evaluated them, or as misses, which evaluate in
+     the kernel with the per-node-equivalent charge replayed.
+     [counted] is the per-checker (hence per-chunk) classification
+     table, so memo statistics do not depend on which worker drained
+     which chunk even though the context is shared. *)
   let counted : unit ITbl.t = ITbl.create 256 in
   let eval_path e vid =
     Runtime.Budget.tick budget;
@@ -515,20 +515,9 @@ let make_row_core ?counters ~budget ~schema st ctx =
             c.Counters.path_memo_lookups <- c.Counters.path_memo_lookups + 1
         | None -> ());
         let k = (Rdf.Path.Batch.intern ctx e lsl 31) lor vid in
-        (* [counted] records every key this checker has classified —
-           misses (which populate the kernel memo) and primed-base hits
-           alike — so repeat probes need one int lookup and never
-           re-touch the two-level base. *)
-        let hit =
-          ITbl.mem counted k
-          ||
-          (Rdf.Path.Batch.base_mem ctx e vid
-          &&
-          (ITbl.add counted k ();
-           true))
-        in
         let cached =
-          if hit then Rdf.Path.Batch.eval_cached ctx e vid else None
+          if ITbl.mem counted k then Rdf.Path.Batch.eval_cached ctx e vid
+          else None
         in
         match cached with
         | Some targets ->

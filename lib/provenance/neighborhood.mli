@@ -88,19 +88,15 @@ val row_env :
   ?counters:Shacl.Counters.t ->
   ?lookup:(unit -> unit) ->
   ?lookup_n:(int -> unit) ->
-  ?base:Rdf.Path.Batch.base ->
   Rdf.Graph.t -> row_env
 (** [row_env ~budget g] is a fresh context over [g]'s frozen store,
     charging step fuel to [budget] — pass the same budget the checkers
     using it are given — and store probes to [counters] (the same
-    charges per-node evaluation would make).  When [base] is given,
-    kernel evaluations the engine primed up front are adopted from it:
-    a primed entry counts as a path-memo hit and replays its recorded
-    budget charge only when reached through {!Rdf.Path.Batch.eval}.
-    [lookup] overrides the [counters]-derived probe hook — the engine
-    passes an indirection so one worker-lifetime context can charge
-    whichever chunk's counter record is current — and [lookup_n] is its
-    bulk form for charge replay.  Raises [Invalid_argument] when [g]
+    charges per-node evaluation would make).  [lookup] overrides the
+    [counters]-derived probe hook — the engine passes an indirection so
+    one worker-lifetime context can charge whichever chunk's counter
+    record is current — and [lookup_n] is its bulk form for charge
+    replay.  Raises [Invalid_argument] when [g]
     has no frozen store. *)
 
 val row_checker :
@@ -115,15 +111,18 @@ val row_checker :
     tracing runs in the id-space kernel ({!Rdf.Path.Batch}) with the
     same total budget charge as the term-space trace.  Every path
     evaluation runs in the kernel too ({!Rdf.Path.Batch.eval}): bare
-    steps skip the path-memo hit accounting, compound paths are counted
-    as memo hits or misses.  When [env]
-    is given the kernel context is shared with other checkers of the
-    same worker instead of created fresh.  Decoding row [r] with
-    [Rdf.Store.row_triple] yields exactly the triples {!checker} would
-    have returned.  A focus node the store's dictionary never interned
-    occurs in no triple, so it gets {!checker}'s verdict and no
-    rows.  Raises [Invalid_argument]
-    when [g] has no frozen store ([Rdf.Graph.freeze] it first). *)
+    steps skip the path-memo hit accounting; a compound path counts as
+    a memo hit when this checker evaluated it at that node before, and
+    as a miss otherwise.  When [env] is given the kernel context — the
+    worker's one kernel memo — is shared with other checkers of the
+    same worker instead of created fresh; a kernel entry another
+    checker created is still a miss here and replays its recorded
+    charge, so counts do not depend on which checker came first.
+    Decoding row [r] with [Rdf.Store.row_triple] yields exactly the
+    triples {!checker} would have returned.  A focus node the store's
+    dictionary never interned occurs in no triple, so it gets
+    {!checker}'s verdict and no rows.  Raises [Invalid_argument] when
+    [g] has no frozen store ([Rdf.Graph.freeze] it first). *)
 
 val naive_checker :
   ?counters:Shacl.Counters.t ->

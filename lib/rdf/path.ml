@@ -261,12 +261,6 @@ module Batch = struct
     lookups : int;
   }
 
-  (* A read-only second layer underneath per-worker contexts: filled by
-     the engine's set-at-a-time priming pass before the pool spawns,
-     then shared — an OCaml [Hashtbl] with no writers never resizes, so
-     concurrent reads are safe.  Tables are keyed structurally by path
-     (contexts resolve them to interned ids once) and per-source by the
-     same packed (direction, id) sub-key the context memo uses. *)
   (* Int tables with the identity hash: every hot lookup in the kernel
      is keyed by a packed non-negative int, and the generic [Hashtbl]
      pays a C hash call per probe that dwarfs the bucket walk. *)
@@ -276,8 +270,6 @@ module Batch = struct
     let equal (a : int) b = a = b
     let hash (x : int) = x
   end)
-
-  type base = { btables : (t, entry ITbl.t) Hashtbl.t }
 
   type ctx = {
     st : Store.t;
@@ -303,10 +295,6 @@ module Batch = struct
         (* physical fast lane: a checker passes the same subterm object
            on every call from a given constraint *)
     mutable last_id : int;
-    base : base option;
-        (* read-only primed layer shared across worker contexts *)
-    base_cache : entry ITbl.t ITbl.t;
-        (* per-path-id resolution of the base's structural table *)
     user_step : unit -> unit;
     user_lookup : unit -> unit;
     user_step_n : int -> unit;
@@ -320,18 +308,7 @@ module Batch = struct
     mutable lookups : int;
   }
 
-  let base_create () = { btables = Hashtbl.create 64 }
-
-  let base_merge ~into b =
-    Hashtbl.iter
-      (fun path table ->
-        match Hashtbl.find_opt into.btables path with
-        | None -> Hashtbl.add into.btables path table
-        | Some existing ->
-            ITbl.iter (fun k ent -> ITbl.replace existing k ent) table)
-      b.btables
-
-  let create ?step ?step_n ?lookup ?lookup_n ?base st =
+  let create ?step ?step_n ?lookup ?lookup_n st =
     let bulk hook = function
       | Some f -> f
       | None ->
@@ -345,8 +322,6 @@ module Batch = struct
     { st;
       memo = ITbl.create 1024;
       traces = ITbl.create 1024;
-      base;
-      base_cache = ITbl.create 64;
       path_ids = Hashtbl.create 64;
       n_paths = 0;
       last_path = Prop (Iri.of_string "urn:path-batch:none");
@@ -370,12 +345,6 @@ module Batch = struct
             let id = ctx.n_paths in
             ctx.n_paths <- id + 1;
             Hashtbl.add ctx.path_ids e id;
-            (match ctx.base with
-            | Some b -> (
-                match Hashtbl.find_opt b.btables e with
-                | Some table -> ITbl.add ctx.base_cache id table
-                | None -> ())
-            | None -> ());
             id
       in
       ctx.last_path <- e;
@@ -384,16 +353,8 @@ module Batch = struct
     end
 
   (* Sources are term ids (< 2^31 on any graph the store can hold) and
-     path ids are intern counts, so the packed key cannot collide.  The
-     low 32 bits — (direction, source) — are the base tables' sub-key,
-     identical across contexts with different interning orders. *)
+     path ids are intern counts, so the packed key cannot collide. *)
   let pack pid inv a = (((pid lsl 1) lor Bool.to_int inv) lsl 31) lor a
-  let sub_key key = key land ((1 lsl 32) - 1)
-
-  let base_find ctx key =
-    match ITbl.find_opt ctx.base_cache (key lsr 32) with
-    | None -> None
-    | Some table -> ITbl.find_opt table (sub_key key)
 
   let step ctx =
     ctx.steps <- ctx.steps + 1;
@@ -438,13 +399,6 @@ module Batch = struct
         replay ctx ent;
         ent
     | None ->
-        match base_find ctx key with
-        | Some ent ->
-            (* adopting a primed entry costs what re-evaluating would *)
-            replay ctx ent;
-            ITbl.add ctx.memo key ent;
-            ent
-        | None ->
         let s0 = ctx.steps and l0 = ctx.lookups in
         let targets = compute ctx e inv a in
         let ent =
@@ -525,51 +479,14 @@ module Batch = struct
         r
 
 
-  (* Uncharged reads for memo-layer bookkeeping above the kernel: the
-     batched checker classifies an evaluation as a memo hit before
-     asking for its result, and a hit must stay charge-free (one budget
-     tick at the caller). *)
+  (* Uncharged read for memo-layer bookkeeping above the kernel: the
+     row checker classifies an evaluation as a memo hit before asking
+     for its result, and a hit must stay charge-free (one budget tick at
+     the caller). *)
   let eval_cached ctx e a =
-    let key = pack (intern ctx e) false a in
-    match ITbl.find_opt ctx.memo key with
-    | Some ent -> Some ent.targets
-    | None -> (
-        match base_find ctx key with
-        | Some ent ->
-            (* adopt without charge: a later [eval] replays normally *)
-            ITbl.add ctx.memo key ent;
-            Some ent.targets
-        | None -> None)
-
-  let base_mem ctx e a =
-    Option.is_some (base_find ctx (pack (intern ctx e) false a))
-
-  let base_size b =
-    Hashtbl.fold (fun _ table n -> n + ITbl.length table) b.btables 0
-
-  (* Publish every entry of [ctx] — sub-paths included — into a shared
-     base, keyed structurally so contexts with different interning
-     orders resolve them. *)
-  let export ctx ~into =
-    if ctx.n_paths > 0 then begin
-      let rev = Array.make ctx.n_paths None in
-      Hashtbl.iter (fun p id -> rev.(id) <- Some p) ctx.path_ids;
-      ITbl.iter
-        (fun key ent ->
-          match rev.(key lsr 32) with
-          | None -> ()
-          | Some path ->
-              let table =
-                match Hashtbl.find_opt into.btables path with
-                | Some t -> t
-                | None ->
-                    let t = ITbl.create 256 in
-                    Hashtbl.add into.btables path t;
-                    t
-              in
-              ITbl.replace table (sub_key key) ent)
-        ctx.memo
-    end
+    Option.map
+      (fun ent -> ent.targets)
+      (ITbl.find_opt ctx.memo (pack (intern ctx e) false a))
 
   let eval ctx e a = (eval_entry ctx e false a).targets
   let eval_inv ctx e a = (eval_entry ctx e true a).targets

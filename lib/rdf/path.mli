@@ -107,6 +107,8 @@ val trace_set :
     (sub-path, direction, node) evaluation in a per-context table, so a
     sub-path reached again — from another source, another shape or
     another operator of the same path — is answered from the memo.
+    Contexts share nothing; the fragment engine keeps one per worker
+    domain and evaluates lazily, as its checkers reach each path.
     Tracing ({!Batch.trace}) works in the same id space and emits
     canonical store row ids.
 
@@ -124,52 +126,25 @@ module Batch : sig
       replaying memo of per-(sub-path, direction, node) expansions.
       Not thread-safe — one per domain. *)
 
-  type base
-  (** A read-only second layer underneath per-worker contexts, filled by
-      {!export} after a set-at-a-time priming pass and shared across
-      domains.  Safe to read concurrently once nothing writes to it (a
-      [Hashtbl] with no writers never resizes). *)
-
-  val base_create : unit -> base
-
-  val base_merge : into:base -> base -> unit
-  (** Merge one worker's exported entries into a shared base. *)
-
   val create :
     ?step:(unit -> unit) -> ?step_n:(int -> unit) ->
     ?lookup:(unit -> unit) -> ?lookup_n:(int -> unit) ->
-    ?base:base -> Store.t -> ctx
-  (** Entries missing from the context's own memo are adopted from
-      [base] (when given) with their recorded charges replayed, exactly
-      as a memo hit would.
-      [step_n]/[lookup_n] are bulk equivalents of [step]/[lookup] used
+    Store.t -> ctx
+  (** [step_n]/[lookup_n] are bulk equivalents of [step]/[lookup] used
       when replaying a recorded charge of [n] units; they default to
       calling the unit hook [n] times and exist because a counter
       increment can be batched where a fuel tick sequence cannot. *)
 
-  val export : ctx -> into:base -> unit
-  (** Publish every memo entry of the context — sub-path expansions
-      included — into [into].  Call before the base is shared; never
-      after. *)
-
   val eval_cached : ctx -> t -> int -> int array option
-  (** The memoized (or primed) forward targets of [(E, a)], without
-      replaying any charge — for memo layers above the kernel whose
-      hits must stay charge-free.  [None] when never evaluated. *)
-
-  val base_mem : ctx -> t -> int -> bool
-  (** Whether the primed base holds a forward entry for [(E, a)]. *)
+  (** The memoized forward targets of [(E, a)], without replaying any
+      charge — for memo layers above the kernel whose hits must stay
+      charge-free.  [None] when never evaluated in this context. *)
 
   val intern : ctx -> t -> int
   (** The context's id for a path expression (assigned on first use);
       structurally equal paths share one id.  Exposed so memo layers
       above the kernel can build int keys without re-hashing path
       structure. *)
-
-  val base_size : base -> int
-  (** Number of entries in a base: after merging every worker's export,
-      the distinct (sub-path, direction, node) expansions priming
-      created, whichever worker created them (priming statistics). *)
 
   val eval : ctx -> t -> int -> int array
   (** [[[E]]^G(a)] as a sorted, duplicate-free id array.  Equals the

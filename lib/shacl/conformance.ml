@@ -166,35 +166,3 @@ let conforming_nodes ?budget h g phi =
   let candidates = Term.Set.union (Graph.nodes g) (Shape.constants phi) in
   let check = checker ?budget h g phi in
   Term.Set.filter check candidates
-
-let count_path_satisfying h g a e phi =
-  Term.Set.fold
-    (fun b n -> if conforms h g b phi then n + 1 else n)
-    (Rdf.Path.eval g e a)
-    0
-
-(* Paths evaluated at the focus node itself.  Quantifier bodies are
-   checked at the path's *targets*, not at the focus, so we record the
-   quantifier's path and stop — descending into the body would claim
-   paths this focus node never anchors.  [hasShape] references move the
-   same focus node into the referenced definition, so those are
-   resolved (with a seen-guard; schemas are acyclic but [def_shape] is
-   total either way). *)
-let focus_paths h phi =
-  let rec go seen acc = function
-    | Shape.Top | Shape.Bottom | Shape.Test _ | Shape.Has_value _
-    | Shape.Closed _ | Shape.Eq (Shape.Id, _) | Shape.Disj (Shape.Id, _) ->
-        acc
-    | Shape.Has_shape s ->
-        if Term.Set.mem s seen then acc
-        else go (Term.Set.add s seen) acc (Schema.def_shape h s)
-    | Shape.Eq (Shape.Path e, _) | Shape.Disj (Shape.Path e, _)
-    | Shape.Less_than (e, _) | Shape.Less_than_eq (e, _)
-    | Shape.More_than (e, _) | Shape.More_than_eq (e, _)
-    | Shape.Unique_lang e
-    | Shape.Ge (_, e, _) | Shape.Le (_, e, _) | Shape.Forall (e, _) ->
-        e :: acc
-    | Shape.Not psi -> go seen acc psi
-    | Shape.And psis | Shape.Or psis -> List.fold_left (go seen) acc psis
-  in
-  List.sort_uniq Rdf.Path.compare (go Term.Set.empty [] phi)

@@ -39,18 +39,3 @@ val conforming_nodes :
 (** The shape viewed as a unary query: all nodes of [N(G)] — plus the
     constants mentioned in [hasValue] subshapes of [phi], so that node
     targets work even for isolated nodes — that conform to [phi]. *)
-
-val focus_paths : Schema.t -> Shape.t -> Rdf.Path.t list
-(** The path expressions [phi] evaluates {e at the focus node} — the
-    paths of quantifiers, [eq]/[disj] with a path operand, the order
-    comparisons and [uniqueLang], with [hasShape] references resolved
-    through the schema.  Quantifier {e bodies} are not descended into:
-    they are checked at the path's targets, not at the focus.  Sorted
-    and duplicate-free; invariant under {!Shape.nnf}.  This is the set
-    the engine's instrumented fragment runs prime in the id-space
-    kernel ({!Rdf.Path.Batch}) per candidate-node set. *)
-
-val count_path_satisfying :
-  Schema.t -> Rdf.Graph.t -> Rdf.Term.t -> Rdf.Path.t -> Shape.t -> int
-(** [♯{b ∈ [[E]]^G(a) | H,G,b ⊨ phi}] — exposed for reuse by validation
-    reports and benchmarks. *)

@@ -7,9 +7,6 @@ type t = {
   mutable path_memo_hits : int;
   mutable path_memo_misses : int;
   mutable store_lookups : int;
-  mutable batch_calls : int;
-  mutable batch_sources : int;
-  mutable rows_materialized : int;
 }
 
 let create () =
@@ -20,10 +17,7 @@ let create () =
     path_memo_lookups = 0;
     path_memo_hits = 0;
     path_memo_misses = 0;
-    store_lookups = 0;
-    batch_calls = 0;
-    batch_sources = 0;
-    rows_materialized = 0 }
+    store_lookups = 0 }
 
 let add ~into c =
   into.memo_lookups <- into.memo_lookups + c.memo_lookups;
@@ -33,10 +27,7 @@ let add ~into c =
   into.path_memo_lookups <- into.path_memo_lookups + c.path_memo_lookups;
   into.path_memo_hits <- into.path_memo_hits + c.path_memo_hits;
   into.path_memo_misses <- into.path_memo_misses + c.path_memo_misses;
-  into.store_lookups <- into.store_lookups + c.store_lookups;
-  into.batch_calls <- into.batch_calls + c.batch_calls;
-  into.batch_sources <- into.batch_sources + c.batch_sources;
-  into.rows_materialized <- into.rows_materialized + c.rows_materialized
+  into.store_lookups <- into.store_lookups + c.store_lookups
 
 let total cs =
   let t = create () in

@@ -18,28 +18,20 @@ type t = {
   mutable path_memo_lookups : int;
       (** compound-path evaluations made by the id-space row checker
           ([Provenance.Neighborhood.row_checker]), each classified
-          against the kernel's memo: a {e hit} is a (path, node) pair
-          this checker already evaluated or the engine primed up front,
-          a {e miss} is a fresh evaluation.  Bare steps ([p], [p⁻]) are
+          against the checker's own record: a {e hit} is a (path, node)
+          pair this checker already evaluated, a {e miss} is one it
+          evaluates for the first time.  Bare steps ([p], [p⁻]) are
           not classified.  [= path_memo_hits + path_memo_misses] *)
   mutable path_memo_hits : int;
       (** classified evaluations answered from the kernel memo, charged
           one budget tick *)
   mutable path_memo_misses : int;
-      (** classified evaluations computed fresh (each also counts a
-          [path_eval]) *)
+      (** classified evaluations charged in full: evaluated in the
+          kernel, or replayed with their recorded charge from the
+          worker's kernel memo (each also counts a [path_eval]) *)
   mutable store_lookups : int;
       (** adjacency-index probes made by path evaluation (the [lookup]
           hook of {!Rdf.Path.eval} and {!Rdf.Path.Batch}) *)
-  mutable batch_calls : int;
-      (** (path, candidate-set) items the engine primed in the id-space
-          kernel ({!Rdf.Path.Batch}) before an instrumented fragment
-          run *)
-  mutable batch_sources : int;
-      (** source nodes evaluated across all primed items *)
-  mutable rows_materialized : int;
-      (** kernel memo entries — sub-path evaluations included — that
-          priming created *)
 }
 
 val create : unit -> t

@@ -212,10 +212,11 @@ let prop_engine_jobs_deterministic =
 (* --- row checker: id-space rows decode to the term-space graph ----- *)
 
 (* The term checker evaluates every path afresh; the row checker
-   classifies each compound-path evaluation against the kernel memo as
-   a hit or a miss and counts a [path_eval] only for misses (bare steps
-   are evaluated and counted unclassified by both).  So every term-core
-   evaluation is a bare step, a hit or a miss in the row core. *)
+   classifies each compound-path evaluation as a hit (already evaluated
+   by this checker) or a miss and counts a [path_eval] only for misses
+   (bare steps are evaluated and counted unclassified by both).  So
+   every term-core evaluation is a bare step, a hit or a miss in the
+   row core. *)
 let prop_row_checker =
   QCheck.Test.make
     ~name:"row_checker ≡ checker (verdict, rows, counters)" ~count:200

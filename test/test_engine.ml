@@ -596,42 +596,12 @@ let prop_fault_isolation =
           && Graph.subset healthy_oracle fragment
           && Graph.subset fragment full_oracle))
 
-(* Priming statistics repeat: fragment priming at -j 2 drains a shared
-   queue, and a worker adds fewer memo rows for an item whose sub-paths
-   it already expanded, so a per-worker count would vary with the
-   draining order.  Counted on the merged base, the rows (and the batch
-   counters) are what -j 1 reports, run after run. *)
-let test_priming_stats_repeat () =
-  let g = Workload.Kg.generate ~seed:1 ~individuals:500 in
-  let schema =
-    Schema.make_exn
-      (List.map
-         (fun (e : Workload.Bench_shapes.entry) ->
-           { Schema.name = Term.iri (Workload.Kg.ns ^ "bench/" ^ e.id);
-             shape = e.shape;
-             target = e.target })
-         Workload.Bench_shapes.all)
-  in
-  let requests = Engine.requests_of_schema schema in
-  let observe jobs =
-    let _, (s : Engine.Stats.t) = Engine.run ~schema ~jobs g requests in
-    Printf.sprintf "calls=%d sources=%d rows=%d" s.batch_calls s.batch_sources
-      s.rows_materialized
-  in
-  let reference = observe 1 in
-  for run = 1 to 3 do
-    Alcotest.(check string)
-      (Printf.sprintf "-j 2 priming stats, run %d" run)
-      reference (observe 2)
-  done
-
 let suite =
   [ "engine matches oracle", `Quick, test_engine_matches_oracle;
     "stats: pruning and counts", `Quick, test_stats_pruning;
     "stats: emitted and memo", `Quick, test_stats_counts;
     "parallel validate parity", `Quick, test_validate_matches;
     "deterministic merge across -j", `Quick, test_deterministic_merge;
-    "priming stats repeat at -j 2", `Quick, test_priming_stats_repeat;
     "fault isolation", `Quick, test_fault_isolation;
     "transient fault: retry succeeds", `Quick, test_fault_retry_succeeds;
     "`Fail policy re-raises", `Quick, test_fault_fail_policy_raises;
