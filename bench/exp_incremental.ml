@@ -11,12 +11,16 @@
    exp_containment.  After the remove half of each cycle the
    incremental report and fragment are checked against the from-scratch
    answers (report via its printed form, fragment byte-for-byte on the
-   Turtle serialization).  Results go to BENCH_incremental.json: the
-   initial build's time at -j 1 and at -j = cores, the live heap the
-   built state holds, whether the two builds agree (report, fragment,
-   statistics and counts), and per delta size, the dirty-pair and
-   recheck counts, the incremental and full latencies, and the
-   speedup. *)
+   Turtle serialization), and the store the state builds on demand
+   (Incremental.frozen) against a from-scratch build of the post-delta
+   graph.  Results go to BENCH_incremental.json: the initial build's
+   time at -j 1 and at -j = cores, the live heap the built state holds,
+   whether the two builds agree (report, fragment, statistics and
+   counts), whether every on-demand store equals its from-scratch build
+   (identical_store), and per delta size, the dirty-pair and recheck
+   counts, the incremental and full latencies, the speedup, and the
+   cost of the first Incremental.frozen after the delta
+   (materialize_seconds). *)
 
 open Shacl
 open Workload
@@ -73,7 +77,9 @@ type row = {
   rechecked : int;
   t_inc : float;     (* one apply, min over cycles *)
   t_full : float;    (* validate + run from scratch, min over repeats *)
+  t_frozen : float;  (* the first frozen after the delta, min over cycles *)
   identical : bool;
+  identical_store : bool;
 }
 
 let run ~quick =
@@ -139,9 +145,16 @@ let run ~quick =
            (and each later size) starts from the original graph; both
            directions count as applies, and the first cycle must
            reproduce the from-scratch answers byte-for-byte. *)
-        let t_inc = ref infinity in
+        let t_inc = ref infinity and t_frozen = ref infinity in
         let dirty = ref 0 and rechecked = ref 0 in
-        let identical = ref true in
+        let identical = ref true and identical_store = ref true in
+        let store_against_scratch frozen =
+          match Rdf.Graph.store frozen with
+          | Some st ->
+              Rdf.Store.equal st
+                (Rdf.Store.of_triples (Array.of_list (Rdf.Graph.to_list g')))
+          | None -> false
+        in
         let check_against_scratch () =
           String.equal
             (report_bytes (Option.get !scratch_report))
@@ -156,28 +169,43 @@ let run ~quick =
           if t < !t_inc then t_inc := t;
           dirty := st.Incremental.dirty;
           rechecked := st.Incremental.rechecked;
-          if cycle = 1 then identical := check_against_scratch ();
+          (* the store for the post-delta graph, built on demand *)
+          let t, frozen = Util.time (fun () -> Incremental.frozen inc) in
+          if t < !t_frozen then t_frozen := t;
+          if cycle = 1 then begin
+            identical := check_against_scratch ();
+            identical_store := store_against_scratch frozen
+          end;
           Gc.full_major ();
           let t, _ = Util.time (fun () -> Incremental.apply inc undo) in
-          if t < !t_inc then t_inc := t
+          if t < !t_inc then t_inc := t;
+          (* build the restored graph's store untimed, so the next
+             cycle's store is patched for exactly one delta *)
+          ignore (Incremental.frozen inc : Rdf.Graph.t)
         done;
         let row =
           { label; delta = List.length removes; dirty = !dirty;
             rechecked = !rechecked; t_inc = !t_inc; t_full = !t_full;
-            identical = !identical }
+            t_frozen = !t_frozen; identical = !identical;
+            identical_store = !identical_store }
         in
         Printf.printf
           "%-12s incremental %s vs full %s  (%.1fx; %d dirty, %d \
-           rechecked%s)\n"
+           rechecked; store on demand %s%s%s)\n"
           row.label
           (Format.asprintf "%a" Util.pp_seconds row.t_inc)
           (Format.asprintf "%a" Util.pp_seconds row.t_full)
           (row.t_full /. row.t_inc) row.dirty row.rechecked
-          (if row.identical then "" else "; ** MISMATCH vs scratch **");
+          (Format.asprintf "%a" Util.pp_seconds row.t_frozen)
+          (if row.identical then "" else "; ** MISMATCH vs scratch **")
+          (if row.identical_store then ""
+           else "; ** STORE MISMATCH vs scratch **");
         row)
       sizes
   in
   let all_identical = List.for_all (fun r -> r.identical) rows in
+  let identical_store = List.for_all (fun r -> r.identical_store) rows in
+  let materialize_seconds = (List.hd rows).t_frozen in
   let oc = open_out "BENCH_incremental.json" in
   Printf.fprintf oc
     "{\n\
@@ -190,12 +218,15 @@ let run ~quick =
     \  \"create_seconds_jcores\": %.6f,\n\
     \  \"state_live_mb\": %.1f,\n\
     \  \"identical_jobs\": %b,\n\
+    \  \"materialize_seconds\": %.6f,\n\
+    \  \"identical_store\": %b,\n\
     \  \"stored_pairs\": %d,\n\
     \  \"fragment_triples\": %d,\n\
     \  \"deltas\": [\n"
     individuals triples
     (List.length (Schema.defs schema))
-    cores t_create_1 t_create_n state_mb identical_jobs s0.Incremental.pairs
+    cores t_create_1 t_create_n state_mb identical_jobs materialize_seconds
+    identical_store s0.Incremental.pairs
     s0.Incremental.fragment_triples;
   List.iteri
     (fun i r ->
@@ -208,13 +239,16 @@ let run ~quick =
         \      \"incremental_seconds\": %.6f,\n\
         \      \"full_seconds\": %.6f,\n\
         \      \"speedup\": %.3f,\n\
-        \      \"identical\": %b\n\
+        \      \"materialize_seconds\": %.6f,\n\
+        \      \"identical\": %b,\n\
+        \      \"identical_store\": %b\n\
         \    }%s\n"
         r.label r.delta r.dirty r.rechecked r.t_inc r.t_full
-        (r.t_full /. r.t_inc) r.identical
+        (r.t_full /. r.t_inc) r.t_frozen r.identical r.identical_store
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ],\n  \"identical\": %b\n}\n" all_identical;
   close_out oc;
-  Printf.printf "wrote BENCH_incremental.json%s\n"
+  Printf.printf "wrote BENCH_incremental.json%s%s\n"
     (if all_identical then "" else "  ** MISMATCH vs scratch **")
+    (if identical_store then "" else "  ** STORE MISMATCH vs scratch **")

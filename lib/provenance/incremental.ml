@@ -25,15 +25,20 @@ type t = {
   request_shapes : Shape.t array;  (* phi ∧ tau, as Engine.request_of_def *)
   consts : Term.Set.t array;       (* constants of the request shape *)
   reads : Iri.Set.t option array;  (* Validate.target_reads of each target *)
+  (* the live graph: the maps view, patched per update *)
   mutable graph : Graph.t;
+  (* the last frozen graph built, and the net change since: [frozen]
+     patches one into the other on demand *)
+  mutable base : Graph.t;
+  pending : Delta.Net.t;
   entries : (key, entry) Hashtbl.t;
   (* support term -> the stored pairs it appears in *)
   index : (Term.t, (key, unit) Hashtbl.t) Hashtbl.t;
   (* fragment as a refcount over neighborhood triples, patched in place *)
   refcount : (Triple.t, int) Hashtbl.t;
   mutable fragment : Graph.t;
-  mutable tsets : Term.Set.t array;  (* current target set per def *)
-  mutable csets : Term.Set.t array;  (* targets ∪ constants per def *)
+  (* current target set per def; pairs are stored for it ∪ consts *)
+  tsets : Term.Set.t array;
   (* per def: |target set| and the targets whose verdict is false — the
      report's check and violation counts, kept without building it *)
   n_targets : int array;
@@ -141,9 +146,9 @@ let create ?(jobs = 1) ~schema g =
       defs
   in
   let consts = Array.map Shape.constants request_shapes in
-  let graph = Graph.freeze g in
+  let base = Graph.freeze g in
   let tsets =
-    Array.map (fun def -> Validate.target_nodes schema graph def) defs
+    Array.map (fun def -> Validate.target_nodes schema base def) defs
   in
   let csets = Array.mapi (fun i tset -> Term.Set.union tset consts.(i)) tsets in
   (* Every (definition, candidate) pair, definitions in schema order and
@@ -167,13 +172,14 @@ let create ?(jobs = 1) ~schema g =
         Array.map
           (fun (def : Schema.def) -> Validate.target_reads def.target)
           defs;
-      graph;
+      graph = Graph.thaw base;
+      base;
+      pending = Delta.Net.create ();
       entries = Hashtbl.create 256;
       index = Hashtbl.create 256;
       refcount = Hashtbl.create 256;
       fragment = Graph.empty;
       tsets;
-      csets;
       n_targets = Array.make (Array.length defs) 0;
       n_violations = Array.make (Array.length defs) 0;
       updates = 0;
@@ -213,6 +219,17 @@ let create ?(jobs = 1) ~schema g =
 let graph t = t.graph
 let fragment t = t.fragment
 
+(* The store is built only when asked for: one [Store.patch] of the net
+   change since the last build.  The live view then shares the rebuilt
+   graph's maps, so one copy of them stays live. *)
+let frozen t =
+  if not (Delta.Net.is_empty t.pending) then begin
+    t.base <- Graph.freeze (Delta.apply (Delta.Net.delta t.pending) t.base);
+    Delta.Net.clear t.pending;
+    t.graph <- Graph.thaw t.base
+  end;
+  t.base
+
 (* ---------------- updates ------------------------------------------- *)
 
 type update_stats = {
@@ -222,15 +239,53 @@ type update_stats = {
   rechecked : int;
 }
 
+(* The nodes entering and leaving def [i]'s target set under a delta
+   whose changed triples are [changed] (already applied to [t.graph]).
+   A form that reads none of the delta's predicates keeps its set.
+   Otherwise membership of a fast form at [v] reads only triples at [v]
+   with a predicate the form reads — for a class target, given
+   [rdfs:subClassOf] unchanged — so re-testing those triples' endpoints
+   is exact.  Class targets under a [subClassOf] delta and forms
+   [fast_targets] does not answer are re-derived. *)
+let moved_targets t i (def : Schema.def) ~changed ~preds =
+  let old = t.tsets.(i) in
+  match t.reads.(i) with
+  | Some reads when Iri.Set.disjoint reads preds -> [], []
+  | Some reads when not (Iri.Set.mem Vocab.Rdfs.sub_class_of
+                           (Iri.Set.inter reads preds)) ->
+      let endpoints =
+        List.fold_left
+          (fun acc tr ->
+            if Iri.Set.mem (Triple.predicate tr) reads then
+              Term.Set.add (Triple.subject tr)
+                (Term.Set.add (Triple.object_ tr) acc)
+            else acc)
+          Term.Set.empty changed
+      in
+      Term.Set.fold
+        (fun v (entering, leaving) ->
+          match
+            Conformance.conforms t.schema t.graph v def.target,
+            Term.Set.mem v old
+          with
+          | true, false -> (v :: entering, leaving)
+          | false, true -> (entering, v :: leaving)
+          | _ -> (entering, leaving))
+        endpoints ([], [])
+  | _ ->
+      let tset = Validate.target_nodes t.schema t.graph def in
+      ( Term.Set.elements (Term.Set.diff tset old),
+        Term.Set.elements (Term.Set.diff old tset) )
+
 let apply t delta =
   (* Normalize away no-ops so the anchor set covers real changes only. *)
   let delta = Delta.effective delta t.graph in
+  let changed = delta.Delta.removes @ delta.Delta.adds in
   let anchors = Delta.terms delta in
   let preds =
     List.fold_left
       (fun acc tr -> Iri.Set.add (Triple.predicate tr) acc)
-      Iri.Set.empty
-      (delta.Delta.removes @ delta.Delta.adds)
+      Iri.Set.empty changed
   in
   (* Collect the dirty pairs from the pre-delta index before any entry
      moves: the stored supports describe the evaluations made against
@@ -244,56 +299,59 @@ let apply t delta =
     anchors;
   let dirty_of = Array.make (Array.length t.defs) [] in
   Hashtbl.iter (fun (i, v) () -> dirty_of.(i) <- v :: dirty_of.(i)) dirty;
-  (* Frozen in, frozen out: [Delta.apply] patches the store rather than
-     rebuilding it, so this [freeze] returns its argument — except for a
-     graph that was empty at [create], which [Graph.freeze] left
-     unfrozen and which gets its store here, once. *)
-  t.graph <- Graph.freeze (Delta.apply delta t.graph);
+  (* The maps view takes the change in O(k log n); the store waits for
+     [frozen]. *)
+  t.graph <- Delta.apply delta t.graph;
+  Delta.Net.note t.pending delta;
   let rechecked = ref 0 in
-  let recheck i v =
-    drop_entry t i v;
+  let eval i v =
     incr rechecked;
     set_entry t i v (eval_pair t i v)
   in
   Array.iteri
     (fun i def ->
-      (* A target set moves only if the delta touches a predicate its
-         form reads; other forms are re-derived exactly — membership
-         has no support set of its own. *)
-      let tset =
-        match t.reads.(i) with
-        | Some reads when Iri.Set.disjoint reads preds -> t.tsets.(i)
-        | _ -> Validate.target_nodes t.schema t.graph def
-      in
-      if tset == t.tsets.(i) || Term.Set.equal tset t.tsets.(i) then
-        (* Same candidates: only the dirty pairs move, each adjusting
-           the violation count if it is a target. *)
+      let entering, leaving = moved_targets t i def ~changed ~preds in
+      if entering <> [] || leaving <> [] || dirty_of.(i) <> [] then begin
+        let old = t.tsets.(i) in
+        let tset =
+          List.fold_left (fun s v -> Term.Set.add v s)
+            (List.fold_left (fun s v -> Term.Set.remove v s) old leaving)
+            entering
+        in
+        let stored v = Term.Set.mem v tset || Term.Set.mem v t.consts.(i) in
+        (* The verdict counts move by the nodes whose membership or
+           verdict can have changed: take their old share out, move the
+           pairs, put their new share back. *)
+        let moved =
+          List.fold_left (fun s v -> Term.Set.add v s)
+            (Term.Set.of_list (entering @ leaving))
+            dirty_of.(i)
+        in
+        let violations tset =
+          Term.Set.fold
+            (fun v n ->
+              if Term.Set.mem v tset
+                 && not (Hashtbl.find t.entries (i, v)).verdict
+              then n + 1
+              else n)
+            moved 0
+        in
+        let before = violations old in
+        List.iter (fun v -> if not (stored v) then drop_entry t i v) leaving;
         List.iter
           (fun v ->
-            let before = (Hashtbl.find t.entries (i, v)).verdict in
-            recheck i v;
-            let after = (Hashtbl.find t.entries (i, v)).verdict in
-            if before <> after && Term.Set.mem v tset then
-              t.n_violations.(i) <-
-                (t.n_violations.(i) + if after then -1 else 1))
-          dirty_of.(i)
-      else begin
-        let cset = Term.Set.union tset t.consts.(i) in
-        let old = t.csets.(i) in
-        Term.Set.iter
-          (fun v -> if not (Term.Set.mem v cset) then drop_entry t i v)
-          old;
-        Term.Set.iter
-          (fun v ->
-            if not (Term.Set.mem v old) then begin
-              incr rechecked;
-              set_entry t i v (eval_pair t i v)
-            end
-            else if Hashtbl.mem dirty (i, v) then recheck i v)
-          cset;
+            if stored v then begin
+              drop_entry t i v;
+              eval i v
+            end)
+          dirty_of.(i);
+        List.iter
+          (fun v -> if not (Hashtbl.mem t.entries (i, v)) then eval i v)
+          entering;
         t.tsets.(i) <- tset;
-        t.csets.(i) <- cset;
-        recount t i
+        t.n_targets.(i) <-
+          t.n_targets.(i) + List.length entering - List.length leaving;
+        t.n_violations.(i) <- t.n_violations.(i) + violations tset - before
       end)
     t.defs;
   let stats =

@@ -37,7 +37,13 @@
     iterate them, so no per-pair graph indexes or set trees are held.
     On the 57-shape survey over a 9,680-triple graph (25,724 pairs)
     the state holds about 13 MB live, against 35 MB with a persistent
-    graph and term set per pair. *)
+    graph and term set per pair.
+
+    {b The graph.}  The live graph is the persistent maps view
+    ({!graph}); an update patches it in [O(k log n)] and builds no store.
+    A store is built only when an id-space reader asks ({!frozen}), by
+    one {!Rdf.Store.patch} of the net change since the last build — one
+    patch per version read instead of one per update. *)
 
 type t
 
@@ -52,7 +58,23 @@ val create : ?jobs:int -> schema:Shacl.Schema.t -> Rdf.Graph.t -> t
     the same for any [jobs]. *)
 
 val graph : t -> Rdf.Graph.t
-(** The current graph (frozen). *)
+(** The current graph, as the maps view ({!Rdf.Graph.thaw}): it has no
+    store, and {!apply} patches it in [O(k log n)] for a [k]-triple
+    delta.  Term-space readers — neighborhoods, {!Shacl.Conformance},
+    Turtle output — take it as it is; {!Rdf.Graph.freeze} on it would
+    re-freeze the whole graph, so id-space readers take {!frozen}. *)
+
+val frozen : t -> Rdf.Graph.t
+(** The current graph, frozen, for id-space readers ({!Engine.run},
+    {!Engine.validate}).  Built on demand: the first call after an
+    update patches the last frozen graph for the net change since
+    ({!Rdf.Delta.Net}, one {!Rdf.Store.patch}: linear in the store, no
+    sort), so a store costs one patch per version read, not one per
+    update.  Memoized until the next update: with no update in between,
+    calls return the same value.  The store equals a from-scratch
+    freeze of {!graph}'s triples.  A graph empty since {!create} has no
+    store, as with {!Rdf.Graph.freeze}; one drained later keeps an empty
+    store. *)
 
 val fragment : t -> Rdf.Graph.t
 (** The maintained schema fragment — equal to
@@ -83,13 +105,18 @@ type update_stats = {
 }
 
 val apply : t -> Rdf.Delta.t -> update_stats
-(** Apply one delta: patch the frozen graph ({!Rdf.Delta.apply}),
-    re-derive the target sets the delta can move (a target whose form
-    reads none of the delta's predicates, see
-    {!Shacl.Validate.target_reads}, keeps its set), recheck exactly the
-    dirty and entering pairs, and patch the fragment and the verdict
-    counts.  A definition whose target set is unchanged costs only its
-    dirty pairs. *)
+(** Apply one delta ({!Rdf.Delta.effective} on the current graph):
+    patch the maps view ({!graph}) and note the change for {!frozen},
+    move the target sets the delta can move, recheck exactly the dirty
+    and entering pairs, and patch the fragment and the verdict counts.
+    A target whose form reads none of the delta's predicates (see
+    {!Shacl.Validate.target_reads}) keeps its set; one that reads some
+    re-tests only the endpoints of those triples against the target
+    shape ({!Shacl.Conformance.conforms}).  Only forms
+    {!Shacl.Validate.fast_targets} does not answer, and class targets
+    under an [rdfs:subClassOf] change, are re-derived exactly.  The counts move by the
+    nodes that entered, left or were rechecked, so a definition costs
+    its dirty pairs and moved targets, not its target set. *)
 
 type stats = {
   pairs : int;            (** stored (definition, node) pairs *)

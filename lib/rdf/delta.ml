@@ -11,9 +11,21 @@ let size d = List.length d.removes + List.length d.adds
 
 let apply d g = Graph.patch ~removes:d.removes ~adds:d.adds g
 
+(* A triple both removed and added ends up present, as [Graph.patch]
+   leaves it, so its removal is a no-op too. *)
 let effective d g =
-  { removes = List.filter (fun tr -> Graph.mem tr g) d.removes;
-    adds = List.filter (fun tr -> not (Graph.mem tr g)) d.adds }
+  let adds =
+    List.sort_uniq Triple.compare
+      (List.filter (fun tr -> not (Graph.mem tr g)) d.adds)
+  in
+  let readded = Triple.Set.of_list d.adds in
+  let removes =
+    List.sort_uniq Triple.compare
+      (List.filter
+         (fun tr -> Graph.mem tr g && not (Triple.Set.mem tr readded))
+         d.removes)
+  in
+  { removes; adds }
 
 let terms d =
   let endpoints acc tr =
@@ -22,6 +34,32 @@ let terms d =
   List.fold_left endpoints
     (List.fold_left endpoints Term.Set.empty d.removes)
     d.adds
+
+module Net = struct
+  type delta = t
+
+  (* each noted triple -> whether its last operation was an add *)
+  module Tbl = Hashtbl.Make (Triple)
+
+  type t = bool Tbl.t
+
+  let create () = Tbl.create 64
+  let is_empty net = Tbl.length net = 0
+  let clear = Tbl.reset
+
+  let note net (d : delta) =
+    List.iter (fun tr -> Tbl.replace net tr false) d.removes;
+    List.iter (fun tr -> Tbl.replace net tr true) d.adds
+
+  let delta net =
+    let removes, adds =
+      Tbl.fold
+        (fun tr add (removes, adds) ->
+          if add then (removes, tr :: adds) else (tr :: removes, adds))
+        net ([], [])
+    in
+    { removes; adds }
+end
 
 (* ---------------- byte encoding ------------------------------------- *)
 

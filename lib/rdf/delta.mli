@@ -39,8 +39,33 @@ val apply : t -> Graph.t -> Graph.t
 
 val effective : t -> Graph.t -> t
 (** [effective d g] drops the no-ops: removals of triples absent from
-    [g] and additions of triples already present.  The result applies to
-    [g] exactly like [d] but its {!size} counts real changes. *)
+    [g], additions of triples already present, removals of triples [d]
+    also adds (the add wins, as in {!Graph.patch}) and repeats.  The
+    result applies to [g] exactly like [d], its two lists are disjoint
+    and duplicate-free, and its {!size} counts real changes. *)
+
+(** {1 Net change of a stream}
+
+    Folds a stream of deltas into one: per triple the last operation
+    wins, and within one delta an add beats a remove (a delta removes
+    first, then adds).  Applying {!Net.delta} once equals applying the
+    noted deltas one by one, on any graph — so a frozen graph's store is
+    patched once for the whole stream.  Journal replay and the
+    incremental engine's lazily built store both use it. *)
+module Net : sig
+  type delta := t
+  type t
+
+  val create : unit -> t
+  val note : t -> delta -> unit
+  val is_empty : t -> bool
+  (** No delta noted since {!create} or the last {!clear}. *)
+
+  val delta : t -> delta
+  (** The net change of every noted delta, each triple once. *)
+
+  val clear : t -> unit
+end
 
 val terms : t -> Term.Set.t
 (** The subjects and objects of every mentioned triple — the probe

@@ -32,6 +32,7 @@ let is_empty g = g.size = 0
 let cardinal g = g.size
 let store g = g.store
 let frozen g = g.store <> None
+let thaw g = if g.store = None then g else { g with store = None }
 
 let mem_spo s p o g =
   match g.store with

@@ -16,8 +16,9 @@
     {!freeze}; read-heavy phases (validation, tracing) should freeze it
     once up front.  {!add} and {!remove} on a frozen graph drop the
     store; {!patch} (what {!Delta.apply} uses) patches it for the change
-    instead.  Frozen or not, a graph answers every query alike, list
-    order included. *)
+    instead, and {!thaw} drops it in [O(1)] for a stream of updates that
+    reads only the maps.  Frozen or not, a graph answers every query
+    alike, list order included. *)
 
 type t
 
@@ -45,6 +46,14 @@ val frozen : t -> bool
 
 val store : t -> Store.t option
 (** The interned store, when the graph has been {!freeze}d. *)
+
+val thaw : t -> t
+(** The same triple set without the store: the maps view, in [O(1)] —
+    the maps are shared, not copied.  {!add}, {!remove} and {!patch} on
+    the result cost [O(log n)] per triple and never touch a store, so a
+    stream of small updates is cheap on it; {!freeze} or a
+    {!patch} of the frozen original gives a store back.  Identity on an
+    unfrozen graph. *)
 
 (** {1 Building} *)
 

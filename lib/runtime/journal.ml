@@ -136,34 +136,16 @@ let load_snapshot dir =
           | Result.Error e ->
               corrupt (Format.asprintf "%a" Rdf.Turtle.pp_error e))
 
-(* The records to replay fold into one net delta: per triple the last
-   operation wins, and within a record an add beats a remove (a delta
-   removes first, then adds).  Applying it once equals applying the
-   records one by one, but patches a frozen snapshot's store once
-   instead of once per record.  [last] maps each triple to whether its
-   last operation was an add. *)
-module Triple_tbl = Hashtbl.Make (Rdf.Triple)
-
-let note last (d : Rdf.Delta.t) =
-  List.iter (fun tr -> Triple_tbl.replace last tr false) d.removes;
-  List.iter (fun tr -> Triple_tbl.replace last tr true) d.adds
-
-let net_delta last =
-  let removes, adds =
-    Triple_tbl.fold
-      (fun tr add (removes, adds) ->
-        if add then (removes, tr :: adds) else (tr :: removes, adds))
-      last ([], [])
-  in
-  Rdf.Delta.make ~removes ~adds ()
-
 (* One pass over the segment.  Returns the replayed graph, the counts,
    and where the valid prefix ends (everything after it is a torn tail
    to truncate).  Raises [Corrupt] when an invalid record is followed by
-   more data — that is in-place damage, not a crash residue. *)
+   more data — that is in-place damage, not a crash residue.  The
+   records to replay fold into one net delta ([Rdf.Delta.Net]): applying
+   it once equals applying them one by one, but patches a frozen
+   snapshot's store once instead of once per record. *)
 let replay ~path ~snap_seq ~graph bytes =
   let size = String.length bytes in
-  let last_op = Triple_tbl.create 64 in
+  let net = Rdf.Delta.Net.create () in
   let replayed = ref 0 in
   let records = ref 0 in
   let last = ref snap_seq in
@@ -207,7 +189,7 @@ let replay ~path ~snap_seq ~graph bytes =
                  Rdf.Delta.decode (String.sub payload 8 (len - 8))
                with
                | Ok delta ->
-                   note last_op delta;
+                   Rdf.Delta.Net.note net delta;
                    incr replayed
                | Result.Error msg -> corrupt start msg
              end;
@@ -221,7 +203,8 @@ let replay ~path ~snap_seq ~graph bytes =
   done;
   let valid_end = match !torn with Some o -> o | None -> !off in
   let g =
-    if !replayed = 0 then graph else Rdf.Delta.apply (net_delta last_op) graph
+    if !replayed = 0 then graph
+    else Rdf.Delta.apply (Rdf.Delta.Net.delta net) graph
   in
   (g, !last, !replayed, !records, valid_end, size - valid_end)
 

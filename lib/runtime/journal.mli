@@ -64,7 +64,7 @@ type recovery = {
 val recover : ?policy:policy -> string -> recovery
 (** [recover dir] opens (creating the directory if needed) and replays
     the journal.  The replayed records are folded into one net delta
-    (per triple the last operation wins) and applied to the snapshot
+    ({!Rdf.Delta.Net}: per triple the last operation wins) and applied to the snapshot
     with one {!Rdf.Graph.patch}, so the result equals record-by-record
     application — frozen when the snapshot is — at the cost of one
     patch, not one per record.  Raises {!Corrupt} on mid-segment damage and

@@ -39,9 +39,9 @@ type counters = {
 
 (* Mutable state of a journalled server.  Updates mutate [inc] (and
    through it the current graph) under [lock]; read paths take the lock
-   only long enough to snapshot an immutable view — a frozen graph, a
-   report — and evaluate outside it, so a long fragment request never
-   blocks the update stream. *)
+   only long enough to snapshot an immutable view — a graph, a report —
+   and evaluate outside it, so a long fragment request never blocks the
+   update stream. *)
 type live = {
   journal : Runtime.Journal.t;
   inc : Provenance.Incremental.t;
@@ -75,12 +75,24 @@ let locked m f =
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* The graph requests evaluate against: the startup graph, or — on a
-   journalled server — the current one.  Frozen graphs are immutable
-   values, so the snapshot taken under the lock stays valid outside. *)
+   journalled server — the current one.  Graphs are immutable values, so
+   the snapshot taken under the lock stays valid outside.  On a
+   journalled server [current_graph] is the maps view, which term-space
+   readers (neighborhoods) take as it is; [current_frozen] also has the
+   store the engine's id-space kernel reads, built under the lock by one
+   [Store.patch] of the change since the last one it built
+   ([Incremental.frozen]), so updates that nobody reads as a store
+   build none. *)
 let current_graph t =
   match t.live with
   | None -> t.graph
   | Some live -> locked live.lock (fun () -> Provenance.Incremental.graph live.inc)
+
+let current_frozen t =
+  match t.live with
+  | None -> t.graph
+  | Some live ->
+      locked live.lock (fun () -> Provenance.Incremental.frozen live.inc)
 
 (* A reply write to a peer that already hung up must not take the worker
    down with it — the connection is simply lost. *)
@@ -224,7 +236,7 @@ let execute t budget : Wire.op -> Wire.reply = function
           in
           let fragment, _stats =
             Provenance.Engine.run ~schema:t.schema ~jobs:1 ~budget
-              (current_graph t) requests
+              (current_frozen t) requests
           in
           Wire.Fragmented
             { triples = Rdf.Graph.cardinal fragment;
@@ -285,9 +297,13 @@ let execute t budget : Wire.op -> Wire.reply = function
                   let js : Runtime.Journal.stats =
                     Runtime.Journal.stats live.journal
                   in
+                  (* Snapshotting also builds the store: the last one
+                     built and the change noted since then stay live
+                     until the next build, so this bounds them to
+                     [snapshot_every] records. *)
                   if js.records >= t.config.snapshot_every then
                     Runtime.Journal.snapshot live.journal
-                      (Provenance.Incremental.graph live.inc);
+                      (Provenance.Incremental.frozen live.inc);
                   Wire.Updated
                     { seq;
                       added = st.added;

@@ -326,6 +326,15 @@ let check_matches_scratch what schema inc =
     (Turtle.to_string (scratch_fragment schema g))
     (Turtle.to_string (Incremental.fragment inc))
 
+(* The store [Incremental.frozen] builds lazily is the one a
+   from-scratch build of the live graph's triples gives. *)
+let frozen_is_scratch inc =
+  let g = Incremental.graph inc in
+  match Graph.store (Incremental.frozen inc) with
+  | Some st ->
+      Store.equal st (Store.of_triples (Array.of_list (Graph.to_list g)))
+  | None -> Graph.is_empty g
+
 let schema_ge =
   (* node target [a]; requires a p-successor *)
   Shacl.Schema.make_exn
@@ -413,7 +422,7 @@ let arbitrary_case =
         deltas)
     QCheck.Gen.(
       triple (Tgen.gen_schema ()) Tgen.gen_graph_with_classes
-        (list_size (int_range 1 3) gen_delta))
+        (list_size (int_range 1 5) gen_delta))
 
 (* The acceptance property: after every delta of an arbitrary stream,
    the incremental state matches the sequential oracles recomputed from
@@ -424,11 +433,14 @@ let arbitrary_case =
    [Fragment.frag_schema] — and the maintained fragment is sufficient
    (Thm 3.4): every target the report marks conforming still conforms
    to its request shape [phi ∧ tau] inside the fragment, because its
-   neighborhood ⊆ fragment ⊆ graph.  The maintained graph's store is
-   the one a from-scratch freeze builds, and the maintained verdict
-   counts are the report's.  Graphs and deltas include class triples,
-   so every target form the skip in [Incremental.apply] reasons about
-   meets deltas that do and do not move it. *)
+   neighborhood ⊆ fragment ⊆ graph.  The store [Incremental.frozen]
+   builds is the one a from-scratch freeze builds; it is asked for only
+   after every second delta and the last, so bursts of deltas (an add
+   then a remove of one triple among them) reach it through the net
+   accumulator.  The maintained verdict counts are the report's.
+   Graphs and deltas include class triples, so every target form the
+   skip in [Incremental.apply] reasons about meets deltas that do and do
+   not move it. *)
 let prop_incremental_differential =
   QCheck.Test.make ~count:500
     ~name:"incremental ≡ from-scratch under random delta streams"
@@ -445,18 +457,17 @@ let prop_incremental_differential =
         in
         Shacl.Shape.and_ [ def.shape; def.target ]
       in
+      let last = List.length deltas - 1 and k = ref (-1) in
       List.for_all
         (fun d ->
+          incr k;
           let st = Incremental.apply inc d in
           let st3 = Incremental.apply inc3 d in
           let g = Incremental.graph inc in
           let report = Incremental.report inc in
           let fragment = Incremental.fragment inc in
           let same_store =
-            let scratch = Store.of_triples (Array.of_list (Graph.to_list g)) in
-            match Graph.store g with
-            | Some st -> Store.equal st scratch
-            | None -> Graph.is_empty g
+            (!k mod 2 = 0 && !k <> last) || frozen_is_scratch inc
           in
           same_store
           && st = st3
@@ -553,8 +564,10 @@ let test_incremental_drain_refill () =
   Alcotest.(check bool) "drained graph stays frozen" true
     (Graph.frozen drained);
   ignore (Incremental.apply inc drain : Incremental.update_stats);
-  Alcotest.(check bool) "incremental graph stays frozen" true
-    (Graph.frozen (Incremental.graph inc));
+  Alcotest.(check bool) "drained: store = from-scratch build" true
+    (frozen_is_scratch inc);
+  Alcotest.(check bool) "drained: the store is kept, empty" true
+    (Graph.frozen (Incremental.frozen inc));
   check_matches_scratch "drained" schema_ge inc;
   Alcotest.(check bool) "violated when drained" false
     (Incremental.conforms inc);
@@ -562,8 +575,10 @@ let test_incremental_drain_refill () =
   Alcotest.(check bool) "refill of the drained graph is frozen" true
     (Graph.frozen (Delta.apply refill drained));
   ignore (Incremental.apply inc refill : Incremental.update_stats);
-  let g = Incremental.graph inc in
+  let g = Incremental.frozen inc in
   Alcotest.(check bool) "refilled graph is frozen" true (Graph.frozen g);
+  Alcotest.(check bool) "refilled: store = from-scratch build" true
+    (frozen_is_scratch inc);
   Alcotest.(check bool) "store = from-scratch freeze" true
     (let scratch = Graph.freeze (Graph.of_list [ t "a" p "d" ]) in
      match Graph.store g, Graph.store scratch with
@@ -572,6 +587,68 @@ let test_incremental_drain_refill () =
   check_matches_scratch "refilled" schema_ge inc;
   Alcotest.(check bool) "conforms after refill" true (Incremental.conforms inc);
   Alcotest.(check int) "one check" 1 (Incremental.checks inc)
+
+(* [frozen] is built on demand and memoized until the next update; the
+   live graph never carries a store. *)
+let test_incremental_frozen_memo () =
+  let inc =
+    Incremental.create ~schema:schema_ge (Graph.of_list [ t "a" p "b" ])
+  in
+  let f0 = Incremental.frozen inc in
+  Alcotest.(check bool) "no update in between: the same value" true
+    (f0 == Incremental.frozen inc);
+  let apply d = ignore (Incremental.apply inc d : Incremental.update_stats) in
+  apply (Delta.make ~adds:[ t "a" p "c" ] ());
+  Alcotest.(check bool) "live graph has no store" false
+    (Graph.frozen (Incremental.graph inc));
+  let f1 = Incremental.frozen inc in
+  Alcotest.(check bool) "an update makes a new version" true (f1 != f0);
+  Alcotest.(check bool) "new version = from-scratch build" true
+    (frozen_is_scratch inc);
+  Alcotest.(check bool) "memoized again" true (f1 == Incremental.frozen inc);
+  (* a burst: add then remove one triple, and a real change *)
+  apply (Delta.make ~adds:[ t "b" q "c" ] ());
+  apply (Delta.make ~removes:[ t "b" q "c" ] ());
+  apply (Delta.make ~removes:[ t "a" p "b" ] ());
+  Alcotest.(check bool) "burst: store = from-scratch build" true
+    (frozen_is_scratch inc);
+  check_matches_scratch "after the burst" schema_ge inc
+
+(* A delta that removes and re-adds a present triple leaves it present,
+   as [Graph.patch] does (removes first, then adds): the live graph, a
+   plain [Delta.apply] and journal recovery agree, and the update counts
+   no change.  Repeats in a delta count once. *)
+let test_incremental_remove_and_readd () =
+  with_dir (fun dir ->
+      let g0 = Graph.freeze (Graph.of_list [ t "a" p "b"; t "x" q "y" ]) in
+      let inc = Incremental.create ~schema:schema_ge g0 in
+      let r = Journal.recover dir in
+      Journal.snapshot r.Journal.journal g0;
+      let d = Delta.make ~removes:[ t "a" p "b" ] ~adds:[ t "a" p "b" ] () in
+      ignore (Journal.append r.Journal.journal d : int);
+      let st = Incremental.apply inc d in
+      Journal.close r.Journal.journal;
+      Alcotest.(check int) "removed" 0 st.Incremental.removed;
+      Alcotest.(check int) "added" 0 st.Incremental.added;
+      let applied = Delta.apply d g0 in
+      Alcotest.check Tgen.graph_testable "Delta.apply keeps the triple" g0
+        applied;
+      Alcotest.check Tgen.graph_testable "live graph = Delta.apply" applied
+        (Incremental.graph inc);
+      let r2 = Journal.recover dir in
+      Journal.close r2.Journal.journal;
+      Alcotest.check Tgen.graph_testable "recovered graph = live graph"
+        (Incremental.graph inc) r2.Journal.graph;
+      Alcotest.(check bool) "still conforms" true (Incremental.conforms inc);
+      check_matches_scratch "after remove and re-add" schema_ge inc;
+      let st =
+        Incremental.apply inc
+          (Delta.make
+             ~removes:[ t "x" q "y"; t "x" q "y" ]
+             ~adds:[ t "a" p "c"; t "a" p "c" ] ())
+      in
+      Alcotest.(check (pair int int)) "repeats count once" (1, 1)
+        (st.Incremental.removed, st.Incremental.added))
 
 (* Durability end-to-end at the library level: journal the same stream,
    recover, and the recovered graph supports the same verdicts. *)
@@ -673,6 +750,10 @@ let suite =
       `Quick test_incremental_jobs_deterministic;
     Alcotest.test_case "incremental -j 4: empty graph, no targets" `Quick
       test_incremental_jobs_degenerate;
+    Alcotest.test_case "incremental frozen is memoized per version" `Quick
+      test_incremental_frozen_memo;
+    Alcotest.test_case "incremental remove and re-add of a present triple"
+      `Quick test_incremental_remove_and_readd;
     Alcotest.test_case "journal + incremental agree" `Quick
       test_journal_incremental_agree ]
 

@@ -533,7 +533,7 @@ let with_journal_dir f =
 
 (* Mirror the CLI's recovery discipline: a fresh journal snapshots the
    initial graph so later recoveries never need the data file again. *)
-let with_journal_server dir f =
+let with_journal_server ?(config = Server.default_config) dir f =
   let r = Runtime.Journal.recover dir in
   let g =
     if r.Runtime.Journal.fresh then begin
@@ -543,8 +543,7 @@ let with_journal_server dir f =
     else r.Runtime.Journal.graph
   in
   let server =
-    Server.start Server.default_config ~schema ~graph:g
-      ~journal:r.Runtime.Journal.journal
+    Server.start config ~schema ~graph:g ~journal:r.Runtime.Journal.journal
   in
   Fun.protect
     ~finally:(fun () ->
@@ -602,6 +601,59 @@ let test_e2e_journal_update_and_recover () =
           | Wire.Validated { conforms; _ } ->
               Alcotest.(check bool) "recovered state conforms" true conforms
           | _ -> Alcotest.fail "expected Validated"))
+
+(* A journalled server answers an ad-hoc fragment on the store it builds
+   lazily after updates ([Incremental.frozen]): the reply must be
+   byte-identical to the engine on a fresh freeze of the same triples,
+   after updates, after a drain to the empty graph and after a refill.
+   Snapshots every second record write that store's graph; a restart
+   recovers from them. *)
+let test_e2e_journal_adhoc_fragment () =
+  let shape_src = ">=1 ex:author . >=1 rdf:type . hasValue(ex:Student)" in
+  let shape =
+    match Shacl.Shape_syntax.parse ~namespaces:Rdf.Namespace.default shape_src
+    with
+    | Ok shape -> shape
+    | Error _ -> assert false
+  in
+  let expected g =
+    let fresh = Rdf.Graph.freeze (Rdf.Graph.of_list (Rdf.Graph.to_list g)) in
+    let fragment, _ =
+      Provenance.Engine.run ~schema ~jobs:1 fresh
+        [ Provenance.Engine.request ~label:shape_src shape ]
+    in
+    Rdf.Turtle.to_string ~prefixes:Rdf.Namespace.default fragment
+  in
+  let check_adhoc server what g =
+    match expect_ok what (call server (Wire.Fragment [ shape_src ])) with
+    | Wire.Fragmented { turtle; _ } ->
+        Alcotest.(check string) (what ^ ": ad-hoc fragment bytes")
+          (expected g) turtle
+    | _ -> Alcotest.fail "expected Fragmented"
+  in
+  let update server ~add ~remove =
+    match expect_ok "update" (call server (Wire.Update { add; remove })) with
+    | Wire.Updated _ -> ()
+    | _ -> Alcotest.fail "expected Updated"
+  in
+  let fix = Rdf.Turtle.parse_exn fix_ttl in
+  let config = { Server.default_config with snapshot_every = 2 } in
+  with_journal_dir (fun dir ->
+      with_journal_server ~config dir (fun server ->
+          check_adhoc server "before any update" graph;
+          update server ~add:fix_ttl ~remove:"";
+          let fixed = Rdf.Graph.union graph fix in
+          check_adhoc server "after the fix" fixed;
+          check_adhoc server "asked again" fixed;
+          update server ~add:"" ~remove:data_ttl;
+          check_adhoc server "after a second update" fix;
+          update server ~add:"" ~remove:fix_ttl;
+          check_adhoc server "drained" Rdf.Graph.empty;
+          update server ~add:data_ttl ~remove:"";
+          check_adhoc server "refilled" graph;
+          update server ~add:fix_ttl ~remove:"");
+      with_journal_server ~config dir (fun server ->
+          check_adhoc server "recovered" (Rdf.Graph.union graph fix)))
 
 let test_e2e_update_without_journal () =
   with_server (fun server ->
@@ -675,6 +727,8 @@ let suite =
     "e2e: slow-loris frame is abandoned", `Quick, test_e2e_slow_loris;
     "e2e: journalled update and recovery", `Quick,
     test_e2e_journal_update_and_recover;
+    "e2e: journalled ad-hoc fragment = fresh freeze", `Quick,
+    test_e2e_journal_adhoc_fragment;
     "e2e: update refused without a journal", `Quick,
     test_e2e_update_without_journal;
     "server: port file is written atomically", `Quick,
