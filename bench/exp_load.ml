@@ -11,8 +11,13 @@
    [predicates_between] for every key of the map-built graph
    ([Graph.of_list]) alike; and its store equals both the
    comparison-sort build ([Store.patch] of the empty store) and
-   [Store.of_triples] on the triples shuffled and duplicated.  Results
-   go to BENCH_load.json. *)
+   [Store.of_triples] on the triples shuffled and duplicated.
+
+   It also times [Turtle.to_string] on the loaded graph (the writer
+   walks the store's rows) and on its builder-maps twin ([Graph.thaw]:
+   the same maps, no store, so the writer walks the maps), and
+   [identical] requires both to print the source's text byte for byte.
+   Results go to BENCH_load.json. *)
 
 open Rdf
 
@@ -89,17 +94,34 @@ let run ~quick =
   let terms =
     match Graph.store parsed with Some st -> Store.n_terms st | None -> 0
   in
-  let identical = identical source parsed in
+  let median_secs f =
+    let times =
+      List.init runs (fun _ -> fst (Util.time f)) |> List.sort Float.compare
+    in
+    List.nth times (runs / 2)
+  in
+  let maps_twin = Graph.thaw parsed in
+  let ser_frozen = median_secs (fun () -> Turtle.to_string parsed)
+  and ser_maps = median_secs (fun () -> Turtle.to_string maps_twin) in
+  let same_text =
+    String.equal (Turtle.to_string parsed) text
+    && String.equal (Turtle.to_string maps_twin) text
+  in
+  let identical = identical source parsed && same_text in
   Printf.printf
     "%d individuals: %d triples, %d terms, %.1f MB of Turtle\n\
      Turtle.parse: best %s, median %s of %d; %.0f minor + %.0f major \
      words; loaded graph %.1f MB live\n\
+     Turtle.to_string: median %s from the store's rows, %s from the maps\n\
      identical to the builders: %b\n"
     individuals triples terms
     (float_of_int (String.length text) /. 1048576.)
     (Format.asprintf "%a" Util.pp_seconds best.secs)
     (Format.asprintf "%a" Util.pp_seconds median.secs)
-    runs median.minor median.major (mb heap) identical;
+    runs median.minor median.major (mb heap)
+    (Format.asprintf "%a" Util.pp_seconds ser_frozen)
+    (Format.asprintf "%a" Util.pp_seconds ser_maps)
+    identical;
   let oc = open_out "BENCH_load.json" in
   Printf.fprintf oc
     "{\n\
@@ -114,10 +136,11 @@ let run ~quick =
     \  \"minor_words\": %.0f,\n\
     \  \"major_words\": %.0f,\n\
     \  \"heap_mb\": %.2f,\n\
+    \  \"serialize_seconds_median\": { \"frozen\": %.6f, \"maps\": %.6f },\n\
     \  \"identical\": %b\n\
      }\n"
     individuals (String.length text) triples terms runs best.secs median.secs
-    median.minor median.major (mb heap) identical;
+    median.minor median.major (mb heap) ser_frozen ser_maps identical;
   close_out oc;
   Printf.printf "wrote BENCH_load.json%s\n"
     (if identical then "" else "  ** MISMATCH vs builders **")

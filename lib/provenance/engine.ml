@@ -426,21 +426,26 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
     drive ~jobs ~budget ~on_error ~nrows ~labels ~evaluator
       (List.map (fun (_, candidates, _) -> candidates) plans)
   in
-  (* The fragment is decoded from the merged bitset in ascending row
-     order — canonical SPO order, independent of scheduling. *)
-  let emitted = ref 0 in
+  (* The fragment is the merged bitset's rows in ascending order —
+     canonical SPO order, independent of scheduling — kept as a row view
+     of the store: nothing is decoded until a reader asks. *)
   let fragment =
     match store with
     | None -> Graph.empty
     | Some st ->
-        let frag = ref Graph.empty in
+        let n = ref 0 in
+        for r = 0 to nrows - 1 do
+          if get_bit final.bits r then incr n
+        done;
+        let rows = Array.make !n 0 in
+        let k = ref 0 in
         for r = 0 to nrows - 1 do
           if get_bit final.bits r then begin
-            incr emitted;
-            frag := Graph.add_triple (Store.row_triple st r) !frag
+            rows.(!k) <- r;
+            incr k
           end
         done;
-        !frag
+        Graph.of_rows st rows
   in
   let shape_stats =
     List.mapi
@@ -454,7 +459,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
       plans
   in
   ( fragment,
-    stats_of ~jobs ~store ~planning ~t0 ~triples_emitted:!emitted ~retries
+    stats_of ~jobs ~store ~planning ~t0 ~triples_emitted:(Graph.cardinal fragment) ~retries
       final shape_stats )
 
 let fragment ?schema ?algorithm ?jobs g shapes =

@@ -25,8 +25,9 @@
        immutable graph and schema.}
     {- {b Merging.}  Chunks accumulate result triples into private
        bitsets over the store's rows that are merged only when the
-       chunk completes, and the fragment graph is built in a single
-       pass.}}
+       chunk completes.  The fragment is the merged bitset's rows,
+       returned as a row view of the store ({!Rdf.Graph.of_rows}):
+       nothing is decoded into maps.}}
 
     {b Resilience.}  The chunk is also the engine's fault-isolation
     unit.  A chunk that raises — an injected [Runtime.Fault], an
@@ -152,6 +153,13 @@ val run :
 (** [run g requests] computes [⋃ Frag(G, shape)] over the requests and
     reports statistics.  [jobs] defaults to 1 (no domains spawned);
     [budget] defaults to unlimited; [on_error] defaults to [`Fail].
+
+    The fragment is a row view ({!Rdf.Graph.of_rows}) of the store of
+    [Graph.freeze g]: its rows, ascending.  Counting, iterating,
+    membership and {!Rdf.Turtle.to_string} read those rows; the first
+    other reader builds its maps once.  It has no store of its own
+    ({!Rdf.Graph.store} is [None]) until it is frozen.  An empty graph
+    or an empty fragment gives {!Rdf.Graph.empty}.
 
     The pool spawns at most [Domain.recommended_domain_count ()]
     domains regardless of [jobs] — oversubscribing a machine's cores

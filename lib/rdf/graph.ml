@@ -11,22 +11,32 @@
    with binary searches and no per-lookup allocation.  [of_store] goes
    the other way — the parser builds the store first and the maps from
    its sorted orders.  [add]/[remove] drop the store and [patch] patches
-   it, so a store never disagrees with the maps beside it. *)
+   it, so a store never disagrees with the maps beside it.
 
-type t = {
+   A row view ([of_rows], what [Engine.run] returns) is a subset of
+   another store's rows.  Counting, iteration, membership and the
+   Turtle writer read the rows; every other reader builds the maps once
+   ([maps]) and keeps them in the view.  The cache is an [Atomic], not
+   a [Lazy]: two domains forcing one [Lazy] at once raise, while two
+   domains building the maps at once both publish equal maps. *)
+
+type maps = {
   spo : Term.Set.t Iri.Map.t Term.Map.t;
   pos : Term.Set.t Term.Map.t Iri.Map.t;
   osp : Iri.Set.t Term.Map.t Term.Map.t;
-  size : int;
-  store : Store.t option;
 }
 
-let empty =
-  { spo = Term.Map.empty;
-    pos = Iri.Map.empty;
-    osp = Term.Map.empty;
-    size = 0;
-    store = None }
+type view = { src : Store.t; rows : int array; built : maps option Atomic.t }
+type repr = Maps of maps | View of view
+
+type t = {
+  repr : repr;
+  size : int;
+  store : Store.t option;  (* of this graph's own triples *)
+}
+
+let no_maps = { spo = Term.Map.empty; pos = Iri.Map.empty; osp = Term.Map.empty }
+let empty = { repr = Maps no_maps; size = 0; store = None }
 
 let is_empty g = g.size = 0
 let cardinal g = g.size
@@ -34,11 +44,75 @@ let store g = g.store
 let frozen g = g.store <> None
 let thaw g = if g.store = None then g else { g with store = None }
 
+let row_view g =
+  match g.repr with View v -> Some (v.src, v.rows) | Maps _ -> None
+
+let of_rows src rows =
+  if Array.length rows = 0 then empty
+  else
+    { repr = View { src; rows; built = Atomic.make None };
+      size = Array.length rows;
+      store = None }
+
+(* [rows] ascending: binary search *)
+let view_mem v s p o =
+  match Store.id v.src s, Store.pred_id v.src p, Store.id v.src o with
+  | Some s, Some p, Some o -> (
+      match Store.triple_row v.src s p o with
+      | None -> false
+      | Some r ->
+          let rec go lo hi =
+            lo < hi
+            &&
+            let mid = (lo + hi) / 2 in
+            let x = v.rows.(mid) in
+            x = r || if x < r then go (mid + 1) hi else go lo mid
+          in
+          go 0 (Array.length v.rows))
+  | _ -> false
+
+let maps_add s p o m =
+  let spo =
+    let by_p = Option.value (Term.Map.find_opt s m.spo) ~default:Iri.Map.empty in
+    let objs = Option.value (Iri.Map.find_opt p by_p) ~default:Term.Set.empty in
+    Term.Map.add s (Iri.Map.add p (Term.Set.add o objs) by_p) m.spo
+  in
+  let pos =
+    let by_o = Option.value (Iri.Map.find_opt p m.pos) ~default:Term.Map.empty in
+    let subs = Option.value (Term.Map.find_opt o by_o) ~default:Term.Set.empty in
+    Iri.Map.add p (Term.Map.add o (Term.Set.add s subs) by_o) m.pos
+  in
+  let osp =
+    let by_s = Option.value (Term.Map.find_opt o m.osp) ~default:Term.Map.empty in
+    let preds = Option.value (Term.Map.find_opt s by_s) ~default:Iri.Set.empty in
+    Term.Map.add o (Term.Map.add s (Iri.Set.add p preds) by_s) m.osp
+  in
+  { spo; pos; osp }
+
+let maps g =
+  match g.repr with
+  | Maps m -> m
+  | View v -> (
+      match Atomic.get v.built with
+      | Some m -> m
+      | None ->
+          let m =
+            Array.fold_left
+              (fun m r ->
+                let t = Store.row_triple v.src r in
+                maps_add (Triple.subject t) (Triple.predicate t)
+                  (Triple.object_ t) m)
+              no_maps v.rows
+          in
+          Atomic.set v.built (Some m);
+          m)
+
 let mem_spo s p o g =
-  match g.store with
-  | Some st -> Store.mem st s p o
-  | None -> (
-      match Term.Map.find_opt s g.spo with
+  match g.store, g.repr with
+  | Some st, _ -> Store.mem st s p o
+  | None, View v -> view_mem v s p o
+  | None, Maps m -> (
+      match Term.Map.find_opt s m.spo with
       | None -> false
       | Some by_p -> (
           match Iri.Map.find_opt p by_p with
@@ -50,29 +124,7 @@ let mem t g = mem_spo (Triple.subject t) (Triple.predicate t) (Triple.object_ t)
 let add s p o g =
   if Term.is_literal s then invalid_arg "Graph.add: literal in subject position"
   else if mem_spo s p o g then g
-  else
-    let spo =
-      let by_p =
-        Option.value (Term.Map.find_opt s g.spo) ~default:Iri.Map.empty
-      in
-      let objs = Option.value (Iri.Map.find_opt p by_p) ~default:Term.Set.empty in
-      Term.Map.add s (Iri.Map.add p (Term.Set.add o objs) by_p) g.spo
-    in
-    let pos =
-      let by_o =
-        Option.value (Iri.Map.find_opt p g.pos) ~default:Term.Map.empty
-      in
-      let subs = Option.value (Term.Map.find_opt o by_o) ~default:Term.Set.empty in
-      Iri.Map.add p (Term.Map.add o (Term.Set.add s subs) by_o) g.pos
-    in
-    let osp =
-      let by_s =
-        Option.value (Term.Map.find_opt o g.osp) ~default:Term.Map.empty
-      in
-      let preds = Option.value (Term.Map.find_opt s by_s) ~default:Iri.Set.empty in
-      Term.Map.add o (Term.Map.add s (Iri.Set.add p preds) by_s) g.osp
-    in
-    { spo; pos; osp; size = g.size + 1; store = None }
+  else { repr = Maps (maps_add s p o (maps g)); size = g.size + 1; store = None }
 
 let add_triple t g = add (Triple.subject t) (Triple.predicate t) (Triple.object_ t) g
 
@@ -80,37 +132,38 @@ let remove t g =
   let s = Triple.subject t and p = Triple.predicate t and o = Triple.object_ t in
   if not (mem_spo s p o g) then g
   else
+    let m = maps g in
     let spo =
-      let by_p = Term.Map.find s g.spo in
+      let by_p = Term.Map.find s m.spo in
       let objs = Term.Set.remove o (Iri.Map.find p by_p) in
       let by_p =
         if Term.Set.is_empty objs then Iri.Map.remove p by_p
         else Iri.Map.add p objs by_p
       in
-      if Iri.Map.is_empty by_p then Term.Map.remove s g.spo
-      else Term.Map.add s by_p g.spo
+      if Iri.Map.is_empty by_p then Term.Map.remove s m.spo
+      else Term.Map.add s by_p m.spo
     in
     let pos =
-      let by_o = Iri.Map.find p g.pos in
+      let by_o = Iri.Map.find p m.pos in
       let subs = Term.Set.remove s (Term.Map.find o by_o) in
       let by_o =
         if Term.Set.is_empty subs then Term.Map.remove o by_o
         else Term.Map.add o subs by_o
       in
-      if Term.Map.is_empty by_o then Iri.Map.remove p g.pos
-      else Iri.Map.add p by_o g.pos
+      if Term.Map.is_empty by_o then Iri.Map.remove p m.pos
+      else Iri.Map.add p by_o m.pos
     in
     let osp =
-      let by_s = Term.Map.find o g.osp in
+      let by_s = Term.Map.find o m.osp in
       let preds = Iri.Set.remove p (Term.Map.find s by_s) in
       let by_s =
         if Iri.Set.is_empty preds then Term.Map.remove s by_s
         else Term.Map.add s preds by_s
       in
-      if Term.Map.is_empty by_s then Term.Map.remove o g.osp
-      else Term.Map.add o by_s g.osp
+      if Term.Map.is_empty by_s then Term.Map.remove o m.osp
+      else Term.Map.add o by_s m.osp
     in
-    { spo; pos; osp; size = g.size - 1; store = None }
+    { repr = Maps { spo; pos; osp }; size = g.size - 1; store = None }
 
 (* A frozen graph keeps a store: the old one patched for the change
    (see [Store.patch]), a linear pass with no sort instead of a
@@ -125,16 +178,25 @@ let patch ~removes ~adds g =
   | _ -> g'
 
 let fold f g acc =
-  Term.Map.fold
-    (fun s by_p acc ->
-      Iri.Map.fold
-        (fun p objs acc ->
-          Term.Set.fold (fun o acc -> f (Triple.make s p o) acc) objs acc)
-        by_p acc)
-    g.spo acc
+  match g.repr with
+  | View v ->
+      Array.fold_left (fun acc r -> f (Store.row_triple v.src r) acc) acc v.rows
+  | Maps m ->
+      Term.Map.fold
+        (fun s by_p acc ->
+          Iri.Map.fold
+            (fun p objs acc ->
+              Term.Set.fold (fun o acc -> f (Triple.make s p o) acc) objs acc)
+            by_p acc)
+        m.spo acc
 
 let iter f g = fold (fun t () -> f t) g ()
-let to_list g = List.rev (fold (fun t acc -> t :: acc) g [])
+
+let to_list g =
+  match g.repr with
+  | View v ->
+      Array.fold_right (fun r acc -> Store.row_triple v.src r :: acc) v.rows []
+  | Maps _ -> List.rev (fold (fun t acc -> t :: acc) g [])
 
 exception Found
 
@@ -161,19 +223,19 @@ let subset a b = cardinal a <= cardinal b && for_all (fun t -> mem t b) a
 let equal a b = cardinal a = cardinal b && subset a b
 
 let objects g s p =
-  match Term.Map.find_opt s g.spo with
+  match Term.Map.find_opt s (maps g).spo with
   | None -> Term.Set.empty
   | Some by_p ->
       Option.value (Iri.Map.find_opt p by_p) ~default:Term.Set.empty
 
 let subjects g p o =
-  match Iri.Map.find_opt p g.pos with
+  match Iri.Map.find_opt p (maps g).pos with
   | None -> Term.Set.empty
   | Some by_o ->
       Option.value (Term.Map.find_opt o by_o) ~default:Term.Set.empty
 
 let predicates_between g s o =
-  match Term.Map.find_opt o g.osp with
+  match Term.Map.find_opt o (maps g).osp with
   | None -> Iri.Set.empty
   | Some by_s -> Option.value (Term.Map.find_opt s by_s) ~default:Iri.Set.empty
 
@@ -181,7 +243,7 @@ let subject_triples g s =
   match g.store with
   | Some st -> Store.subject_triples st s
   | None -> (
-      match Term.Map.find_opt s g.spo with
+      match Term.Map.find_opt s (maps g).spo with
       | None -> []
       | Some by_p ->
           Iri.Map.fold
@@ -194,7 +256,7 @@ let object_triples g o =
   match g.store with
   | Some st -> Store.object_triples st o
   | None -> (
-      match Term.Map.find_opt o g.osp with
+      match Term.Map.find_opt o (maps g).osp with
       | None -> []
       | Some by_s ->
           Term.Map.fold
@@ -207,7 +269,7 @@ let predicate_triples g p =
   match g.store with
   | Some st -> Store.predicate_triples st p
   | None -> (
-      match Iri.Map.find_opt p g.pos with
+      match Iri.Map.find_opt p (maps g).pos with
       | None -> []
       | Some by_o ->
           Term.Map.fold
@@ -220,7 +282,7 @@ let out_predicates g s =
   match g.store with
   | Some st -> Store.out_predicates st s
   | None -> (
-      match Term.Map.find_opt s g.spo with
+      match Term.Map.find_opt s (maps g).spo with
       | None -> Iri.Set.empty
       | Some by_p ->
           Iri.Map.fold (fun p _ acc -> Iri.Set.add p acc) by_p Iri.Set.empty)
@@ -229,31 +291,37 @@ let nodes g =
   match g.store with
   | Some st -> Store.nodes st
   | None ->
+      let m = maps g in
       let subs =
-        Term.Map.fold (fun s _ acc -> Term.Set.add s acc) g.spo Term.Set.empty
+        Term.Map.fold (fun s _ acc -> Term.Set.add s acc) m.spo Term.Set.empty
       in
-      Term.Map.fold (fun o _ acc -> Term.Set.add o acc) g.osp subs
+      Term.Map.fold (fun o _ acc -> Term.Set.add o acc) m.osp subs
 
 let subjects_all g =
-  Term.Map.fold (fun s _ acc -> Term.Set.add s acc) g.spo Term.Set.empty
+  Term.Map.fold (fun s _ acc -> Term.Set.add s acc) (maps g).spo Term.Set.empty
 
 let predicates_all g =
-  Iri.Map.fold (fun p _ acc -> Iri.Set.add p acc) g.pos Iri.Set.empty
+  Iri.Map.fold (fun p _ acc -> Iri.Set.add p acc) (maps g).pos Iri.Set.empty
 
 let to_seq g = List.to_seq (to_list g)
 
 let freeze g =
-  if g.store <> None then g
-  else if g.size = 0 then g
-  else begin
-    let dummy =
-      Triple.make (Term.Blank "") (Iri.of_string "urn:x-dummy") (Term.Blank "")
-    in
-    let arr = Array.make g.size dummy in
-    let k = ref 0 in
-    iter (fun t -> arr.(!k) <- t; incr k) g;
-    { g with store = Some (Store.of_triples arr) }
-  end
+  if g.store <> None || g.size = 0 then g
+  else
+    match g.repr with
+    | View v when g.size = Store.n_triples v.src ->
+        (* every row of [src]: its dictionary holds exactly these
+           triples' terms, so it is the store [of_triples] would build *)
+        { g with store = Some v.src }
+    | View _ | Maps _ ->
+        let dummy =
+          Triple.make (Term.Blank "") (Iri.of_string "urn:x-dummy")
+            (Term.Blank "")
+        in
+        let arr = Array.make g.size dummy in
+        let k = ref 0 in
+        iter (fun t -> arr.(!k) <- t; incr k) g;
+        { g with store = Some (Store.of_triples arr) }
 
 (* The three maps of a store's triple set, each built by one walk over
    the store's matching sorted order: a run of rows sharing a key
@@ -314,7 +382,7 @@ let of_store st =
              Term.Map.empty))
       Term.Map.empty
   in
-  { spo; pos; osp; size = n; store = Some st }
+  { repr = Maps { spo; pos; osp }; size = n; store = Some st }
 
 let pp ppf g =
   let first = ref true in

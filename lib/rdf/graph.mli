@@ -18,7 +18,21 @@
     store; {!patch} (what {!Delta.apply} uses) patches it for the change
     instead, and {!thaw} drops it in [O(1)] for a stream of updates that
     reads only the maps.  Frozen or not, a graph answers every query
-    alike, list order included. *)
+    alike, list order included.
+
+    A {e row view} ({!of_rows}) is a third form: the triples of some
+    rows of another graph's store, kept as those rows.  The fragment
+    engine ([Provenance.Engine.run]) returns its fragments this way, so
+    a fragment that is only counted and printed is never rebuilt into
+    maps.  {!cardinal}, {!fold}, {!iter}, {!to_list}, {!to_seq}, {!mem},
+    {!mem_spo}, {!exists}, {!for_all}, {!subset}, {!equal} and
+    {!Turtle.to_string} read the rows.  Every other reader builds the view's maps on first
+    use and keeps them in the view, so it pays that once; two domains
+    that do so at the same time both build equal maps, and either copy
+    is kept.  {!add}, {!remove} and {!patch} return builder graphs.
+    {!store} and {!frozen} describe the view's own triples: they are
+    [None] and [false] until {!freeze}, which builds a store of those
+    triples alone. *)
 
 type t
 
@@ -41,6 +55,15 @@ val of_store : Store.t -> t
 (** The frozen graph of a store's triple set.  The three maps are built
     by one linear walk over each of the store's sorted orders and share
     the dictionary's term copies. *)
+
+val of_rows : Store.t -> int array -> t
+(** [of_rows st rows] is the row view of [st]'s SPO rows [rows], which
+    must be distinct and ascending (see {!Store.row_triple}).  [O(1)]:
+    the array is kept, not copied, and must not be changed afterwards.
+    No rows gives {!empty}. *)
+
+val row_view : t -> (Store.t * int array) option
+(** [Some (st, rows)] when the graph is a row view ({!of_rows}). *)
 
 val frozen : t -> bool
 

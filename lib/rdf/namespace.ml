@@ -21,27 +21,43 @@ let expand t name =
       let local = String.sub name (i + 1) (String.length name - i - 1) in
       Option.map (fun ns -> ns ^ local) (List.assoc_opt prefix t)
 
-let local_name_ok s =
-  s = ""
-  || String.for_all
-       (fun c ->
-         match c with
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true
-         | _ -> false)
-       s
-     && s.[0] <> '.'
-     && s.[String.length s - 1] <> '.'
+let local_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true
+  | _ -> false
+
+(* Top-level recursions over explicit arguments, so that a lookup
+   allocates no closure. *)
+let rec local_chars s j =
+  j >= String.length s
+  || (local_char (String.unsafe_get s j) && local_chars s (j + 1))
+
+(* [s] from byte [i] on is a local name: empty, or local characters
+   that neither start nor end with a dot. *)
+let local_from s i =
+  i >= String.length s
+  || (s.[i] <> '.' && s.[String.length s - 1] <> '.' && local_chars s i)
+
+let rec extends ns s i =
+  i >= String.length ns
+  || (String.unsafe_get ns i = String.unsafe_get s i && extends ns s (i + 1))
+
+let rec binding_of t s =
+  match t with
+  | [] -> None
+  | ((_, ns) as b) :: rest ->
+      let k = String.length ns in
+      if k > 0 && k <= String.length s && extends ns s 0 && local_from s k then
+        Some b
+      else binding_of rest s
+
+let binding t iri = binding_of t (Iri.to_string iri)
 
 let shorten t iri =
-  let s = Iri.to_string iri in
-  let fits (prefix, ns) =
-    let nlen = String.length ns in
-    if nlen > 0 && String.length s >= nlen && String.sub s 0 nlen = ns then
-      let local = String.sub s nlen (String.length s - nlen) in
-      if local_name_ok local then Some (prefix ^ ":" ^ local) else None
-    else None
-  in
-  List.find_map fits t
+  match binding t iri with
+  | None -> None
+  | Some (prefix, ns) ->
+      let s = Iri.to_string iri and k = String.length ns in
+      Some (prefix ^ ":" ^ String.sub s k (String.length s - k))
 
 let pp_iri t ppf iri =
   match shorten t iri with

@@ -18,6 +18,12 @@ val expand : t -> string -> string option
 (** [expand t "rdf:type"] resolves a prefixed name to a full IRI string.
     Returns [None] when the prefix is unbound or the string has no colon. *)
 
+val binding : t -> Iri.t -> (string * string) option
+(** [binding t iri] is the binding [(prefix, namespace)] that {!shorten}
+    uses for [iri]: the most recent one whose non-empty namespace is a
+    prefix of [iri] with a well-formed local name after it.  Allocates
+    only the result. *)
+
 val shorten : t -> Iri.t -> string option
 (** [shorten t iri] is [Some "pfx:local"] when some bound namespace is a
     prefix of [iri] and the remainder is a well-formed local name. *)

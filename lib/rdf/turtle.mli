@@ -38,6 +38,29 @@ val parse_file : ?base:string -> string -> (Graph.t, error) result
 val parse_file_exn : ?base:string -> string -> Graph.t
 
 val to_string : ?prefixes:Namespace.t -> Graph.t -> string
-(** Serialize with [@prefix] directives, grouping triples by subject. *)
+(** The canonical Turtle of a graph ([prefixes] defaults to
+    {!Namespace.default}).  Equal graphs print equal bytes, whatever
+    their form (builder, frozen or row view):
+
+    - First the prefix block: one [@prefix p: <ns> .] line for each
+      prefix the body uses, sorted by name, then one empty line.  No
+      block at all when no prefix is used, and nothing at all for the
+      empty graph.
+    - Then one block per subject, subjects in [Term.compare] order and
+      each subject's statements in (predicate, object) order.  A block
+      is [s p1 o1 ;] followed by one line [   p2 o2 ;] per further
+      statement (three spaces), and ends with [ .] and a newline.
+    - An IRI is written [p:local] with the most recent binding whose
+      namespace it extends by a local name of letters, digits, [_], [-]
+      and inner dots ({!Namespace.shorten}), and [<iri>] otherwise.
+      Literal datatypes are never shortened: ["v"^^<dt>], with
+      [xsd:string] left implicit and ["v"\@tag] for language strings.
+      Lexical forms escape the double quote, the backslash, newline,
+      carriage return and tab; blank nodes print as [_:label].
+
+    One pass in SPO order, with no regrouping.  A frozen graph or a row
+    view is printed from its store rows, each term rendered once; a
+    builder graph from its SPO map. *)
 
 val write_file : ?prefixes:Namespace.t -> string -> Graph.t -> unit
+(** [to_string]'s bytes, written to a file. *)

@@ -596,6 +596,70 @@ let prop_fault_isolation =
           && Graph.subset healthy_oracle fragment
           && Graph.subset fragment full_oracle))
 
+(* --- the fragment is a row view ------------------------------------- *)
+
+let kg_fragment () =
+  let g = Workload.Kg.generate ~seed:3 ~individuals:200 in
+  let requests =
+    List.filteri (fun i _ -> i < 6) Workload.Bench_shapes.all
+    |> List.map (fun e ->
+           Engine.request (Workload.Bench_shapes.request_shape e))
+  in
+  Engine.run g requests
+
+let test_run_row_view () =
+  let frag, stats = kg_fragment () in
+  let oracle = Graph.of_list (Graph.to_list frag) in
+  (match Graph.row_view frag with
+  | None -> Alcotest.fail "expected a row view"
+  | Some (_, rows) ->
+      Alcotest.(check bool) "rows ascending" true
+        (Array.for_all Fun.id
+           (Array.init (Array.length rows - 1) (fun i -> rows.(i) < rows.(i + 1)))));
+  Alcotest.(check int) "cardinal = triples emitted"
+    stats.Engine.Stats.triples_emitted (Graph.cardinal frag);
+  Alcotest.(check bool) "non-empty" true (Graph.cardinal frag > 0);
+  Alcotest.(check bool) "no store of its own" true
+    (Graph.store frag = None && not (Graph.frozen frag));
+  Alcotest.(check string) "Turtle = the Format oracle on the maps"
+    (Format_writer.to_string oracle) (Turtle.to_string frag);
+  let frozen = Graph.freeze frag in
+  Alcotest.(check bool) "freeze builds the view's store" true
+    (match Graph.store frozen, Graph.store (Graph.freeze oracle) with
+     | Some a, Some b -> Store.equal a b
+     | _ -> false);
+  Alcotest.(check bool) "the view itself stays storeless" true
+    (Graph.store frag = None)
+
+(* Two domains that build one view's maps at the same moment both get
+   the maps of its triples; neither raises. *)
+let test_row_view_two_domains () =
+  let frag, _ = kg_fragment () in
+  let st, rows = Option.get (Graph.row_view frag) in
+  let oracle = Graph.of_list (Graph.to_list frag) in
+  let probe =
+    Triple.make (Term.iri "http://example.org/probe") Vocab.Rdf.type_
+      (Term.iri "http://example.org/Probe")
+  in
+  let expected = Graph.add_triple probe oracle in
+  for _ = 1 to 5 do
+    let v = Graph.of_rows st rows in
+    let ready = Atomic.make 0 in
+    let read () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do Domain.cpu_relax () done;
+      let nodes = Graph.nodes v in
+      Graph.add_triple probe v, nodes
+    in
+    let d1 = Domain.spawn read and d2 = Domain.spawn read in
+    let g1, n1 = Domain.join d1 and g2, n2 = Domain.join d2 in
+    Alcotest.(check bool) "equal graphs" true
+      (Graph.equal g1 expected && Graph.equal g2 expected);
+    Alcotest.(check bool) "equal nodes" true
+      (Term.Set.equal n1 (Graph.nodes oracle) && Term.Set.equal n1 n2);
+    Alcotest.check Tgen.graph_testable "the view is unchanged" oracle v
+  done
+
 let suite =
   [ "engine matches oracle", `Quick, test_engine_matches_oracle;
     "stats: pruning and counts", `Quick, test_stats_pruning;
@@ -609,7 +673,10 @@ let suite =
     "validate `Skip excludes failed def", `Quick,
     test_validate_skip_excludes_failed;
     "unfold: a negated >=0 keeps its neighborhood", `Quick,
-    test_unfold_negated_ge0 ]
+    test_unfold_negated_ge0;
+    "run returns a row view", `Quick, test_run_row_view;
+    "row view: two domains build the maps at once", `Quick,
+    test_row_view_two_domains ]
 
 let props =
   [ prop_differential_instrumented; prop_differential_naive;

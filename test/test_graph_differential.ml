@@ -476,6 +476,78 @@ let bulk_load_agrees =
       | None -> l = [] && not (Graph.frozen parsed)
       | Some st -> Store.equal st compared && Store.equal st shuffled)
 
+(* ---------------- engine row views ---------------------------------- *)
+
+(* The fragment [Engine.run] returns is a row view of a larger store:
+   every reader agrees with the map graph of the same triples, list
+   order included, and the view has no store of its own until [freeze]
+   builds the one [of_triples] would. *)
+let row_view_agrees =
+  Test.make ~count ~name:"engine row view: readers and updates = of_list"
+    (pair arbitrary_triples (make gen_triple ~print:(fun t -> print_triples [ t ])))
+    (fun (l, extra) ->
+      let g = Graph.of_list l in
+      let v = Tgen.engine_view l in
+      let triples = List.equal Triple.equal in
+      let same a b = Graph.equal a b && triples (Graph.to_list a) (Graph.to_list b) in
+      let unfrozen = Graph.store v = None && not (Graph.frozen v) in
+      let is_view = l = [] || Graph.row_view v <> None in
+      let counts = Graph.cardinal v = Graph.cardinal g in
+      let lists =
+        triples (Graph.to_list v) (Graph.to_list g)
+        && triples (List.of_seq (Graph.to_seq v)) (Graph.to_list g)
+        && triples (List.rev (Graph.fold List.cons v [])) (Graph.to_list g)
+      in
+      let members =
+        List.for_all
+          (fun s ->
+            List.for_all
+              (fun p ->
+                List.for_all
+                  (fun o -> Graph.mem_spo s p o v = Graph.mem_spo s p o g)
+                  objects)
+              props)
+          subjects
+      in
+      let equal = Graph.equal v g && Graph.equal g v && Graph.subset v g in
+      (* [to_list] and [mem] above ran on the rows; these build the maps *)
+      let lookups =
+        List.for_all
+          (fun s ->
+            List.for_all
+              (fun p ->
+                Term.Set.equal (Graph.objects v s p) (Graph.objects g s p))
+              props)
+          subjects
+        && List.for_all
+             (fun o ->
+               List.for_all
+                 (fun p ->
+                   Term.Set.equal (Graph.subjects v p o) (Graph.subjects g p o))
+                 props)
+             objects
+      in
+      let updates =
+        same (Graph.add_triple extra v) (Graph.add_triple extra g)
+        && same (Graph.remove extra v) (Graph.remove extra g)
+        && List.for_all (fun t -> same (Graph.remove t v) (Graph.remove t g)) l
+        && same (Graph.union v (Graph.of_list [ extra ]))
+             (Graph.union g (Graph.of_list [ extra ]))
+        && same (Graph.union (Graph.of_list [ extra ]) v)
+             (Graph.union (Graph.of_list [ extra ]) g)
+      in
+      let frozen =
+        let fv = Graph.freeze v and fg = Graph.freeze g in
+        same fv fg
+        &&
+        match Graph.store fv, Graph.store fg with
+        | Some a, Some b -> Store.equal a b
+        | None, None -> l = []
+        | _ -> false
+      in
+      unfrozen && is_view && counts && lists && members && equal && lookups
+      && updates && frozen && Graph.store v = None)
+
 let props =
   [ adjacency_agrees;
     views_agree;
@@ -487,7 +559,8 @@ let props =
     freeze_transparent;
     store_patch_agrees;
     accessors_agree;
-    bulk_load_agrees ]
+    bulk_load_agrees;
+    row_view_agrees ]
 
 (* ---------------- unit regressions ---------------------------------- *)
 

@@ -363,6 +363,107 @@ let prop_parse_total =
           QCheck.Test.fail_reportf "parse raised %s on %S"
             (Printexc.to_string e) src)
 
+(* ---------------- writer = the Format oracle ------------------------ *)
+
+(* Terms chosen for the writer's corner cases: IRIs in and outside the
+   prefix tables below, local names [local_name_ok] rejects (a leading
+   or trailing dot, '%', '/'), an IRI equal to a namespace, IRIs and
+   literals longer than [Format]'s margin, blank nodes, escapes,
+   language tags, and datatypes (never shortened, xsd:string left
+   implicit). *)
+let w_iris =
+  List.map Iri.of_string
+    [ "http://example.org/a";
+      "http://example.org/b-1_x";
+      "http://example.org/";
+      "http://example.org/trail.";
+      "http://example.org/.lead";
+      "http://example.org/x%20y";
+      "http://example.org/a/b";
+      "http://example.org/sub/c";
+      "http://example.org/sub/d.e";
+      "http://example.org/" ^ String.make 90 'l';
+      "http://other.org/z";
+      "urn:x:1";
+      "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
+      "http://www.w3.org/2001/XMLSchema#integer" ]
+
+let w_blanks = List.map Term.blank [ "b0"; "genid1"; "x-y" ]
+
+let w_literals =
+  let dt d lex = Term.Literal (Literal.make ~datatype:(Iri.of_string d) lex) in
+  [ Term.str "plain";
+    Term.str "quote \" and \\ backslash";
+    Term.str "new\nline\ttab\rcr";
+    Term.str "";
+    Term.str "ünï©ødé \xF0\x9F\x90\xAB";
+    Term.str (String.make 120 'w' ^ " \"long\"");
+    Term.Literal (Literal.lang_string "hello" ~lang:"en");
+    Term.Literal (Literal.lang_string "x\ny" ~lang:"en-GB");
+    Term.int 5;
+    Term.bool true;
+    dt "http://example.org/dt" "v 1";
+    dt "http://www.w3.org/2001/XMLSchema#string" "explicit";
+    dt "http://www.w3.org/2001/XMLSchema#decimal" "2.50" ]
+
+(* Custom and empty tables, an empty prefix name, a namespace nested in
+   another (the more recent binding wins), and a name with a ':' (which
+   keys its directive by the part before it). *)
+let w_prefixes =
+  Namespace.
+    [ default;
+      empty;
+      add "" "http://example.org/" empty;
+      add "s" "http://example.org/sub/" default;
+      add "o" "http://other.org/" (add "u" "urn:x:" default);
+      add "ex" "http://other.org/" default;
+      add "a:b" "http://other.org/" empty ]
+
+let gen_writer_case =
+  let open QCheck.Gen in
+  let iri_term = map (fun i -> Term.Iri i) (oneofl w_iris) in
+  let subject = frequency [ 3, iri_term; 1, oneofl w_blanks ] in
+  let object_ =
+    frequency [ 2, iri_term; 1, oneofl w_blanks; 3, oneofl w_literals ]
+  in
+  pair (oneofl w_prefixes)
+    (list_size (int_range 0 30)
+       (map3 Triple.make subject (oneofl w_iris) object_))
+
+let print_writer_case (_, l) =
+  String.concat "\n" (List.map (Format.asprintf "%a" Triple.pp) l)
+
+(* One document from the builder maps, the frozen store, an engine row
+   view (a subset of a larger store's rows), a row view of every row,
+   and a frozen view: each equal to the old writer's bytes. *)
+let prop_writer_oracle =
+  QCheck.Test.make ~name:"writer = Format oracle on every graph form"
+    ~count:500
+    (QCheck.make gen_writer_case ~print:print_writer_case)
+    (fun (prefixes, l) ->
+      let g = Graph.of_list l in
+      let expected = Format_writer.to_string ~prefixes g in
+      let view = Tgen.engine_view l in
+      let forms =
+        [ "builder", g;
+          "frozen", Graph.freeze g;
+          "row view", view;
+          "full row view", Tgen.engine_view ~noise:0 l;
+          "frozen row view", Graph.freeze view ]
+      in
+      List.for_all
+        (fun (form, g') ->
+          let got = Turtle.to_string ~prefixes g' in
+          String.equal got expected
+          || QCheck.Test.fail_reportf "%s form printed@.%s@.expected@.%s" form
+               got expected)
+        forms)
+
+let test_writer_empty () =
+  Alcotest.(check string) "empty graph" "" (Turtle.to_string Graph.empty);
+  Alcotest.(check string) "oracle agrees" (Format_writer.to_string Graph.empty)
+    (Turtle.to_string Graph.empty)
+
 let suite =
   [ "basic triples", `Quick, test_basic;
     "literal forms", `Quick, test_literals;
@@ -381,6 +482,7 @@ let suite =
     "error lines after comments and long strings", `Quick, test_error_lines;
     "fresh blank labels never collide", `Quick,
     test_fresh_labels_never_collide;
-    "parse returns a frozen graph", `Quick, test_loaded_frozen ]
+    "parse returns a frozen graph", `Quick, test_loaded_frozen;
+    "writer: the empty graph", `Quick, test_writer_empty ]
 
-let props = [ prop_roundtrip; prop_parse_total ]
+let props = [ prop_roundtrip; prop_parse_total; prop_writer_oracle ]

@@ -260,3 +260,31 @@ let rand () = Random.State.make [| 0x5eed; 42 |]
 
 let qsuite name tests =
   name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests
+
+(* The fragment [Engine.run] returns for exactly the triples [l]: a row
+   view of a larger store.  [noise] extra literal-valued triples per
+   triple of [l] go into the source graph under a predicate the request
+   does not read; with [~noise:0] the view covers every row of its
+   store.  The request is "some [p]-edge" for each predicate of [l], so
+   every triple of [l] is in the neighborhood of its subject. *)
+let engine_view ?(noise = 4) l =
+  let noise_p = Iri.of_string "http://noise.example/n" in
+  let extra =
+    List.concat_map
+      (fun t ->
+        List.init noise (fun i ->
+            Triple.make (Triple.subject t) noise_p
+              (Term.str (Format.asprintf "noise %d %a" i Triple.pp t))))
+      l
+  in
+  let preds = List.sort_uniq Iri.compare (List.map Triple.predicate l) in
+  let shape =
+    Shacl.Shape.or_
+      (List.map
+         (fun p -> Shacl.Shape.exists (Rdf.Path.Prop p) Shacl.Shape.Top)
+         preds)
+  in
+  fst
+    (Provenance.Engine.run
+       (Graph.of_list (l @ extra))
+       [ Provenance.Engine.request shape ])
