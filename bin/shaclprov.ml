@@ -35,10 +35,24 @@ let shape_exprs_arg =
   Arg.(value & opt_all string [] & info [ "e"; "shape" ] ~docv:"SHAPE" ~doc)
 
 (* A PREFIX=IRI binding, validated at argument-parse time. *)
+(* Turtle's PN_PREFIX: a letter, then letters, digits, '_', '-' or '.',
+   not ending in '.'.  Non-ASCII bytes pass, as in the Turtle reader.  A
+   name outside it (say, one containing ':') would print prefixed names
+   that no [@prefix] directive can declare. *)
+let is_pn_prefix s =
+  let base c =
+    match c with 'a' .. 'z' | 'A' .. 'Z' -> true | c -> Char.code c >= 128
+  in
+  let inner c =
+    base c || match c with '0' .. '9' | '_' | '-' | '.' -> true | _ -> false
+  in
+  let n = String.length s in
+  n > 0 && base s.[0] && s.[n - 1] <> '.' && String.for_all inner s
+
 let prefix_conv =
   let parse s =
     match String.index_opt s '=' with
-    | Some i when i > 0 ->
+    | Some i when is_pn_prefix (String.sub s 0 i) ->
         Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
     | _ -> Error (`Msg (Printf.sprintf "bad prefix binding %S, expected PREFIX=IRI" s))
   in

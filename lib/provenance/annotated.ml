@@ -3,141 +3,6 @@ open Shacl
 
 type annotation = { triple : Triple.t; witnesses : Shape.t list }
 
-let term_lt a b =
-  match Term.as_literal a, Term.as_literal b with
-  | Some la, Some lb -> Literal.lt la lb
-  | _ -> false
-
-let term_leq a b =
-  match Term.as_literal a, Term.as_literal b with
-  | Some la, Some lb -> Literal.leq la lb
-  | _ -> false
-
-let term_same_lang a b =
-  match Term.as_literal a, Term.as_literal b with
-  | Some la, Some lb -> Literal.same_language la lb
-  | _ -> false
-
-(* For each Table 2 case: the triples contributed directly at this level
-   (path traces and explicit triples), and the recursive obligations
-   (node, subshape) whose own neighborhoods are also included. *)
-let local_parts ~schema g v (phi : Shape.t) :
-    Graph.t * (Term.t * Shape.t) list =
-  let conforms = Conformance.memoized schema g in
-  match phi with
-  | Shape.Top | Shape.Bottom | Shape.Test _ | Shape.Has_value _
-  | Shape.Closed _ | Shape.Disj _ | Shape.Less_than _ | Shape.Less_than_eq _
-  | Shape.More_than _ | Shape.More_than_eq _ | Shape.Unique_lang _ ->
-      Graph.empty, []
-  | Shape.Has_shape s ->
-      Graph.empty, [ v, Shape.nnf (Schema.def_shape schema s) ]
-  | Shape.And l | Shape.Or l ->
-      Graph.empty, List.map (fun psi -> v, psi) l
-  | Shape.Eq (Shape.Id, p) -> Graph.add v p v Graph.empty, []
-  | Shape.Eq (Shape.Path e, p) ->
-      let ep = Rdf.Path.Alt (e, Rdf.Path.Prop p) in
-      Rdf.Path.trace_all g ep v ~targets:(Rdf.Path.eval g ep v), []
-  | Shape.Ge (_, e, psi) ->
-      let witnesses =
-        Term.Set.filter (fun x -> conforms x psi) (Rdf.Path.eval g e v)
-      in
-      ( Rdf.Path.trace_all g e v ~targets:witnesses,
-        List.map (fun x -> x, psi) (Term.Set.elements witnesses) )
-  | Shape.Le (_, e, psi) ->
-      let neg = Shape.nnf (Shape.Not psi) in
-      let witnesses =
-        Term.Set.filter (fun x -> conforms x neg) (Rdf.Path.eval g e v)
-      in
-      ( Rdf.Path.trace_all g e v ~targets:witnesses,
-        List.map (fun x -> x, neg) (Term.Set.elements witnesses) )
-  | Shape.Forall (e, psi) ->
-      let xs = Rdf.Path.eval g e v in
-      ( Rdf.Path.trace_all g e v ~targets:xs,
-        List.map (fun x -> x, psi) (Term.Set.elements xs) )
-  | Shape.Not inner -> (
-      match inner with
-      | Shape.Has_shape s ->
-          ( Graph.empty,
-            [ v, Shape.nnf (Shape.Not (Schema.def_shape schema s)) ] )
-      | Shape.Top | Shape.Bottom | Shape.Test _ | Shape.Has_value _ ->
-          Graph.empty, []
-      | Shape.Eq (Shape.Id, p) ->
-          ( Term.Set.fold
-              (fun x acc ->
-                if Term.equal x v then acc else Graph.add v p x acc)
-              (Graph.objects g v p) Graph.empty,
-            [] )
-      | Shape.Eq (Shape.Path e, p) ->
-          let reached = Rdf.Path.eval g e v in
-          let objects = Graph.objects g v p in
-          let t1 =
-            Rdf.Path.trace_all g e v ~targets:(Term.Set.diff reached objects)
-          in
-          let t2 =
-            Term.Set.fold
-              (fun x acc ->
-                if Term.Set.mem x reached then acc else Graph.add v p x acc)
-              objects Graph.empty
-          in
-          Graph.union t1 t2, []
-      | Shape.Disj (Shape.Id, p) -> Graph.add v p v Graph.empty, []
-      | Shape.Disj (Shape.Path e, p) ->
-          let common =
-            Term.Set.inter (Rdf.Path.eval g e v) (Graph.objects g v p)
-          in
-          ( Term.Set.fold
-              (fun x acc -> Graph.add v p x acc)
-              common
-              (Rdf.Path.trace_all g e v ~targets:common),
-            [] )
-      | Shape.Less_than (e, p) | Shape.Less_than_eq (e, p)
-      | Shape.More_than (e, p) | Shape.More_than_eq (e, p) ->
-          let violates x y =
-            match inner with
-            | Shape.Less_than _ -> not (term_lt x y)
-            | Shape.Less_than_eq _ -> not (term_leq x y)
-            | Shape.More_than _ -> not (term_lt y x)
-            | _ -> not (term_leq y x)
-          in
-          let reached = Rdf.Path.eval g e v in
-          let objects = Graph.objects g v p in
-          let witnesses_x =
-            Term.Set.filter
-              (fun x -> Term.Set.exists (fun y -> violates x y) objects)
-              reached
-          in
-          let witnesses_y =
-            Term.Set.filter
-              (fun y -> Term.Set.exists (fun x -> violates x y) reached)
-              objects
-          in
-          ( Term.Set.fold
-              (fun y acc -> Graph.add v p y acc)
-              witnesses_y
-              (Rdf.Path.trace_all g e v ~targets:witnesses_x),
-            [] )
-      | Shape.Unique_lang e ->
-          let reached = Rdf.Path.eval g e v in
-          let clashing =
-            Term.Set.filter
-              (fun x ->
-                Term.Set.exists
-                  (fun y -> (not (Term.equal y x)) && term_same_lang y x)
-                  reached)
-              reached
-          in
-          Rdf.Path.trace_all g e v ~targets:clashing, []
-      | Shape.Closed allowed ->
-          ( List.fold_left
-              (fun acc t ->
-                if Iri.Set.mem (Triple.predicate t) allowed then acc
-                else Graph.add_triple t acc)
-              Graph.empty (Graph.subject_triples g v),
-            [] )
-      | Shape.Not _ | Shape.And _ | Shape.Or _ | Shape.Ge _ | Shape.Le _
-      | Shape.Forall _ ->
-          assert false)
-
 let explain ?(schema = Schema.empty) g v phi =
   let conforms = Conformance.memoized schema g in
   let tags : (Triple.t, Shape.t list) Hashtbl.t = Hashtbl.create 64 in
@@ -150,7 +15,7 @@ let explain ?(schema = Schema.empty) g v phi =
   let rec go v phi =
     if conforms v phi && not (Hashtbl.mem visited (v, phi)) then begin
       Hashtbl.add visited (v, phi) ();
-      let local, obligations = local_parts ~schema g v phi in
+      let local, obligations = Neighborhood.local_parts ~schema ~conforms g v phi in
       Graph.iter (fun t -> record t phi) local;
       List.iter
         (fun (x, psi) -> if conforms x psi then go x psi)

@@ -337,8 +337,7 @@ let stats_of ~jobs ~store ~planning ~t0 ~triples_emitted ~retries final
 
 (* ---------------- fragment extraction ------------------------------ *)
 
-let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
-    ?(jobs = 1) ?(budget = Runtime.Budget.unlimited) ?(on_error = `Fail)
+let run ?(schema = Schema.empty) ?(jobs = 1) ?(budget = Runtime.Budget.unlimited) ?(on_error = `Fail)
     ?(kernel = `Batched) g requests =
   let jobs = max 1 jobs in
   let t0 = now () in
@@ -359,12 +358,10 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
   let shapes = Array.of_list (List.map (fun (r, _, _) -> r.shape) plans) in
   let labels = Array.of_list (List.map (fun (r, _, _) -> r.label) plans) in
   let planning = now () -. t0 in
-  (* The batched kernel runs the instrumented algorithm in id space; the
-     per-node pipelines (the naive algorithm, [`Per_node], or an empty
-     graph, which has no store) evaluate in term space. *)
-  let use_rows =
-    kernel = `Batched && store <> None && algorithm = Fragment.Instrumented
-  in
+  (* The batched kernel runs the instrumented checker in id space; the
+     per-node pipeline ([`Per_node], or an empty graph, which has no
+     store) runs it in term space. *)
+  let use_rows = kernel = `Batched && store <> None in
   let evaluator () =
     if use_rows then begin
       (* One id-space kernel context per worker, shared across every
@@ -399,13 +396,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
           0 chunk
     end
     else fun ~bits ~counters (i, _, chunk) ->
-      let check =
-        match algorithm with
-        | Fragment.Instrumented ->
-            Neighborhood.checker ~counters ~budget ~schema g shapes.(i)
-        | Fragment.Naive ->
-            Neighborhood.naive_checker ~counters ~budget ~schema g shapes.(i)
-      in
+      let check = Neighborhood.checker ~counters ~budget ~schema g shapes.(i) in
       (* A neighborhood is a subgraph of [g]: on a non-empty graph every
          triple has a row of its store, and an empty graph emits
          nothing. *)
@@ -462,11 +453,11 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
     stats_of ~jobs ~store ~planning ~t0 ~triples_emitted:(Graph.cardinal fragment) ~retries
       final shape_stats )
 
-let fragment ?schema ?algorithm ?jobs g shapes =
-  fst (run ?schema ?algorithm ?jobs g (List.map request shapes))
+let fragment ?schema ?jobs g shapes =
+  fst (run ?schema ?jobs g (List.map request shapes))
 
-let fragment_schema ?algorithm ?jobs schema g =
-  fst (run ~schema ?algorithm ?jobs g (requests_of_schema schema))
+let fragment_schema ?jobs schema g =
+  fst (run ~schema ?jobs g (requests_of_schema schema))
 
 (* ---------------- validation --------------------------------------- *)
 

@@ -53,18 +53,18 @@ type on_error = [ `Fail | `Skip ]
     partial result with the failure recorded in {!Stats}. *)
 
 type kernel = [ `Batched | `Per_node ]
-(** How an instrumented fragment run ({!run}) evaluates on a frozen
-    graph.  [`Batched] (the default) runs the id-space row checker
+(** Which node space a fragment run ({!run}) evaluates the instrumented
+    checker in on a frozen graph.  The checker's Table 2 is one piece of
+    code ([Neighborhood]'s instrumented core); the kernel picks its
+    instance.  [`Batched] (the default) runs it over store ids
     ({!Neighborhood.row_checker}): paths are evaluated lazily in the
     id-space kernel ({!Rdf.Path.Batch}), memoized in one kernel context
     per worker, and neighborhoods are accumulated as store-row sets
-    instead of graphs.  [`Per_node] runs the term-space
-    {!Neighborhood.checker} over {!Rdf.Path.eval}, one node at a time,
-    as naive fragment runs ([~algorithm:Naive]) do under either
-    kernel.  Fragments are byte-identical between the two; statistics
-    and fuel charges differ (a path-memo hit of the row checker costs
-    one budget tick where the term checker evaluates the path
-    again). *)
+    instead of graphs.  [`Per_node] runs it over terms
+    ({!Neighborhood.checker}, {!Rdf.Path.eval}), one node at a time.
+    Fragments are byte-identical between the two; statistics and fuel
+    charges differ (a path-memo hit of the row checker costs one budget
+    tick where the term checker evaluates the path again). *)
 
 (** Execution statistics for one engine run. *)
 module Stats : sig
@@ -144,7 +144,6 @@ val requests_of_schema : Shacl.Schema.t -> request list
 
 val run :
   ?schema:Shacl.Schema.t ->
-  ?algorithm:Fragment.algorithm ->
   ?jobs:int ->
   ?budget:Runtime.Budget.t ->
   ?on_error:on_error ->
@@ -169,14 +168,12 @@ val run :
 
 val fragment :
   ?schema:Shacl.Schema.t ->
-  ?algorithm:Fragment.algorithm ->
   ?jobs:int ->
   Rdf.Graph.t -> Shacl.Shape.t list -> Rdf.Graph.t
 (** Drop-in equivalent of {!Fragment.frag}: ad-hoc request shapes, no
     pruning. *)
 
 val fragment_schema :
-  ?algorithm:Fragment.algorithm ->
   ?jobs:int ->
   Shacl.Schema.t -> Rdf.Graph.t -> Rdf.Graph.t
 (** Drop-in equivalent of {!Fragment.frag_schema}, with target pruning

@@ -13,18 +13,21 @@
     - {b Why-not provenance} (Remark 3.7): when [v] does not conform,
       [B(v, G, ¬phi)] explains the non-conformance.
 
-    Three cores compute the same function:
+    Two algorithms compute the same function:
 
-    - the naive core ({!b}, {!naive_checker}) follows the per-case
+    - the naive algorithm ({!b}, {!naive_checker}) follows the per-case
       algorithm of Section 3.3: conformance checks and tracing are
-      separate recursive passes;
-    - the term core ({!check}, {!checker}) is the "instrumented
-      validator" of Section 5.2: a single pass that decides conformance
-      and collects the neighborhood as a graph;
-    - the row core ({!row_checker}) is the same single pass in id space
-      over a frozen store: paths are evaluated and traced by the
-      id-space kernel ({!Rdf.Path.Batch}) and the neighborhood comes
-      back as store row ids. *)
+      separate recursive passes over the literal Table 2 decomposition
+      ({!local_parts}).  It is the test oracle;
+    - the instrumented validator of Section 5.2 is a single pass that
+      decides conformance and collects the neighborhood.  Its Table 2 is
+      written once, against a node space, and instantiated twice: over
+      the term graph ({!check}, {!checker}), where the neighborhood is a
+      graph, and over the ids of a frozen store ({!row_checker}), where
+      paths are evaluated and traced by the id-space kernel
+      ({!Rdf.Path.Batch}) and the neighborhood comes back as store row
+      ids.  Both resolve the shape once per checker: structurally equal
+      subshapes share one node and one memo partition. *)
 
 val b :
   ?budget:Runtime.Budget.t ->
@@ -33,6 +36,18 @@ val b :
 (** [b ~schema g v phi] is [B(v, G, phi)].  The shape is put in negation
     normal form internally, so any shape is accepted.  Results for shared
     subproblems are memoized within one call. *)
+
+val local_parts :
+  ?schema:Shacl.Schema.t ->
+  conforms:(Rdf.Term.t -> Shacl.Shape.t -> bool) ->
+  Rdf.Graph.t -> Rdf.Term.t -> Shacl.Shape.t ->
+  Rdf.Graph.t * (Rdf.Term.t * Shacl.Shape.t) list
+(** One Table 2 case, assuming [v] conforms to the NNF shape [phi]: the
+    triples the case contributes itself (path traces and explicit
+    triples) and the obligations [(x, psi)] whose neighborhoods it
+    includes — every one that conforms, by [conforms].  {!b} is the
+    union of the local triples over the conforming obligations,
+    recursively; [Annotated] tags each local triple with [phi]. *)
 
 val check :
   ?budget:Runtime.Budget.t ->
@@ -56,10 +71,13 @@ val checker :
   ?schema:Shacl.Schema.t ->
   ?touched:(Rdf.Term.t -> unit) ->
   Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * Rdf.Graph.t)
-(** Batch variant of {!check}: the shape is normalized once and one memo
-    table is shared across all focus nodes, which is how an instrumented
+(** Batch variant of {!check}: the shape is resolved once and one memo
+    is shared across all focus nodes, which is how an instrumented
     validator processes the target nodes of a shape.  Used by
     {!Fragment.frag}, the parallel engine and the overhead experiment.
+    Successive checkers of one (physical) shape and schema on a domain
+    share that domain's resolution of it, so call a checker on the
+    domain that created it.
     When [counters] is given, memo traffic and path evaluations are
     accumulated into it.  When [budget] is given, each memo lookup and
     path evaluation spends one unit of fuel and the returned closure may
@@ -125,7 +143,6 @@ val row_checker :
     [g] has no frozen store ([Rdf.Graph.freeze] it first). *)
 
 val naive_checker :
-  ?counters:Shacl.Counters.t ->
   ?budget:Runtime.Budget.t ->
   ?schema:Shacl.Schema.t ->
   Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * Rdf.Graph.t)

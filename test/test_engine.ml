@@ -1,10 +1,11 @@
-(* The parallel fragment engine (Engine) against its sequential oracle
-   (Fragment), plus the engine's statistics invariants.
+(* The parallel fragment engine (Engine) against the naive oracle
+   (Fragment.frag ~algorithm:Naive, Section 3.3), plus the engine's
+   statistics invariants.
 
-   - Differential: Engine.fragment ≡ Fragment.frag for both algorithms,
-     and Engine.fragment_schema ≡ Fragment.frag_schema (exercising the
-     target-pruning planner, including its fallback for non-monotone
-     targets).
+   - Differential: Engine.fragment ≡ Fragment.frag and
+     Engine.fragment_schema ≡ Fragment.frag_schema, both with the naive
+     algorithm (exercising the target-pruning planner, including its
+     fallback for non-monotone targets).
    - Determinism: the fragment does not depend on -j.
    - Theorem 4.1 on engine output: for monotone-target schemas the
      engine's fragment preserves the conforming target nodes.
@@ -37,12 +38,12 @@ let check_equal ~what expected actual =
 
 (* --- differential: ad-hoc request shapes --------------------------- *)
 
-let prop_differential_instrumented =
-  QCheck.Test.make ~name:"Engine ≡ Fragment.frag (instrumented, -j 1/2/4)"
+let prop_differential =
+  QCheck.Test.make ~name:"Engine ≡ Fragment.frag ~algorithm:Naive (-j 1/2/4)"
     ~count:200
     QCheck.(pair Tgen.arbitrary_graph arbitrary_shapes)
     (fun (g, shapes) ->
-      let oracle = Fragment.frag g shapes in
+      let oracle = Fragment.frag ~algorithm:Fragment.Naive g shapes in
       List.for_all
         (fun jobs ->
           check_equal
@@ -51,19 +52,6 @@ let prop_differential_instrumented =
             (Engine.fragment ~jobs g shapes))
         [ 1; 2; 4 ])
 
-let prop_differential_naive =
-  QCheck.Test.make ~name:"Engine ≡ Fragment.frag (naive)" ~count:100
-    QCheck.(pair Tgen.arbitrary_graph arbitrary_shapes)
-    (fun (g, shapes) ->
-      let oracle = Fragment.frag ~algorithm:Fragment.Naive g shapes in
-      List.for_all
-        (fun jobs ->
-          check_equal
-            ~what:(Printf.sprintf "naive fragments (-j %d)" jobs)
-            oracle
-            (Engine.fragment ~algorithm:Fragment.Naive ~jobs g shapes))
-        [ 1; 2 ])
-
 (* --- differential: schema requests (target pruning) ---------------- *)
 
 let prop_differential_schema =
@@ -71,7 +59,7 @@ let prop_differential_schema =
     ~count:200
     QCheck.(pair Tgen.arbitrary_graph arbitrary_schema)
     (fun (g, h) ->
-      let oracle = Fragment.frag_schema h g in
+      let oracle = Fragment.frag_schema ~algorithm:Fragment.Naive h g in
       List.for_all
         (fun jobs ->
           check_equal
@@ -208,7 +196,7 @@ let prop_validate_parity =
    every [hasShape] by lookup in [h]: per definition and node, the
    verdicts of shape and target and the literal Table 2 neighborhood of
    the request agree between the loaded and the unfolded definition, and
-   the engine's fragment equals [Fragment.frag_schema h].  Sufficiency
+   the engine's fragment equals the naive [Fragment.frag_schema h].  Sufficiency
    (Thm 3.4): every conforming target's neighborhood lies inside the
    unfolded-schema fragment and the target conforms in both. *)
 let prop_unfold_differential =
@@ -240,7 +228,7 @@ let prop_unfold_differential =
           fst (Engine.validate h g);
           fst (Engine.validate ~jobs:2 u g) ]
       in
-      let oracle = Fragment.frag_schema h g in
+      let oracle = Fragment.frag_schema ~algorithm:Fragment.Naive h g in
       let fragment = Engine.fragment_schema u g in
       let sufficient (r : Validate.result) =
         (not r.conforms)
@@ -310,7 +298,9 @@ let test_unfold_negated_ge0 () =
         (Graph.nodes g))
     (Schema.defs h) (Schema.defs u);
   Alcotest.(check bool) "unfolded engine fragment = oracle" true
-    (Graph.equal (Fragment.frag_schema h g) (Engine.fragment_schema u g))
+    (Graph.equal
+       (Fragment.frag_schema ~algorithm:Fragment.Naive h g)
+       (Engine.fragment_schema u g))
 
 (* --- stats invariants ----------------------------------------------- *)
 
@@ -356,7 +346,7 @@ let sample_schema =
           (1, Rdf.Path.Prop ty, Shape.Has_value (ex "T")) ) ]
 
 let test_engine_matches_oracle () =
-  let oracle = Fragment.frag_schema sample_schema sample_graph in
+  let oracle = Fragment.frag_schema ~algorithm:Fragment.Naive sample_schema sample_graph in
   List.iter
     (fun jobs ->
       Alcotest.check Tgen.graph_testable
@@ -489,7 +479,7 @@ let test_fault_isolation () =
           [ healthy.Engine.shape ]
       in
       let full_oracle =
-        Fragment.frag_schema resilience_schema sample_graph
+        Fragment.frag_schema ~algorithm:Fragment.Naive resilience_schema sample_graph
       in
       Alcotest.(check bool) "healthy fragment ⊆ engine output" true
         (Graph.subset healthy_oracle fragment);
@@ -500,7 +490,7 @@ let test_fault_retry_succeeds () =
   (* A transient fault: the first chunk probe raises, the sequential
      retry succeeds — complete output, one retry, nothing failed. *)
   with_fault ~at:1 "engine.chunk" (fun () ->
-      let oracle = Fragment.frag_schema resilience_schema sample_graph in
+      let oracle = Fragment.frag_schema ~algorithm:Fragment.Naive resilience_schema sample_graph in
       let fragment, stats =
         Engine.run ~schema:resilience_schema ~jobs:2 sample_graph
           (Engine.requests_of_schema resilience_schema)
@@ -583,11 +573,11 @@ let prop_fault_isolation =
             Engine.run ~schema:h ~jobs:4 ~on_error:`Skip g requests
           in
           let healthy_oracle =
-            Fragment.frag ~schema:h g
+            Fragment.frag ~schema:h ~algorithm:Fragment.Naive g
               (List.map (fun (r : Engine.request) -> r.shape) healthy)
           in
           let full_oracle =
-            Fragment.frag ~schema:h g
+            Fragment.frag ~schema:h ~algorithm:Fragment.Naive g
               (List.map (fun (r : Engine.request) -> r.shape) requests)
           in
           Engine.Stats.degraded stats
@@ -679,7 +669,7 @@ let suite =
     test_row_view_two_domains ]
 
 let props =
-  [ prop_differential_instrumented; prop_differential_naive;
+  [ prop_differential;
     prop_differential_schema; prop_determinism; prop_byte_determinism;
     prop_conformance_preserved;
     prop_sufficiency_engine; prop_validate_parity; prop_unfold_differential;

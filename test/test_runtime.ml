@@ -178,6 +178,56 @@ let test_deep_shape_fuel_neighborhood () =
   expect_fuel_exhausted "neighborhood on deeply nested shape" (fun () ->
       fst (Provenance.Neighborhood.check ~budget g (ex "0") shape))
 
+(* The id-space twins of the test above: the row checker and the
+   default (batched) engine on a frozen chain.  The deadline is only a
+   backstop: fuel must run out first. *)
+let test_deep_shape_fuel_row_checker () =
+  let depth = 200_000 in
+  let g = Graph.freeze (chain_graph depth) in
+  let shape = nested_shape depth in
+  let budget = Runtime.Budget.make ~timeout:5. ~fuel:10_000 () in
+  expect_fuel_exhausted "row checker on deeply nested shape" (fun () ->
+      fst (Provenance.Neighborhood.row_checker ~budget g shape (ex "0")))
+
+let test_deep_shape_fuel_engine () =
+  let depth = 200_000 in
+  let g = Graph.freeze (chain_graph depth) in
+  let shape = nested_shape depth in
+  let budget = Runtime.Budget.make ~timeout:5. ~fuel:10_000 () in
+  expect_fuel_exhausted "engine on deeply nested shape" (fun () ->
+      let fragment, _ =
+        Provenance.Engine.run ~budget g [ Provenance.Engine.request shape ]
+      in
+      Graph.is_empty fragment)
+
+(* Without fuel, a shape thousands of levels deep is still constant
+   work per (node, level) pair: the run ends well inside its deadline.
+   Only the chain's head conforms, so the fragment is the naive
+   oracle's neighborhood of the head — the whole chain.  The naive
+   fragment itself is compared on a shallower chain: its conformance
+   memo hashes a shape only down to a bounded depth, so on deep shapes
+   it degrades far beyond any deadline. *)
+let test_deep_shape_engine_completes () =
+  let engine_fragment depth =
+    let g = Graph.freeze (chain_graph depth) in
+    let shape = nested_shape depth in
+    let budget = Runtime.Budget.make ~timeout:5. () in
+    let fragment, _ =
+      Provenance.Engine.run ~budget g [ Provenance.Engine.request shape ]
+    in
+    (g, shape, fragment)
+  in
+  let g, shape, fragment = engine_fragment 3_000 in
+  Alcotest.(check int) "whole chain" 3_000 (Graph.cardinal fragment);
+  Alcotest.(check bool) "fragment = naive neighborhood of the head" true
+    (Graph.equal (Provenance.Neighborhood.b g (ex "0") shape) fragment);
+  let g, shape, fragment = engine_fragment 100 in
+  Alcotest.(check bool) "fragment = naive fragment (depth 100)" true
+    (Graph.equal
+       (Provenance.Fragment.frag ~algorithm:Provenance.Fragment.Naive g
+          [ shape ])
+       fragment)
+
 let test_long_path_chain_fuel () =
   (* One shape whose path is a sequence of 100k hops: path evaluation,
      not shape recursion, must burn the fuel. *)
@@ -382,6 +432,11 @@ let suite =
     test_deep_shape_fuel_conformance;
     "regression: deep shape, neighborhood", `Quick,
     test_deep_shape_fuel_neighborhood;
+    "regression: deep shape, row checker", `Quick,
+    test_deep_shape_fuel_row_checker;
+    "regression: deep shape, engine", `Quick, test_deep_shape_fuel_engine;
+    "regression: deep shape, engine completes", `Quick,
+    test_deep_shape_engine_completes;
     "regression: long path chain", `Quick, test_long_path_chain_fuel;
     "regression: modest instance completes", `Quick,
     test_bounded_run_completes_without_budget ]
