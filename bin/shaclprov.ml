@@ -229,23 +229,11 @@ let validate_cmd =
         in
         warn_schema schema;
         let budget = budget_of timeout fuel in
-        (* The resilient paths — fault isolation, degradation, per-shape
-           failure accounting — live in the engine, so any resilience
-           flag routes through it even single-threaded. *)
-        let use_engine =
-          jobs > 1 || stats || on_error = `Skip || timeout <> None
-          || fuel <> None
+        let report, engine_stats =
+          Provenance.Engine.validate ~jobs ~budget ~on_error schema g
         in
-        let report, degraded =
-          if use_engine then begin
-            let report, engine_stats =
-              Provenance.Engine.validate ~jobs ~budget ~on_error schema g
-            in
-            if stats then print_stats engine_stats;
-            (report, Provenance.Engine.Stats.degraded engine_stats)
-          end
-          else (Shacl.Validate.validate schema g, false)
-        in
+        if stats then print_stats engine_stats;
+        let degraded = Provenance.Engine.Stats.degraded engine_stats in
         if rdf_report then print_string (Shacl.Report.to_turtle report)
         else Format.printf "%a@." Shacl.Validate.pp_report report;
         if degraded then exit_degraded

@@ -96,6 +96,183 @@ let requests_of_schema schema =
 
 (* ---------------- planning ---------------------------------------- *)
 
+(* Candidates live in id space.  A candidate is an id of the store's
+   dictionary or, for a constant the dictionary never interned (a
+   "stray": it occurs in no triple), [n_terms + k] for the plan's k-th
+   stray term.  A plan's candidates are in Term order — ids are
+   [Term.compare] ranks and each stray is merged in at its rank — the
+   order [Term.Set.elements] gives, so chunks, and the statistics of a
+   fixed [-j], are those of a term-space plan. *)
+type plan = { cands : int array; strays : Term.t array; pruned : bool }
+
+let candidate_term st plan c =
+  let n = Store.n_terms st in
+  if c < n then Store.term st c else plan.strays.(c - n)
+
+(* One planner per run or validation, on the calling domain.  Target
+   sets are built by marking ids in one byte per dictionary term and
+   sweeping the marks in id order, so they come out ascending and
+   duplicate-free with no sort.  Targets the indexes do not answer are
+   decided by the verdict pass (unbudgeted, like the term-space
+   planning it replaces). *)
+type planner = {
+  st : Store.t;
+  schema : Schema.t;
+  marks : Bytes.t;
+  mutable lo : int;  (* the marked ids lie in [lo, hi) *)
+  mutable hi : int;
+  ctx : Rdf.Path.Batch.ctx Lazy.t;
+  decider : Neighborhood.decider Lazy.t;
+}
+
+let planner ~schema st =
+  { st; schema;
+    marks = Bytes.make (Store.n_terms st) '\000';
+    lo = max_int;
+    hi = 0;
+    ctx = lazy (Rdf.Path.Batch.create st);
+    decider = lazy (Neighborhood.decider st) }
+
+let mark pl i =
+  Bytes.set pl.marks i '\001';
+  if i < pl.lo then pl.lo <- i;
+  if i >= pl.hi then pl.hi <- i + 1
+
+(* The marked ids, ascending; clears the marks. *)
+let take pl =
+  let n = ref 0 in
+  for i = pl.lo to pl.hi - 1 do
+    if Bytes.get pl.marks i <> '\000' then incr n
+  done;
+  let out = Array.make !n 0 and k = ref 0 in
+  for i = pl.lo to pl.hi - 1 do
+    if Bytes.get pl.marks i <> '\000' then begin
+      Bytes.set pl.marks i '\000';
+      out.(!k) <- i;
+      incr k
+    end
+  done;
+  pl.lo <- max_int;
+  pl.hi <- 0;
+  out
+
+(* A target set: ascending ids and the strays. *)
+type targets = int array * Term.Set.t
+
+(* Marks an interned term, or adds it to the strays. *)
+let mark_term pl c strays =
+  match Store.id pl.st c with
+  | Some i -> mark pl i; strays
+  | None -> Term.Set.add c strays
+
+let union_targets pl ((a, x) : targets) ((b, y) : targets) : targets =
+  Array.iter (mark pl) a;
+  Array.iter (mark pl) b;
+  (take pl, Term.Set.union x y)
+
+let mark_rows pl col lo hi =
+  for r = lo to hi - 1 do
+    mark pl (col r)
+  done
+
+(* The target forms [Validate.fast_targets] answers from the indexes:
+   node, class, subjects-of and objects-of targets, and unions of
+   them. *)
+let rec is_fast = function
+  | Shape.Has_value _ | Shape.Bottom -> true
+  | Shape.Ge
+      ( 1,
+        Rdf.Path.Seq (Rdf.Path.Prop ty, Rdf.Path.Star (Rdf.Path.Prop sub)),
+        Shape.Has_value _ ) ->
+      Iri.equal ty Vocab.Rdf.type_ && Iri.equal sub Vocab.Rdfs.sub_class_of
+  | Shape.Ge (1, (Rdf.Path.Prop _ | Rdf.Path.Inv (Rdf.Path.Prop _)), Shape.Top)
+    ->
+      true
+  | Shape.Or parts -> List.for_all is_fast parts
+  | _ -> false
+
+(* Marks the ids of a target [is_fast] accepts, read from store ranges;
+   returns [strays] plus the target's own. *)
+let rec mark_fast pl target strays =
+  let st = pl.st in
+  match target with
+  | Shape.Has_value c -> mark_term pl c strays
+  | Shape.Ge (_, Rdf.Path.Seq (Rdf.Path.Prop ty, sub), Shape.Has_value cls) -> (
+      (* a class the graph never mentions has no instances *)
+      match Store.id st cls, Store.pred_id st ty with
+      | Some c, Some t ->
+          Array.iter
+            (fun c ->
+              mark_rows pl (Store.pos_subj st) (Store.subjects_lo st ~p:t ~o:c)
+                (Store.subjects_hi st ~p:t ~o:c))
+            (Rdf.Path.Batch.eval_inv (Lazy.force pl.ctx) sub c);
+          strays
+      | _ -> strays)
+  | Shape.Ge (_, e, _) ->
+      let p, col =
+        match e with
+        | Rdf.Path.Inv (Rdf.Path.Prop p) -> (p, Store.pos_obj st)
+        | Rdf.Path.Prop p -> (p, Store.pos_subj st)
+        | _ -> invalid_arg "Engine.mark_fast"
+      in
+      (match Store.pred_id st p with
+      | None -> ()
+      | Some pid ->
+          let lo, hi = Store.predicate_range st pid in
+          mark_rows pl col lo hi);
+      strays
+  | Shape.Or parts ->
+      List.fold_left (fun strays part -> mark_fast pl part strays) strays parts
+  | _ -> strays
+
+(* The members of [ids] and [strays] that conform to [tau]. *)
+let filter_targets pl tau ((ids, strays) : targets) : targets =
+  let v =
+    Neighborhood.verdicts ~schema:pl.schema (Lazy.force pl.decider) tau
+  in
+  Array.iter (fun i -> if v.of_id i then mark pl i) ids;
+  (take pl, Term.Set.filter v.of_term strays)
+
+let constant_targets pl phi : targets =
+  let strays =
+    Term.Set.fold (mark_term pl) (Shape.constants phi) Term.Set.empty
+  in
+  (take pl, strays)
+
+(* Graph nodes, ascending ids. *)
+let node_targets pl : targets =
+  for i = 0 to Store.n_terms pl.st - 1 do
+    if Store.is_node_id pl.st i then mark pl i
+  done;
+  (take pl, Term.Set.empty)
+
+(* [Validate.target_nodes] in id space: the indexes' answer, or the
+   nodes and the target's constants that conform to it. *)
+let target_ids pl tau =
+  if is_fast tau then
+    let strays = mark_fast pl tau Term.Set.empty in
+    (take pl, strays)
+  else
+    filter_targets pl tau
+      (union_targets pl (node_targets pl) (constant_targets pl tau))
+
+(* The Term-ordered candidate array of a target set. *)
+let plan_of st ~pruned ((ids, strays) : targets) =
+  let strays = Array.of_list (Term.Set.elements strays) in
+  let n = Store.n_terms st in
+  let cands =
+    if strays = [||] then ids
+    else begin
+      let all =
+        Array.append ids (Array.init (Array.length strays) (fun k -> n + k))
+      in
+      let term c = if c < n then Store.term st c else strays.(c - n) in
+      Array.sort (fun a b -> Term.compare (term a) (term b)) all;
+      all
+    end
+  in
+  { cands; strays; pruned }
+
 (* The candidate set for a request, and whether target pruning applied.
 
    Soundness: a node contributes a (non-empty) neighborhood only when it
@@ -106,21 +283,20 @@ let requests_of_schema schema =
    candidate set of [Fragment.frag] exactly.  Monotonicity of [tau]
    (Theorem 4.1's precondition, via [Analysis.Monotone]) is required so
    the pruned fragment keeps the conformance guarantees of Section 4. *)
-let plan ~schema ~all_nodes g r =
+let plan pl r =
   match r.target with
-  | Some tau when Analysis.Monotone.is_monotone schema tau ->
-      let base =
-        match Validate.fast_targets g tau with
-        | Some targets -> targets
-        | None -> Conformance.conforming_nodes schema g tau
-      in
-      let stray_constants =
-        Term.Set.filter
-          (fun c -> Conformance.conforms schema g c tau)
-          (Shape.constants r.shape)
-      in
-      Term.Set.union base stray_constants, true
-  | _ -> Term.Set.union (Lazy.force all_nodes) (Shape.constants r.shape), false
+  | Some tau when Analysis.Monotone.is_monotone pl.schema tau ->
+      plan_of pl.st ~pruned:true
+        (union_targets pl (target_ids pl tau)
+           (filter_targets pl tau (constant_targets pl r.shape)))
+  | _ ->
+      plan_of pl.st ~pruned:false
+        (union_targets pl (node_targets pl) (constant_targets pl r.shape))
+
+(* The store a run reads: the frozen graph's, or an empty one for an
+   empty graph (every candidate is then a stray). *)
+let store_of g =
+  match Graph.store g with Some st -> st | None -> Store.of_triples [||]
 
 (* ---------------- per-worker accumulators --------------------------- *)
 
@@ -347,12 +523,13 @@ let run ?(schema = Schema.empty) ?(jobs = 1) ?(budget = Runtime.Budget.unlimited
   let g = Graph.freeze g in
   let store = Graph.store g in
   let nrows = match store with Some st -> Store.n_triples st | None -> 0 in
-  let all_nodes = lazy (Graph.nodes g) in
+  let st = store_of g in
+  let pl = planner ~schema st in
   let plans =
     List.map
       (fun r ->
-        let candidates, pruned = plan ~schema ~all_nodes g r in
-        r, Array.of_list (Term.Set.elements candidates), pruned)
+        let p = plan pl r in
+        r, Array.map (candidate_term st p) p.cands, p.pruned)
       requests
   in
   let shapes = Array.of_list (List.map (fun (r, _, _) -> r.shape) plans) in
@@ -468,44 +645,57 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
   let schema = Schema.unfold schema in
   let g = Graph.freeze g in
   let store = Graph.store g in
+  let st = store_of g in
+  let pl = planner ~schema st in
   let plans =
-    List.map
-      (fun (def : Schema.def) ->
-        ( def,
-          Array.of_list
-            (Term.Set.elements (Validate.target_nodes schema g def)) ))
-      (Schema.defs schema)
+    Array.of_list
+      (List.map
+         (fun (def : Schema.def) ->
+           (def, plan_of st ~pruned:true (target_ids pl def.target)))
+         (Schema.defs schema))
   in
   let planning = now () -. t0 in
-  let plans_arr = Array.of_list plans in
+  let n = Store.n_terms st in
   let verdicts =
-    Array.map (fun (_, targets) -> Array.make (Array.length targets) false)
-      plans_arr
+    Array.map (fun (_, p) -> Array.make (Array.length p.cands) false) plans
   in
   let labels =
-    Array.map
-      (fun ((def : Schema.def), _) -> Term.to_string def.Schema.name)
-      plans_arr
+    Array.map (fun ((def : Schema.def), _) -> Term.to_string def.name) plans
   in
-  (* Verdict writes go to disjoint slices of [verdicts] — a chunk's
-     offset places them regardless of which worker runs it — so they
-     need no lock; a failed chunk's partial writes are harmless because
-     a failed definition is dropped from the report wholesale. *)
-  let evaluator () ~bits:_ ~counters (i, offset, chunk) =
-    let (def : Schema.def), _ = plans_arr.(i) in
-    let check = Conformance.checker ~counters ~budget schema g def.shape in
-    let conforming = ref 0 in
-    Array.iteri
-      (fun j v ->
-        let ok = check v in
-        if ok then incr conforming;
-        verdicts.(i).(offset + j) <- ok)
-      chunk;
-    !conforming
+  (* One decider per worker, shared by every chunk it drains; a chunk's
+     verdict function starts from an empty memo, so the counters of a
+     fixed [-j] do not depend on which worker drained which chunk.  The
+     kernel's probe hook charges the current chunk's counters.  Verdict
+     writes go to disjoint slices of [verdicts] — a chunk's offset
+     places them regardless of which worker runs it — so they need no
+     lock; a failed chunk's partial writes are harmless because a failed
+     definition is dropped from the report wholesale. *)
+  let evaluator () =
+    let cur = ref (Counters.create ()) in
+    let d =
+      Neighborhood.decider ~budget
+        ~lookup:(fun () ->
+          !cur.Counters.store_lookups <- !cur.Counters.store_lookups + 1)
+        ~lookup_n:(fun k ->
+          !cur.Counters.store_lookups <- !cur.Counters.store_lookups + k)
+        st
+    in
+    fun ~bits:_ ~counters (i, offset, chunk) ->
+      cur := counters;
+      let (def : Schema.def), p = plans.(i) in
+      let v = Neighborhood.verdicts ~counters ~schema d def.shape in
+      let conforming = ref 0 in
+      Array.iteri
+        (fun j c ->
+          let ok = if c < n then v.of_id c else v.of_term p.strays.(c - n) in
+          if ok then incr conforming;
+          verdicts.(i).(offset + j) <- ok)
+        chunk;
+      !conforming
   in
   let final, retries, failures =
     drive ~jobs ~budget ~on_error ~nrows:0 ~labels ~evaluator
-      (List.map snd plans)
+      (Array.to_list (Array.map (fun (_, p) -> p.cands) plans))
   in
   (* Assemble results exactly as the sequential [Validate.validate] does:
      per definition, a [Term.Set.fold] pushing to the front — i.e. each
@@ -515,21 +705,21 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
   let results =
     List.concat
       (List.mapi
-         (fun i ((def : Schema.def), targets) ->
+         (fun i ((def : Schema.def), p) ->
            if failures.(i) <> None then []
            else begin
              let acc = ref [] in
              Array.iteri
-               (fun j focus ->
+               (fun j c ->
                  acc :=
-                   { Validate.focus;
+                   { Validate.focus = candidate_term st p c;
                      shape_name = def.name;
                      conforms = verdicts.(i).(j) }
                    :: !acc)
-               targets;
+               p.cands;
              !acc
            end)
-         plans)
+         (Array.to_list plans))
   in
   let report =
     { Validate.conforms =
@@ -538,14 +728,14 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
   in
   let shape_stats =
     List.mapi
-      (fun i (_, targets) ->
+      (fun i (_, p) ->
         { Stats.label = labels.(i);
           pruned = true;
-          candidates = Array.length targets;
+          candidates = Array.length p.cands;
           conforming = final.conf.(i);
           wall = final.walls.(i);
           failed = failures.(i) })
-      plans
+      (Array.to_list plans)
   in
   ( report,
     stats_of ~jobs ~store ~planning ~t0 ~triples_emitted:0 ~retries final

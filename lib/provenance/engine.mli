@@ -11,10 +11,15 @@
        the target is monotone in the sense of [Analysis.Monotone] — the
        precondition of the paper's Conformance theorem 4.1, under which
        target evaluation is a sound candidate filter — the candidate set
-       is the target nodes only, answered from the graph indexes by
-       [Validate.fast_targets] where possible.  Otherwise the engine falls
-       back to all graph nodes plus the shape's [hasValue] constants,
-       exactly as {!Fragment.frag} does.}
+       is the target nodes only: read from store ranges for the forms
+       [Validate.fast_targets] answers (node, class, subjects-of and
+       objects-of targets), decided by {!Neighborhood.verdicts} over the
+       graph's nodes and the target's constants otherwise.  Otherwise
+       the engine falls back to all graph nodes plus the shape's
+       [hasValue] constants, exactly as {!Fragment.frag} does.
+       Planning works on dictionary ids; a constant the dictionary
+       never interned is carried as a term and merged in at its term
+       rank, so candidates come in term order.}
     {- {b Sharding.}  Candidates are split into per-shape chunks and
        distributed over a pool of [jobs] domains pulling from a
        mutex-protected work queue.  Each chunk is checked with its own
@@ -184,12 +189,19 @@ val validate :
   ?budget:Runtime.Budget.t ->
   ?on_error:on_error ->
   Shacl.Schema.t -> Rdf.Graph.t -> Shacl.Validate.report * Stats.t
-(** Parallel, instrumented equivalent of [Validate.validate]: target
-    nodes of each definition are sharded across the pool and checked for
-    conformance only (no provenance is collected; [triples_emitted] is
-    0) by {!Shacl.Conformance.checker}, one per chunk, over
-    {!Rdf.Path.eval}.  The report — including the order of its results —
-    is identical to the sequential one, except that with
-    [~on_error:`Skip] a failed definition's results are excluded
-    wholesale (the report then covers exactly the definitions that were
-    fully checked, and {!Stats.degraded} is true). *)
+(** Parallel, instrumented equivalent of [Validate.validate]: each
+    definition's target nodes are planned in id space by the planner
+    {!run} uses, sharded across the pool and checked for conformance
+    only (no provenance is collected; [triples_emitted] is 0) by the
+    verdict pass ({!Neighborhood.verdicts}): one decider per worker, a
+    fresh verdict function per chunk.  The memo line of {!Stats} counts
+    the pass's arena (one lookup per memoized subshape reached), path
+    evaluations count its bare-step scans, sequence steps, star walks
+    and kernel evaluations, and store probes add the kernel's probes;
+    all repeat exactly at a fixed [jobs].  Each memo miss and path
+    evaluation spends one unit of [budget]; planning is not charged.
+    The report — including the order of its results — is identical to
+    the sequential one, except that with [~on_error:`Skip] a failed
+    definition's results are excluded wholesale (the report then covers
+    exactly the definitions that were fully checked, and
+    {!Stats.degraded} is true). *)

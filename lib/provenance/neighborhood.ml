@@ -956,15 +956,7 @@ module Ids = struct
   (* The SPO row of a triple known to be in the graph. *)
   let edge env s p o =
     let st = env.st in
-    let pid = Option.get (Store.pred_id st p) in
-    let lo, hi = Store.objects_range st ~s ~p:pid in
-    let lo = ref lo and hi = ref hi in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if Store.spo_obj st mid <= o then lo := mid else hi := mid
-    done;
-    assert (Store.spo_obj st !lo = o);
-    Rows.Flat [| !lo |]
+    Rows.Flat [| Option.get (Store.triple_row st s (Option.get (Store.pred_id st p)) o) |]
 
   let edges env vid p ~keep =
     match Store.pred_id env.st p with
@@ -1038,6 +1030,461 @@ let row_checker ?counters ?(budget = Runtime.Budget.unlimited)
             let verdict, nb = go vid in
             (verdict, Rows.to_array nb)
         | None -> (fst ((Lazy.force term_check) v), [||])
+
+(* ------------------------------------------------------------------ *)
+(* Verdict pass: Table 1 alone, in a frozen store's id space.          *)
+(* ------------------------------------------------------------------ *)
+
+(* What validation needs of a (node, shape) pair is one bit, so the pass
+   keeps no witness sets and no per-node tables.  It walks the resolved
+   subshapes depth first from one focus id at a time, stops a
+   quantifier as soon as its verdict is known, and memoizes each
+   non-trivial (subshape, node) verdict in one byte of a per-worker
+   arena: row [sub.id], column [node id].  A byte holds the verdict in
+   bit 0 and, above it, the generation of the verdict function that
+   wrote it, so a new function (a new chunk or definition) starts from
+   an empty memo by bumping the generation, not by clearing or
+   allocating; the arena is wiped only when the 7-bit generation wraps.
+   Bare [p] and [p⁻] steps scan store ranges in place; compound paths go
+   to the worker's kernel context ([Path.Batch]), whose memo is shared
+   by every chunk the worker drains.  Minor-heap garbage is the cost
+   that matters under [serve] (each minor collection stops every
+   domain), so quantifier loops build no value sets and no closures:
+   what a decision allocates is the kernel's memo traffic, the value
+   sets that equality, disjointness, order and language constraints
+   compare, and whatever a node test or literal comparison allocates
+   itself. *)
+
+(* Per subshape: what the pass reads of the store, resolved once per
+   verdict function (subshape ids are per resolution). *)
+type prep = {
+  psub : sub;                (* the subshape this entry was prepared for *)
+  steps : Rdf.Path.t array;  (* the subshape's path as a sequence E1/…/Ek *)
+  pids : int array;
+      (* per step: its predicate id when the step is bare ([p] or [p⁻]),
+         -1 when that predicate is not in the store, -2 otherwise *)
+  invs : bool array;         (* the bare step is [p⁻] *)
+  star : int;                (* the path is [s*] of a bare step [s]: as [pids] *)
+  star_inv : bool;
+  prop : int;                (* the compared property's id, -1 if absent *)
+  allowed : int array;       (* [closed]: the allowed predicates' ids, sorted *)
+}
+
+type decider = {
+  dst : Store.t;
+  dctx : Rdf.Path.Batch.ctx;
+  dbudget : Runtime.Budget.t;
+  n_ids : int;
+  cap : int;                 (* most bytes the arena may grow to *)
+  mutable arena : Bytes.t;
+  mutable serial : int;      (* verdict functions made so far *)
+  mutable preps : prep array;
+  spill : bool ITbl.t;       (* verdicts of rows past [cap] *)
+  mutable seen : int array;  (* star walks: visit stamps, and their queue *)
+  mutable queue : int array;
+  mutable stamp : int;
+  mutable dcounters : Counters.t;
+}
+
+let decider ?(budget = Runtime.Budget.unlimited) ?lookup ?lookup_n st =
+  let step =
+    if Runtime.Budget.is_unlimited budget then None
+    else Some (Runtime.Budget.step_hook budget)
+  in
+  let n_ids = Store.n_terms st in
+  { dst = st;
+    dctx = Rdf.Path.Batch.create ?step ?lookup ?lookup_n st;
+    dbudget = budget;
+    n_ids;
+    (* 64 subshape rows, or 16 MiB when that holds more: past it a
+       shape thousands of levels deep over a large graph spills to a
+       table instead of reserving rows it may never reach *)
+    cap = max (64 * n_ids) (16 lsl 20);
+    arena = Bytes.empty;
+    serial = 0;
+    preps = [||];
+    spill = ITbl.create 16;
+    seen = [||];
+    queue = [||];
+    stamp = 0;
+    dcounters = Counters.create () }
+
+let pred_of d p = match Store.pred_id d.dst p with Some i -> i | None -> -1
+
+let bare d = function
+  | Rdf.Path.Prop p -> (pred_of d p, false)
+  | Rdf.Path.Inv (Rdf.Path.Prop p) -> (pred_of d p, true)
+  | _ -> (-2, false)
+
+let prepare d sub =
+  let positive = match sub.phi with Shape.Not x -> x | x -> x in
+  let path =
+    match positive with
+    | Shape.Ge (_, e, _) | Shape.Le (_, e, _) | Shape.Forall (e, _)
+    | Shape.Unique_lang e
+    | Shape.Eq (Shape.Path e, _) | Shape.Disj (Shape.Path e, _)
+    | Shape.Less_than (e, _) | Shape.Less_than_eq (e, _)
+    | Shape.More_than (e, _) | Shape.More_than_eq (e, _) -> [ e ]
+    | _ -> []
+  in
+  let rec flatten = function
+    | Rdf.Path.Seq (e1, e2) -> flatten e1 @ flatten e2
+    | e -> [ e ]
+  in
+  let steps = Array.of_list (List.concat_map flatten path) in
+  let bares = Array.map (bare d) steps in
+  let star, star_inv =
+    match path with [ Rdf.Path.Star e ] -> bare d e | _ -> (-2, false)
+  in
+  let prop =
+    match positive with
+    | Shape.Eq (_, p) | Shape.Disj (_, p)
+    | Shape.Less_than (_, p) | Shape.Less_than_eq (_, p)
+    | Shape.More_than (_, p) | Shape.More_than_eq (_, p) -> pred_of d p
+    | _ -> -1
+  in
+  let allowed =
+    match positive with
+    | Shape.Closed allowed ->
+        let ids =
+          Iri.Set.fold
+            (fun p acc -> match pred_of d p with -1 -> acc | i -> i :: acc)
+            allowed []
+        in
+        let arr = Array.of_list ids in
+        Array.sort Int.compare arr;
+        arr
+    | _ -> [||]
+  in
+  { psub = sub; steps; pids = Array.map fst bares; invs = Array.map snd bares;
+    star; star_inv; prop; allowed }
+
+let prep d sub =
+  let id = sub.id in
+  if id < Array.length d.preps && d.preps.(id).psub == sub then d.preps.(id)
+  else begin
+    let p = prepare d sub in
+    if id >= Array.length d.preps then
+      d.preps <-
+        Array.append d.preps
+          (Array.make (max (id + 1 - Array.length d.preps) 16) p);
+    d.preps.(id) <- p;
+    p
+  end
+
+(* The arena byte of (sub, v), growing the arena to hold row [sub]
+   while it stays within [cap]; -1 when the row lies past the cap. *)
+let slot d sub v =
+  let i = (sub.id * d.n_ids) + v in
+  if i < Bytes.length d.arena then i
+  else if (sub.id + 1) * d.n_ids > d.cap then -1
+  else begin
+    let need = (sub.id + 1) * d.n_ids in
+    let size = min d.cap (max need (2 * Bytes.length d.arena)) in
+    let arena = Bytes.make size '\000' in
+    Bytes.blit d.arena 0 arena 0 (Bytes.length d.arena);
+    d.arena <- arena;
+    i
+  end
+
+(* One verdict function's state: its serial number, its arena
+   generation (1..127) and its resolution. *)
+type pass = { d : decider; serial : int; gen : int; subs : subs }
+
+(* One path evaluation: a budget tick, and a probe when [probe]. *)
+let charge p ~probe =
+  Runtime.Budget.tick p.d.dbudget;
+  let c = p.d.dcounters in
+  c.Counters.path_evals <- c.Counters.path_evals + 1;
+  if probe then c.Counters.store_lookups <- c.Counters.store_lookups + 1
+
+(* The values of a bare step (predicate id [pid] ≥ 0) at [v]: rows
+   [lo, hi) of the ordering [value] reads. *)
+let step_lo st pid inv v =
+  if inv then Store.subjects_lo st ~p:pid ~o:v else Store.objects_lo st ~s:v ~p:pid
+
+let step_hi st pid inv v =
+  if inv then Store.subjects_hi st ~p:pid ~o:v else Store.objects_hi st ~s:v ~p:pid
+
+let step_value st inv r = if inv then Store.pos_subj st r else Store.spo_obj st r
+
+let range_ids st pid inv v =
+  if pid < 0 then [||]
+  else
+    let lo = step_lo st pid inv v in
+    Array.init (step_hi st pid inv v - lo) (fun k -> step_value st inv (lo + k))
+
+(* [[E]](v) as a sorted id array, for the constraints that compare
+   value sets (equality, disjointness, order, language). *)
+let values p v pr e =
+  if Array.length pr.steps = 1 && pr.pids.(0) <> -2 then begin
+    charge p ~probe:true;
+    range_ids p.d.dst pr.pids.(0) pr.invs.(0) v
+  end
+  else begin
+    charge p ~probe:false;
+    Rdf.Path.Batch.eval p.d.dctx e v
+  end
+
+let prop_values p v pr = range_ids p.d.dst pr.prop false v
+
+(* Trivial subshapes are recomputed, except node tests: a literal
+   test parses the literal, and value nodes recur across focus nodes. *)
+let memoized sub =
+  (not sub.trivial)
+  || match sub.phi with Shape.Test _ | Shape.Not (Shape.Test _) -> true | _ -> false
+
+let rec decide p v sub =
+  if not (memoized sub) then compute p v sub
+  else begin
+    let d = p.d in
+    let c = d.dcounters in
+    c.Counters.memo_lookups <- c.Counters.memo_lookups + 1;
+    let i = slot d sub v in
+    let cached =
+      if i >= 0 then
+        let b = Char.code (Bytes.unsafe_get d.arena i) in
+        if b lsr 1 = p.gen then b land 1 else -1
+      else
+        match ITbl.find d.spill ((sub.id lsl 31) lor v) with
+        | b -> Bool.to_int b
+        | exception Not_found -> -1
+    in
+    if cached >= 0 then begin
+      c.Counters.memo_hits <- c.Counters.memo_hits + 1;
+      cached = 1
+    end
+    else begin
+      c.Counters.memo_misses <- c.Counters.memo_misses + 1;
+      Runtime.Budget.tick d.dbudget;
+      let verdict = compute p v sub in
+      if i >= 0 then
+        Bytes.unsafe_set d.arena i
+          (Char.unsafe_chr ((p.gen lsl 1) lor Bool.to_int verdict))
+      else ITbl.replace d.spill ((sub.id lsl 31) lor v) verdict;
+      verdict
+    end
+  end
+
+(* How many distinct values x of (v, E) have [decide x psi = want],
+   counting no further than [limit]: the early stop of ≥n, ≤n and ∀. *)
+and count p v pr e psi ~want ~limit =
+  if limit = 1 then Bool.to_int (some p v pr 0 psi want)
+  else if pr.star <> -2 && psi.trivial then walk p v pr psi ~want ~limit
+  else if Array.length pr.steps = 1 && pr.pids.(0) <> -2 then begin
+    (* the rows of one (node, predicate) range hold distinct values *)
+    charge p ~probe:true;
+    let st = p.d.dst and pid = pr.pids.(0) and inv = pr.invs.(0) in
+    let n = ref 0 in
+    if pid >= 0 then begin
+      let r = ref (step_lo st pid inv v) and hi = step_hi st pid inv v in
+      while !r < hi && !n < limit do
+        if decide p (step_value st inv !r) psi = want then incr n;
+        incr r
+      done
+    end;
+    !n
+  end
+  else begin
+    charge p ~probe:false;
+    let xs = Rdf.Path.Batch.eval p.d.dctx e v in
+    let n = ref 0 and k = ref 0 in
+    while !k < Array.length xs && !n < limit do
+      if decide p xs.(!k) psi = want then incr n;
+      incr k
+    done;
+    !n
+  end
+
+(* Whether some value x of (v, E_k/…/E_m) has [decide x psi = want],
+   walking the steps from [k] without building any value set: a value
+   reached twice is tested twice, which existence does not mind. *)
+and some p v pr k psi want =
+  if k = Array.length pr.steps then decide p v psi = want
+  else begin
+    let pid = pr.pids.(k) in
+    charge p ~probe:(pid <> -2);
+    let found = ref false in
+    if pid = -2 then begin
+      let xs = Rdf.Path.Batch.eval p.d.dctx pr.steps.(k) v in
+      let i = ref 0 in
+      while (not !found) && !i < Array.length xs do
+        found := some p xs.(!i) pr (k + 1) psi want;
+        incr i
+      done
+    end
+    else if pid >= 0 then begin
+      let st = p.d.dst and inv = pr.invs.(k) in
+      let r = ref (step_lo st pid inv v) and hi = step_hi st pid inv v in
+      while (not !found) && !r < hi do
+        found := some p (step_value st inv !r) pr (k + 1) psi want;
+        incr r
+      done
+    end;
+    !found
+  end
+
+(* [count] over [s*] for a bare step [s] and a trivial body: a
+   breadth-first walk of the closure that stops as soon as [limit]
+   values qualify, with visit stamps in an array reused across walks.
+   A trivial body never re-enters [count], so walks do not nest. *)
+and walk p v pr psi ~want ~limit =
+  charge p ~probe:false;
+  let d = p.d in
+  if Array.length d.seen < d.n_ids then begin
+    d.seen <- Array.make d.n_ids 0;
+    d.queue <- Array.make d.n_ids 0
+  end;
+  d.stamp <- d.stamp + 1;
+  let stamp = d.stamp and seen = d.seen and queue = d.queue in
+  let st = d.dst and pid = pr.star and inv = pr.star_inv in
+  seen.(v) <- stamp;
+  queue.(0) <- v;
+  let n = ref (if decide p v psi = want then 1 else 0) in
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail && !n < limit do
+    let x = queue.(!head) in
+    incr head;
+    if pid >= 0 then begin
+      let c = d.dcounters in
+      c.Counters.store_lookups <- c.Counters.store_lookups + 1;
+      let r = ref (step_lo st pid inv x) and hi = step_hi st pid inv x in
+      while !r < hi && !n < limit do
+        let y = step_value st inv !r in
+        if seen.(y) <> stamp then begin
+          seen.(y) <- stamp;
+          queue.(!tail) <- y;
+          incr tail;
+          if decide p y psi = want then incr n
+        end;
+        incr r
+      done
+    end
+  done;
+  !n
+
+and compute p v sub =
+  match sub.phi with
+  | Shape.Has_shape _ | Shape.Not (Shape.Has_shape _) ->
+      decide p v (derived p.subs sub)
+  | Shape.And _ ->
+      let ok = ref true and i = ref 0 in
+      while !ok && !i < Array.length sub.kids do
+        ok := decide p v sub.kids.(!i);
+        incr i
+      done;
+      !ok
+  | Shape.Or _ ->
+      let ok = ref false and i = ref 0 in
+      while (not !ok) && !i < Array.length sub.kids do
+        ok := decide p v sub.kids.(!i);
+        incr i
+      done;
+      !ok
+  | Shape.Ge (n, e, _) ->
+      (* [Conformance]: ≥0 holds outright; a negative n holds at the
+         first conforming value *)
+      n = 0
+      ||
+      let limit = max n 1 in
+      count p v (prep p.d sub) e sub.kids.(0) ~want:true ~limit >= limit
+  | Shape.Le (n, e, _) ->
+      (* n < 0 (the normal form of ¬≥0) admits no node *)
+      n >= 0
+      && count p v (prep p.d sub) e sub.kids.(0) ~want:true ~limit:(n + 1) <= n
+  | Shape.Forall (e, _) ->
+      count p v (prep p.d sub) e sub.kids.(0) ~want:false ~limit:1 = 0
+  | Shape.Not atom -> not (holds p v sub atom)
+  | atom -> holds p v sub atom
+
+(* A positive atom at [v]; [sub] is the atom or its negation (they share
+   a [prep]). *)
+and holds p v sub atom =
+  let st = p.d.dst in
+  match atom with
+  | Shape.Top -> true
+  | Shape.Bottom -> false
+  | Shape.Test t -> Node_test.satisfies t (Store.term st v)
+  | Shape.Has_value c -> Term.equal (Store.term st v) c
+  | Shape.Eq (Shape.Id, _) ->
+      let pr = prep p.d sub in
+      pr.prop >= 0
+      &&
+      let lo = Store.objects_lo st ~s:v ~p:pr.prop in
+      Store.objects_hi st ~s:v ~p:pr.prop - lo = 1 && Store.spo_obj st lo = v
+  | Shape.Disj (Shape.Id, _) ->
+      let pr = prep p.d sub in
+      pr.prop < 0 || not (Store.mem_ids st v pr.prop v)
+  | Shape.Eq (Shape.Path e, _) ->
+      let pr = prep p.d sub in
+      arrays_equal (values p v pr e) (prop_values p v pr)
+  | Shape.Disj (Shape.Path e, _) ->
+      let pr = prep p.d sub in
+      disjoint_sorted (values p v pr e) (prop_values p v pr)
+  | Shape.Closed _ ->
+      let allowed = (prep p.d sub).allowed in
+      let ok = ref true and r = ref (Store.subject_lo st v) in
+      let hi = Store.subject_hi st v in
+      while !ok && !r < hi do
+        ok := mem_sorted allowed (Store.spo_pred st !r);
+        incr r
+      done;
+      !ok
+  | Shape.Less_than (e, _) -> ordered p v sub e term_lt
+  | Shape.Less_than_eq (e, _) -> ordered p v sub e term_leq
+  | Shape.More_than (e, _) -> ordered p v sub e (fun x y -> term_lt y x)
+  | Shape.More_than_eq (e, _) -> ordered p v sub e (fun x y -> term_leq y x)
+  | Shape.Unique_lang e ->
+      let xs = values p v (prep p.d sub) e in
+      let n = Array.length xs in
+      let rec clash i j =
+        i < n
+        && (if j >= n then clash (i + 1) (i + 2)
+            else
+              term_same_lang (Store.term st xs.(i)) (Store.term st xs.(j))
+              || clash i (j + 1))
+      in
+      not (clash 0 1)
+  | Shape.Has_shape _ | Shape.Not _ | Shape.And _ | Shape.Or _ | Shape.Ge _
+  | Shape.Le _ | Shape.Forall _ ->
+      (* not atoms *)
+      assert false
+
+(* x R y for every x in [[E]](v) and every y with (v, p, y) in G. *)
+and ordered p v sub e rel =
+  let st = p.d.dst in
+  let pr = prep p.d sub in
+  let xs = values p v pr e and ys = prop_values p v pr in
+  Array.for_all
+    (fun x ->
+      let tx = Store.term st x in
+      Array.for_all (fun y -> rel tx (Store.term st y)) ys)
+    xs
+
+type verdicts = { of_id : int -> bool; of_term : Term.t -> bool }
+
+let verdicts ?counters ?(schema = Schema.empty) (d : decider) phi =
+  let subs, root = resolve_root schema phi in
+  let gen = 1 + (d.serial mod 127) in
+  (* generation 1 again: the bytes of every earlier one go *)
+  if gen = 1 then Bytes.fill d.arena 0 (Bytes.length d.arena) '\000';
+  d.serial <- d.serial + 1;
+  ITbl.reset d.spill;
+  d.dcounters <- (match counters with Some c -> c | None -> Counters.create ());
+  let p = { d; serial = d.serial; gen; subs } in
+  let of_id v =
+    if d.serial <> p.serial then
+      invalid_arg "Neighborhood.verdicts: replaced by a later verdict function";
+    decide p v root
+  in
+  (* A focus node the dictionary never interned occurs in no triple:
+     Table 1 decides it on the empty graph. *)
+  let of_term x =
+    match Store.id d.dst x with
+    | Some v -> of_id v
+    | None -> Conformance.conforms ~budget:d.dbudget schema Graph.empty x phi
+  in
+  { of_id; of_term }
 
 let naive_checker ?budget ?schema g phi =
   let conforms, go = make_naive ?budget ?schema g in

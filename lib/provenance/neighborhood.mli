@@ -27,7 +27,12 @@
       paths are evaluated and traced by the id-space kernel
       ({!Rdf.Path.Batch}) and the neighborhood comes back as store row
       ids.  Both resolve the shape once per checker: structurally equal
-      subshapes share one node and one memo partition. *)
+      subshapes share one node and one memo partition.
+
+    Validation needs no neighborhood: the verdict pass ({!verdicts})
+    decides Table 1 alone over the same resolved subshapes, in a frozen
+    store's id space, with a byte per memoized (subshape, node)
+    verdict. *)
 
 val b :
   ?budget:Runtime.Budget.t ->
@@ -141,6 +146,57 @@ val row_checker :
     dictionary never interned occurs in no triple, so it gets
     {!checker}'s verdict and no rows.  Raises [Invalid_argument] when
     [g] has no frozen store ([Rdf.Graph.freeze] it first). *)
+
+(** {1 Verdict pass}
+
+    Conformance alone (Table 1), decided in a frozen store's id space —
+    what {!Engine.validate} runs.  It resolves a shape exactly as the
+    instrumented checkers do (hash-consed subshapes, [hasShape]
+    expansions on demand) and decides one focus id at a time, depth
+    first, stopping [≥n], [≤n] and [∀] as soon as their verdict is known.
+    Nothing is collected: each non-trivial (subshape, node) verdict is
+    one byte of the decider's arena, so a decision allocates nothing of
+    its own in steady state.  Bare [p] and [p⁻] steps are scanned in
+    place from store ranges; compound paths are evaluated by the
+    decider's {!Rdf.Path.Batch} context.  Verdicts equal
+    {!Shacl.Conformance}'s. *)
+
+type decider
+(** A worker's decision state over one store: the memo arena, the
+    compound-path kernel context and the budget.  Not thread-safe: one
+    per worker domain. *)
+
+val decider :
+  ?budget:Runtime.Budget.t ->
+  ?lookup:(unit -> unit) ->
+  ?lookup_n:(int -> unit) ->
+  Rdf.Store.t -> decider
+(** [decider ~budget st] is a fresh decider.  Each memo miss and each
+    path evaluation spends one unit of [budget] (and may raise
+    [Runtime.Budget.Exhausted]); the kernel charges its steps to it
+    like {!row_env}.  [lookup]/[lookup_n] receive the kernel's
+    adjacency-probe charges, as in {!row_env}.  The arena grows to one
+    byte per (subshape, term) for the subshapes reached, up to
+    [max (64 × terms) 16 MiB] bytes; verdicts past it go to a table. *)
+
+type verdicts = {
+  of_id : int -> bool;  (** the verdict at a store id *)
+  of_term : Rdf.Term.t -> bool;
+      (** the verdict at a term; a term the dictionary never interned
+          occurs in no triple and is decided by
+          {!Shacl.Conformance.conforms} on the empty graph *)
+}
+
+val verdicts :
+  ?counters:Shacl.Counters.t ->
+  ?schema:Shacl.Schema.t ->
+  decider -> Shacl.Shape.t -> verdicts
+(** [verdicts d phi] decides [phi] with a memo that starts empty: a new
+    generation of [d]'s arena, not a new allocation.  It charges memo
+    traffic ([memo_*]: one lookup per non-trivial subshape reached),
+    path evaluations and bare-step probes ([store_lookups]) to
+    [counters].  The functions are valid until the next [verdicts] on
+    [d], and raise [Invalid_argument] after it. *)
 
 val naive_checker :
   ?budget:Runtime.Budget.t ->

@@ -8,11 +8,15 @@
      pos_*  rows sorted by (predicate, object, subject)
      osp_*  rows sorted by (object, subject, predicate)
 
-   Every access pattern of validation and provenance tracing — objects
-   of [s] via [p], subjects reaching [o] via [p], all triples around a
-   node, triple membership — is a binary search to a contiguous row
-   range, with no per-lookup allocation.  The store is immutable after
-   construction and safe to share across domains.
+   Each ordering also keeps per-id row offsets for its leading column
+   (n_terms + 1 ints, built by one counting pass): the rows of subject
+   [s] in SPO are [spo_off.(s), spo_off.(s + 1)), and likewise for a
+   predicate in POS and an object in OSP.  A one-id range is two array
+   reads; a two-id range ([s] via [p], [o] via [p], [o] from [s]) is a
+   binary search inside the leading id's rows only; membership is a
+   binary search inside a (subject, predicate) range.  No lookup
+   allocates except the [_range] pairs themselves.  The store is
+   immutable after construction and safe to share across domains.
 
    A triple's identity is its row index in the canonical SPO ordering
    ([triple_row]/[row_triple]); the parallel engine uses these row ids
@@ -24,6 +28,8 @@ type t = {
   spo_s : int array; spo_p : int array; spo_o : int array;
   pos_p : int array; pos_o : int array; pos_s : int array;
   osp_o : int array; osp_s : int array; osp_p : int array;
+  spo_off : int array; pos_off : int array; osp_off : int array;
+      (* per-id row offsets of each ordering's leading column *)
   nodes : Term.Set.t;   (* decoded N(G), cached at build time *)
   node_ids : bool array; (* id is a subject or object *)
 }
@@ -97,6 +103,24 @@ let radix k keys n = List.fold_right (by_key k) keys (Array.init n Fun.id)
 
 let gather col rows = Array.map (fun r -> col.(r)) rows
 
+(* Row offsets of a sorted leading column over ids [0, k): one counting
+   pass and a prefix sum, so the rows of id [i] are
+   [off.(i), off.(i + 1)). *)
+let offsets k col =
+  let off = Array.make (k + 1) 0 in
+  Array.iter (fun x -> off.(x + 1) <- off.(x + 1) + 1) col;
+  for x = 1 to k do
+    off.(x) <- off.(x) + off.(x - 1)
+  done;
+  off
+
+let make ~dict ~n ~spo:(spo_s, spo_p, spo_o) ~pos:(pos_p, pos_o, pos_s)
+    ~osp:(osp_o, osp_s, osp_p) ~nodes ~node_ids =
+  let k = Dict.size dict in
+  { dict; n; spo_s; spo_p; spo_o; pos_p; pos_o; pos_s; osp_o; osp_s; osp_p;
+    spo_off = offsets k spo_s; pos_off = offsets k pos_p;
+    osp_off = offsets k osp_o; nodes; node_ids }
+
 let of_interned dict ~n:m s p o =
   let rank = Dict.sort dict in
   let k = Dict.size dict in
@@ -134,8 +158,8 @@ let of_interned dict ~n:m s p o =
   for i = k - 1 downto 0 do
     if node_ids.(i) then nodes := Dict.term dict i :: !nodes
   done;
-  { dict; n; spo_s; spo_p; spo_o; pos_p; pos_o; pos_s; osp_o; osp_s; osp_p;
-    nodes = Term.Set.of_list !nodes; node_ids }
+  make ~dict ~n ~spo:(spo_s, spo_p, spo_o) ~pos:(pos_p, pos_o, pos_s)
+    ~osp:(osp_o, osp_s, osp_p) ~nodes:(Term.Set.of_list !nodes) ~node_ids
 
 let of_triples triples =
   let m = Array.length triples in
@@ -150,39 +174,21 @@ let is_node_id t i = i >= 0 && i < Array.length t.node_ids && t.node_ids.(i)
 
 (* ---------------- binary searches ---------------------------------- *)
 
-(* First row with key column >= k / > k: plain int loops, no closures,
-   no allocation. *)
-let lb1 a k n =
-  let lo = ref 0 and hi = ref n in
+(* First row in [lo, hi) with [a.(row)] >= k / > k: plain int loops, no
+   closures, no allocation. *)
+let lb a k lo hi =
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if a.(mid) < k then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let ub1 a k n =
-  let lo = ref 0 and hi = ref n in
+let ub a k lo hi =
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if a.(mid) <= k then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let lb2 a b ka kb n =
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let am = a.(mid) in
-    if am < ka || (am = ka && b.(mid) < kb) then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let ub2 a b ka kb n =
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let am = a.(mid) in
-    if am < ka || (am = ka && b.(mid) <= kb) then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -204,34 +210,60 @@ let lb3 a b c ka kb kc n =
 
 (* ---------------- range lookups (ids) ------------------------------ *)
 
-let objects_range t ~s ~p = lb2 t.spo_s t.spo_p s p t.n, ub2 t.spo_s t.spo_p s p t.n
+(* The first row of id [i] in an ordering with offsets [off]; ids past
+   the dictionary start at the end, so every out-of-range id has an
+   empty range. *)
+let first off i =
+  if i <= 0 then 0
+  else if i < Array.length off then off.(i)
+  else off.(Array.length off - 1)
+
+let subject_lo t s = first t.spo_off s
+let subject_hi t s = first t.spo_off (s + 1)
+let subject_range t s = subject_lo t s, subject_hi t s
+let object_range t o = first t.osp_off o, first t.osp_off (o + 1)
+let predicate_range t p = first t.pos_off p, first t.pos_off (p + 1)
+
+(* Two-id ranges: a binary search on the second column inside the
+   leading id's rows. *)
+let objects_lo t ~s ~p = lb t.spo_p p (subject_lo t s) (subject_hi t s)
+let objects_hi t ~s ~p = ub t.spo_p p (subject_lo t s) (subject_hi t s)
+let objects_range t ~s ~p = objects_lo t ~s ~p, objects_hi t ~s ~p
+
+let subjects_lo t ~p ~o =
+  lb t.pos_o o (first t.pos_off p) (first t.pos_off (p + 1))
+
+let subjects_hi t ~p ~o =
+  ub t.pos_o o (first t.pos_off p) (first t.pos_off (p + 1))
+
+let subjects_range t ~p ~o = subjects_lo t ~p ~o, subjects_hi t ~p ~o
+
+let preds_range t ~o ~s =
+  let lo = first t.osp_off o and hi = first t.osp_off (o + 1) in
+  lb t.osp_s s lo hi, ub t.osp_s s lo hi
+
 let spo_obj t i = t.spo_o.(i)
 let spo_pred t i = t.spo_p.(i)
 let spo_subj t i = t.spo_s.(i)
-
-let subjects_range t ~p ~o = lb2 t.pos_p t.pos_o p o t.n, ub2 t.pos_p t.pos_o p o t.n
 let pos_subj t i = t.pos_s.(i)
 let pos_obj t i = t.pos_o.(i)
 let pos_pred t i = t.pos_p.(i)
-
-let preds_range t ~o ~s = lb2 t.osp_o t.osp_s o s t.n, ub2 t.osp_o t.osp_s o s t.n
 let osp_pred t i = t.osp_p.(i)
 let osp_subj t i = t.osp_s.(i)
 let osp_obj t i = t.osp_o.(i)
 
-let subject_range t s = lb1 t.spo_s s t.n, ub1 t.spo_s s t.n
-let object_range t o = lb1 t.osp_o o t.n, ub1 t.osp_o o t.n
-let predicate_range t p = lb1 t.pos_p p t.n, ub1 t.pos_p p t.n
+(* The row of (s, p, o): a search on the object inside the (s, p)
+   range, whose objects ascend; -1 when absent. *)
+let row_ids t s p o =
+  let hi = objects_hi t ~s ~p in
+  let i = lb t.spo_o o (objects_lo t ~s ~p) hi in
+  if i < hi && t.spo_o.(i) = o then i else -1
 
-let mem_ids t s p o =
-  let i = lb3 t.spo_s t.spo_p t.spo_o s p o t.n in
-  i < t.n && t.spo_s.(i) = s && t.spo_p.(i) = p && t.spo_o.(i) = o
+let mem_ids t s p o = row_ids t s p o >= 0
 
 let triple_row t s p o =
-  let i = lb3 t.spo_s t.spo_p t.spo_o s p o t.n in
-  if i < t.n && t.spo_s.(i) = s && t.spo_p.(i) = p && t.spo_o.(i) = o then
-    Some i
-  else None
+  let i = row_ids t s p o in
+  if i >= 0 then Some i else None
 
 let row_triple t i =
   Triple.make (term t t.spo_s.(i)) (iri_of_id t t.spo_p.(i)) (term t t.spo_o.(i))
@@ -431,7 +463,7 @@ let patch t ~removes ~adds =
       (fun i b -> if b && remap.(i) >= 0 then node_ids.(remap.(i)) <- true)
       t.node_ids;
     let nodes = ref t.nodes in
-    let occurs a i = ub1 a i n > lb1 a i n in
+    let occurs a i = ub a i 0 n > lb a i 0 n in
     let touch x =
       let was = match id t x with Some i -> t.node_ids.(i) | None -> false in
       match Dict.find dict x with
@@ -444,8 +476,8 @@ let patch t ~removes ~adds =
     in
     List.iter (fun r -> List.iter touch (endpoints (row_triple t r))) gone;
     List.iter (fun tr -> List.iter touch (endpoints tr)) added;
-    { dict; n; spo_s; spo_p; spo_o; pos_p; pos_o; pos_s; osp_o; osp_s; osp_p;
-      nodes = !nodes; node_ids }
+    make ~dict ~n ~spo:(spo_s, spo_p, spo_o) ~pos:(pos_p, pos_o, pos_s)
+      ~osp:(osp_o, osp_s, osp_p) ~nodes:!nodes ~node_ids
   end
 
 let equal a b =

@@ -6,8 +6,11 @@
     (dense ids in [Term.compare] order) and the triples are packed into
     three sorted int-column indexes — SPO, POS and OSP row orderings —
     so every access pattern of SHACL validation and provenance tracing
-    is a binary search to a contiguous row range with {b no per-lookup
-    allocation}.  Immutable after construction; safe to share across
+    is a contiguous row range.  Each ordering keeps per-id row offsets
+    of its leading column ([n_terms + 1] ints, one counting pass at
+    build and patch time): a subject's, predicate's or object's rows
+    are two array reads, and a two-id range is a binary search inside
+    one id's rows.  Immutable after construction; safe to share across
     domains.
 
     Id-boundary rules: functions suffixed [_ids]/[_range] and the
@@ -80,25 +83,42 @@ val row_of_triple : t -> Triple.t -> int option
 (** {1 Ranges (ids)}
 
     Each returns a half-open row interval [\[lo, hi)] in the named
-    ordering; the matching column accessors read single cells. *)
+    ordering; the matching column accessors read single cells.  Any
+    int is accepted: an id outside the dictionary, or one with no rows
+    in that position, has an empty range.  The [_range] functions
+    allocate their pair; the [_lo]/[_hi] functions are its two halves,
+    for loops that must not allocate. *)
 
 val objects_range : t -> s:int -> p:int -> int * int
+(** SPO rows of [(s, p, _)], objects ascending. *)
+
+val objects_lo : t -> s:int -> p:int -> int
+val objects_hi : t -> s:int -> p:int -> int
 val spo_obj : t -> int -> int
 val spo_pred : t -> int -> int
 val spo_subj : t -> int -> int
 
 val subjects_range : t -> p:int -> o:int -> int * int
+(** POS rows of [(_, p, o)], subjects ascending. *)
+
+val subjects_lo : t -> p:int -> o:int -> int
+val subjects_hi : t -> p:int -> o:int -> int
 val pos_subj : t -> int -> int
 val pos_obj : t -> int -> int
 val pos_pred : t -> int -> int
 
 val preds_range : t -> o:int -> s:int -> int * int
+(** OSP rows of [(s, _, o)], predicates ascending. *)
+
 val osp_pred : t -> int -> int
 val osp_subj : t -> int -> int
 val osp_obj : t -> int -> int
 
 val subject_range : t -> int -> int * int
 (** SPO rows of a subject. *)
+
+val subject_lo : t -> int -> int
+val subject_hi : t -> int -> int
 
 val object_range : t -> int -> int * int
 (** OSP rows of an object. *)

@@ -148,6 +148,104 @@ let prop_indexes_consistent =
           && Iri.Set.mem p (Graph.predicates_between g s o))
         g)
 
+(* Store row offsets: every range lookup equals a linear scan of its
+   ordering, for every id of the dictionary (ids with no rows in that
+   position and the largest id included), for ids outside it, and for
+   second keys that are not predicates of the store.  Checked on random
+   stores and on [Store.patch]ed ones, whose deltas bring terms in and
+   take their last occurrences out; the patched store still equals the
+   one built from scratch. *)
+let fresh_triple =
+  let open QCheck.Gen in
+  map3 Triple.make
+    (oneofl (Term.iri (Tgen.ex "fresh") :: Term.blank "new" :: Tgen.subjects))
+    (oneofl (Iri.of_string (Tgen.ex "freshProp") :: Tgen.props))
+    (oneofl (Term.str "fresh" :: Term.iri (Tgen.ex "fresh") :: Tgen.objects))
+
+let gen_store_case =
+  let open QCheck.Gen in
+  list_size (int_range 0 20) Tgen.gen_triple >>= fun l ->
+  (if l = [] then return [] else list_size (int_range 0 8) (oneofl l))
+  >>= fun removes ->
+  list_size (int_range 0 4) fresh_triple >>= fun adds -> return (l, removes, adds)
+
+let ranges_match_scans st =
+  let n = Store.n_triples st and k = Store.n_terms st in
+  let scan key = List.filter key (List.init n Fun.id) in
+  let rows (lo, hi) = List.init (hi - lo) (fun i -> lo + i) in
+  (* ids outside the dictionary, around both ends *)
+  let ids = List.init (k + 4) (fun i -> i - 2) in
+  let one (range, col) =
+    List.for_all (fun i -> rows (range st i) = scan (fun r -> col st r = i)) ids
+  in
+  let two (range, lo, hi, col1, col2) =
+    List.for_all
+      (fun i ->
+        List.for_all
+          (fun j ->
+            let r = range st i j in
+            r = (lo st i j, hi st i j)
+            && rows r = scan (fun r -> col1 st r = i && col2 st r = j))
+          ids)
+      ids
+  in
+  List.for_all one
+    [ (Store.subject_range, Store.spo_subj);
+      (Store.object_range, Store.osp_obj);
+      (Store.predicate_range, Store.pos_pred) ]
+  && List.for_all
+       (fun s -> Store.subject_range st s = (Store.subject_lo st s, Store.subject_hi st s))
+       ids
+  && List.for_all two
+       [ ( (fun st s p -> Store.objects_range st ~s ~p),
+           (fun st s p -> Store.objects_lo st ~s ~p),
+           (fun st s p -> Store.objects_hi st ~s ~p),
+           Store.spo_subj, Store.spo_pred );
+         ( (fun st p o -> Store.subjects_range st ~p ~o),
+           (fun st p o -> Store.subjects_lo st ~p ~o),
+           (fun st p o -> Store.subjects_hi st ~p ~o),
+           Store.pos_pred, Store.pos_obj );
+         ( (fun st o s -> Store.preds_range st ~o ~s),
+           (fun st o s -> fst (Store.preds_range st ~o ~s)),
+           (fun st o s -> snd (Store.preds_range st ~o ~s)),
+           Store.osp_obj, Store.osp_subj ) ]
+  && List.for_all
+       (fun s ->
+         List.for_all
+           (fun p ->
+             List.for_all
+               (fun o ->
+                 let row =
+                   List.find_opt
+                     (fun r ->
+                       Store.spo_subj st r = s && Store.spo_pred st r = p
+                       && Store.spo_obj st r = o)
+                     (List.init n Fun.id)
+                 in
+                 Store.triple_row st s p o = row
+                 && Store.mem_ids st s p o = (row <> None))
+               ids)
+           ids)
+       ids
+
+let prop_store_offsets =
+  QCheck.Test.make ~name:"store ranges = linear scans (built and patched)"
+    ~count:100
+    (QCheck.make gen_store_case ~print:(fun (l, r, a) ->
+         String.concat "\n"
+           (List.map (fun (name, ts) ->
+                name ^ ":\n" ^ String.concat "\n" (List.map (Format.asprintf "%a" Triple.pp) ts))
+              [ ("graph", l); ("removes", r); ("adds", a) ])))
+    (fun (l, removes, adds) ->
+      let st = Store.of_triples (Array.of_list l) in
+      let patched = Store.patch st ~removes ~adds in
+      let rebuilt =
+        Store.of_triples
+          (Array.of_list (Graph.to_list (Graph.patch ~removes ~adds (Graph.of_list l))))
+      in
+      ranges_match_scans st && ranges_match_scans patched
+      && Store.equal patched rebuilt)
+
 let suite =
   [ "literal value order", `Quick, test_literal_values;
     "literal language tags", `Quick, test_literal_language;
@@ -160,4 +258,4 @@ let suite =
 
 let props =
   [ prop_union_commutative; prop_diff_union; prop_roundtrip_list;
-    prop_indexes_consistent ]
+    prop_indexes_consistent; prop_store_offsets ]

@@ -228,6 +228,59 @@ let test_deep_shape_engine_completes () =
           [ shape ])
        fragment)
 
+(* Validation runs the verdict pass: a shape or a target expression
+   2,000 levels deep over a 2,000-triple chain is constant work per
+   (node, level) pair, where [Conformance]'s memo degrades beyond any
+   deadline (0.09 / 1.38 / 21.8 s at depth 100 / 200 / 400).  Only the
+   chain's head conforms.  At depth 100 the reports equal the
+   sequential [Validate.validate]'s. *)
+let deep_schemas depth =
+  let deep = nested_shape depth in
+  [ Schema.make_exn
+      [ { Schema.name = ex "Deep"; shape = deep;
+          target = Shape.Ge (1, Path.Prop p, Shape.Top) } ];
+    Schema.make_exn
+      [ { Schema.name = ex "DeepTarget"; shape = Shape.Top; target = deep } ] ]
+
+let test_deep_shape_validate_completes () =
+  let g = Graph.freeze (chain_graph 2_000) in
+  List.iter
+    (fun schema ->
+      let t = Unix.gettimeofday () in
+      let budget = Runtime.Budget.make ~timeout:5. () in
+      let report, _ = Provenance.Engine.validate ~budget schema g in
+      Alcotest.(check bool) "within the deadline" true
+        (Unix.gettimeofday () -. t < 5.);
+      Alcotest.(check (list string)) "only the head conforms" [ "<http://example.org/0>" ]
+        (List.filter_map
+           (fun (r : Validate.result) ->
+             if r.conforms then Some (Term.to_string r.focus) else None)
+           report.results))
+    (deep_schemas 2_000);
+  let g = Graph.freeze (chain_graph 100) in
+  List.iter
+    (fun schema ->
+      let oracle = Validate.validate schema g in
+      List.iter
+        (fun jobs ->
+          let report, _ = Provenance.Engine.validate ~jobs schema g in
+          Alcotest.(check bool) "report = Validate.validate (depth 100)" true
+            (report = oracle))
+        [ 1; 2 ])
+    (deep_schemas 100)
+
+let test_deep_shape_fuel_validate () =
+  let depth = 200_000 in
+  let g = Graph.freeze (chain_graph depth) in
+  let schema =
+    Schema.make_exn
+      [ { Schema.name = ex "Deep"; shape = nested_shape depth;
+          target = Shape.Has_value (ex "0") } ]
+  in
+  let budget = Runtime.Budget.make ~timeout:5. ~fuel:10_000 () in
+  expect_fuel_exhausted "validate on deeply nested shape" (fun () ->
+      (fst (Provenance.Engine.validate ~budget schema g)).conforms)
+
 let test_long_path_chain_fuel () =
   (* One shape whose path is a sequence of 100k hops: path evaluation,
      not shape recursion, must burn the fuel. *)
@@ -437,6 +490,9 @@ let suite =
     "regression: deep shape, engine", `Quick, test_deep_shape_fuel_engine;
     "regression: deep shape, engine completes", `Quick,
     test_deep_shape_engine_completes;
+    "regression: deep shape, validate", `Quick, test_deep_shape_fuel_validate;
+    "regression: deep shape, validate completes", `Quick,
+    test_deep_shape_validate_completes;
     "regression: long path chain", `Quick, test_long_path_chain_fuel;
     "regression: modest instance completes", `Quick,
     test_bounded_run_completes_without_budget ]

@@ -89,8 +89,95 @@ let test_empty_schema () =
   check "empty schema conforms" true report.Validate.conforms;
   check_int "no results" 0 (List.length report.Validate.results)
 
+(* The verdict pass that [Engine.validate] runs, case by case against
+   the Table 1 reference [Validate.validate] at -j 1/2/4: reports equal,
+   result order included. *)
+let verdict_graph =
+  let knows = exi "knows" in
+  let lit s = Term.Literal (Literal.lang_string s ~lang:"en") in
+  Graph.of_list
+    ([ Triple.make (ex "s") knows (ex "k0");
+       Triple.make (ex "a") (exi "p") (ex "x");
+       Triple.make (ex "a") (exi "q") (Term.int 3);
+       Triple.make (ex "b") (exi "p") (ex "x");
+       Triple.make (ex "a") (exi "lt1") (Term.int 3);
+       Triple.make (ex "a") (exi "lt1") (ex "x");
+       Triple.make (ex "a") (exi "lt2") (Term.int 5);
+       Triple.make (ex "a") (exi "lt2") (ex "y");
+       Triple.make (ex "b") (exi "lt1") (Term.int 3);
+       Triple.make (ex "b") (exi "lt2") (Term.int 3);
+       Triple.make (ex "a") (exi "label") (lit "hi");
+       Triple.make (ex "a") (exi "label") (lit "hello");
+       Triple.make (ex "b") (exi "label") (lit "hi");
+       Triple.make (ex "b") (exi "label")
+         (Term.Literal (Literal.lang_string "salut" ~lang:"fr")) ]
+    (* a 70-node knows cycle: every closure exceeds 60 *)
+    @ List.init 70 (fun i ->
+          Triple.make
+            (ex (Printf.sprintf "k%d" i))
+            knows
+            (ex (Printf.sprintf "k%d" ((i + 1) mod 70)))))
+
+let verdict_cases =
+  let shape = Shape_syntax.parse_exn in
+  let nodes =
+    Shape.or_
+      (List.map (fun n -> Shape.Has_value (ex n)) [ "a"; "b"; "s"; "k5"; "x"; "k0" ])
+  in
+  let def name shape target = { Schema.name = ex name; shape; target } in
+  let one name shp tgt = (name, Schema.make_exn [ def "S" shp tgt ]) in
+  [ one "ghost node target" (shape ">=1 ex:p . top")
+      (Shape.Or [ Shape.Has_value (ex "ghost"); Shape.Has_value (ex "a") ]);
+    one "ghost node, universal" (shape "forall ex:p . bottom")
+      (Shape.Has_value (ex "ghost"));
+    one ">=0" (Shape.Ge (0, Rdf.Path.Prop (exi "p"), Shape.Bottom)) nodes;
+    one "<=-1, the normal form of !>=0"
+      (Shape.Le (-1, Rdf.Path.Prop (exi "p"), Shape.Top)) nodes;
+    one "!>=0" (Shape.Not (Shape.Ge (0, Rdf.Path.Prop (exi "p"), Shape.Top))) nodes;
+    one "negated closed" (shape "!closed(ex:p)") nodes;
+    one "closed" (shape "closed(ex:p, ex:knows)") nodes;
+    one "lessThan, mixed values" (shape "lessThan(ex:lt1, ex:lt2)") nodes;
+    one "lessThanEq, mixed values" (shape "lessThanEq(ex:lt1, ex:lt2)") nodes;
+    one "negated lessThanEq" (shape "!lessThanEq(ex:lt1, ex:lt2)") nodes;
+    one "moreThanEq" (shape "moreThanEq(ex:lt2, ex:lt1)") nodes;
+    one "uniqueLang" (shape "uniqueLang(ex:label)") nodes;
+    one "inverse steps" (shape ">=2 ^ex:p . test(kind = iri)") nodes;
+    one "inverse universal" (shape "forall ^ex:knows . >=1 ex:knows . top") nodes;
+    one "absent predicate" (shape ">=1 ex:absent . top | forall ex:absent . bottom") nodes;
+    one "absent predicate, eq and disj"
+      (shape "eq(ex:absent, ex:missing) & disj(id, ex:absent) & !eq(id, ex:absent)")
+      nodes;
+    one "<=60 knows*, closure past n" (shape "<=60 ex:knows* . top")
+      (Shape.Or [ nodes; Shape.Has_value (ex "lone") ]);
+    one ">=61 knows*" (shape ">=61 ex:knows* . test(kind = iri)") nodes;
+    one "<=60 knows*, non-trivial body" (shape "<=60 ex:knows* . !hasValue(ex:k1)") nodes;
+    one "<=69 knows*, closure of 70 and 71" (shape "<=69 ex:knows* . top") nodes;
+    one ">=71 knows*" (shape ">=71 ex:knows* . top") nodes;
+    one "sequence under >=1" (shape ">=1 ex:knows/ex:knows . hasValue(ex:k7)") nodes;
+    one "sequence under forall" (shape "forall ex:knows/^ex:knows . hasValue(ex:s) | hasValue(ex:k69)") nodes;
+    ( "hasShape to a shared definition",
+      Schema.make_exn
+        [ def "Shared" (shape ">=1 ex:knows . top") Shape.Bottom;
+          def "A" (Shape.Ge (1, Rdf.Path.Prop (exi "knows"), Shape.Has_shape (ex "Shared"))) nodes;
+          def "B" (Shape.Forall (Rdf.Path.Prop (exi "knows"), Shape.Not (Shape.Has_shape (ex "Shared"))))
+            (shape ">=1 ex:knows . top") ] ) ]
+
+let test_verdict_pass_table () =
+  List.iter
+    (fun (name, schema) ->
+      let oracle = Validate.validate schema verdict_graph in
+      List.iter
+        (fun jobs ->
+          let report, _ = Provenance.Engine.validate ~jobs schema verdict_graph in
+          if report <> oracle then
+            Alcotest.failf "%s (-j %d): %a@.expected %a" name jobs
+              Validate.pp_report report Validate.pp_report oracle)
+        [ 1; 2; 4 ])
+    verdict_cases
+
 let suite =
   [ "fast targets equal generic evaluation", `Quick, test_fast_targets_match_generic;
+    "verdict pass = Validate.validate (case table)", `Quick, test_verdict_pass_table;
     "node target outside the graph", `Quick, test_target_node_outside_graph;
     "report contents", `Quick, test_report_contents;
     "multiple definitions", `Quick, test_multiple_defs;
@@ -119,4 +206,20 @@ let prop_targets =
         (Validate.target_nodes schema g d)
         (Conformance.conforming_nodes schema g target))
 
-let props = [ prop_targets ]
+(* The id-space planner and the verdict pass on graphs with class
+   membership and hierarchy, so class targets read real [rdf:type] and
+   [rdfs:subClassOf] ranges: [Engine.validate]'s report equals
+   [Validate.validate]'s, order included, at -j 1 and 2. *)
+let prop_engine_validate_classes =
+  let open QCheck in
+  Test.make ~name:"Engine.validate = Validate.validate (class graphs)" ~count:300
+    (pair
+       (make Tgen.gen_graph_with_classes ~print:(Format.asprintf "%a" Graph.pp))
+       (Tgen.arbitrary_schema ()))
+    (fun (g, schema) ->
+      let oracle = Validate.validate schema g in
+      List.for_all
+        (fun jobs -> fst (Provenance.Engine.validate ~jobs schema g) = oracle)
+        [ 1; 2 ])
+
+let props = [ prop_targets; prop_engine_validate_classes ]
