@@ -4,9 +4,10 @@
    generated Kg graph through Provenance.Engine.run twice — once with
    ~kernel:`Per_node (the term-space checker: every path evaluation
    anchored at one node, neighborhoods as persistent graphs) and once
-   with the default ~kernel:`Batched (paths evaluated in the id-space
-   kernel, memoized per worker; neighborhoods accumulated as store-row
-   sets).  Reports, and records in BENCH_batch.json:
+   with the default ~kernel:`Batched (decide, then trace: the verdict
+   pass decides each candidate and its row collector writes the
+   neighborhoods as store rows; paths evaluated in the id-space kernel,
+   memoized per worker).  Reports, and records in BENCH_batch.json:
 
    - fragment extraction per-node vs batched at -j 1 (interleaved
      min-of-pairs);

@@ -154,15 +154,15 @@ let test_implies t1 t2 =
   | Node_test.Min_inclusive x, Node_test.Min_inclusive y
   | Node_test.Min_exclusive x, Node_test.Min_exclusive y
   | Node_test.Min_exclusive x, Node_test.Min_inclusive y ->
-      Literal.comparable x y && Literal.leq y x
+      Literal.leq y x
   | Node_test.Min_inclusive x, Node_test.Min_exclusive y ->
-      Literal.comparable x y && Literal.lt y x
+      Literal.lt y x
   | Node_test.Max_inclusive x, Node_test.Max_inclusive y
   | Node_test.Max_exclusive x, Node_test.Max_exclusive y
   | Node_test.Max_exclusive x, Node_test.Max_inclusive y ->
-      Literal.comparable x y && Literal.leq x y
+      Literal.leq x y
   | Node_test.Max_inclusive x, Node_test.Max_exclusive y ->
-      Literal.comparable x y && Literal.lt x y
+      Literal.lt x y
   | Node_test.Min_length a, Node_test.Min_length b -> a >= b
   | Node_test.Max_length a, Node_test.Max_length b -> a <= b
   | _ -> false

@@ -54,14 +54,14 @@ let test_conflict t1 t2 =
       a > b
   | Node_test.Min_inclusive x, Node_test.Max_inclusive y
   | Node_test.Max_inclusive y, Node_test.Min_inclusive x ->
-      Literal.comparable x y && Literal.lt y x
+      Literal.lt y x
   | Node_test.Min_inclusive x, Node_test.Max_exclusive y
   | Node_test.Max_exclusive y, Node_test.Min_inclusive x
   | Node_test.Min_exclusive x, Node_test.Max_inclusive y
   | Node_test.Max_inclusive y, Node_test.Min_exclusive x
   | Node_test.Min_exclusive x, Node_test.Max_exclusive y
   | Node_test.Max_exclusive y, Node_test.Min_exclusive x ->
-      Literal.comparable x y && Literal.leq y x
+      Literal.leq y x
   | _ -> false
 
 (* ------------------------------------------------------------------ *)

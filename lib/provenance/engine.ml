@@ -23,9 +23,6 @@ module Stats = struct
     memo_hits : int;
     memo_misses : int;
     path_evals : int;
-    path_memo_lookups : int;
-    path_memo_hits : int;
-    path_memo_misses : int;
     triples_emitted : int;
     retries : int;
     interned_terms : int;
@@ -52,9 +49,6 @@ module Stats = struct
        path evaluation(s)@,time: planning %.3fs, total %.3fs"
       t.jobs t.nodes_checked t.conforming t.triples_emitted t.memo_lookups
       t.memo_hits t.memo_misses t.path_evals t.planning t.wall;
-    if t.path_memo_lookups > 0 then
-      Format.fprintf ppf "@,path memo: %d lookup(s), %d hit(s), %d miss(es)"
-        t.path_memo_lookups t.path_memo_hits t.path_memo_misses;
     if t.interned_terms > 0 then
       Format.fprintf ppf "@,store: %d interned term(s), %d index probe(s)"
         t.interned_terms t.store_lookups;
@@ -398,6 +392,27 @@ let probe_sites label =
   Runtime.Fault.probe "engine.chunk";
   Runtime.Fault.probe ("shape:" ^ label)
 
+(* A worker's verdict functions, one per chunk: [run] and [validate]
+   build them alike.  One decider per worker is shared by every chunk it
+   drains, and each chunk's verdict function starts from an empty memo,
+   so the counters of a fixed [-j] do not depend on which worker drained
+   which chunk.  The decider's kernel context outlives the chunk, so its
+   probe hook charges whichever chunk's counters are current; kernel
+   memo hits replay their recorded charges. *)
+let chunk_verdicts ~budget ~schema st =
+  let cur = ref (Counters.create ()) in
+  let d =
+    Neighborhood.decider ~budget
+      ~lookup:(fun () ->
+        !cur.Counters.store_lookups <- !cur.Counters.store_lookups + 1)
+      ~lookup_n:(fun k ->
+        !cur.Counters.store_lookups <- !cur.Counters.store_lookups + k)
+      st
+  in
+  fun ~counters phi ->
+    cur := counters;
+    Neighborhood.verdicts ~counters ~schema d phi
+
 (* The chunk driver [run] and [validate] share.  Each candidate array of
    [plans] is split into chunks [(shape index, offset, nodes)] that a
    pool of [jobs] workers drains from one queue.  [evaluator ()] makes a
@@ -497,9 +512,6 @@ let stats_of ~jobs ~store ~planning ~t0 ~triples_emitted ~retries final
     memo_hits = totals.Counters.memo_hits;
     memo_misses = totals.Counters.memo_misses;
     path_evals = totals.Counters.path_evals;
-    path_memo_lookups = totals.Counters.path_memo_lookups;
-    path_memo_hits = totals.Counters.path_memo_hits;
-    path_memo_misses = totals.Counters.path_memo_misses;
     triples_emitted;
     retries;
     interned_terms = (match store with Some st -> Store.n_terms st | None -> 0);
@@ -524,75 +536,63 @@ let run ?(schema = Schema.empty) ?(jobs = 1) ?(budget = Runtime.Budget.unlimited
   let store = Graph.store g in
   let nrows = match store with Some st -> Store.n_triples st | None -> 0 in
   let st = store_of g in
+  let n = Store.n_terms st in
   let pl = planner ~schema st in
-  let plans =
-    List.map
-      (fun r ->
-        let p = plan pl r in
-        r, Array.map (candidate_term st p) p.cands, p.pruned)
-      requests
-  in
-  let shapes = Array.of_list (List.map (fun (r, _, _) -> r.shape) plans) in
-  let labels = Array.of_list (List.map (fun (r, _, _) -> r.label) plans) in
+  let plans = List.map (fun r -> (r, plan pl r)) requests in
+  let shapes = Array.of_list (List.map (fun (r, _) -> r.shape) plans) in
+  let planned = Array.of_list (List.map snd plans) in
+  let labels = Array.of_list (List.map (fun (r, _) -> r.label) plans) in
   let planning = now () -. t0 in
-  (* The batched kernel runs the instrumented checker in id space; the
-     per-node pipeline ([`Per_node], or an empty graph, which has no
-     store) runs it in term space. *)
-  let use_rows = kernel = `Batched && store <> None in
   let evaluator () =
-    if use_rows then begin
-      (* One id-space kernel context per worker, shared across every
-         chunk — and shape — it drains; its lookup hook charges the
-         current chunk's counters.  Kernel memo hits replay the recorded
-         charges, so per-chunk statistics are the same whether an entry
-         was computed in this chunk or an earlier one.  Row
-         neighborhoods OR straight into the chunk bitset: no [Graph.t]
-         is materialized on the hot path. *)
-      let cur = ref (Counters.create ()) in
-      let env =
-        Neighborhood.row_env ~budget
-          ~lookup:(fun () ->
-            !cur.Counters.store_lookups <- !cur.Counters.store_lookups + 1)
-          ~lookup_n:(fun k ->
-            !cur.Counters.store_lookups <- !cur.Counters.store_lookups + k)
-          g
-      in
-      fun ~bits ~counters (i, _, chunk) ->
-        cur := counters;
-        let check =
-          Neighborhood.row_checker ~counters ~budget ~schema ~env g shapes.(i)
-        in
-        Array.fold_left
-          (fun n v ->
-            let conforms, rows = check v in
-            if conforms then begin
-              Array.iter (set_bit bits) rows;
-              n + 1
-            end
-            else n)
-          0 chunk
-    end
-    else fun ~bits ~counters (i, _, chunk) ->
-      let check = Neighborhood.checker ~counters ~budget ~schema g shapes.(i) in
-      (* A neighborhood is a subgraph of [g]: on a non-empty graph every
-         triple has a row of its store, and an empty graph emits
-         nothing. *)
-      let mark tr =
-        set_bit bits (Option.get (Store.row_of_triple (Option.get store) tr))
-      in
-      Array.fold_left
-        (fun n v ->
-          let conforms, neighborhood = check v in
-          if conforms then begin
-            Graph.iter mark neighborhood;
-            n + 1
-          end
-          else n)
-        0 chunk
+    match kernel, store with
+    | `Batched, Some _ ->
+        (* Decide, then trace: the verdict pass decides each candidate
+           and the row collector ORs the neighborhood of each conforming
+           one straight into the chunk bitset.  Strays occur in no
+           triple: decided, never collected. *)
+        let verdicts_of = chunk_verdicts ~budget ~schema st in
+        fun ~bits ~counters (i, _, chunk) ->
+          let v = verdicts_of ~counters shapes.(i) in
+          Array.fold_left
+            (fun conforming c ->
+              if c < n then
+                if v.of_id c then begin
+                  v.collect c (set_bit bits);
+                  conforming + 1
+                end
+                else conforming
+              else if v.of_term (candidate_term st planned.(i) c) then
+                conforming + 1
+              else conforming)
+            0 chunk
+    | _ ->
+        (* The instrumented checker, one term at a time: [`Per_node], or
+           an empty graph, which has no store. *)
+        fun ~bits ~counters (i, _, chunk) ->
+          let check =
+            Neighborhood.checker ~counters ~budget ~schema g shapes.(i)
+          in
+          (* A neighborhood is a subgraph of [g]: on a non-empty graph
+             every triple has a row of its store, and an empty graph
+             emits nothing. *)
+          let mark tr =
+            set_bit bits (Option.get (Store.row_of_triple (Option.get store) tr))
+          in
+          Array.fold_left
+            (fun conforming c ->
+              let conforms, neighborhood =
+                check (candidate_term st planned.(i) c)
+              in
+              if conforms then begin
+                Graph.iter mark neighborhood;
+                conforming + 1
+              end
+              else conforming)
+            0 chunk
   in
   let final, retries, failures =
     drive ~jobs ~budget ~on_error ~nrows ~labels ~evaluator
-      (List.map (fun (_, candidates, _) -> candidates) plans)
+      (List.map (fun (_, p) -> p.cands) plans)
   in
   (* The fragment is the merged bitset's rows in ascending order —
      canonical SPO order, independent of scheduling — kept as a row view
@@ -617,10 +617,10 @@ let run ?(schema = Schema.empty) ?(jobs = 1) ?(budget = Runtime.Budget.unlimited
   in
   let shape_stats =
     List.mapi
-      (fun i (r, candidates, pruned) ->
+      (fun i (r, p) ->
         { Stats.label = r.label;
-          pruned;
-          candidates = Array.length candidates;
+          pruned = p.pruned;
+          candidates = Array.length p.cands;
           conforming = final.conf.(i);
           wall = final.walls.(i);
           failed = failures.(i) })
@@ -662,28 +662,15 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
   let labels =
     Array.map (fun ((def : Schema.def), _) -> Term.to_string def.name) plans
   in
-  (* One decider per worker, shared by every chunk it drains; a chunk's
-     verdict function starts from an empty memo, so the counters of a
-     fixed [-j] do not depend on which worker drained which chunk.  The
-     kernel's probe hook charges the current chunk's counters.  Verdict
-     writes go to disjoint slices of [verdicts] — a chunk's offset
-     places them regardless of which worker runs it — so they need no
-     lock; a failed chunk's partial writes are harmless because a failed
-     definition is dropped from the report wholesale. *)
+  (* Verdict writes go to disjoint slices of [verdicts] — a chunk's
+     offset places them regardless of which worker runs it — so they
+     need no lock; a failed chunk's partial writes are harmless because
+     a failed definition is dropped from the report wholesale. *)
   let evaluator () =
-    let cur = ref (Counters.create ()) in
-    let d =
-      Neighborhood.decider ~budget
-        ~lookup:(fun () ->
-          !cur.Counters.store_lookups <- !cur.Counters.store_lookups + 1)
-        ~lookup_n:(fun k ->
-          !cur.Counters.store_lookups <- !cur.Counters.store_lookups + k)
-        st
-    in
+    let verdicts_of = chunk_verdicts ~budget ~schema st in
     fun ~bits:_ ~counters (i, offset, chunk) ->
-      cur := counters;
       let (def : Schema.def), p = plans.(i) in
-      let v = Neighborhood.verdicts ~counters ~schema d def.shape in
+      let v = verdicts_of ~counters def.shape in
       let conforming = ref 0 in
       Array.iteri
         (fun j c ->

@@ -22,11 +22,12 @@
        rank, so candidates come in term order.}
     {- {b Sharding.}  Candidates are split into per-shape chunks and
        distributed over a pool of [jobs] domains pulling from a
-       mutex-protected work queue.  Each chunk is checked with its own
-       instrumented checker (private (node, shape) memo table, private
-       {!Shacl.Counters} record); under the [`Batched] kernel the
-       checkers of one worker also share that worker's id-space kernel
-       memo ({!Neighborhood.row_env}).  Workers share nothing but the
+       mutex-protected work queue.  Each chunk is evaluated with its
+       own memo and its own {!Shacl.Counters} record: a verdict function
+       of the worker's decider ({!Neighborhood.verdicts}) under the
+       [`Batched] kernel, which also shares the decider's id-space
+       kernel memo across the worker's chunks, or an instrumented
+       checker under [`Per_node].  Workers share nothing but the
        immutable graph and schema.}
     {- {b Merging.}  Chunks accumulate result triples into private
        bitsets over the store's rows that are merged only when the
@@ -58,18 +59,17 @@ type on_error = [ `Fail | `Skip ]
     partial result with the failure recorded in {!Stats}. *)
 
 type kernel = [ `Batched | `Per_node ]
-(** Which node space a fragment run ({!run}) evaluates the instrumented
-    checker in on a frozen graph.  The checker's Table 2 is one piece of
-    code ([Neighborhood]'s instrumented core); the kernel picks its
-    instance.  [`Batched] (the default) runs it over store ids
-    ({!Neighborhood.row_checker}): paths are evaluated lazily in the
-    id-space kernel ({!Rdf.Path.Batch}), memoized in one kernel context
-    per worker, and neighborhoods are accumulated as store-row sets
-    instead of graphs.  [`Per_node] runs it over terms
+(** How a fragment run ({!run}) computes neighborhoods on a frozen
+    graph.  [`Batched] (the default) decides, then traces: each chunk's
+    candidates are decided by the verdict pass ({!Neighborhood.verdicts},
+    the pass {!validate} runs) and the neighborhood of each conforming
+    one is collected after it ([collect]), as store rows set straight
+    into the chunk's bitset; paths are evaluated in the id-space kernel
+    ({!Rdf.Path.Batch}), memoized in one decider per worker.
+    [`Per_node] runs the term-space instrumented checker
     ({!Neighborhood.checker}, {!Rdf.Path.eval}), one node at a time.
     Fragments are byte-identical between the two; statistics and fuel
-    charges differ (a path-memo hit of the row checker costs one budget
-    tick where the term checker evaluates the path again). *)
+    charges differ. *)
 
 (** Execution statistics for one engine run. *)
 module Stats : sig
@@ -92,13 +92,6 @@ module Stats : sig
     memo_hits : int;
     memo_misses : int;
     path_evals : int;      (** path-expression evaluations *)
-    path_memo_lookups : int;
-        (** compound-path evaluations of the row checker
-            ([= path_memo_hits + path_memo_misses]) — a hit is a
-            (path, node) pair the chunk already evaluated; nonzero only
-            for [`Batched] fragment runs *)
-    path_memo_hits : int;
-    path_memo_misses : int;
     triples_emitted : int; (** size of the merged fragment *)
     retries : int;         (** failed chunks retried sequentially *)
     interned_terms : int;  (** terms in the frozen graph's dictionary *)

@@ -212,103 +212,9 @@ let b ?budget ?schema g v phi =
   go v (Shape.nnf phi)
 
 (* ------------------------------------------------------------------ *)
-(* Instrumented validator (Section 5.2): one pass computing both      *)
-(* conformance and neighborhood, written once against a node space   *)
-(* and instantiated over the term graph and over a frozen store's ids. *)
+(* Resolved subshapes, shared by the instrumented checker, the verdict *)
+(* pass and the row collector.                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* Sets of canonical SPO row ids — the batched engine's neighborhood
-   representation.  A neighborhood is a subgraph of [g], so on a frozen
-   graph a row set represents one exactly, and the engine ORs the rows
-   straight into its fragment bitset without ever materializing a
-   [Graph.t].
-
-   The checker accumulates neighborhoods by repeated [union acc x]
-   folds (And/Or and the quantifiers), so union must not copy: a row
-   set is a rope — sorted leaf arrays concatenated in O(1) — flattened
-   to one sorted duplicate-free [Flat] array by [seal] at the memo
-   boundaries, where results are stored and shared.  Sealing per
-   memoized subproblem keeps the flattening linear in the sizes of the
-   stored neighborhoods, the same bill the persistent-graph
-   representation pays for its balanced-tree unions. *)
-module Rows = struct
-  type t =
-    | Flat of int array                     (* sorted, duplicate-free *)
-    | Cat of { size : int; l : t; r : t }   (* both branches non-empty *)
-
-  let empty = Flat [||]
-  let size = function Flat a -> Array.length a | Cat c -> c.size
-  let is_empty nb = size nb = 0
-
-  let union a b =
-    if is_empty a then b
-    else if is_empty b then a
-    else Cat { size = size a + size b; l = a; r = b }
-
-  (* [size] counts leaf rows with multiplicity (a row reachable through
-     two branches is copied twice into the scratch array), so [seal]
-     costs the same row traffic the rope construction did, then one
-     sort and an in-place dedup. *)
-  let seal = function
-    | Flat _ as nb -> nb
-    | Cat _ as nb ->
-        let out = Array.make (size nb) 0 in
-        let k = ref 0 in
-        let rec walk = function
-          | Flat a ->
-              Array.blit a 0 out !k (Array.length a);
-              k := !k + Array.length a
-          | Cat { l; r; _ } ->
-              walk l;
-              walk r
-        in
-        walk nb;
-        Array.sort (fun (x : int) y -> compare x y) out;
-        let n = Array.length out in
-        let m = ref 0 in
-        for i = 0 to n - 1 do
-          if i = 0 || out.(i) <> out.(i - 1) then begin
-            out.(!m) <- out.(i);
-            incr m
-          end
-        done;
-        Flat (if !m = n then out else Array.sub out 0 !m)
-
-  let to_array nb = match seal nb with Flat a -> a | Cat _ -> assert false
-end
-
-(* A worker-lifetime id-space evaluation context: the kernel memo (and
-   its whole-trace memo) is sound across checkers of different shapes —
-   entries depend only on the frozen store — and the charge replay keeps
-   budget totals independent of how much sharing actually happens, so a
-   worker can reuse one context across every chunk it drains. *)
-type row_env = Rdf.Path.Batch.ctx
-
-let row_env ?(budget = Runtime.Budget.unlimited) ?counters ?lookup ?lookup_n
-    g =
-  match Graph.store g with
-  | None -> invalid_arg "Neighborhood.row_env: graph has no frozen store"
-  | Some st ->
-      (* Omit the hooks that would do nothing: the kernel skips charge
-         replay entirely for absent hooks, and an unlimited budget's
-         step hook is a no-op closure it cannot see through. *)
-      let step =
-        if Runtime.Budget.is_unlimited budget then None
-        else Some (Runtime.Budget.step_hook budget)
-      in
-      let lookup, lookup_n =
-        match lookup, counters with
-        | Some _, _ -> (lookup, lookup_n)
-        | None, Some c ->
-            ( Some
-                (fun () ->
-                  c.Counters.store_lookups <- c.Counters.store_lookups + 1),
-              Some
-                (fun k ->
-                  c.Counters.store_lookups <- c.Counters.store_lookups + k) )
-        | None, None -> (None, None)
-      in
-      Rdf.Path.Batch.create ?step ?lookup ?lookup_n st
 
 (* Subshapes, resolved once per shape.  The NNF tree is hash-consed
    bottom-up, so structurally equal subshapes — wherever they occur,
@@ -434,602 +340,256 @@ let resolve_root schema phi =
       Domain.DLS.set last_resolved (Some (schema, phi, subs, root));
       (subs, root)
 
-(* What the instrumented checker needs of a node space: ascending node
-   sets, a neighborhood accumulator, a memo keyed by node, and the graph
-   probes.  [eval] makes its own counter bumps; the checker charges the
-   budget tick before calling it. *)
-module type NODE_SPACE = sig
-  type env
-  type node
-  type set  (* ascending *)
-  type nb
+(* ------------------------------------------------------------------ *)
+(* Instrumented validator (Section 5.2): one pass computing both      *)
+(* conformance and neighborhood over the term graph.                   *)
+(* ------------------------------------------------------------------ *)
 
-  module Memo : sig
-    type 'a t
+(* The (node, subshape) memo of one subshape: one structural hash per
+   probe ([Term.hash] makes two). *)
+module Memo = Hashtbl.Make (struct
+  type t = Term.t
 
-    val create : int -> 'a t
-    val find_opt : 'a t -> node -> 'a option
-    val add : 'a t -> node -> 'a -> unit
-  end
-
-  val same : node -> node -> bool
-  val set_equal : set -> set -> bool
-  val is_singleton : set -> node -> bool
-  val mem : node -> set -> bool
-  val disjoint : set -> set -> bool
-  val inter : set -> set -> set
-  val diff : set -> set -> set
-  val is_empty : set -> bool
-
-  val filter : (node -> bool) -> set -> set
-  (** Ascending, one call per element; returns its argument when every
-      element is kept (the id kernel's whole-trace memo matches target
-      arrays by pointer). *)
-
-  val for_all : (node -> bool) -> set -> bool
-  (** Ascending, stopping at the first [false]. *)
-
-  val exists : (node -> bool) -> set -> bool
-
-  val empty : nb
-  val union : nb -> nb -> nb
-  val nb_is_empty : nb -> bool
-  val seal : nb -> nb
-
-  val eval : env -> Rdf.Path.t -> node -> set
-  val objects : env -> node -> Iri.t -> set
-  val trace : env -> Rdf.Path.t -> node -> targets:set -> nb
-  val edge : env -> node -> Iri.t -> node -> nb
-  val edges : env -> node -> Iri.t -> keep:(node -> bool) -> nb
-  val closed : env -> node -> Iri.Set.t -> bool
-  val outside : env -> node -> Iri.Set.t -> nb
-  val term : env -> node -> Term.t
-  val touch : env -> node -> unit
-end
-
-module Instrumented (S : NODE_SPACE) = struct
-  let make ?counters ~budget ~schema env phi =
-    let subs, root = resolve_root schema phi in
-    (* the (node, subshape) memo: one table per resolved subshape, made
-       on first use; expansions resolved later extend the array *)
-    let memos = ref [||] in
-    let memo sub =
-      if sub.id >= Array.length !memos then
-        memos :=
-          Array.append !memos
-            (Array.make (Subs.length subs.table - Array.length !memos) None);
-      match !memos.(sub.id) with
-      | Some m -> m
-      | None ->
-          let m = S.Memo.create 16 in
-          !memos.(sub.id) <- Some m;
-          m
-    in
-    let term = S.term env in
-    let eval e v =
-      Runtime.Budget.tick budget;
-      S.eval env e v
-    in
-    let fail = (false, S.empty) in
-    let rec go v sub =
-      if sub.trivial then compute v sub
-      else begin
-        Runtime.Budget.tick budget;
-        count_lookup counters;
-        let memo = memo sub in
-        match S.Memo.find_opt memo v with
-        | Some cached ->
-            count_hit counters;
-            cached
-        | None ->
-            count_miss counters;
-            let ((verdict, nb) as computed) = compute v sub in
-            let sealed = S.seal nb in
-            let result = if sealed == nb then computed else (verdict, sealed) in
-            S.Memo.add memo v result;
-            result
-      end
-    and compute v sub =
-      S.touch env v;
-      match sub.phi with
-      | Shape.Top -> (true, S.empty)
-      | Shape.Bottom -> fail
-      | Shape.Test t -> (Node_test.satisfies t (term v), S.empty)
-      | Shape.Has_value c -> (Term.equal (term v) c, S.empty)
-      | Shape.Has_shape _ -> go v (derived subs sub)
-      | Shape.Eq (Shape.Id, p) ->
-          if S.is_singleton (S.objects env v p) v then (true, S.edge env v p v)
-          else fail
-      | Shape.Eq (Shape.Path e, p) ->
-          let reached = eval e v in
-          if S.set_equal reached (S.objects env v p) then begin
-            let ep = alt sub e p in
-            let targets = eval ep v in
-            (true, S.trace env ep v ~targets)
-          end
-          else fail
-      | Shape.Disj (Shape.Id, p) -> (not (S.mem v (S.objects env v p)), S.empty)
-      | Shape.Disj (Shape.Path e, p) ->
-          let reached = eval e v in
-          (S.disjoint reached (S.objects env v p), S.empty)
-      | Shape.Closed allowed -> (S.closed env v allowed, S.empty)
-      | Shape.Less_than (e, p) -> (positive_cmp v e p term_lt, S.empty)
-      | Shape.Less_than_eq (e, p) -> (positive_cmp v e p term_leq, S.empty)
-      | Shape.More_than (e, p) ->
-          (positive_cmp v e p (fun x y -> term_lt y x), S.empty)
-      | Shape.More_than_eq (e, p) ->
-          (positive_cmp v e p (fun x y -> term_leq y x), S.empty)
-      | Shape.Unique_lang e ->
-          let reached = eval e v in
-          let ok =
-            S.for_all
-              (fun x ->
-                let tx = term x in
-                S.for_all
-                  (fun y ->
-                    let ty = term y in
-                    Term.equal tx ty || not (term_same_lang tx ty))
-                  reached)
-              reached
-          in
-          (ok, S.empty)
-      | Shape.And _ ->
-          let rec all acc i =
-            if i = Array.length sub.kids then (true, acc)
-            else
-              let c, bx = go v sub.kids.(i) in
-              if c then all (S.union acc bx) (i + 1) else fail
-          in
-          all S.empty 0
-      | Shape.Or _ ->
-          Array.fold_left
-            (fun (any, acc) psi ->
-              let c, bx = go v psi in
-              if c then (true, S.union acc bx) else (any, acc))
-            fail sub.kids
-      | Shape.Ge (n, e, _) ->
-          let psi = sub.kids.(0) in
-          let xs = eval e v in
-          let count = ref 0 and acc = ref S.empty in
-          let witnesses =
-            S.filter
-              (fun x ->
-                let c, bx = go x psi in
-                if c then begin
-                  incr count;
-                  acc := S.union !acc bx
-                end;
-                c)
-              xs
-          in
-          if !count >= n then
-            (true, S.union !acc (S.trace env e v ~targets:witnesses))
-          else fail
-      | Shape.Le (n, e, _) ->
-          let neg = derived subs sub in
-          let xs = eval e v in
-          let sat_count = ref 0 and acc = ref S.empty in
-          let witnesses =
-            S.filter
-              (fun x ->
-                let c_neg, b_neg = go x neg in
-                if c_neg then acc := S.union !acc b_neg else incr sat_count;
-                c_neg)
-              xs
-          in
-          if !sat_count <= n then
-            (true, S.union !acc (S.trace env e v ~targets:witnesses))
-          else fail
-      | Shape.Forall (e, _) ->
-          let psi = sub.kids.(0) in
-          let xs = eval e v in
-          let acc = ref S.empty in
-          let ok =
-            S.for_all
-              (fun x ->
-                let c, bx = go x psi in
-                if c then acc := S.union !acc bx;
-                c)
-              xs
-          in
-          if ok then (true, S.union !acc (S.trace env e v ~targets:xs))
-          else fail
-      | Shape.Not inner -> compute_negated v sub inner
-    and positive_cmp v e p holds =
-      let reached = eval e v in
-      let objects = S.objects env v p in
-      S.for_all
-        (fun x ->
-          let tx = term x in
-          S.for_all (fun y -> holds tx (term y)) objects)
-        reached
-    and compute_negated v sub inner =
-      match inner with
-      | Shape.Has_shape _ -> go v (derived subs sub)
-      | Shape.Top -> fail
-      | Shape.Bottom -> (true, S.empty)
-      | Shape.Test t -> (not (Node_test.satisfies t (term v)), S.empty)
-      | Shape.Has_value c -> (not (Term.equal (term v) c), S.empty)
-      | Shape.Eq (Shape.Id, p) ->
-          if S.is_singleton (S.objects env v p) v then fail
-          else (true, S.edges env v p ~keep:(fun x -> not (S.same x v)))
-      | Shape.Eq (Shape.Path e, p) ->
-          let reached = eval e v in
-          let objects = S.objects env v p in
-          if S.set_equal reached objects then fail
-          else begin
-            let t1 = S.trace env e v ~targets:(S.diff reached objects) in
-            let t2 = S.edges env v p ~keep:(fun x -> not (S.mem x reached)) in
-            (true, S.union t1 t2)
-          end
-      | Shape.Disj (Shape.Id, p) ->
-          if S.mem v (S.objects env v p) then (true, S.edge env v p v) else fail
-      | Shape.Disj (Shape.Path e, p) ->
-          let reached = eval e v in
-          let common = S.inter reached (S.objects env v p) in
-          if S.is_empty common then fail
-          else begin
-            let t = S.trace env e v ~targets:common in
-            (true, S.union t (S.edges env v p ~keep:(fun x -> S.mem x common)))
-          end
-      | Shape.Less_than (e, p) | Shape.Less_than_eq (e, p)
-      | Shape.More_than (e, p) | Shape.More_than_eq (e, p) ->
-          let violates = violates inner in
-          let reached = eval e v in
-          let objects = S.objects env v p in
-          let witnesses =
-            S.filter
-              (fun x ->
-                let tx = term x in
-                S.exists (fun y -> violates tx (term y)) objects)
-              reached
-          in
-          let t = S.trace env e v ~targets:witnesses in
-          let nb =
-            S.union t
-              (S.edges env v p ~keep:(fun y ->
-                   let ty = term y in
-                   S.exists (fun x -> violates (term x) ty) reached))
-          in
-          (* no violating pair: the positive comparison holds *)
-          if S.nb_is_empty nb then fail else (true, nb)
-      | Shape.Unique_lang e ->
-          let reached = eval e v in
-          let clashing =
-            S.filter
-              (fun x ->
-                let tx = term x in
-                S.exists
-                  (fun y ->
-                    let ty = term y in
-                    (not (Term.equal ty tx)) && term_same_lang ty tx)
-                  reached)
-              reached
-          in
-          if S.is_empty clashing then fail
-          else (true, S.trace env e v ~targets:clashing)
-      | Shape.Closed allowed ->
-          let nb = S.outside env v allowed in
-          if S.nb_is_empty nb then fail else (true, nb)
-      | Shape.Not _ | Shape.And _ | Shape.Or _ | Shape.Ge _ | Shape.Le _
-      | Shape.Forall _ ->
-          (* impossible after NNF *)
-          assert false
-    in
-    fun v -> go v root
-end
-
-(* The term graph: [Path.eval] over the persistent maps, neighborhoods
-   as graphs.  [touch] and [Path]'s [visit] hook report the anchor of
-   every graph probe to the caller's [touched]. *)
-module Terms = struct
-  type env = {
-    g : Graph.t;
-    counters : Counters.t option;
-    step : unit -> unit;
-    lookup : unit -> unit;
-    visit : (Term.t -> unit) option;
-  }
-
-  type node = Term.t
-  type set = Term.Set.t
-  type nb = Graph.t
-
-  (* one structural hash per probe ([Term.hash] makes two) *)
-  module Memo = Hashtbl.Make (struct
-    type t = Term.t
-
-    let equal = Term.equal
-    let hash = Hashtbl.hash
-  end)
-
-  let same = Term.equal
-  let set_equal = Term.Set.equal
-  let is_singleton s v = Term.Set.equal s (Term.Set.singleton v)
-  let mem = Term.Set.mem
-  let disjoint = Term.Set.disjoint
-  let inter = Term.Set.inter
-  let diff = Term.Set.diff
-  let is_empty = Term.Set.is_empty
-  let filter = Term.Set.filter
-
-  let for_all p s =
-    let exception Stop in
-    match Term.Set.iter (fun x -> if not (p x) then raise_notrace Stop) s with
-    | () -> true
-    | exception Stop -> false
-
-  let exists = Term.Set.exists
-  let empty = Graph.empty
-  let union = Graph.union
-  let nb_is_empty = Graph.is_empty
-  let seal nb = nb
-
-  let eval env e v =
-    count_path_eval env.counters;
-    Rdf.Path.eval ~step:env.step ~lookup:env.lookup ?visit:env.visit env.g e v
-
-  let objects env v p = Graph.objects env.g v p
-
-  let trace env e v ~targets =
-    Rdf.Path.trace_all ~step:env.step ?visit:env.visit env.g e v ~targets
-
-  let edge _ s p o = singleton s p o
-  let edges env v p ~keep = p_triples env.g v p ~keep
-  let closed env v allowed = Iri.Set.subset (Graph.out_predicates env.g v) allowed
-  let outside env v allowed = outside_triples env.g v allowed
-  let term _ v = v
-  let touch env v = match env.visit with Some f -> f v | None -> ()
-end
-
-(* Sorted duplicate-free int arrays (kernel results). *)
-let mem_sorted (arr : int array) x =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  while !hi - !lo > 0 do
-    let mid = (!lo + !hi) / 2 in
-    if arr.(mid) < x then lo := mid + 1 else hi := mid
-  done;
-  !lo < Array.length arr && arr.(!lo) = x
-
-let arrays_equal (a : int array) (b : int array) =
-  a == b
-  || (Array.length a = Array.length b
-     &&
-     let n = Array.length a in
-     let rec same i = i = n || (a.(i) = b.(i) && same (i + 1)) in
-     same 0)
-
-let inter_sorted (a : int array) (b : int array) =
-  let out = Array.make (min (Array.length a) (Array.length b)) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < Array.length a && !j < Array.length b do
-    if a.(!i) < b.(!j) then incr i
-    else if a.(!i) > b.(!j) then incr j
-    else begin
-      out.(!k) <- a.(!i);
-      incr i;
-      incr j;
-      incr k
-    end
-  done;
-  if !k = Array.length out then out else Array.sub out 0 !k
-
-let diff_sorted (a : int array) (b : int array) =
-  let out = Array.make (Array.length a) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < Array.length a do
-    if !j < Array.length b && b.(!j) < a.(!i) then incr j
-    else begin
-      if not (!j < Array.length b && b.(!j) = a.(!i)) then begin
-        out.(!k) <- a.(!i);
-        incr k
-      end;
-      incr i
-    end
-  done;
-  if !k = Array.length out then out else Array.sub out 0 !k
-
-let disjoint_sorted (a : int array) (b : int array) =
-  let i = ref 0 and j = ref 0 and ok = ref true in
-  while !ok && !i < Array.length a && !j < Array.length b do
-    if a.(!i) < b.(!j) then incr i
-    else if a.(!i) > b.(!j) then incr j
-    else ok := false
-  done;
-  !ok
-
-(* Int tables with the identity hash for the id space's hot memo keys
-   (node ids and packed (path, node) keys): skips the generic hash's C
-   call per probe. *)
-module ITbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash (x : int) = x
+  let equal = Term.equal
+  let hash = Hashtbl.hash
 end)
 
-(* A frozen store's ids: paths evaluated and traced by the id kernel
-   ([Path.Batch]) of the worker's [row_env], value sets as the kernel's
-   sorted id arrays, neighborhoods as row ropes, and adjacency probes
-   read store ranges directly, so no term is hashed or compared on the
-   hot path. *)
-module Ids = struct
-  type env = {
-    st : Store.t;
-    ctx : Rdf.Path.Batch.ctx;
-    counters : Counters.t option;
-    counted : unit ITbl.t;
-        (* the (path, node) pairs this checker evaluated: its path-memo
-           hit/miss classification, per checker (hence per chunk), so
-           memo statistics do not depend on which worker drained which
-           chunk even though the kernel context is shared *)
-  }
-
-  type node = int
-  type set = int array
-  type nb = Rows.t
-
-  module Memo = ITbl
-
-  let same (a : int) b = a = b
-  let set_equal = arrays_equal
-  let is_singleton s v = Array.length s = 1 && s.(0) = v
-  let mem x s = mem_sorted s x
-  let disjoint = disjoint_sorted
-  let inter = inter_sorted
-  let diff = diff_sorted
-  let is_empty s = Array.length s = 0
-
-  let filter keep (xs : int array) =
-    let n = Array.length xs in
-    let rec kept i = if i = n then xs else if keep xs.(i) then kept (i + 1) else from i
-    and from i0 =
-      let out = Array.make n 0 in
-      Array.blit xs 0 out 0 i0;
-      let k = ref i0 in
-      for i = i0 + 1 to n - 1 do
-        if keep xs.(i) then begin
-          out.(!k) <- xs.(i);
-          incr k
-        end
-      done;
-      Array.sub out 0 !k
-    in
-    kept 0
-
-  let for_all = Array.for_all
-  let exists = Array.exists
-  let empty = Rows.empty
-  let union = Rows.union
-  let nb_is_empty = Rows.is_empty
-  let seal = Rows.seal
-
-  (* Bare steps bypass the memo-hit accounting (a probe is as cheap as
-     a memo hit) but still evaluate through the kernel: a fresh
-     evaluation charges one step and one probe (two steps inverted), a
-     kernel-memoized one replays exactly that — and returns the {e
-     same} array object, which is what lets the whole-trace memo match
-     witnesses by pointer.  Compound paths classify as hits
-     (charge-free beyond the caller's tick) when this checker already
-     evaluated them, or as misses, which evaluate in the kernel with
-     the per-node-equivalent charge replayed. *)
-  let eval env e vid =
-    match e with
-    | Rdf.Path.Prop _ | Rdf.Path.Inv (Rdf.Path.Prop _) ->
-        count_path_eval env.counters;
-        Rdf.Path.Batch.eval env.ctx e vid
-    | _ -> (
-        let c = env.counters in
-        (match c with
-        | Some c -> c.Counters.path_memo_lookups <- c.Counters.path_memo_lookups + 1
-        | None -> ());
-        let k = (Rdf.Path.Batch.intern env.ctx e lsl 31) lor vid in
-        let cached =
-          if ITbl.mem env.counted k then Rdf.Path.Batch.eval_cached env.ctx e vid
-          else None
-        in
-        match cached with
-        | Some targets ->
-            (match c with
-            | Some c -> c.Counters.path_memo_hits <- c.Counters.path_memo_hits + 1
-            | None -> ());
-            targets
-        | None ->
-            (match c with
-            | Some c ->
-                c.Counters.path_memo_misses <- c.Counters.path_memo_misses + 1
-            | None -> ());
-            count_path_eval c;
-            ITbl.add env.counted k ();
-            Rdf.Path.Batch.eval env.ctx e vid)
-
-  let objects env vid p =
-    match Store.pred_id env.st p with
-    | None -> [||]
-    | Some pid ->
-        let lo, hi = Store.objects_range env.st ~s:vid ~p:pid in
-        Array.init (hi - lo) (fun k -> Store.spo_obj env.st (lo + k))
-
-  let trace env e vid ~targets =
-    Rows.Flat (Rdf.Path.Batch.trace env.ctx e ~sources:[| vid |] ~targets)
-
-  (* The SPO row of a triple known to be in the graph. *)
-  let edge env s p o =
-    let st = env.st in
-    Rows.Flat [| Option.get (Store.triple_row st s (Option.get (Store.pred_id st p)) o) |]
-
-  let edges env vid p ~keep =
-    match Store.pred_id env.st p with
-    | None -> Rows.empty
-    | Some pid ->
-        let lo, hi = Store.objects_range env.st ~s:vid ~p:pid in
-        let acc = ref [] in
-        for r = hi - 1 downto lo do
-          if keep (Store.spo_obj env.st r) then acc := r :: !acc
-        done;
-        Rows.Flat (Array.of_list !acc)
-
-  let allowed_row st allowed r =
-    match Term.as_iri (Store.term st (Store.spo_pred st r)) with
-    | Some iri -> Iri.Set.mem iri allowed
-    | None -> false
-
-  let closed env vid allowed =
-    let lo, hi = Store.subject_range env.st vid in
-    let rec ok r = r >= hi || (allowed_row env.st allowed r && ok (r + 1)) in
-    ok lo
-
-  let outside env vid allowed =
-    let lo, hi = Store.subject_range env.st vid in
-    let acc = ref [] in
-    for r = hi - 1 downto lo do
-      if not (allowed_row env.st allowed r) then acc := r :: !acc
-    done;
-    Rows.Flat (Array.of_list !acc)
-
-  let term env i = Store.term env.st i
-  let touch _ _ = ()
-end
-
-module Term_checker = Instrumented (Terms)
-module Id_checker = Instrumented (Ids)
+(* Ascending, stopping at the first [false] ([Term.Set.for_all] is not
+   ascending, and the order decides which memo entries get made). *)
+let for_all p s =
+  let exception Stop in
+  match Term.Set.iter (fun x -> if not (p x) then raise_notrace Stop) s with
+  | () -> true
+  | exception Stop -> false
 
 let checker ?counters ?(budget = Runtime.Budget.unlimited)
     ?(schema = Schema.empty) ?touched g phi =
-  let env =
-    { Terms.g;
-      counters;
-      step = Runtime.Budget.step_hook budget;
-      lookup = count_store_lookup counters;
-      visit = touched }
+  let subs, root = resolve_root schema phi in
+  (* one memo table per resolved subshape, made on first use;
+     expansions resolved later extend the array *)
+  let memos = ref [||] in
+  let memo sub =
+    if sub.id >= Array.length !memos then
+      memos :=
+        Array.append !memos
+          (Array.make (Subs.length subs.table - Array.length !memos) None);
+    match !memos.(sub.id) with
+    | Some m -> m
+    | None ->
+        let m = Memo.create 16 in
+        !memos.(sub.id) <- Some m;
+        m
   in
-  Term_checker.make ?counters ~budget ~schema env phi
+  let step = Runtime.Budget.step_hook budget
+  and lookup = count_store_lookup counters in
+  (* [touched] and [Path]'s [visit] hook receive the anchor of every
+     graph probe *)
+  let touch v = match touched with Some f -> f v | None -> () in
+  let eval e v =
+    Runtime.Budget.tick budget;
+    count_path_eval counters;
+    Rdf.Path.eval ~step ~lookup ?visit:touched g e v
+  in
+  let trace e v ~targets =
+    Rdf.Path.trace_all ~step ?visit:touched g e v ~targets
+  in
+  let is_self s v = Term.Set.equal s (Term.Set.singleton v) in
+  let fail = (false, Graph.empty) in
+  let rec go v sub =
+    if sub.trivial then compute v sub
+    else begin
+      Runtime.Budget.tick budget;
+      count_lookup counters;
+      let memo = memo sub in
+      match Memo.find_opt memo v with
+      | Some cached ->
+          count_hit counters;
+          cached
+      | None ->
+          count_miss counters;
+          let result = compute v sub in
+          Memo.add memo v result;
+          result
+    end
+  and compute v sub =
+    touch v;
+    match sub.phi with
+    | Shape.Top -> (true, Graph.empty)
+    | Shape.Bottom -> fail
+    | Shape.Test t -> (Node_test.satisfies t v, Graph.empty)
+    | Shape.Has_value c -> (Term.equal v c, Graph.empty)
+    | Shape.Has_shape _ -> go v (derived subs sub)
+    | Shape.Eq (Shape.Id, p) ->
+        if is_self (Graph.objects g v p) v then (true, singleton v p v) else fail
+    | Shape.Eq (Shape.Path e, p) ->
+        let reached = eval e v in
+        if Term.Set.equal reached (Graph.objects g v p) then begin
+          let ep = alt sub e p in
+          let targets = eval ep v in
+          (true, trace ep v ~targets)
+        end
+        else fail
+    | Shape.Disj (Shape.Id, p) ->
+        (not (Term.Set.mem v (Graph.objects g v p)), Graph.empty)
+    | Shape.Disj (Shape.Path e, p) ->
+        let reached = eval e v in
+        (Term.Set.disjoint reached (Graph.objects g v p), Graph.empty)
+    | Shape.Closed allowed ->
+        (Iri.Set.subset (Graph.out_predicates g v) allowed, Graph.empty)
+    | Shape.Less_than (e, p) -> (positive_cmp v e p term_lt, Graph.empty)
+    | Shape.Less_than_eq (e, p) -> (positive_cmp v e p term_leq, Graph.empty)
+    | Shape.More_than (e, p) ->
+        (positive_cmp v e p (fun x y -> term_lt y x), Graph.empty)
+    | Shape.More_than_eq (e, p) ->
+        (positive_cmp v e p (fun x y -> term_leq y x), Graph.empty)
+    | Shape.Unique_lang e ->
+        let reached = eval e v in
+        let ok =
+          for_all
+            (fun x ->
+              for_all
+                (fun y -> Term.equal x y || not (term_same_lang x y))
+                reached)
+            reached
+        in
+        (ok, Graph.empty)
+    | Shape.And _ ->
+        let rec all acc i =
+          if i = Array.length sub.kids then (true, acc)
+          else
+            let c, bx = go v sub.kids.(i) in
+            if c then all (Graph.union acc bx) (i + 1) else fail
+        in
+        all Graph.empty 0
+    | Shape.Or _ ->
+        Array.fold_left
+          (fun (any, acc) psi ->
+            let c, bx = go v psi in
+            if c then (true, Graph.union acc bx) else (any, acc))
+          fail sub.kids
+    | Shape.Ge (n, e, _) ->
+        let psi = sub.kids.(0) in
+        let xs = eval e v in
+        let count = ref 0 and acc = ref Graph.empty in
+        let witnesses =
+          Term.Set.filter
+            (fun x ->
+              let c, bx = go x psi in
+              if c then begin
+                incr count;
+                acc := Graph.union !acc bx
+              end;
+              c)
+            xs
+        in
+        if !count >= n then
+          (true, Graph.union !acc (trace e v ~targets:witnesses))
+        else fail
+    | Shape.Le (n, e, _) ->
+        let neg = derived subs sub in
+        let xs = eval e v in
+        let sat_count = ref 0 and acc = ref Graph.empty in
+        let witnesses =
+          Term.Set.filter
+            (fun x ->
+              let c_neg, b_neg = go x neg in
+              if c_neg then acc := Graph.union !acc b_neg else incr sat_count;
+              c_neg)
+            xs
+        in
+        if !sat_count <= n then
+          (true, Graph.union !acc (trace e v ~targets:witnesses))
+        else fail
+    | Shape.Forall (e, _) ->
+        let psi = sub.kids.(0) in
+        let xs = eval e v in
+        let acc = ref Graph.empty in
+        let ok =
+          for_all
+            (fun x ->
+              let c, bx = go x psi in
+              if c then acc := Graph.union !acc bx;
+              c)
+            xs
+        in
+        if ok then (true, Graph.union !acc (trace e v ~targets:xs)) else fail
+    | Shape.Not inner -> compute_negated v sub inner
+  and positive_cmp v e p holds =
+    let reached = eval e v in
+    let objects = Graph.objects g v p in
+    for_all (fun x -> for_all (fun y -> holds x y) objects) reached
+  and compute_negated v sub inner =
+    match inner with
+    | Shape.Has_shape _ -> go v (derived subs sub)
+    | Shape.Top -> fail
+    | Shape.Bottom -> (true, Graph.empty)
+    | Shape.Test t -> (not (Node_test.satisfies t v), Graph.empty)
+    | Shape.Has_value c -> (not (Term.equal v c), Graph.empty)
+    | Shape.Eq (Shape.Id, p) ->
+        if is_self (Graph.objects g v p) v then fail
+        else (true, p_triples g v p ~keep:(fun x -> not (Term.equal x v)))
+    | Shape.Eq (Shape.Path e, p) ->
+        let reached = eval e v in
+        let objects = Graph.objects g v p in
+        if Term.Set.equal reached objects then fail
+        else begin
+          let t1 = trace e v ~targets:(Term.Set.diff reached objects) in
+          let t2 = p_triples g v p ~keep:(fun x -> not (Term.Set.mem x reached)) in
+          (true, Graph.union t1 t2)
+        end
+    | Shape.Disj (Shape.Id, p) ->
+        if Term.Set.mem v (Graph.objects g v p) then (true, singleton v p v)
+        else fail
+    | Shape.Disj (Shape.Path e, p) ->
+        let reached = eval e v in
+        let common = Term.Set.inter reached (Graph.objects g v p) in
+        if Term.Set.is_empty common then fail
+        else begin
+          let t = trace e v ~targets:common in
+          let edges = p_triples g v p ~keep:(fun x -> Term.Set.mem x common) in
+          (true, Graph.union t edges)
+        end
+    | Shape.Less_than (e, p) | Shape.Less_than_eq (e, p)
+    | Shape.More_than (e, p) | Shape.More_than_eq (e, p) ->
+        let violates = violates inner in
+        let reached = eval e v in
+        let objects = Graph.objects g v p in
+        let witnesses =
+          Term.Set.filter
+            (fun x -> Term.Set.exists (fun y -> violates x y) objects)
+            reached
+        in
+        let t = trace e v ~targets:witnesses in
+        let nb =
+          Graph.union t
+            (p_triples g v p ~keep:(fun y ->
+                 Term.Set.exists (fun x -> violates x y) reached))
+        in
+        (* no violating pair: the positive comparison holds *)
+        if Graph.is_empty nb then fail else (true, nb)
+    | Shape.Unique_lang e ->
+        let reached = eval e v in
+        let clashing =
+          Term.Set.filter
+            (fun x ->
+              Term.Set.exists
+                (fun y -> (not (Term.equal y x)) && term_same_lang y x)
+                reached)
+            reached
+        in
+        if Term.Set.is_empty clashing then fail
+        else (true, trace e v ~targets:clashing)
+    | Shape.Closed allowed ->
+        let nb = outside_triples g v allowed in
+        if Graph.is_empty nb then fail else (true, nb)
+    | Shape.Not _ | Shape.And _ | Shape.Or _ | Shape.Ge _ | Shape.Le _
+    | Shape.Forall _ ->
+        (* impossible after NNF *)
+        assert false
+  in
+  fun v -> go v root
 
 let check ?budget ?schema g v phi = checker ?budget ?schema g phi v
-
-let row_checker ?counters ?(budget = Runtime.Budget.unlimited)
-    ?(schema = Schema.empty) ?env g phi =
-  match Graph.store g with
-  | None ->
-      invalid_arg "Neighborhood.row_checker: graph has no frozen store"
-  | Some st ->
-      let ctx = match env with Some c -> c | None -> row_env ~budget ?counters g in
-      let go =
-        Id_checker.make ?counters ~budget ~schema
-          { Ids.st; ctx; counters; counted = ITbl.create 256 }
-          phi
-      in
-      (* A focus node the dictionary has never seen (a stray request
-         constant) cannot enter id space.  It occurs in no triple, so its
-         neighborhood is empty: the term checker decides the verdict, with
-         the same charges, and no rows are emitted. *)
-      let term_check = lazy (checker ?counters ~budget ~schema g phi) in
-      fun v ->
-        match Store.id st v with
-        | Some vid ->
-            let verdict, nb = go vid in
-            (verdict, Rows.to_array nb)
-        | None -> (fst ((Lazy.force term_check) v), [||])
 
 (* ------------------------------------------------------------------ *)
 (* Verdict pass: Table 1 alone, in a frozen store's id space.          *)
@@ -1079,7 +639,7 @@ type decider = {
   mutable arena : Bytes.t;
   mutable serial : int;      (* verdict functions made so far *)
   mutable preps : prep array;
-  spill : bool ITbl.t;       (* verdicts of rows past [cap] *)
+  spill : bool Sorted_ids.Tbl.t;       (* verdicts of rows past [cap] *)
   mutable seen : int array;  (* star walks: visit stamps, and their queue *)
   mutable queue : int array;
   mutable stamp : int;
@@ -1103,7 +663,7 @@ let decider ?(budget = Runtime.Budget.unlimited) ?lookup ?lookup_n st =
     arena = Bytes.empty;
     serial = 0;
     preps = [||];
-    spill = ITbl.create 16;
+    spill = Sorted_ids.Tbl.create 16;
     seen = [||];
     queue = [||];
     stamp = 0;
@@ -1246,7 +806,7 @@ let rec decide p v sub =
         let b = Char.code (Bytes.unsafe_get d.arena i) in
         if b lsr 1 = p.gen then b land 1 else -1
       else
-        match ITbl.find d.spill ((sub.id lsl 31) lor v) with
+        match Sorted_ids.Tbl.find d.spill ((sub.id lsl 31) lor v) with
         | b -> Bool.to_int b
         | exception Not_found -> -1
     in
@@ -1261,7 +821,7 @@ let rec decide p v sub =
       if i >= 0 then
         Bytes.unsafe_set d.arena i
           (Char.unsafe_chr ((p.gen lsl 1) lor Bool.to_int verdict))
-      else ITbl.replace d.spill ((sub.id lsl 31) lor v) verdict;
+      else Sorted_ids.Tbl.replace d.spill ((sub.id lsl 31) lor v) verdict;
       verdict
     end
   end
@@ -1417,16 +977,16 @@ and holds p v sub atom =
       pr.prop < 0 || not (Store.mem_ids st v pr.prop v)
   | Shape.Eq (Shape.Path e, _) ->
       let pr = prep p.d sub in
-      arrays_equal (values p v pr e) (prop_values p v pr)
+      Sorted_ids.equal (values p v pr e) (prop_values p v pr)
   | Shape.Disj (Shape.Path e, _) ->
       let pr = prep p.d sub in
-      disjoint_sorted (values p v pr e) (prop_values p v pr)
+      Sorted_ids.disjoint (values p v pr e) (prop_values p v pr)
   | Shape.Closed _ ->
       let allowed = (prep p.d sub).allowed in
       let ok = ref true and r = ref (Store.subject_lo st v) in
       let hi = Store.subject_hi st v in
       while !ok && !r < hi do
-        ok := mem_sorted allowed (Store.spo_pred st !r);
+        ok := Sorted_ids.mem allowed (Store.spo_pred st !r);
         incr r
       done;
       !ok
@@ -1461,7 +1021,124 @@ and ordered p v sub e rel =
       Array.for_all (fun y -> rel tx (Store.term st y)) ys)
     xs
 
-type verdicts = { of_id : int -> bool; of_term : Term.t -> bool }
+
+(* ------------------------------------------------------------------ *)
+(* Row collector: Table 2 after the verdict pass.                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The naive algorithm's split (Section 3.3) in id space: the verdict
+   pass decides, the collector traces.  For a pair the pass accepted it
+   sends the canonical SPO rows of B(v, G, sub) to [emit].  Every
+   verdict it needs — the witnesses of ≥n, of a ≤n body's negation, the
+   disjuncts of [Or] — is read from the pass's memo through [decide], so
+   Table 1 is decided once.  A pair is collected once per verdict
+   function ([seen]): its collections share one sink.  Paths are
+   evaluated and traced in the decider's kernel context, whose
+   whole-trace memo matches witness arrays by physical identity — hence
+   [Sorted_ids.filter], which hands back the kernel's own array when
+   every value is a witness. *)
+let rec collect p seen emit v sub =
+  if not sub.trivial then begin
+    let key = (sub.id lsl 31) lor v in
+    if not (Sorted_ids.Tbl.mem seen key) then begin
+      Sorted_ids.Tbl.add seen key ();
+      Runtime.Budget.tick p.d.dbudget;
+      collect_rows p seen emit v sub
+    end
+  end
+
+and collect_rows p seen emit v sub =
+  let d = p.d in
+  let st = d.dst in
+  let eval e =
+    charge p ~probe:false;
+    Rdf.Path.Batch.eval d.dctx e v
+  in
+  let trace e targets =
+    Array.iter emit (Rdf.Path.Batch.trace d.dctx e ~sources:[| v |] ~targets)
+  in
+  (* the rows (v, p, y) of the compared property p with [keep y] *)
+  let edges keep =
+    let pid = (prep d sub).prop in
+    if pid >= 0 then
+      for r = Store.objects_lo st ~s:v ~p:pid
+          to Store.objects_hi st ~s:v ~p:pid - 1 do
+        if keep (Store.spo_obj st r) then emit r
+      done
+  in
+  let term = Store.term st in
+  match sub.phi with
+  | Shape.Has_shape _ | Shape.Not (Shape.Has_shape _) ->
+      collect p seen emit v (derived p.subs sub)
+  | Shape.And _ -> Array.iter (collect p seen emit v) sub.kids
+  | Shape.Or _ ->
+      Array.iter (fun k -> if decide p v k then collect p seen emit v k) sub.kids
+  | Shape.Forall (e, _) ->
+      let xs = eval e in
+      Array.iter (fun x -> collect p seen emit x sub.kids.(0)) xs;
+      trace e xs
+  | Shape.Ge (_, e, _) | Shape.Le (_, e, _) ->
+      (* the witnesses of the body, of its negation for ≤n *)
+      let body =
+        match sub.phi with Shape.Le _ -> derived p.subs sub | _ -> sub.kids.(0)
+      in
+      let witnesses = Sorted_ids.filter (fun x -> decide p x body) (eval e) in
+      Array.iter (fun x -> collect p seen emit x body) witnesses;
+      trace e witnesses
+  | Shape.Eq (Shape.Id, _) | Shape.Not (Shape.Disj (Shape.Id, _)) ->
+      edges (fun y -> y = v)
+  | Shape.Eq (Shape.Path e, q) ->
+      let ep = alt sub e q in
+      trace ep (eval ep)
+  | Shape.Not (Shape.Eq (Shape.Id, _)) -> edges (fun y -> y <> v)
+  | Shape.Not (Shape.Eq (Shape.Path e, _)) ->
+      let reached = eval e in
+      trace e (Sorted_ids.diff reached (prop_values p v (prep d sub)));
+      edges (fun y -> not (Sorted_ids.mem reached y))
+  | Shape.Not (Shape.Disj (Shape.Path e, _)) ->
+      let common = Sorted_ids.inter (eval e) (prop_values p v (prep d sub)) in
+      trace e common;
+      edges (Sorted_ids.mem common)
+  | Shape.Not
+      (( Shape.Less_than (e, _) | Shape.Less_than_eq (e, _)
+       | Shape.More_than (e, _) | Shape.More_than_eq (e, _) ) as atom) ->
+      (* witness pairs (x, y), x in [[E]](v) and (v, p, y) in G, that
+         violate the comparison: trace(E, v, x) plus (v, p, y) *)
+      let violates = violates atom in
+      let reached = eval e and objects = prop_values p v (prep d sub) in
+      trace e
+        (Sorted_ids.filter
+           (fun x ->
+             let tx = term x in
+             Array.exists (fun y -> violates tx (term y)) objects)
+           reached);
+      edges (fun y ->
+          let ty = term y in
+          Array.exists (fun x -> violates (term x) ty) reached)
+  | Shape.Not (Shape.Unique_lang e) ->
+      let reached = eval e in
+      trace e
+        (Sorted_ids.filter
+           (fun x ->
+             let tx = term x in
+             Array.exists
+               (fun y -> y <> x && term_same_lang (term y) tx)
+               reached)
+           reached)
+  | Shape.Not (Shape.Closed _) ->
+      let allowed = (prep d sub).allowed in
+      for r = Store.subject_lo st v to Store.subject_hi st v - 1 do
+        if not (Sorted_ids.mem allowed (Store.spo_pred st r)) then emit r
+      done
+  | _ ->
+      (* the remaining accepted atoms contribute no triples *)
+      ()
+
+type verdicts = {
+  of_id : int -> bool;
+  of_term : Term.t -> bool;
+  collect : int -> (int -> unit) -> unit;
+}
 
 let verdicts ?counters ?(schema = Schema.empty) (d : decider) phi =
   let subs, root = resolve_root schema phi in
@@ -1469,12 +1146,15 @@ let verdicts ?counters ?(schema = Schema.empty) (d : decider) phi =
   (* generation 1 again: the bytes of every earlier one go *)
   if gen = 1 then Bytes.fill d.arena 0 (Bytes.length d.arena) '\000';
   d.serial <- d.serial + 1;
-  ITbl.reset d.spill;
+  Sorted_ids.Tbl.reset d.spill;
   d.dcounters <- (match counters with Some c -> c | None -> Counters.create ());
   let p = { d; serial = d.serial; gen; subs } in
-  let of_id v =
+  let current () =
     if d.serial <> p.serial then
-      invalid_arg "Neighborhood.verdicts: replaced by a later verdict function";
+      invalid_arg "Neighborhood.verdicts: replaced by a later verdict function"
+  in
+  let of_id v =
+    current ();
     decide p v root
   in
   (* A focus node the dictionary never interned occurs in no triple:
@@ -1484,7 +1164,12 @@ let verdicts ?counters ?(schema = Schema.empty) (d : decider) phi =
     | Some v -> of_id v
     | None -> Conformance.conforms ~budget:d.dbudget schema Graph.empty x phi
   in
-  { of_id; of_term }
+  let seen = Sorted_ids.Tbl.create 64 in
+  let collect v emit =
+    current ();
+    collect p seen emit v root
+  in
+  { of_id; of_term; collect }
 
 let naive_checker ?budget ?schema g phi =
   let conforms, go = make_naive ?budget ?schema g in

@@ -13,26 +13,23 @@
     - {b Why-not provenance} (Remark 3.7): when [v] does not conform,
       [B(v, G, ¬phi)] explains the non-conformance.
 
-    Two algorithms compute the same function:
+    The paper's two algorithms compute the same function:
 
     - the naive algorithm ({!b}, {!naive_checker}) follows the per-case
       algorithm of Section 3.3: conformance checks and tracing are
       separate recursive passes over the literal Table 2 decomposition
       ({!local_parts}).  It is the test oracle;
-    - the instrumented validator of Section 5.2 is a single pass that
-      decides conformance and collects the neighborhood.  Its Table 2 is
-      written once, against a node space, and instantiated twice: over
-      the term graph ({!check}, {!checker}), where the neighborhood is a
-      graph, and over the ids of a frozen store ({!row_checker}), where
-      paths are evaluated and traced by the id-space kernel
-      ({!Rdf.Path.Batch}) and the neighborhood comes back as store row
-      ids.  Both resolve the shape once per checker: structurally equal
-      subshapes share one node and one memo partition.
+    - the instrumented validator of Section 5.2 ({!check},
+      {!checker}) is a single pass over the term graph that decides
+      conformance and collects the neighborhood as a graph.  It
+      resolves the shape once per checker: structurally equal subshapes
+      share one node and one memo partition.
 
-    Validation needs no neighborhood: the verdict pass ({!verdicts})
-    decides Table 1 alone over the same resolved subshapes, in a frozen
-    store's id space, with a byte per memoized (subshape, node)
-    verdict. *)
+    On a frozen store, the fragment engine follows the naive split in id
+    space: the verdict pass ({!verdicts}) decides Table 1 alone, with a
+    byte per memoized (subshape, node) verdict, and its row collector
+    ([collect]) walks Table 2 after it, reading every verdict it needs
+    from that memo and emitting store row ids. *)
 
 val b :
   ?budget:Runtime.Budget.t ->
@@ -98,65 +95,17 @@ val checker :
     [checker] instance — use one instance per focus node when per-node
     attribution matters, as the incremental engine does. *)
 
-type row_env
-(** A worker-lifetime id-space evaluation context shared across
-    {!row_checker} instances: the kernel's evaluation and whole-trace
-    memos are sound across shapes (entries depend only on the frozen
-    store) and every memo hit replays its recorded per-node-equivalent
-    budget charge, so sharing changes wall-clock but neither results
-    nor budget totals.  Not thread-safe: one per worker domain. *)
-
-val row_env :
-  ?budget:Runtime.Budget.t ->
-  ?counters:Shacl.Counters.t ->
-  ?lookup:(unit -> unit) ->
-  ?lookup_n:(int -> unit) ->
-  Rdf.Graph.t -> row_env
-(** [row_env ~budget g] is a fresh context over [g]'s frozen store,
-    charging step fuel to [budget] — pass the same budget the checkers
-    using it are given — and store probes to [counters] (the same
-    charges per-node evaluation would make).  [lookup] overrides the
-    [counters]-derived probe hook — the engine passes an indirection so
-    one worker-lifetime context can charge whichever chunk's counter
-    record is current — and [lookup_n] is its bulk form for charge
-    replay.  Raises [Invalid_argument] when [g]
-    has no frozen store. *)
-
-val row_checker :
-  ?counters:Shacl.Counters.t ->
-  ?budget:Runtime.Budget.t ->
-  ?schema:Shacl.Schema.t ->
-  ?env:row_env ->
-  Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * int array)
-(** Like {!checker}, but the neighborhood is returned as a sorted,
-    duplicate-free array of canonical SPO row ids of the frozen store —
-    the batched engine ORs these straight into its fragment bitset, and
-    tracing runs in the id-space kernel ({!Rdf.Path.Batch}) with the
-    same total budget charge as the term-space trace.  Every path
-    evaluation runs in the kernel too ({!Rdf.Path.Batch.eval}): bare
-    steps skip the path-memo hit accounting; a compound path counts as
-    a memo hit when this checker evaluated it at that node before, and
-    as a miss otherwise.  When [env] is given the kernel context — the
-    worker's one kernel memo — is shared with other checkers of the
-    same worker instead of created fresh; a kernel entry another
-    checker created is still a miss here and replays its recorded
-    charge, so counts do not depend on which checker came first.
-    Decoding row [r] with [Rdf.Store.row_triple] yields exactly the
-    triples {!checker} would have returned.  A focus node the store's
-    dictionary never interned occurs in no triple, so it gets
-    {!checker}'s verdict and no rows.  Raises [Invalid_argument] when
-    [g] has no frozen store ([Rdf.Graph.freeze] it first). *)
-
 (** {1 Verdict pass}
 
     Conformance alone (Table 1), decided in a frozen store's id space —
-    what {!Engine.validate} runs.  It resolves a shape exactly as the
-    instrumented checkers do (hash-consed subshapes, [hasShape]
-    expansions on demand) and decides one focus id at a time, depth
-    first, stopping [≥n], [≤n] and [∀] as soon as their verdict is known.
-    Nothing is collected: each non-trivial (subshape, node) verdict is
-    one byte of the decider's arena, so a decision allocates nothing of
-    its own in steady state.  Bare [p] and [p⁻] steps are scanned in
+    what {!Engine.validate} runs, and what {!Engine.run} decides
+    candidates with before it collects their rows.  It resolves a shape
+    exactly as the instrumented checker does (hash-consed subshapes,
+    [hasShape] expansions on demand) and decides one focus id at a time,
+    depth first, stopping [≥n], [≤n] and [∀] as soon as their verdict is
+    known.  Deciding collects nothing: each non-trivial (subshape, node)
+    verdict is one byte of the decider's arena, so a decision allocates
+    nothing of its own in steady state.  Bare [p] and [p⁻] steps are scanned in
     place from store ranges; compound paths are evaluated by the
     decider's {!Rdf.Path.Batch} context.  Verdicts equal
     {!Shacl.Conformance}'s. *)
@@ -173,9 +122,11 @@ val decider :
   Rdf.Store.t -> decider
 (** [decider ~budget st] is a fresh decider.  Each memo miss and each
     path evaluation spends one unit of [budget] (and may raise
-    [Runtime.Budget.Exhausted]); the kernel charges its steps to it
-    like {!row_env}.  [lookup]/[lookup_n] receive the kernel's
-    adjacency-probe charges, as in {!row_env}.  The arena grows to one
+    [Runtime.Budget.Exhausted]); the kernel charges its steps to it,
+    replaying a memoized evaluation's recorded charge on every reuse.
+    [lookup] receives the kernel's adjacency-probe charges and
+    [lookup_n] their bulk replays, so a worker-lifetime decider can
+    charge whichever chunk's counters are current.  The arena grows to one
     byte per (subshape, term) for the subshapes reached, up to
     [max (64 × terms) 16 MiB] bytes; verdicts past it go to a table. *)
 
@@ -185,6 +136,17 @@ type verdicts = {
       (** the verdict at a term; a term the dictionary never interned
           occurs in no triple and is decided by
           {!Shacl.Conformance.conforms} on the empty graph *)
+  collect : int -> (int -> unit) -> unit;
+      (** [collect v emit] sends [emit] the canonical SPO row ids
+          ({!Rdf.Store.row_triple} decodes them) of [B(v, G, phi)], for a
+          store id [v] that [of_id] accepted.  It walks Table 2 over the
+          resolved subshapes, reading each witness verdict — the bodies
+          of [≥n], the negated body of [≤n], the disjuncts of [or] — from
+          the verdict memo, and evaluates and traces paths in the
+          decider's kernel context.  A (subshape, node) pair is collected
+          once per verdict function, so the rows of pairs an earlier
+          [collect] reached are not sent again: give every [collect] of
+          one function the same sink.  Rows may repeat within one call. *)
 }
 
 val verdicts :
@@ -195,7 +157,9 @@ val verdicts :
     generation of [d]'s arena, not a new allocation.  It charges memo
     traffic ([memo_*]: one lookup per non-trivial subshape reached),
     path evaluations and bare-step probes ([store_lookups]) to
-    [counters].  The functions are valid until the next [verdicts] on
+    [counters]; [collect] charges its path evaluations there too, and
+    spends one unit of budget per collected pair and per path
+    evaluation.  The functions are valid until the next [verdicts] on
     [d], and raise [Invalid_argument] after it. *)
 
 val naive_checker :

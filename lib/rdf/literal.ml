@@ -77,28 +77,24 @@ let value l =
     Time l.lexical
   else Unknown
 
-let lt a b =
-  match value a, value b with
-  | Num x, Num y -> x < y
-  | Str x, Str y -> String.compare x y < 0
-  | Bool x, Bool y -> (not x) && y
-  | Time x, Time y -> String.compare x y < 0
-  | _ -> false
+type order = Less | Equal | Greater | Unordered | Incomparable
 
-let value_equal a b =
+(* One parse per operand: [lt], [leq] and [comparable] all read this. *)
+let order a b =
+  let of_compare c = if c < 0 then Less else if c = 0 then Equal else Greater in
   match value a, value b with
-  | Num x, Num y -> x = y
-  | Str x, Str y -> String.equal x y
-  | Bool x, Bool y -> x = y
-  | Time x, Time y -> String.equal x y
-  | _ -> false
+  | Num x, Num y ->
+      if x < y then Less
+      else if x = y then Equal
+      else if x > y then Greater
+      else Unordered (* NaN *)
+  | Str x, Str y | Time x, Time y -> of_compare (String.compare x y)
+  | Bool x, Bool y -> of_compare (Bool.compare x y)
+  | _ -> Incomparable
 
-let leq a b = lt a b || value_equal a b
-
-let comparable a b =
-  match value a, value b with
-  | Num _, Num _ | Str _, Str _ | Bool _, Bool _ | Time _, Time _ -> true
-  | _ -> false
+let lt a b = order a b = Less
+let leq a b = match order a b with Less | Equal -> true | _ -> false
+let comparable a b = order a b <> Incomparable
 
 let same_language a b =
   match a.lang, b.lang with

@@ -63,17 +63,30 @@ val value : t -> value
 (** The interpreted value of the literal.  Ill-formed lexical forms for
     recognized datatypes yield [Unknown]. *)
 
+type order =
+  | Less
+  | Equal          (** equal values: [1] and ["1.0"^^xsd:decimal] *)
+  | Greater
+  | Unordered      (** comparable but unordered: a numeric NaN *)
+  | Incomparable   (** different value classes, or an [Unknown] value *)
+
+val order : t -> t -> order
+(** The value order between two literals, parsing each lexical form
+    once.  {!lt}, {!leq} and {!comparable} are read off it. *)
+
 val lt : t -> t -> bool
 (** [lt a b] is the strict partial order [a < b] of the paper: defined on
     pairs of numerics, pairs of strings, pairs of booleans and pairs of
-    dateTimes; [false] on incomparable pairs. *)
+    dateTimes; [false] on incomparable pairs.  [order a b = Less]. *)
 
 val leq : t -> t -> bool
 (** [leq a b] is [a < b || a = b] where [=] is value equality on comparable
-    values (so [leq (int 1) (make "1.0" ~datatype:xsd:decimal)] holds). *)
+    values (so [leq (int 1) (make "1.0" ~datatype:xsd:decimal)] holds).
+    [order a b] is [Less] or [Equal]. *)
 
 val comparable : t -> t -> bool
-(** Whether the two literals belong to the same comparable value class. *)
+(** Whether the two literals belong to the same comparable value class
+    (two NaNs do).  [order a b <> Incomparable]. *)
 
 val same_language : t -> t -> bool
 (** The paper's [~] relation: both literals carry a language tag and the

@@ -193,59 +193,6 @@ let trace_all ?step ?visit g e a ~targets =
 
 (* ---------------- batched (set-at-a-time) kernel ------------------- *)
 
-(* Sorted-int-array set algebra for the batch kernel's results.  All
-   arrays are ascending and duplicate-free; ids ascend with terms, so
-   these arrays decode to ascending term sequences like [Term.Set]
-   folds do. *)
-let merge_sorted a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 then b
-  else if lb = 0 then a
-  else begin
-    let out = Array.make (la + lb) 0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    while !i < la && !j < lb do
-      let x = a.(!i) and y = b.(!j) in
-      if x < y then begin out.(!k) <- x; incr i end
-      else if y < x then begin out.(!k) <- y; incr j end
-      else begin out.(!k) <- x; incr i; incr j end;
-      incr k
-    done;
-    while !i < la do out.(!k) <- a.(!i); incr i; incr k done;
-    while !j < lb do out.(!k) <- b.(!j); incr j; incr k done;
-    if !k = la + lb then out else Array.sub out 0 !k
-  end
-
-let mem_sorted arr x =
-  let rec go lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      let v = arr.(mid) in
-      if v = x then true else if v < x then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length arr)
-
-let insert_sorted arr x =
-  if mem_sorted arr x then arr else merge_sorted arr [| x |]
-
-let inter_sorted a b =
-  let la = Array.length a and lb = Array.length b in
-  let out = Array.make (min la lb) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < la && !j < lb do
-    let x = a.(!i) and y = b.(!j) in
-    if x < y then incr i
-    else if y < x then incr j
-    else begin
-      out.(!k) <- x;
-      incr i;
-      incr j;
-      incr k
-    end
-  done;
-  if !k = Array.length out then out else Array.sub out 0 !k
-
 module Batch = struct
   (* One memoized evaluation: the targets of [[E]](a) (or the inverse
      image for [inv]) and the exact [step]/[lookup] charge {!eval}
@@ -261,15 +208,7 @@ module Batch = struct
     lookups : int;
   }
 
-  (* Int tables with the identity hash: every hot lookup in the kernel
-     is keyed by a packed non-negative int, and the generic [Hashtbl]
-     pays a C hash call per probe that dwarfs the bucket walk. *)
-  module ITbl = Hashtbl.Make (struct
-    type t = int
-
-    let equal (a : int) b = a = b
-    let hash (x : int) = x
-  end)
+  module ITbl = Sorted_ids.Tbl
 
   type ctx = {
     st : Store.t;
@@ -432,15 +371,15 @@ module Batch = struct
             if hi - lo = 1 then arrs.(lo)
             else
               let mid = (lo + hi) / 2 in
-              merge_sorted (reduce lo mid) (reduce mid hi)
+              Sorted_ids.union (reduce lo mid) (reduce mid hi)
           in
           reduce 0 (Array.length arrs)
         end
     | Alt (e1, e2) ->
         let t1 = sub ctx e1 inv a in
         let t2 = sub ctx e2 inv a in
-        merge_sorted t1 t2
-    | Opt e -> insert_sorted (sub ctx e inv a) a
+        Sorted_ids.union t1 t2
+    | Opt e -> Sorted_ids.add (sub ctx e inv a) a
     | Star e ->
         (* Delta-driven fixpoint: each round expands only the frontier
            discovered in the previous one, exactly like [closure] —
@@ -478,16 +417,6 @@ module Batch = struct
         Array.sort (fun (x : int) y -> compare x y) r;
         r
 
-
-  (* Uncharged read for memo-layer bookkeeping above the kernel: the
-     row checker classifies an evaluation as a memo hit before asking
-     for its result, and a hit must stay charge-free (one budget tick at
-     the caller). *)
-  let eval_cached ctx e a =
-    Option.map
-      (fun ent -> ent.targets)
-      (ITbl.find_opt ctx.memo (pack (intern ctx e) false a))
-
   let eval ctx e a = (eval_entry ctx e false a).targets
   let eval_inv ctx e a = (eval_entry ctx e true a).targets
 
@@ -508,7 +437,7 @@ module Batch = struct
           if hi - lo = 1 then arrs.(lo)
           else
             let mid = (lo + hi) / 2 in
-            merge_sorted (reduce lo mid) (reduce mid hi)
+            Sorted_ids.union (reduce lo mid) (reduce mid hi)
         in
         reduce 0 n
 
@@ -530,7 +459,7 @@ module Batch = struct
                 (fun a ->
                   let lo, hi = Store.objects_range ctx.st ~s:a ~p:pid in
                   for r = lo to hi - 1 do
-                    if mem_sorted targets (Store.spo_obj ctx.st r) then
+                    if Sorted_ids.mem targets (Store.spo_obj ctx.st r) then
                       add_row r
                   done)
                 sources)
@@ -542,7 +471,7 @@ module Batch = struct
       | Seq (e1, e2) ->
           let fwd = eval_union ctx e1 false sources in
           let bwd = eval_union ctx e2 true targets in
-          let mids = inter_sorted fwd bwd in
+          let mids = Sorted_ids.inter fwd bwd in
           if Array.length mids = 0 then ()
           else begin
             trace_ids ctx add_row e1 ~sources ~targets:mids;
@@ -551,7 +480,7 @@ module Batch = struct
       | Star e ->
           let forward = eval_union ctx (Star e) false sources in
           let backward = eval_union ctx (Star e) true targets in
-          let zone = inter_sorted forward backward in
+          let zone = Sorted_ids.inter forward backward in
           trace_ids ctx add_row e ~sources:zone ~targets:zone
 
   (* Row yields per trace are tiny (a neighborhood's triples), so the

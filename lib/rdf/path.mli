@@ -135,11 +135,6 @@ module Batch : sig
       calling the unit hook [n] times and exist because a counter
       increment can be batched where a fuel tick sequence cannot. *)
 
-  val eval_cached : ctx -> t -> int -> int array option
-  (** The memoized forward targets of [(E, a)], without replaying any
-      charge — for memo layers above the kernel whose hits must stay
-      charge-free.  [None] when never evaluated in this context. *)
-
   val intern : ctx -> t -> int
   (** The context's id for a path expression (assigned on first use);
       structurally equal paths share one id.  Exposed so memo layers

@@ -3,9 +3,6 @@ type t = {
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable path_evals : int;
-  mutable path_memo_lookups : int;
-  mutable path_memo_hits : int;
-  mutable path_memo_misses : int;
   mutable store_lookups : int;
 }
 
@@ -14,9 +11,6 @@ let create () =
     memo_hits = 0;
     memo_misses = 0;
     path_evals = 0;
-    path_memo_lookups = 0;
-    path_memo_hits = 0;
-    path_memo_misses = 0;
     store_lookups = 0 }
 
 let add ~into c =
@@ -24,9 +18,6 @@ let add ~into c =
   into.memo_hits <- into.memo_hits + c.memo_hits;
   into.memo_misses <- into.memo_misses + c.memo_misses;
   into.path_evals <- into.path_evals + c.path_evals;
-  into.path_memo_lookups <- into.path_memo_lookups + c.path_memo_lookups;
-  into.path_memo_hits <- into.path_memo_hits + c.path_memo_hits;
-  into.path_memo_misses <- into.path_memo_misses + c.path_memo_misses;
   into.store_lookups <- into.store_lookups + c.store_lookups
 
 let total cs =

@@ -15,20 +15,6 @@ type t = {
   mutable memo_hits : int;     (** probes answered from the table *)
   mutable memo_misses : int;   (** probes that fell through to compute *)
   mutable path_evals : int;    (** path-expression evaluations [[E]](v) *)
-  mutable path_memo_lookups : int;
-      (** compound-path evaluations made by the id-space row checker
-          ([Provenance.Neighborhood.row_checker]), each classified
-          against the checker's own record: a {e hit} is a (path, node)
-          pair this checker already evaluated, a {e miss} is one it
-          evaluates for the first time.  Bare steps ([p], [p⁻]) are
-          not classified.  [= path_memo_hits + path_memo_misses] *)
-  mutable path_memo_hits : int;
-      (** classified evaluations answered from the kernel memo, charged
-          one budget tick *)
-  mutable path_memo_misses : int;
-      (** classified evaluations charged in full: evaluated in the
-          kernel, or replayed with their recorded charge from the
-          worker's kernel memo (each also counts a [path_eval]) *)
   mutable store_lookups : int;
       (** adjacency-index probes made by path evaluation (the [lookup]
           hook of {!Rdf.Path.eval} and {!Rdf.Path.Batch}) *)

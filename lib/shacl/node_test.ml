@@ -141,19 +141,19 @@ let satisfies t term =
       | Term.Iri _ | Term.Blank _ -> false)
   | Min_exclusive m -> (
       match term with
-      | Term.Literal l -> Literal.comparable m l && Literal.lt m l
+      | Term.Literal l -> Literal.lt m l
       | _ -> false)
   | Min_inclusive m -> (
       match term with
-      | Term.Literal l -> Literal.comparable m l && Literal.leq m l
+      | Term.Literal l -> Literal.leq m l
       | _ -> false)
   | Max_exclusive m -> (
       match term with
-      | Term.Literal l -> Literal.comparable l m && Literal.lt l m
+      | Term.Literal l -> Literal.lt l m
       | _ -> false)
   | Max_inclusive m -> (
       match term with
-      | Term.Literal l -> Literal.comparable l m && Literal.leq l m
+      | Term.Literal l -> Literal.leq l m
       | _ -> false)
   | Min_length k -> (
       match string_value term with

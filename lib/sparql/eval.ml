@@ -259,25 +259,24 @@ let term_bool b = Some (Term.bool b)
 
 let compare_terms op a b =
   match a, b with
-  | Term.Literal la, Term.Literal lb ->
-      if not (Literal.comparable la lb) then None
-      else
-        let r =
-          match op with
-          | `Lt -> Literal.lt la lb
-          | `Le -> Literal.leq la lb
-          | `Gt -> Literal.lt lb la
-          | `Ge -> Literal.leq lb la
-        in
-        term_bool r
+  | Term.Literal la, Term.Literal lb -> (
+      match Literal.order la lb with
+      | Literal.Incomparable -> None
+      | o ->
+          term_bool
+            (match op, o with
+            | (`Lt | `Le), Literal.Less | (`Gt | `Ge), Literal.Greater
+            | (`Le | `Ge), Literal.Equal ->
+                true
+            | _ -> false))
   | _ -> None
 
 let equal_terms a b =
   match a, b with
-  | Term.Literal la, Term.Literal lb ->
-      if Literal.comparable la lb then
-        Some (Literal.leq la lb && Literal.leq lb la)
-      else Some (Literal.equal la lb)
+  | Term.Literal la, Term.Literal lb -> (
+      match Literal.order la lb with
+      | Literal.Incomparable -> Some (Literal.equal la lb)
+      | o -> Some (o = Literal.Equal))
   | a, b -> Some (Term.equal a b)
 
 let rec eval_expr_st ctx binding expr : Term.t option =

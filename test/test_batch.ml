@@ -10,8 +10,8 @@
    - Engine: ~kernel:`Batched fragments are byte-identical to
      ~kernel:`Per_node ones, the validation report is byte-identical to
      the sequential validator's, and neither depends on -j.
-   - Row checker: id-space rows decode to the term checker's
-     neighborhood, with the same verdicts and consistent counters.
+   - Row collector: the verdict pass decides as [Conformance] does, and
+     the rows its collector emits decode to the naive neighborhood.
 
    Graphs here extend the shared vocabulary with blank nodes and a
    deliberate closed property walk, so [Star] saturates over nontrivial
@@ -209,70 +209,64 @@ let prop_engine_jobs_deterministic =
           && String.equal (report_bytes rep1) (report_bytes repj))
         [ 2; 4 ])
 
-(* --- row checker: id-space rows decode to the oracle's graph -------- *)
+(* --- row collector: id-space rows decode to the oracle's graph ------ *)
+
+(* The rows [collect] emits for one node, decoded and added to [acc]
+   (nothing for a node the verdict function rejects or never interned). *)
+let collected st (v : Neighborhood.verdicts) x acc =
+  match Store.id st x with
+  | Some i when v.of_id i ->
+      let acc = ref acc in
+      v.collect i (fun r -> acc := Graph.add_triple (Store.row_triple st r) !acc);
+      !acc
+  | _ -> acc
 
 (* Verdicts against [Conformance], decoded rows against the naive
-   Table 2 neighborhood [Neighborhood.b].  Both checkers run one
-   instrumented core, so the term checker is only the reference for
-   the counters: the term space evaluates every path afresh, while the
-   id space classifies each compound-path evaluation as a hit (already
-   evaluated by this checker) or a miss and counts a [path_eval] only
-   for misses (bare steps are evaluated and counted unclassified by
-   both).  So every term-space evaluation is a bare step, a hit or a
-   miss in id space, and shape-memo traffic is the same in both. *)
-let prop_row_checker =
+   Table 2 neighborhood [Neighborhood.b]: node by node, each from a
+   fresh verdict function, and over all nodes through one shared
+   function, whose collections skip the pairs an earlier node reached
+   and so must union to the oracle's neighborhoods. *)
+let prop_collector =
   QCheck.Test.make
-    ~name:"row_checker ≡ checker (counters) and the oracle (verdict, rows)"
+    ~name:"collector ≡ Conformance and b (verdict, rows)"
     ~count:200
     (QCheck.pair (QCheck.make gen_cyc_graph
                     ~print:(fun g -> Format.asprintf "%a" Graph.pp g))
        Tgen.arbitrary_shape)
     (fun (g, phi) ->
       let g, st = frozen g in
-      let c_term = Shacl.Counters.create () in
-      let c_rows = Shacl.Counters.create () in
-      let check_term = Neighborhood.checker ~counters:c_term g phi in
-      let check_rows = Neighborhood.row_checker ~counters:c_rows g phi in
+      let each = Neighborhood.decider st in
+      let shared = Neighborhood.verdicts (Neighborhood.decider st) phi in
       List.for_all
-        (fun v ->
-          ignore (check_term v : bool * Graph.t);
-          let verdict, rows = check_rows v in
-          let nb =
-            Array.fold_left
-              (fun acc r -> Graph.add_triple (Store.row_triple st r) acc)
-              Graph.empty rows
+        (fun x ->
+          let v = Neighborhood.verdicts each phi in
+          let verdict = v.of_term x in
+          let nb = collected st v x Graph.empty in
+          let oracle_verdict =
+            Shacl.Conformance.conforms Shacl.Schema.empty g x phi
           in
-          let oracle_verdict = Shacl.Conformance.conforms Shacl.Schema.empty g v phi in
-          let oracle_nb = Neighborhood.b g v phi in
+          let oracle_nb = Neighborhood.b g x phi in
           (verdict = oracle_verdict
-           || QCheck.Test.fail_reportf "verdict at %a: rows %b, oracle %b"
-                Term.pp v verdict oracle_verdict)
+           || QCheck.Test.fail_reportf "verdict at %a: pass %b, oracle %b"
+                Term.pp x verdict oracle_verdict)
           && (Graph.equal nb oracle_nb
              || QCheck.Test.fail_reportf
-                  "neighborhood at %a:@.rows:@.%a@.oracle:@.%a" Term.pp v
+                  "neighborhood at %a:@.rows:@.%a@.oracle:@.%a" Term.pp x
                   Graph.pp nb Graph.pp oracle_nb))
         cyc_nodes
-      && ((c_term.Shacl.Counters.memo_lookups, c_term.memo_hits,
-           c_term.memo_misses)
-          = (c_rows.Shacl.Counters.memo_lookups, c_rows.memo_hits,
-             c_rows.memo_misses)
-         || QCheck.Test.fail_reportf
-              "shape-memo counters differ: term (%d,%d,%d) rows (%d,%d,%d)"
-              c_term.Shacl.Counters.memo_lookups c_term.memo_hits
-              c_term.memo_misses c_rows.Shacl.Counters.memo_lookups
-              c_rows.memo_hits c_rows.memo_misses)
-      && (c_rows.path_memo_lookups
-          = c_rows.path_memo_hits + c_rows.path_memo_misses
-         || QCheck.Test.fail_reportf "row path memo: %d lookup(s) <> %d + %d"
-              c_rows.path_memo_lookups c_rows.path_memo_hits
-              c_rows.path_memo_misses)
-      && (c_term.path_evals
-          = c_rows.path_evals - c_rows.path_memo_misses
-            + c_rows.path_memo_lookups
-         || QCheck.Test.fail_reportf
-              "path evals: term %d, rows %d (%d lookup(s), %d miss(es))"
-              c_term.path_evals c_rows.path_evals c_rows.path_memo_lookups
-              c_rows.path_memo_misses))
+      &&
+      let union =
+        List.fold_left (fun acc x -> collected st shared x acc) Graph.empty
+          cyc_nodes
+      in
+      let oracle =
+        List.fold_left
+          (fun acc x -> Graph.union acc (Neighborhood.b g x phi))
+          Graph.empty cyc_nodes
+      in
+      Graph.equal union oracle
+      || QCheck.Test.fail_reportf "shared collection:@.%a@.oracle:@.%a"
+           Graph.pp union Graph.pp oracle)
 
 let props =
   [ prop_batch_eval;
@@ -280,6 +274,6 @@ let props =
     prop_trace;
     prop_engine_kernel_identical;
     prop_engine_jobs_deterministic;
-    prop_row_checker ]
+    prop_collector ]
 
 let suite = []

@@ -650,6 +650,75 @@ let test_row_view_two_domains () =
     Alcotest.check Tgen.graph_testable "the view is unchanged" oracle v
   done
 
+(* --- decide, then trace: strays and witness rows -------------------- *)
+
+(* The CLI fixture's graph (test/cli/data.ttl). *)
+let cli_graph =
+  Turtle.parse_exn
+    "@prefix ex: <http://example.org/> .\n\
+     @prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n\
+     ex:p1 rdf:type ex:Paper ; ex:author ex:bob .\n\
+     ex:bob rdf:type ex:Student .\n\
+     ex:p2 rdf:type ex:Paper ; ex:author ex:carl .\n\
+     ex:carl rdf:type ex:Prof .\n"
+
+(* A request constant the dictionary never interned (a stray) is a
+   candidate that occurs in no triple: it is decided on the empty graph
+   and contributes no rows.  [hasValue] of it holds at the stray alone,
+   its negation at the seven graph nodes. *)
+let test_stray_candidates () =
+  List.iter
+    (fun (text, conforming) ->
+      let requests = [ Engine.request (Shape_syntax.parse_exn text) ] in
+      let per_node, per_stats = Engine.run ~kernel:`Per_node cli_graph requests in
+      List.iter
+        (fun jobs ->
+          let fragment, stats = Engine.run ~jobs cli_graph requests in
+          let what = Printf.sprintf "%s -j %d" text jobs in
+          Alcotest.(check int) (what ^ ": candidates") 8
+            stats.Engine.Stats.nodes_checked;
+          Alcotest.(check int) (what ^ ": conforming") conforming
+            stats.Engine.Stats.conforming;
+          Alcotest.(check int) (what ^ ": conforming = `Per_node")
+            per_stats.Engine.Stats.conforming stats.Engine.Stats.conforming;
+          Alcotest.(check int) (what ^ ": no rows") 0 (Graph.cardinal fragment);
+          Alcotest.(check string) (what ^ ": fragment = `Per_node")
+            (Turtle.to_string per_node) (Turtle.to_string fragment))
+        [ 1; 2; 4 ])
+    [ ("hasValue(ex:absent)", 1); ("!hasValue(ex:absent)", 7) ]
+
+(* [≤1 p⁻ . closed(p, s)] at [v]: one of its three [p]-predecessors is
+   closed, so [v] conforms, and the neighborhood traces the two
+   predecessors that conform to the negated body, [¬closed(p, s)], each
+   with the triple that breaks closedness — not [a]'s allowed [s]
+   triple. *)
+let test_le_inverse_negated_closed () =
+  let g =
+    Turtle.parse_exn
+      "@prefix ex: <http://example.org/> .\n\
+       ex:a ex:p ex:v ; ex:q ex:x ; ex:s ex:z .\n\
+       ex:b ex:p ex:v .\n\
+       ex:c ex:p ex:v ; ex:r ex:y .\n"
+  in
+  let shape = Shape_syntax.parse_exn "<=1 ^ex:p . closed(ex:p, ex:s)" in
+  let t s p o =
+    Triple.make (ex s) (Iri.of_string ("http://example.org/" ^ p)) (ex o)
+  in
+  let expected =
+    Graph.of_list [ t "a" "p" "v"; t "c" "p" "v"; t "a" "q" "x"; t "c" "r" "y" ]
+  in
+  Alcotest.check Tgen.graph_testable "naive fragment" expected
+    (Fragment.frag ~algorithm:Fragment.Naive g [ shape ]);
+  let per_node, _ = Engine.run ~kernel:`Per_node g [ Engine.request shape ] in
+  Alcotest.check Tgen.graph_testable "`Per_node fragment" expected per_node;
+  List.iter
+    (fun jobs ->
+      let fragment, _ = Engine.run ~jobs g [ Engine.request shape ] in
+      Alcotest.check Tgen.graph_testable
+        (Printf.sprintf "`Batched fragment -j %d" jobs)
+        expected fragment)
+    [ 1; 2; 4 ]
+
 let suite =
   [ "engine matches oracle", `Quick, test_engine_matches_oracle;
     "stats: pruning and counts", `Quick, test_stats_pruning;
@@ -666,7 +735,10 @@ let suite =
     test_unfold_negated_ge0;
     "run returns a row view", `Quick, test_run_row_view;
     "row view: two domains build the maps at once", `Quick,
-    test_row_view_two_domains ]
+    test_row_view_two_domains;
+    "strays: decided, no rows, at -j 1/2/4", `Quick, test_stray_candidates;
+    "<=n through p^-: negated closed rows", `Quick,
+    test_le_inverse_negated_closed ]
 
 let props =
   [ prop_differential;

@@ -246,6 +246,91 @@ let prop_store_offsets =
       ranges_match_scans st && ranges_match_scans patched
       && Store.equal patched rebuilt)
 
+(* --- literal order: one parse per operand ---------------------------- *)
+
+(* The value relations as defined before [Literal.order], each parsing
+   both operands itself, and SPARQL's comparison and equality on top of
+   them: the oracle [Literal.order] and its callers must agree with. *)
+module Per_relation = struct
+  open Literal
+
+  let lt a b =
+    match value a, value b with
+    | Num x, Num y -> x < y
+    | Str x, Str y -> String.compare x y < 0
+    | Bool x, Bool y -> (not x) && y
+    | Time x, Time y -> String.compare x y < 0
+    | _ -> false
+
+  let value_equal a b =
+    match value a, value b with
+    | Num x, Num y -> x = y
+    | Str x, Str y -> String.equal x y
+    | Bool x, Bool y -> x = y
+    | Time x, Time y -> String.equal x y
+    | _ -> false
+
+  let leq a b = lt a b || value_equal a b
+
+  let comparable a b =
+    match value a, value b with
+    | Num _, Num _ | Str _, Str _ | Bool _, Bool _ | Time _, Time _ -> true
+    | _ -> false
+
+  let sparql_lt a b = if comparable a b then Some (lt a b) else None
+
+  let sparql_eq a b =
+    if comparable a b then Some (leq a b && leq b a) else Some (Literal.equal a b)
+end
+
+(* Mixed datatypes over lexical forms that collide across them: NaN and
+   the infinities, signed zeros, "1"/"true" booleans, dates against
+   dateTimes, and language strings. *)
+let gen_literal =
+  let open QCheck.Gen in
+  let lexical =
+    oneofl
+      [ "NaN"; "INF"; "-INF"; "-0"; "0"; "1"; "1.0"; " 1 "; "2"; "true";
+        "false"; "abc"; ""; "2020-01-01"; "2020-01-01T00:00:00";
+        "2020-01-02" ]
+  in
+  let datatype =
+    oneofl
+      Vocab.Xsd.
+        [ integer; decimal; double; float; string; boolean; date; date_time;
+          Iri.of_string "http://example.org/custom" ]
+  in
+  frequency
+    [ (4, map2 (fun dt s -> Literal.make ~datatype:dt s) datatype lexical);
+      ( 1,
+        map2
+          (fun lang s -> Literal.lang_string s ~lang)
+          (oneofl [ "en"; "fr" ]) lexical ) ]
+
+let prop_literal_order =
+  let arb =
+    QCheck.make
+      ~print:(fun (a, b) -> Format.asprintf "%a, %a" Literal.pp a Literal.pp b)
+      QCheck.Gen.(pair gen_literal gen_literal)
+  in
+  QCheck.Test.make ~name:"literal order = the per-relation definitions"
+    ~count:2000 arb
+    (fun (a, b) ->
+      let sparql op =
+        Sparql.Eval.eval_expr Graph.empty Sparql.Binding.empty
+          (op
+             ( Sparql.Algebra.E_term (Term.Literal a),
+               Sparql.Algebra.E_term (Term.Literal b) ))
+      in
+      let as_bool = Option.map (fun t -> Term.equal t (Term.bool true)) in
+      Literal.lt a b = Per_relation.lt a b
+      && Literal.leq a b = Per_relation.leq a b
+      && Literal.comparable a b = Per_relation.comparable a b
+      && as_bool (sparql (fun (x, y) -> Sparql.Algebra.E_lt (x, y)))
+         = Per_relation.sparql_lt a b
+      && as_bool (sparql (fun (x, y) -> Sparql.Algebra.E_eq (x, y)))
+         = Per_relation.sparql_eq a b)
+
 let suite =
   [ "literal value order", `Quick, test_literal_values;
     "literal language tags", `Quick, test_literal_language;
@@ -258,4 +343,4 @@ let suite =
 
 let props =
   [ prop_union_commutative; prop_diff_union; prop_roundtrip_list;
-    prop_indexes_consistent; prop_store_offsets ]
+    prop_indexes_consistent; prop_store_offsets; prop_literal_order ]

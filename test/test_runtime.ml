@@ -178,17 +178,9 @@ let test_deep_shape_fuel_neighborhood () =
   expect_fuel_exhausted "neighborhood on deeply nested shape" (fun () ->
       fst (Provenance.Neighborhood.check ~budget g (ex "0") shape))
 
-(* The id-space twins of the test above: the row checker and the
-   default (batched) engine on a frozen chain.  The deadline is only a
-   backstop: fuel must run out first. *)
-let test_deep_shape_fuel_row_checker () =
-  let depth = 200_000 in
-  let g = Graph.freeze (chain_graph depth) in
-  let shape = nested_shape depth in
-  let budget = Runtime.Budget.make ~timeout:5. ~fuel:10_000 () in
-  expect_fuel_exhausted "row checker on deeply nested shape" (fun () ->
-      fst (Provenance.Neighborhood.row_checker ~budget g shape (ex "0")))
-
+(* The id-space twin of the test above: the default (batched) engine
+   on a frozen chain.  The deadline is only a backstop: fuel must run
+   out first. *)
 let test_deep_shape_fuel_engine () =
   let depth = 200_000 in
   let g = Graph.freeze (chain_graph depth) in
@@ -485,8 +477,6 @@ let suite =
     test_deep_shape_fuel_conformance;
     "regression: deep shape, neighborhood", `Quick,
     test_deep_shape_fuel_neighborhood;
-    "regression: deep shape, row checker", `Quick,
-    test_deep_shape_fuel_row_checker;
     "regression: deep shape, engine", `Quick, test_deep_shape_fuel_engine;
     "regression: deep shape, engine completes", `Quick,
     test_deep_shape_engine_completes;
