@@ -2,7 +2,7 @@
    DESIGN.md.
 
    - neighborhood algorithm: naive per-node recursion (Section 3.3) vs
-     the instrumented single pass (Section 5.2);
+     the engine's id-space verdict pass and row collector (Section 5.2);
    - path tracing: direct graph tracing vs executing the Q_E query of
      Lemma 5.1;
    - BGP evaluation: index-backed vs naive scanning. *)
@@ -57,12 +57,9 @@ let run ~quick =
   run_group "fragment"
     [ Test.make ~name:"naive per-node (Sec 3.3)"
         (Staged.stage (fun () ->
-             Provenance.Fragment.frag ~algorithm:Provenance.Fragment.Naive g
-               [ heavy ]));
-      Test.make ~name:"instrumented single pass (Sec 5.2)"
-        (Staged.stage (fun () ->
-             Provenance.Fragment.frag
-               ~algorithm:Provenance.Fragment.Instrumented g [ heavy ])) ];
+             Provenance.Fragment.frag g [ heavy ]));
+      Test.make ~name:"engine: decide, then trace (Sec 5.2)"
+        (Staged.stage (fun () -> Provenance.Engine.fragment g [ heavy ])) ];
 
   (* 2. path tracing *)
   let dblp =

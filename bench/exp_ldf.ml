@@ -86,7 +86,7 @@ let run ~quick =
               | None -> ()
               | Some patterns ->
                   let tpf_reqs, tpf_xfer = tpf_client g patterns in
-                  let fragment = Provenance.Fragment.frag g [ shape ] in
+                  let fragment = Provenance.Engine.fragment g [ shape ] in
                   let image = Queries.run_construct g q in
                   Printf.printf "%-5s | %6d %6d | %8d %10d | %6d %9d\n" id
                     tpf_reqs tpf_xfer 1

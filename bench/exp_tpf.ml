@@ -25,7 +25,7 @@ let run ~quick:_ =
       let tpf_result = Tpf.eval demo_graph form in
       match Tpf.shape_for form with
       | Some shape ->
-          let fragment = Provenance.Fragment.frag demo_graph [ shape ] in
+          let fragment = Provenance.Engine.fragment demo_graph [ shape ] in
           Printf.printf "%-28s %-14s %6d %6d %s\n" (Tpf.form_name form) "yes"
             (Graph.cardinal tpf_result)
             (Graph.cardinal fragment)

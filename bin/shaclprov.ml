@@ -530,10 +530,11 @@ let query_cmd =
 (* ---------------- explain ------------------------------------------ *)
 
 let explain_cmd =
-  let run data exprs prefixes node =
+  let run data shapes exprs prefixes node =
     wrap (fun () ->
         let namespaces = namespaces_of prefixes in
         let g = load_graph data in
+        let schema = load_schema shapes in
         let v = parse_node namespaces node in
         match parse_shapes namespaces exprs with
         | [] -> die "explain requires at least one --shape"
@@ -542,11 +543,13 @@ let explain_cmd =
               (fun shape ->
                 Format.printf "shape: %s@."
                   (Shacl.Shape_syntax.print ~namespaces shape);
-                match Provenance.Annotated.explain_why_not g v shape with
+                match
+                  Provenance.Annotated.explain_why_not ~schema g v shape
+                with
                 | None ->
                     Format.printf "%a conforms because:@.%a@.@." Rdf.Term.pp v
                       Provenance.Annotated.pp
-                      (Provenance.Annotated.explain g v shape)
+                      (Provenance.Annotated.explain ~schema g v shape)
                 | Some annotations ->
                     Format.printf "%a does not conform because:@.%a@.@."
                       Rdf.Term.pp v Provenance.Annotated.pp annotations)
@@ -554,11 +557,15 @@ let explain_cmd =
             0)
   in
   let doc =
-    "Per-triple explanation: each provenance triple with the constraints      that contributed it (why, or why-not on violation)."
+    "Per-triple explanation: each provenance triple with the constraints \
+     that contributed it (why, or why-not on violation).  Shape references \
+     resolve against --shapes."
   in
   Cmd.v
     (Cmd.info "explain" ~doc)
-    Term.(const run $ data_arg $ shape_exprs_arg $ prefix_arg $ node_arg)
+    Term.(
+      const run $ data_arg $ shapes_arg $ shape_exprs_arg $ prefix_arg
+      $ node_arg)
 
 (* ---------------- serve -------------------------------------------- *)
 

@@ -24,7 +24,7 @@ let () =
               ~namespaces:
                 (Rdf.Namespace.add "bsbm" Bsbm.ns Rdf.Namespace.default)
               shape);
-         let fragment = Provenance.Fragment.frag g [ shape ] in
+         let fragment = Provenance.Engine.fragment g [ shape ] in
          Format.printf
            "CONSTRUCT image: %d triples; shape fragment: %d triples; %s@."
            (Rdf.Graph.cardinal image)

@@ -62,7 +62,7 @@ let () =
     (Shacl.Validate.target_nodes schema graph def);
 
   (* 4. The shape fragment: one subgraph collecting all the evidence. *)
-  let fragment = Provenance.Fragment.frag_schema schema graph in
+  let fragment = Provenance.Engine.fragment_schema schema graph in
   Format.printf "shape fragment of the schema (%d of %d triples):@.%s@."
     (Rdf.Graph.cardinal fragment)
     (Rdf.Graph.cardinal graph)

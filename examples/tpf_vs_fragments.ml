@@ -26,7 +26,7 @@ let () =
       match Tpf.shape_for form with
       | Some shape ->
           let tpf_result = Tpf.eval g form in
-          let fragment = Provenance.Fragment.frag g [ shape ] in
+          let fragment = Provenance.Engine.fragment g [ shape ] in
           Format.printf "TPF %s  ==  fragment of  %s@."
             (Tpf.form_name form)
             (Shacl.Shape_syntax.print shape);

@@ -45,7 +45,6 @@ and anti schema phi =
 
 let is_independent = independent
 let is_monotone = mono
-let is_antitone = anti
 
 let monotone_targets schema =
   List.for_all

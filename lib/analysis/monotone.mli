@@ -33,8 +33,6 @@ val is_independent : Shacl.Schema.t -> Shacl.Shape.t -> bool
 
 val is_monotone : Shacl.Schema.t -> Shacl.Shape.t -> bool
 
-val is_antitone : Shacl.Schema.t -> Shacl.Shape.t -> bool
-
 val monotone_targets : Shacl.Schema.t -> bool
 (** Whether every target expression of the schema is monotone — the
     Theorem 4.1 precondition for the whole schema. *)

@@ -394,24 +394,13 @@ let probe_sites label =
 
 (* A worker's verdict functions, one per chunk: [run] and [validate]
    build them alike.  One decider per worker is shared by every chunk it
-   drains, and each chunk's verdict function starts from an empty memo,
-   so the counters of a fixed [-j] do not depend on which worker drained
-   which chunk.  The decider's kernel context outlives the chunk, so its
-   probe hook charges whichever chunk's counters are current; kernel
-   memo hits replay their recorded charges. *)
+   drains, and each chunk's verdict function starts from an empty memo
+   and charges the chunk's own counters (kernel probes and their memo
+   replays included), so the counters of a fixed [-j] do not depend on
+   which worker drained which chunk. *)
 let chunk_verdicts ~budget ~schema st =
-  let cur = ref (Counters.create ()) in
-  let d =
-    Neighborhood.decider ~budget
-      ~lookup:(fun () ->
-        !cur.Counters.store_lookups <- !cur.Counters.store_lookups + 1)
-      ~lookup_n:(fun k ->
-        !cur.Counters.store_lookups <- !cur.Counters.store_lookups + k)
-      st
-  in
-  fun ~counters phi ->
-    cur := counters;
-    Neighborhood.verdicts ~counters ~schema d phi
+  let d = Neighborhood.decider ~budget st in
+  fun ~counters phi -> Neighborhood.verdicts ~counters ~schema d phi
 
 (* The chunk driver [run] and [validate] share.  Each candidate array of
    [plans] is split into chunks [(shape index, offset, nodes)] that a
@@ -502,7 +491,7 @@ let drive ~jobs ~budget ~on_error ~nrows ~labels ~evaluator plans =
   | _ -> ());
   fold_accs accs, !retries, failures
 
-let stats_of ~jobs ~store ~planning ~t0 ~triples_emitted ~retries final
+let stats_of ~jobs ~st ~planning ~t0 ~triples_emitted ~retries final
     shapes =
   let totals = final.counters in
   { Stats.jobs;
@@ -514,7 +503,7 @@ let stats_of ~jobs ~store ~planning ~t0 ~triples_emitted ~retries final
     path_evals = totals.Counters.path_evals;
     triples_emitted;
     retries;
-    interned_terms = (match store with Some st -> Store.n_terms st | None -> 0);
+    interned_terms = Store.n_terms st;
     store_lookups = totals.Counters.store_lookups;
     batch_calls = 0;
     batch_sources = 0;
@@ -533,10 +522,8 @@ let run ?(schema = Schema.empty) ?(jobs = 1) ?(budget = Runtime.Budget.unlimited
   (* Freeze once up front: planning, checking and tracing all run
      against the interned store, and workers share it read-only. *)
   let g = Graph.freeze g in
-  let store = Graph.store g in
-  let nrows = match store with Some st -> Store.n_triples st | None -> 0 in
   let st = store_of g in
-  let n = Store.n_terms st in
+  let nrows = Store.n_triples st and n = Store.n_terms st in
   let pl = planner ~schema st in
   let plans = List.map (fun r -> (r, plan pl r)) requests in
   let shapes = Array.of_list (List.map (fun (r, _) -> r.shape) plans) in
@@ -544,12 +531,13 @@ let run ?(schema = Schema.empty) ?(jobs = 1) ?(budget = Runtime.Budget.unlimited
   let labels = Array.of_list (List.map (fun (r, _) -> r.label) plans) in
   let planning = now () -. t0 in
   let evaluator () =
-    match kernel, store with
-    | `Batched, Some _ ->
+    match kernel with
+    | `Batched ->
         (* Decide, then trace: the verdict pass decides each candidate
            and the row collector ORs the neighborhood of each conforming
            one straight into the chunk bitset.  Strays occur in no
-           triple: decided, never collected. *)
+           triple: decided, never collected.  On an empty graph every
+           candidate is a stray. *)
         let verdicts_of = chunk_verdicts ~budget ~schema st in
         fun ~bits ~counters (i, _, chunk) ->
           let v = verdicts_of ~counters shapes.(i) in
@@ -565,19 +553,13 @@ let run ?(schema = Schema.empty) ?(jobs = 1) ?(budget = Runtime.Budget.unlimited
                 conforming + 1
               else conforming)
             0 chunk
-    | _ ->
-        (* The instrumented checker, one term at a time: [`Per_node], or
-           an empty graph, which has no store. *)
-        fun ~bits ~counters (i, _, chunk) ->
-          let check =
-            Neighborhood.checker ~counters ~budget ~schema g shapes.(i)
-          in
-          (* A neighborhood is a subgraph of [g]: on a non-empty graph
-             every triple has a row of its store, and an empty graph
-             emits nothing. *)
-          let mark tr =
-            set_bit bits (Option.get (Store.row_of_triple (Option.get store) tr))
-          in
+    | `Per_node ->
+        (* The instrumented checker, one term at a time.  A neighborhood
+           is a subgraph of [g], so each of its triples has a row of
+           [st]. *)
+        fun ~bits ~counters:_ (i, _, chunk) ->
+          let check = Neighborhood.checker ~budget ~schema g shapes.(i) in
+          let mark tr = set_bit bits (Option.get (Store.row_of_triple st tr)) in
           Array.fold_left
             (fun conforming c ->
               let conforms, neighborhood =
@@ -598,22 +580,19 @@ let run ?(schema = Schema.empty) ?(jobs = 1) ?(budget = Runtime.Budget.unlimited
      canonical SPO order, independent of scheduling — kept as a row view
      of the store: nothing is decoded until a reader asks. *)
   let fragment =
-    match store with
-    | None -> Graph.empty
-    | Some st ->
-        let n = ref 0 in
-        for r = 0 to nrows - 1 do
-          if get_bit final.bits r then incr n
-        done;
-        let rows = Array.make !n 0 in
-        let k = ref 0 in
-        for r = 0 to nrows - 1 do
-          if get_bit final.bits r then begin
-            rows.(!k) <- r;
-            incr k
-          end
-        done;
-        Graph.of_rows st rows
+    let n = ref 0 in
+    for r = 0 to nrows - 1 do
+      if get_bit final.bits r then incr n
+    done;
+    let rows = Array.make !n 0 in
+    let k = ref 0 in
+    for r = 0 to nrows - 1 do
+      if get_bit final.bits r then begin
+        rows.(!k) <- r;
+        incr k
+      end
+    done;
+    Graph.of_rows st rows
   in
   let shape_stats =
     List.mapi
@@ -627,7 +606,7 @@ let run ?(schema = Schema.empty) ?(jobs = 1) ?(budget = Runtime.Budget.unlimited
       plans
   in
   ( fragment,
-    stats_of ~jobs ~store ~planning ~t0 ~triples_emitted:(Graph.cardinal fragment) ~retries
+    stats_of ~jobs ~st ~planning ~t0 ~triples_emitted:(Graph.cardinal fragment) ~retries
       final shape_stats )
 
 let fragment ?schema ?jobs g shapes =
@@ -643,9 +622,7 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
   let jobs = max 1 jobs in
   let t0 = now () in
   let schema = Schema.unfold schema in
-  let g = Graph.freeze g in
-  let store = Graph.store g in
-  let st = store_of g in
+  let st = store_of (Graph.freeze g) in
   let pl = planner ~schema st in
   let plans =
     Array.of_list
@@ -725,5 +702,5 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
       (Array.to_list plans)
   in
   ( report,
-    stats_of ~jobs ~store ~planning ~t0 ~triples_emitted:0 ~retries final
+    stats_of ~jobs ~st ~planning ~t0 ~triples_emitted:0 ~retries final
       shape_stats )

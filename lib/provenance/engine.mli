@@ -2,8 +2,8 @@
     statistics and fault isolation.
 
     The engine computes the same function as {!Fragment.frag} — the
-    sequential implementation stays as the reference oracle — through
-    three stages:
+    naive algorithm of Section 3.3, kept as the reference oracle —
+    through three stages:
 
     {ol
     {- {b Planning.}  Each request carries an optional target expression
@@ -28,7 +28,10 @@
        [`Batched] kernel, which also shares the decider's id-space
        kernel memo across the worker's chunks, or an instrumented
        checker under [`Per_node].  Workers share nothing but the
-       immutable graph and schema.}
+       immutable graph and schema.  An empty graph runs the same way
+       over an empty store: every candidate is then a constant that
+       occurs in no triple, decided on the empty graph, and nothing is
+       collected.}
     {- {b Merging.}  Chunks accumulate result triples into private
        bitsets over the store's rows that are merged only when the
        chunk completes.  The fragment is the merged bitset's rows,
@@ -67,9 +70,11 @@ type kernel = [ `Batched | `Per_node ]
     into the chunk's bitset; paths are evaluated in the id-space kernel
     ({!Rdf.Path.Batch}), memoized in one decider per worker.
     [`Per_node] runs the term-space instrumented checker
-    ({!Neighborhood.checker}, {!Rdf.Path.eval}), one node at a time.
-    Fragments are byte-identical between the two; statistics and fuel
-    charges differ. *)
+    ({!Neighborhood.checker}, {!Rdf.Path.eval}), one node at a time; it
+    is kept as a reference for the benches and tests, and its runs
+    report no memo, path-evaluation or index-probe counts (those
+    {!Stats} fields read 0).  Fragments are byte-identical between the
+    two; statistics and fuel charges differ. *)
 
 (** Execution statistics for one engine run. *)
 module Stats : sig

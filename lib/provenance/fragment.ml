@@ -1,20 +1,14 @@
 open Rdf
 open Shacl
 
-type algorithm = Naive | Instrumented
-
-let frag ?(schema = Schema.empty) ?(algorithm = Instrumented) ?budget g shapes =
+let frag ?(schema = Schema.empty) ?budget g shapes =
   (* The node scan is shape-independent: do it once per call, not once
      per shape; only the hasValue constants vary per shape. *)
   let nodes = Graph.nodes g in
   let candidates shape = Term.Set.union nodes (Shape.constants shape) in
   List.fold_left
     (fun acc shape ->
-      let check =
-        match algorithm with
-        | Naive -> Neighborhood.naive_checker ?budget ~schema g shape
-        | Instrumented -> Neighborhood.checker ?budget ~schema g shape
-      in
+      let check = Neighborhood.naive_checker ?budget ~schema g shape in
       Term.Set.fold
         (fun v acc ->
           let conforms, neighborhood = check v in
@@ -22,5 +16,5 @@ let frag ?(schema = Schema.empty) ?(algorithm = Instrumented) ?budget g shapes =
         (candidates shape) acc)
     Graph.empty shapes
 
-let frag_schema ?algorithm ?budget schema g =
-  frag ~schema ?algorithm ?budget g (Schema.request_shapes schema)
+let frag_schema ?budget schema g =
+  frag ~schema ?budget g (Schema.request_shapes schema)

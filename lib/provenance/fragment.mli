@@ -13,21 +13,19 @@
     that if [g] conforms to a schema with monotone targets, so does
     [Frag(G, H)]. *)
 
-type algorithm =
-  | Naive          (** per-node {!Neighborhood.b} calls (Section 3.3) *)
-  | Instrumented   (** single-pass {!Neighborhood.check} (Section 5.2) *)
-
 val frag :
   ?schema:Shacl.Schema.t ->
-  ?algorithm:algorithm ->
   ?budget:Runtime.Budget.t ->
   Rdf.Graph.t -> Shacl.Shape.t list -> Rdf.Graph.t
-(** [frag g shapes] is [Frag(G, S)].  Default algorithm: [Instrumented].
+(** [frag g shapes] is [Frag(G, S)], computed literally: every graph
+    node and [hasValue] constant is checked with the naive algorithm of
+    Section 3.3 ({!Neighborhood.naive_checker}) and the neighborhoods
+    are united.  It is the test oracle; {!Engine.fragment} computes the
+    same graph through the verdict pass and its row collector.
     When [budget] is given the scan may raise [Runtime.Budget.Exhausted];
     use {!Engine.run} for graceful per-shape degradation instead. *)
 
 val frag_schema :
-  ?algorithm:algorithm ->
   ?budget:Runtime.Budget.t ->
   Shacl.Schema.t -> Rdf.Graph.t -> Rdf.Graph.t
 (** [Frag(G, H)]: fragment for the schema's request shapes, with the

@@ -43,31 +43,6 @@ let outside_triples g v allowed =
       else Graph.add_triple t acc)
     Graph.empty (Graph.subject_triples g v)
 
-let count_lookup counters =
-  match counters with
-  | Some c -> c.Counters.memo_lookups <- c.Counters.memo_lookups + 1
-  | None -> ()
-
-let count_hit counters =
-  match counters with
-  | Some c -> c.Counters.memo_hits <- c.Counters.memo_hits + 1
-  | None -> ()
-
-let count_miss counters =
-  match counters with
-  | Some c -> c.Counters.memo_misses <- c.Counters.memo_misses + 1
-  | None -> ()
-
-let count_path_eval counters =
-  match counters with
-  | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
-  | None -> ()
-
-let count_store_lookup counters =
-  match counters with
-  | None -> ignore
-  | Some c -> fun () -> c.Counters.store_lookups <- c.Counters.store_lookups + 1
-
 (* ------------------------------------------------------------------ *)
 (* Table 2, literally: one case's own triples and its recursive       *)
 (* obligations.  The naive algorithm (Section 3.3) and the annotated  *)
@@ -362,8 +337,8 @@ let for_all p s =
   | () -> true
   | exception Stop -> false
 
-let checker ?counters ?(budget = Runtime.Budget.unlimited)
-    ?(schema = Schema.empty) ?touched g phi =
+let checker ?(budget = Runtime.Budget.unlimited) ?(schema = Schema.empty)
+    ?touched g phi =
   let subs, root = resolve_root schema phi in
   (* one memo table per resolved subshape, made on first use;
      expansions resolved later extend the array *)
@@ -380,15 +355,13 @@ let checker ?counters ?(budget = Runtime.Budget.unlimited)
         !memos.(sub.id) <- Some m;
         m
   in
-  let step = Runtime.Budget.step_hook budget
-  and lookup = count_store_lookup counters in
+  let step = Runtime.Budget.step_hook budget in
   (* [touched] and [Path]'s [visit] hook receive the anchor of every
      graph probe *)
   let touch v = match touched with Some f -> f v | None -> () in
   let eval e v =
     Runtime.Budget.tick budget;
-    count_path_eval counters;
-    Rdf.Path.eval ~step ~lookup ?visit:touched g e v
+    Rdf.Path.eval ~step ?visit:touched g e v
   in
   let trace e v ~targets =
     Rdf.Path.trace_all ~step ?visit:touched g e v ~targets
@@ -399,14 +372,10 @@ let checker ?counters ?(budget = Runtime.Budget.unlimited)
     if sub.trivial then compute v sub
     else begin
       Runtime.Budget.tick budget;
-      count_lookup counters;
       let memo = memo sub in
       match Memo.find_opt memo v with
-      | Some cached ->
-          count_hit counters;
-          cached
+      | Some cached -> cached
       | None ->
-          count_miss counters;
           let result = compute v sub in
           Memo.add memo v result;
           result
@@ -643,17 +612,27 @@ type decider = {
   mutable seen : int array;  (* star walks: visit stamps, and their queue *)
   mutable queue : int array;
   mutable stamp : int;
-  mutable dcounters : Counters.t;
+  dcounters : Counters.t ref;
+      (* the current verdict function's counters: [verdicts] points it
+         at each new function's record *)
 }
 
-let decider ?(budget = Runtime.Budget.unlimited) ?lookup ?lookup_n st =
+let decider ?(budget = Runtime.Budget.unlimited) st =
   let step =
     if Runtime.Budget.is_unlimited budget then None
     else Some (Runtime.Budget.step_hook budget)
   in
   let n_ids = Store.n_terms st in
+  (* the kernel charges its probes, replays included, to the current
+     verdict function *)
+  let dcounters = ref (Counters.create ()) in
+  let lookup_n k =
+    let c = !dcounters in
+    c.Counters.store_lookups <- c.Counters.store_lookups + k
+  in
   { dst = st;
-    dctx = Rdf.Path.Batch.create ?step ?lookup ?lookup_n st;
+    dctx =
+      Rdf.Path.Batch.create ?step ~lookup:(fun () -> lookup_n 1) ~lookup_n st;
     dbudget = budget;
     n_ids;
     (* 64 subshape rows, or 16 MiB when that holds more: past it a
@@ -667,7 +646,7 @@ let decider ?(budget = Runtime.Budget.unlimited) ?lookup ?lookup_n st =
     seen = [||];
     queue = [||];
     stamp = 0;
-    dcounters = Counters.create () }
+    dcounters }
 
 let pred_of d p = match Store.pred_id d.dst p with Some i -> i | None -> -1
 
@@ -754,7 +733,7 @@ type pass = { d : decider; serial : int; gen : int; subs : subs }
 (* One path evaluation: a budget tick, and a probe when [probe]. *)
 let charge p ~probe =
   Runtime.Budget.tick p.d.dbudget;
-  let c = p.d.dcounters in
+  let c = !(p.d.dcounters) in
   c.Counters.path_evals <- c.Counters.path_evals + 1;
   if probe then c.Counters.store_lookups <- c.Counters.store_lookups + 1
 
@@ -798,7 +777,7 @@ let rec decide p v sub =
   if not (memoized sub) then compute p v sub
   else begin
     let d = p.d in
-    let c = d.dcounters in
+    let c = !(d.dcounters) in
     c.Counters.memo_lookups <- c.Counters.memo_lookups + 1;
     let i = slot d sub v in
     let cached =
@@ -906,7 +885,7 @@ and walk p v pr psi ~want ~limit =
     let x = queue.(!head) in
     incr head;
     if pid >= 0 then begin
-      let c = d.dcounters in
+      let c = !(d.dcounters) in
       c.Counters.store_lookups <- c.Counters.store_lookups + 1;
       let r = ref (step_lo st pid inv x) and hi = step_hi st pid inv x in
       while !r < hi && !n < limit do
@@ -1147,7 +1126,7 @@ let verdicts ?counters ?(schema = Schema.empty) (d : decider) phi =
   if gen = 1 then Bytes.fill d.arena 0 (Bytes.length d.arena) '\000';
   d.serial <- d.serial + 1;
   Sorted_ids.Tbl.reset d.spill;
-  d.dcounters <- (match counters with Some c -> c | None -> Counters.create ());
+  d.dcounters := (match counters with Some c -> c | None -> Counters.create ());
   let p = { d; serial = d.serial; gen; subs } in
   let current () =
     if d.serial <> p.serial then

@@ -68,23 +68,23 @@ val why_not :
     does conform. *)
 
 val checker :
-  ?counters:Shacl.Counters.t ->
   ?budget:Runtime.Budget.t ->
   ?schema:Shacl.Schema.t ->
   ?touched:(Rdf.Term.t -> unit) ->
   Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * Rdf.Graph.t)
 (** Batch variant of {!check}: the shape is resolved once and one memo
     is shared across all focus nodes, which is how an instrumented
-    validator processes the target nodes of a shape.  Used by
-    {!Fragment.frag}, the parallel engine and the overhead experiment.
+    validator processes the target nodes of a shape.  It is the
+    per-node evaluator: {!check} and {!why_not} (CLI and serve
+    [neighborhood]), the incremental state's per-pair supports,
+    [Engine.run ~kernel:`Per_node] and the overhead experiment run it.
     Successive checkers of one (physical) shape and schema on a domain
     share that domain's resolution of it, so call a checker on the
     domain that created it.
-    When [counters] is given, memo traffic and path evaluations are
-    accumulated into it.  When [budget] is given, each memo lookup and
-    path evaluation spends one unit of fuel and the returned closure may
-    raise [Runtime.Budget.Exhausted] at those safe points.  Path
-    expressions are evaluated by {!Rdf.Path.eval}.
+    When [budget] is given, each memo lookup and path evaluation spends
+    one unit of fuel and the returned closure may raise
+    [Runtime.Budget.Exhausted] at those safe points.  Path expressions
+    are evaluated by {!Rdf.Path.eval}.
 
     When [touched] is given, it receives the anchor of every graph
     probe the evaluation makes — each focus node visited plus every
@@ -115,19 +115,15 @@ type decider
     compound-path kernel context and the budget.  Not thread-safe: one
     per worker domain. *)
 
-val decider :
-  ?budget:Runtime.Budget.t ->
-  ?lookup:(unit -> unit) ->
-  ?lookup_n:(int -> unit) ->
-  Rdf.Store.t -> decider
+val decider : ?budget:Runtime.Budget.t -> Rdf.Store.t -> decider
 (** [decider ~budget st] is a fresh decider.  Each memo miss and each
     path evaluation spends one unit of [budget] (and may raise
     [Runtime.Budget.Exhausted]); the kernel charges its steps to it,
     replaying a memoized evaluation's recorded charge on every reuse.
-    [lookup] receives the kernel's adjacency-probe charges and
-    [lookup_n] their bulk replays, so a worker-lifetime decider can
-    charge whichever chunk's counters are current.  The arena grows to one
-    byte per (subshape, term) for the subshapes reached, up to
+    The kernel's adjacency probes, replays included, go to the counters
+    of the current verdict function ({!verdicts}), so a worker-lifetime
+    decider charges whichever chunk is being decided.  The arena grows
+    to one byte per (subshape, term) for the subshapes reached, up to
     [max (64 × terms) 16 MiB] bytes; verdicts past it go to a table. *)
 
 type verdicts = {
@@ -156,10 +152,10 @@ val verdicts :
 (** [verdicts d phi] decides [phi] with a memo that starts empty: a new
     generation of [d]'s arena, not a new allocation.  It charges memo
     traffic ([memo_*]: one lookup per non-trivial subshape reached),
-    path evaluations and bare-step probes ([store_lookups]) to
-    [counters]; [collect] charges its path evaluations there too, and
-    spends one unit of budget per collected pair and per path
-    evaluation.  The functions are valid until the next [verdicts] on
+    path evaluations, bare-step probes and the kernel's probes
+    ([store_lookups]) to [counters]; [collect] charges its path
+    evaluations there too, and spends one unit of budget per collected
+    pair and per path evaluation.  The functions are valid until the next [verdicts] on
     [d], and raise [Invalid_argument] after it. *)
 
 val naive_checker :

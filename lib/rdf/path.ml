@@ -236,26 +236,18 @@ module Batch = struct
     mutable last_id : int;
     user_step : unit -> unit;
     user_lookup : unit -> unit;
-    user_step_n : int -> unit;
     user_lookup_n : int -> unit;
-        (* bulk variants used by charge replay: a memoized trace can
-           stand for thousands of recorded steps, and looping a closure
-           that many times costs more than the trace itself *)
+        (* bulk [lookup] for charge replay: a memoized trace can stand
+           for thousands of recorded probes, and looping a closure that
+           many times costs more than the trace itself; fuel ticks
+           cannot be batched, so [step] replays one call per unit *)
     charge_step : bool;
     charge_lookup : bool;
     mutable steps : int;
     mutable lookups : int;
   }
 
-  let create ?step ?step_n ?lookup ?lookup_n st =
-    let bulk hook = function
-      | Some f -> f
-      | None ->
-          fun k ->
-            for _ = 1 to k do
-              hook ()
-            done
-    in
+  let create ?step ?lookup ?lookup_n st =
     let user_step = match step with Some f -> f | None -> ignore in
     let user_lookup = match lookup with Some f -> f | None -> ignore in
     { st;
@@ -267,8 +259,14 @@ module Batch = struct
       last_id = -1;
       user_step;
       user_lookup;
-      user_step_n = bulk user_step step_n;
-      user_lookup_n = bulk user_lookup lookup_n;
+      user_lookup_n =
+        (match lookup_n with
+        | Some f -> f
+        | None ->
+            fun k ->
+              for _ = 1 to k do
+                user_lookup ()
+              done);
       charge_step = Option.is_some step;
       charge_lookup = Option.is_some lookup;
       steps = 0;
@@ -311,7 +309,10 @@ module Batch = struct
   let replay ctx (e : entry) =
     ctx.steps <- ctx.steps + e.steps;
     ctx.lookups <- ctx.lookups + e.lookups;
-    if ctx.charge_step then ctx.user_step_n e.steps;
+    if ctx.charge_step then
+      for _ = 1 to e.steps do
+        ctx.user_step ()
+      done;
     if ctx.charge_lookup then ctx.user_lookup_n e.lookups
 
   (* Adjacency scans: rows inside a (s,p) SPO range carry strictly

@@ -107,8 +107,9 @@ val trace_set :
     (sub-path, direction, node) evaluation in a per-context table, so a
     sub-path reached again — from another source, another shape or
     another operator of the same path — is answered from the memo.
-    Contexts share nothing; the fragment engine keeps one per worker
-    domain and evaluates lazily, as its checkers reach each path.
+    Contexts share nothing; each verdict-pass decider keeps one (the
+    engine has one decider per worker domain) and evaluates lazily, as
+    deciding and collecting reach each path.
     Tracing ({!Batch.trace}) works in the same id space and emits
     canonical store row ids.
 
@@ -127,19 +128,14 @@ module Batch : sig
       Not thread-safe — one per domain. *)
 
   val create :
-    ?step:(unit -> unit) -> ?step_n:(int -> unit) ->
+    ?step:(unit -> unit) ->
     ?lookup:(unit -> unit) -> ?lookup_n:(int -> unit) ->
     Store.t -> ctx
-  (** [step_n]/[lookup_n] are bulk equivalents of [step]/[lookup] used
-      when replaying a recorded charge of [n] units; they default to
-      calling the unit hook [n] times and exist because a counter
-      increment can be batched where a fuel tick sequence cannot. *)
-
-  val intern : ctx -> t -> int
-  (** The context's id for a path expression (assigned on first use);
-      structurally equal paths share one id.  Exposed so memo layers
-      above the kernel can build int keys without re-hashing path
-      structure. *)
+  (** [lookup_n] is the bulk equivalent of [lookup] used when replaying
+      a recorded charge of [n] probes; it defaults to calling [lookup]
+      [n] times.  A replayed [step] charge is always [n] calls of
+      [step]: a counter increment can be batched where a fuel tick
+      sequence cannot. *)
 
   val eval : ctx -> t -> int -> int array
   (** [[[E]]^G(a)] as a sorted, duplicate-free id array.  Equals the

@@ -498,28 +498,6 @@ let mem t s p o =
   | Some s, Some p, Some o -> mem_ids t s p o
   | _ -> false
 
-let fold_objects t ~s ~p f acc =
-  match id t s, pred_id t p with
-  | Some s, Some p ->
-      let lo, hi = objects_range t ~s ~p in
-      let acc = ref acc in
-      for i = lo to hi - 1 do
-        acc := f t.spo_o.(i) !acc
-      done;
-      !acc
-  | _ -> acc
-
-let fold_subjects t ~p ~o f acc =
-  match pred_id t p, id t o with
-  | Some p, Some o ->
-      let lo, hi = subjects_range t ~p ~o in
-      let acc = ref acc in
-      for i = lo to hi - 1 do
-        acc := f t.pos_s.(i) !acc
-      done;
-      !acc
-  | _ -> acc
-
 let subject_triples t s =
   match id t s with
   | None -> []

@@ -126,10 +126,8 @@ val object_range : t -> int -> int * int
 val predicate_range : t -> int -> int * int
 (** POS rows of a predicate. *)
 
-(** {1 Term-level folds and views} *)
+(** {1 Term-level views} *)
 
-val fold_objects : t -> s:Term.t -> p:Iri.t -> (int -> 'a -> 'a) -> 'a -> 'a
-val fold_subjects : t -> p:Iri.t -> o:Term.t -> (int -> 'a -> 'a) -> 'a -> 'a
 val subject_triples : t -> Term.t -> Triple.t list
 val object_triples : t -> Term.t -> Triple.t list
 val predicate_triples : t -> Iri.t -> Triple.t list

@@ -448,7 +448,7 @@ let run_construct g q = Sparql.Eval.construct g ~template:q.template q.where
 
 let run_fragment g q =
   match q.expressibility with
-  | Shape_fragment { shape; _ } -> Some (Provenance.Fragment.frag g [ shape ])
+  | Shape_fragment { shape; _ } -> Some (Provenance.Engine.fragment g [ shape ])
   | Not_expressible _ -> None
 
 type outcome = {

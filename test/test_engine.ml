@@ -1,11 +1,11 @@
 (* The parallel fragment engine (Engine) against the naive oracle
-   (Fragment.frag ~algorithm:Naive, Section 3.3), plus the engine's
-   statistics invariants.
+   (Fragment.frag, Section 3.3), plus the engine's statistics
+   invariants.
 
    - Differential: Engine.fragment ≡ Fragment.frag and
-     Engine.fragment_schema ≡ Fragment.frag_schema, both with the naive
-     algorithm (exercising the target-pruning planner, including its
-     fallback for non-monotone targets).
+     Engine.fragment_schema ≡ Fragment.frag_schema (exercising the
+     target-pruning planner, including its fallback for non-monotone
+     targets).
    - Determinism: the fragment does not depend on -j.
    - Theorem 4.1 on engine output: for monotone-target schemas the
      engine's fragment preserves the conforming target nodes.
@@ -39,11 +39,11 @@ let check_equal ~what expected actual =
 (* --- differential: ad-hoc request shapes --------------------------- *)
 
 let prop_differential =
-  QCheck.Test.make ~name:"Engine ≡ Fragment.frag ~algorithm:Naive (-j 1/2/4)"
+  QCheck.Test.make ~name:"Engine ≡ Fragment.frag (the naive oracle, -j 1/2/4)"
     ~count:200
     QCheck.(pair Tgen.arbitrary_graph arbitrary_shapes)
     (fun (g, shapes) ->
-      let oracle = Fragment.frag ~algorithm:Fragment.Naive g shapes in
+      let oracle = Fragment.frag g shapes in
       List.for_all
         (fun jobs ->
           check_equal
@@ -59,7 +59,7 @@ let prop_differential_schema =
     ~count:200
     QCheck.(pair Tgen.arbitrary_graph arbitrary_schema)
     (fun (g, h) ->
-      let oracle = Fragment.frag_schema ~algorithm:Fragment.Naive h g in
+      let oracle = Fragment.frag_schema h g in
       List.for_all
         (fun jobs ->
           check_equal
@@ -228,7 +228,7 @@ let prop_unfold_differential =
           fst (Engine.validate h g);
           fst (Engine.validate ~jobs:2 u g) ]
       in
-      let oracle = Fragment.frag_schema ~algorithm:Fragment.Naive h g in
+      let oracle = Fragment.frag_schema h g in
       let fragment = Engine.fragment_schema u g in
       let sufficient (r : Validate.result) =
         (not r.conforms)
@@ -299,7 +299,7 @@ let test_unfold_negated_ge0 () =
     (Schema.defs h) (Schema.defs u);
   Alcotest.(check bool) "unfolded engine fragment = oracle" true
     (Graph.equal
-       (Fragment.frag_schema ~algorithm:Fragment.Naive h g)
+       (Fragment.frag_schema h g)
        (Engine.fragment_schema u g))
 
 (* --- stats invariants ----------------------------------------------- *)
@@ -346,7 +346,7 @@ let sample_schema =
           (1, Rdf.Path.Prop ty, Shape.Has_value (ex "T")) ) ]
 
 let test_engine_matches_oracle () =
-  let oracle = Fragment.frag_schema ~algorithm:Fragment.Naive sample_schema sample_graph in
+  let oracle = Fragment.frag_schema sample_schema sample_graph in
   List.iter
     (fun jobs ->
       Alcotest.check Tgen.graph_testable
@@ -479,7 +479,7 @@ let test_fault_isolation () =
           [ healthy.Engine.shape ]
       in
       let full_oracle =
-        Fragment.frag_schema ~algorithm:Fragment.Naive resilience_schema sample_graph
+        Fragment.frag_schema resilience_schema sample_graph
       in
       Alcotest.(check bool) "healthy fragment ⊆ engine output" true
         (Graph.subset healthy_oracle fragment);
@@ -490,7 +490,7 @@ let test_fault_retry_succeeds () =
   (* A transient fault: the first chunk probe raises, the sequential
      retry succeeds — complete output, one retry, nothing failed. *)
   with_fault ~at:1 "engine.chunk" (fun () ->
-      let oracle = Fragment.frag_schema ~algorithm:Fragment.Naive resilience_schema sample_graph in
+      let oracle = Fragment.frag_schema resilience_schema sample_graph in
       let fragment, stats =
         Engine.run ~schema:resilience_schema ~jobs:2 sample_graph
           (Engine.requests_of_schema resilience_schema)
@@ -573,11 +573,11 @@ let prop_fault_isolation =
             Engine.run ~schema:h ~jobs:4 ~on_error:`Skip g requests
           in
           let healthy_oracle =
-            Fragment.frag ~schema:h ~algorithm:Fragment.Naive g
+            Fragment.frag ~schema:h g
               (List.map (fun (r : Engine.request) -> r.shape) healthy)
           in
           let full_oracle =
-            Fragment.frag ~schema:h ~algorithm:Fragment.Naive g
+            Fragment.frag ~schema:h g
               (List.map (fun (r : Engine.request) -> r.shape) requests)
           in
           Engine.Stats.degraded stats
@@ -708,7 +708,7 @@ let test_le_inverse_negated_closed () =
     Graph.of_list [ t "a" "p" "v"; t "c" "p" "v"; t "a" "q" "x"; t "c" "r" "y" ]
   in
   Alcotest.check Tgen.graph_testable "naive fragment" expected
-    (Fragment.frag ~algorithm:Fragment.Naive g [ shape ]);
+    (Fragment.frag g [ shape ]);
   let per_node, _ = Engine.run ~kernel:`Per_node g [ Engine.request shape ] in
   Alcotest.check Tgen.graph_testable "`Per_node fragment" expected per_node;
   List.iter
@@ -718,6 +718,62 @@ let test_le_inverse_negated_closed () =
         (Printf.sprintf "`Batched fragment -j %d" jobs)
         expected fragment)
     [ 1; 2; 4 ]
+
+(* The empty graph runs the batched path over an empty store: every
+   candidate is a stray, decided by [of_term], and no row is collected.
+   [hasValue(ex:a)] holds at its constant, its negation nowhere. *)
+let test_empty_graph_run () =
+  List.iter
+    (fun (text, conforming) ->
+      let shape = Shape_syntax.parse_exn text in
+      let requests = [ Engine.request shape ] in
+      let oracle = Fragment.frag Graph.empty [ shape ] in
+      let per_node, per_stats = Engine.run ~kernel:`Per_node Graph.empty requests in
+      Alcotest.check Tgen.graph_testable (text ^ ": `Per_node = oracle") oracle
+        per_node;
+      Alcotest.(check int) (text ^ ": `Per_node conforming") conforming
+        per_stats.Engine.Stats.conforming;
+      List.iter
+        (fun jobs ->
+          let fragment, stats = Engine.run ~jobs Graph.empty requests in
+          let what = Printf.sprintf "%s -j %d" text jobs in
+          Alcotest.(check int) (what ^ ": candidates") 1
+            stats.Engine.Stats.nodes_checked;
+          Alcotest.(check int) (what ^ ": conforming") conforming
+            stats.Engine.Stats.conforming;
+          Alcotest.(check int) (what ^ ": empty fragment") 0
+            (Graph.cardinal fragment);
+          Alcotest.check Tgen.graph_testable (what ^ ": fragment = oracle")
+            oracle fragment)
+        [ 1; 2; 4 ])
+    [ ("hasValue(ex:a)", 1); ("!hasValue(ex:a)", 0) ]
+
+(* Validation of the empty graph: a node target's node occurs in no
+   triple, so it is decided on the empty graph, as [Validate] does. *)
+let test_empty_graph_validate () =
+  let node_target = Shape.Has_value (ex "a") in
+  let schema =
+    Schema.make_exn
+      [ { Schema.name = ex "Holds"; shape = Shape.Not (Shape.Has_value (ex "b"));
+          target = node_target };
+        { Schema.name = ex "Fails"; shape = Shape.Ge (1, Rdf.Path.Prop p, Shape.Top);
+          target = node_target } ]
+  in
+  let oracle = Validate.validate schema Graph.empty in
+  List.iter
+    (fun jobs ->
+      let report, _ = Engine.validate ~jobs schema Graph.empty in
+      let what = Printf.sprintf "-j %d" jobs in
+      Alcotest.(check bool) (what ^ ": conforms") oracle.Validate.conforms
+        report.Validate.conforms;
+      Alcotest.(check int) (what ^ ": result count") 2
+        (List.length report.Validate.results);
+      Alcotest.(check bool) (what ^ ": results = Validate.validate") true
+        (List.length oracle.Validate.results
+         = List.length report.Validate.results
+        && List.for_all2 result_equal oracle.Validate.results
+             report.Validate.results))
+    [ 1; 2 ]
 
 let suite =
   [ "engine matches oracle", `Quick, test_engine_matches_oracle;
@@ -738,7 +794,9 @@ let suite =
     test_row_view_two_domains;
     "strays: decided, no rows, at -j 1/2/4", `Quick, test_stray_candidates;
     "<=n through p^-: negated closed rows", `Quick,
-    test_le_inverse_negated_closed ]
+    test_le_inverse_negated_closed;
+    "empty graph: strays at -j 1/2/4", `Quick, test_empty_graph_run;
+    "empty graph: validate a node target", `Quick, test_empty_graph_validate ]
 
 let props =
   [ prop_differential;

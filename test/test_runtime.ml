@@ -216,8 +216,7 @@ let test_deep_shape_engine_completes () =
   let g, shape, fragment = engine_fragment 100 in
   Alcotest.(check bool) "fragment = naive fragment (depth 100)" true
     (Graph.equal
-       (Provenance.Fragment.frag ~algorithm:Provenance.Fragment.Naive g
-          [ shape ])
+       (Provenance.Fragment.frag g [ shape ])
        fragment)
 
 (* Validation runs the verdict pass: a shape or a target expression
