@@ -1,23 +1,24 @@
 (* Loading: Turtle text to a frozen graph in one pass.
 
    Serializes a generated Kg graph and times [Turtle.parse] on the text
-   — lexing, interning, the store build and the maps built from it —
-   with the GC's allocation counters around each run.  Quick size is
-   the perfbench kg-cli graph (6,000 individuals, ~29k triples); --full
-   is 20,000 individuals (~96k triples), the paper's Sec. 5 scale.
+   — lexing, interning and the store build; the maps are built on first
+   read, not here — with the GC's allocation counters around each run.
+   Quick size is the perfbench kg-cli graph (6,000 individuals, ~29k
+   triples); --full is 20,000 individuals (~96k triples), the paper's
+   Sec. 5 scale.
 
    [identical] checks the loaded graph, not the timing: it is frozen and
-   equal to the source graph; its maps answer [objects], [subjects] and
-   [predicates_between] for every key of the map-built graph
-   ([Graph.of_list]) alike; and its store equals both the
-   comparison-sort build ([Store.patch] of the empty store) and
-   [Store.of_triples] on the triples shuffled and duplicated.
+   equal to the source graph; its maps (built from the store when first
+   read) answer [objects], [subjects] and [predicates_between] for every
+   key of the map-built graph ([Graph.of_list]) alike; and its store
+   equals both the comparison-sort build ([Store.patch] of the empty
+   store) and [Store.of_triples] on the triples shuffled and duplicated.
 
    It also times [Turtle.to_string] on the loaded graph (the writer
    walks the store's rows) and on its builder-maps twin ([Graph.thaw]:
-   the same maps, no store, so the writer walks the maps), and
-   [identical] requires both to print the source's text byte for byte.
-   Results go to BENCH_load.json. *)
+   the maps built from the store, no store, so the writer walks the
+   maps), and [identical] requires both to print the source's text byte
+   for byte.  Results go to BENCH_load.json. *)
 
 open Rdf
 

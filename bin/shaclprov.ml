@@ -178,10 +178,11 @@ let warn_schema schema =
        (Analysis.Diagnostic.at_least Analysis.Diagnostic.Warning)
        (Analysis.Analyzer.analyze schema))
 
-let parse_shapes namespaces exprs =
+(* With [schema], every [shape(s)] must name one of its definitions. *)
+let parse_shapes ?schema namespaces exprs =
   List.map
     (fun src ->
-      match Shacl.Shape_syntax.parse ~namespaces src with
+      match Shacl.Shape_syntax.parse ~namespaces ?schema src with
       | Ok shape -> shape
       | Error e -> die "shape %S: %a" src Shacl.Shape_syntax.pp_error e)
     exprs
@@ -383,7 +384,7 @@ let neighborhood_cmd =
         let g = load_graph data in
         let schema = load_schema shapes in
         let shapes_to_check =
-          match parse_shapes namespaces exprs with
+          match parse_shapes ~schema namespaces exprs with
           | [] ->
               (* fall back to every shape definition of the shapes graph *)
               List.map
@@ -434,7 +435,7 @@ let fragment_cmd =
         let schema = load_schema shapes in
         if shapes <> None then warn_schema schema;
         let requests =
-          match parse_shapes namespaces exprs with
+          match parse_shapes ~schema namespaces exprs with
           | [] ->
               if Shacl.Schema.defs schema = [] then
                 die "no request shapes given (--shape or --shapes)"
@@ -536,7 +537,7 @@ let explain_cmd =
         let g = load_graph data in
         let schema = load_schema shapes in
         let v = parse_node namespaces node in
-        match parse_shapes namespaces exprs with
+        match parse_shapes ~schema namespaces exprs with
         | [] -> die "explain requires at least one --shape"
         | shapes ->
             List.iter

@@ -8,16 +8,17 @@
    functional, sharable, cheap to update.  [freeze] packs the same
    triple set into an interned, int-packed [Store.t] (term dictionary +
    sorted-array SPO/POS/OSP indexes) that answers the hot read paths
-   with binary searches and no per-lookup allocation.  [of_store] goes
-   the other way — the parser builds the store first and the maps from
-   its sorted orders.  [add]/[remove] drop the store and [patch] patches
-   it, so a store never disagrees with the maps beside it.
+   with binary searches and no per-lookup allocation.  [add]/[remove]
+   drop the store and [patch] patches it, so a store never disagrees
+   with the maps beside it.
 
-   A row view ([of_rows], what [Engine.run] returns) is a subset of
-   another store's rows.  Counting, iteration, membership and the
-   Turtle writer read the rows; every other reader builds the maps once
-   ([maps]) and keeps them in the view.  The cache is an [Atomic], not
-   a [Lazy]: two domains forcing one [Lazy] at once raise, while two
+   A view is a set of rows of a store: all of them ([of_store], what
+   the parser returns) or some of them ([of_rows], what [Engine.run]
+   returns).  Counting, iteration, membership and the Turtle writer
+   read the rows; every other reader builds the maps once ([maps]) and
+   keeps them in the view — a whole store by one walk over each of its
+   sorted orders ([maps_of_store]).  The cache is an [Atomic], not a
+   [Lazy]: two domains forcing one [Lazy] at once raise, while two
    domains building the maps at once both publish equal maps. *)
 
 type maps = {
@@ -26,7 +27,8 @@ type maps = {
   osp : Iri.Set.t Term.Map.t Term.Map.t;
 }
 
-type view = { src : Store.t; rows : int array; built : maps option Atomic.t }
+(* [rows = None]: every row of [src] *)
+type view = { src : Store.t; rows : int array option; built : maps option Atomic.t }
 type repr = Maps of maps | View of view
 
 type t = {
@@ -42,34 +44,62 @@ let is_empty g = g.size = 0
 let cardinal g = g.size
 let store g = g.store
 let frozen g = g.store <> None
-let thaw g = if g.store = None then g else { g with store = None }
 
 let row_view g =
-  match g.repr with View v -> Some (v.src, v.rows) | Maps _ -> None
+  match g.repr with
+  | View { src; rows = Some rows; _ } -> Some (src, rows)
+  | View { rows = None; _ } | Maps _ -> None
 
 let of_rows src rows =
   if Array.length rows = 0 then empty
   else
-    { repr = View { src; rows; built = Atomic.make None };
+    { repr = View { src; rows = Some rows; built = Atomic.make None };
       size = Array.length rows;
       store = None }
+
+let of_store st =
+  { repr = View { src = st; rows = None; built = Atomic.make None };
+    size = Store.n_triples st;
+    store = Some st }
 
 (* [rows] ascending: binary search *)
 let view_mem v s p o =
   match Store.id v.src s, Store.pred_id v.src p, Store.id v.src o with
   | Some s, Some p, Some o -> (
-      match Store.triple_row v.src s p o with
-      | None -> false
-      | Some r ->
+      match Store.triple_row v.src s p o, v.rows with
+      | None, _ -> false
+      | Some _, None -> true
+      | Some r, Some rows ->
           let rec go lo hi =
             lo < hi
             &&
             let mid = (lo + hi) / 2 in
-            let x = v.rows.(mid) in
+            let x = rows.(mid) in
             x = r || if x < r then go (mid + 1) hi else go lo mid
           in
-          go 0 (Array.length v.rows))
+          go 0 (Array.length rows))
   | _ -> false
+
+(* the triple of a view's [k]th row *)
+let view_triple v k =
+  Store.row_triple v.src (match v.rows with None -> k | Some rows -> rows.(k))
+
+let fold f g acc =
+  match g.repr with
+  | View v ->
+      let acc = ref acc in
+      for k = 0 to g.size - 1 do acc := f (view_triple v k) !acc done;
+      !acc
+  | Maps m ->
+      Term.Map.fold
+        (fun s by_p acc ->
+          Iri.Map.fold
+            (fun p objs acc ->
+              Term.Set.fold (fun o acc -> f (Triple.make s p o) acc) objs acc)
+            by_p acc)
+        m.spo acc
+
+let iter f g = fold (fun t () -> f t) g ()
 
 let maps_add s p o m =
   let spo =
@@ -89,6 +119,67 @@ let maps_add s p o m =
   in
   { spo; pos; osp }
 
+(* The three maps of a store's triple set, each built by one walk over
+   the store's matching sorted order: a run of rows sharing a key
+   becomes one map entry, so keys arrive ascending and every term is the
+   dictionary's shared copy. *)
+let maps_of_store st =
+  let term = Store.term st in
+  let iri i =
+    match term i with Term.Iri p -> p | _ -> invalid_arg "Graph.maps_of_store"
+  in
+  (* fold [f k lo hi] over the maximal runs [lo, hi) of equal [key]
+     within the rows [lo, hi) *)
+  let rec runs key lo hi f acc =
+    if lo >= hi then acc
+    else begin
+      let k = key lo in
+      let j = ref (lo + 1) in
+      while !j < hi && key !j = k do incr j done;
+      runs key !j hi f (f k lo !j acc)
+    end
+  in
+  let elements col lo hi =
+    let l = ref [] in
+    for i = hi - 1 downto lo do l := col i :: !l done;
+    !l
+  in
+  let terms col lo hi =
+    Term.Set.of_list (elements (fun i -> term (col i)) lo hi)
+  and iris col lo hi =
+    Iri.Set.of_list (elements (fun i -> iri (col i)) lo hi)
+  in
+  let n = Store.n_triples st in
+  let spo =
+    runs (Store.spo_subj st) 0 n
+      (fun s lo hi ->
+        Term.Map.add (term s)
+          (runs (Store.spo_pred st) lo hi
+             (fun p lo hi ->
+               Iri.Map.add (iri p) (terms (Store.spo_obj st) lo hi))
+             Iri.Map.empty))
+      Term.Map.empty
+  and pos =
+    runs (Store.pos_pred st) 0 n
+      (fun p lo hi ->
+        Iri.Map.add (iri p)
+          (runs (Store.pos_obj st) lo hi
+             (fun o lo hi ->
+               Term.Map.add (term o) (terms (Store.pos_subj st) lo hi))
+             Term.Map.empty))
+      Iri.Map.empty
+  and osp =
+    runs (Store.osp_obj st) 0 n
+      (fun o lo hi ->
+        Term.Map.add (term o)
+          (runs (Store.osp_subj st) lo hi
+             (fun s lo hi ->
+               Term.Map.add (term s) (iris (Store.osp_pred st) lo hi))
+             Term.Map.empty))
+      Term.Map.empty
+  in
+  { spo; pos; osp }
+
 let maps g =
   match g.repr with
   | Maps m -> m
@@ -97,15 +188,21 @@ let maps g =
       | Some m -> m
       | None ->
           let m =
-            Array.fold_left
-              (fun m r ->
-                let t = Store.row_triple v.src r in
-                maps_add (Triple.subject t) (Triple.predicate t)
-                  (Triple.object_ t) m)
-              no_maps v.rows
+            match v.rows with
+            | None -> maps_of_store v.src
+            | Some _ ->
+                fold
+                  (fun t m ->
+                    maps_add (Triple.subject t) (Triple.predicate t)
+                      (Triple.object_ t) m)
+                  g no_maps
           in
           Atomic.set v.built (Some m);
           m)
+
+let thaw g =
+  if g.store = None then g
+  else { repr = Maps (maps g); size = g.size; store = None }
 
 let mem_spo s p o g =
   match g.store, g.repr with
@@ -177,25 +274,12 @@ let patch ~removes ~adds g =
       { g' with store = Some (Store.patch st ~removes ~adds) }
   | _ -> g'
 
-let fold f g acc =
-  match g.repr with
-  | View v ->
-      Array.fold_left (fun acc r -> f (Store.row_triple v.src r) acc) acc v.rows
-  | Maps m ->
-      Term.Map.fold
-        (fun s by_p acc ->
-          Iri.Map.fold
-            (fun p objs acc ->
-              Term.Set.fold (fun o acc -> f (Triple.make s p o) acc) objs acc)
-            by_p acc)
-        m.spo acc
-
-let iter f g = fold (fun t () -> f t) g ()
-
 let to_list g =
   match g.repr with
   | View v ->
-      Array.fold_right (fun r acc -> Store.row_triple v.src r :: acc) v.rows []
+      let l = ref [] in
+      for k = g.size - 1 downto 0 do l := view_triple v k :: !l done;
+      !l
   | Maps _ -> List.rev (fold (fun t acc -> t :: acc) g [])
 
 exception Found
@@ -322,67 +406,6 @@ let freeze g =
         let k = ref 0 in
         iter (fun t -> arr.(!k) <- t; incr k) g;
         { g with store = Some (Store.of_triples arr) }
-
-(* The three maps of a store's triple set, each built by one walk over
-   the store's matching sorted order: a run of rows sharing a key
-   becomes one map entry, so keys arrive ascending and every term is the
-   dictionary's shared copy. *)
-let of_store st =
-  let term = Store.term st in
-  let iri i =
-    match term i with Term.Iri p -> p | _ -> invalid_arg "Graph.of_store"
-  in
-  (* fold [f k lo hi] over the maximal runs [lo, hi) of equal [key]
-     within the rows [lo, hi) *)
-  let rec runs key lo hi f acc =
-    if lo >= hi then acc
-    else begin
-      let k = key lo in
-      let j = ref (lo + 1) in
-      while !j < hi && key !j = k do incr j done;
-      runs key !j hi f (f k lo !j acc)
-    end
-  in
-  let elements col lo hi =
-    let l = ref [] in
-    for i = hi - 1 downto lo do l := col i :: !l done;
-    !l
-  in
-  let terms col lo hi =
-    Term.Set.of_list (elements (fun i -> term (col i)) lo hi)
-  and iris col lo hi =
-    Iri.Set.of_list (elements (fun i -> iri (col i)) lo hi)
-  in
-  let n = Store.n_triples st in
-  let spo =
-    runs (Store.spo_subj st) 0 n
-      (fun s lo hi ->
-        Term.Map.add (term s)
-          (runs (Store.spo_pred st) lo hi
-             (fun p lo hi ->
-               Iri.Map.add (iri p) (terms (Store.spo_obj st) lo hi))
-             Iri.Map.empty))
-      Term.Map.empty
-  and pos =
-    runs (Store.pos_pred st) 0 n
-      (fun p lo hi ->
-        Iri.Map.add (iri p)
-          (runs (Store.pos_obj st) lo hi
-             (fun o lo hi ->
-               Term.Map.add (term o) (terms (Store.pos_subj st) lo hi))
-             Term.Map.empty))
-      Iri.Map.empty
-  and osp =
-    runs (Store.osp_obj st) 0 n
-      (fun o lo hi ->
-        Term.Map.add (term o)
-          (runs (Store.osp_subj st) lo hi
-             (fun s lo hi ->
-               Term.Map.add (term s) (iris (Store.osp_pred st) lo hi))
-             Term.Map.empty))
-      Term.Map.empty
-  in
-  { repr = Maps { spo; pos; osp }; size = n; store = Some st }
 
 let pp ppf g =
   let first = ref true in

@@ -11,28 +11,32 @@
     The persistent maps are the {e builder} representation.  A {e
     frozen} graph also carries an interned, int-packed {!Store.t} (term
     dictionary + sorted-array indexes) that the read paths dispatch to.
-    {!Turtle.parse} returns frozen graphs: it builds the store first and
-    the maps from it ({!of_store}).  A graph built in memory is frozen by
-    {!freeze}; read-heavy phases (validation, tracing) should freeze it
-    once up front.  {!add} and {!remove} on a frozen graph drop the
-    store; {!patch} (what {!Delta.apply} uses) patches it for the change
-    instead, and {!thaw} drops it in [O(1)] for a stream of updates that
-    reads only the maps.  Frozen or not, a graph answers every query
-    alike, list order included.
+    A graph built in memory is frozen by {!freeze}; read-heavy phases
+    (validation, tracing) should freeze it once up front.  {!add} and
+    {!remove} on a frozen graph drop the store; {!patch} (what
+    {!Delta.apply} uses) patches it for the change instead, and {!thaw}
+    drops it for a stream of updates that reads only the maps.  Frozen
+    or not, a graph answers every query alike, list order included.
 
-    A {e row view} ({!of_rows}) is a third form: the triples of some
-    rows of another graph's store, kept as those rows.  The fragment
-    engine ([Provenance.Engine.run]) returns its fragments this way, so
-    a fragment that is only counted and printed is never rebuilt into
-    maps.  {!cardinal}, {!fold}, {!iter}, {!to_list}, {!to_seq}, {!mem},
-    {!mem_spo}, {!exists}, {!for_all}, {!subset}, {!equal} and
-    {!Turtle.to_string} read the rows.  Every other reader builds the view's maps on first
-    use and keeps them in the view, so it pays that once; two domains
-    that do so at the same time both build equal maps, and either copy
-    is kept.  {!add}, {!remove} and {!patch} return builder graphs.
-    {!store} and {!frozen} describe the view's own triples: they are
-    [None] and [false] until {!freeze}, which builds a store of those
-    triples alone. *)
+    A {e view} is a graph kept as rows of a store: all of them
+    ({!of_store}; {!Turtle.parse} returns these) or some of them
+    ({!of_rows}; the fragment engine, [Provenance.Engine.run], returns
+    these).  {!cardinal}, {!fold}, {!iter}, {!to_list}, {!to_seq},
+    {!mem}, {!mem_spo}, {!exists}, {!for_all}, {!subset}, {!equal} and
+    {!Turtle.to_string} read the rows, and a parsed graph answers the
+    other store-backed reads ({!subject_triples}, {!object_triples},
+    {!predicate_triples}, {!out_predicates}, {!nodes}) from its store.
+    So a parsed graph that is only validated or traced in id space
+    ([Engine.validate], [Engine.run]) or printed, and a fragment that
+    is only counted and printed, never builds maps.  Every other reader
+    ({!objects}, {!subjects}, {!predicates_between}, {!subjects_all},
+    {!predicates_all}, {!thaw}, and {!add}/{!remove}/{!patch}, which
+    return builder graphs) builds the view's maps on first use and keeps
+    them in the view, so it pays that once; two domains that do so at
+    the same time both build equal maps, and either copy is kept.  A
+    parsed graph is frozen on its own store.  A row view's {!store} and
+    {!frozen} describe its own triples: they are [None] and [false]
+    until {!freeze}, which builds a store of those triples alone. *)
 
 type t
 
@@ -52,9 +56,10 @@ val freeze : t -> t
     triples.  The empty graph stays unfrozen. *)
 
 val of_store : Store.t -> t
-(** The frozen graph of a store's triple set.  The three maps are built
-    by one linear walk over each of the store's sorted orders and share
-    the dictionary's term copies. *)
+(** The frozen graph of a store's triple set, in [O(1)]: a view of
+    every row of the store, with no maps.  The first reader that needs
+    the maps (see above) builds all three by one linear walk over each
+    of the store's sorted orders, on the dictionary's term copies. *)
 
 val of_rows : Store.t -> int array -> t
 (** [of_rows st rows] is the row view of [st]'s SPO rows [rows], which
@@ -71,12 +76,14 @@ val store : t -> Store.t option
 (** The interned store, when the graph has been {!freeze}d. *)
 
 val thaw : t -> t
-(** The same triple set without the store: the maps view, in [O(1)] —
-    the maps are shared, not copied.  {!add}, {!remove} and {!patch} on
-    the result cost [O(log n)] per triple and never touch a store, so a
-    stream of small updates is cheap on it; {!freeze} or a
-    {!patch} of the frozen original gives a store back.  Identity on an
-    unfrozen graph. *)
+(** The same triple set without the store: the maps view.  The maps are
+    shared, not copied, so this is [O(1)] once they exist; a parsed
+    graph that has not built them yet builds them here, by the same
+    walk as {!of_store}, and keeps them for the original too.  {!add},
+    {!remove} and {!patch} on the result cost [O(log n)] per triple and
+    never touch a store, so a stream of small updates is cheap on it;
+    {!freeze} or a {!patch} of the frozen original gives a store back.
+    Identity on an unfrozen graph. *)
 
 (** {1 Building} *)
 

@@ -21,8 +21,9 @@ val parse : ?base:string -> string -> (Graph.t, error) result
     input: malformed bytes yield [Error], never an exception.
 
     The result is frozen ({!Graph.frozen}): the parser interns terms as
-    it reads them and builds the {!Store.t} and the maps in one bulk
-    pass, so a later {!Graph.freeze} costs nothing.  A document with no
+    it reads them and builds the {!Store.t} in one bulk pass, so a later
+    {!Graph.freeze} costs nothing.  The maps are built on first read
+    ({!Graph.of_store}), by the readers that need them.  A document with no
     triple gives {!Graph.empty}, which is unfrozen.  Anonymous nodes
     ([[]] and collection cells) get fresh labels [genid<N>], or another
     prefix when the document spells a [_:genid...] label itself, so a

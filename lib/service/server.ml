@@ -200,7 +200,10 @@ let execute t budget : Wire.op -> Wire.reply = function
             match acc with
             | Result.Error _ as e -> e
             | Ok shapes -> (
-                match Shacl.Shape_syntax.parse ~namespaces:t.namespaces src with
+                match
+                  Shacl.Shape_syntax.parse ~namespaces:t.namespaces
+                    ~schema:t.schema src
+                with
                 | Ok shape ->
                     Ok
                       (Provenance.Engine.request
@@ -242,7 +245,10 @@ let execute t budget : Wire.op -> Wire.reply = function
             { triples = Rdf.Graph.cardinal fragment;
               turtle = turtle t fragment })
   | Wire.Neighborhood { node; shape } -> (
-      match Shacl.Shape_syntax.parse ~namespaces:t.namespaces shape with
+      match
+        Shacl.Shape_syntax.parse ~namespaces:t.namespaces ~schema:t.schema
+          shape
+      with
       | Result.Error e ->
           Wire.Error
             (Format.asprintf "shape %S: %a" shape Shacl.Shape_syntax.pp_error e)

@@ -177,7 +177,12 @@ let next_token lx =
 (* Parser                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type state = { lx : lexer; mutable tok : token; mutable tok_pos : int }
+type state = {
+  lx : lexer;
+  mutable tok : token;
+  mutable tok_pos : int;
+  schema : Schema.t option;  (* [shape(s)] must name one of its definitions *)
+}
 
 let bump st =
   skip_ws st.lx;
@@ -443,8 +448,16 @@ and parse_atom st =
   | Tident "shape" ->
       bump st;
       expect st Tlpar "'('";
+      let at = st.tok_pos in
       let name = parse_term st in
       expect st Trpar "')'";
+      (match st.schema with
+       | Some h when Schema.find h name = None ->
+           raise
+             (Err
+                { position = at;
+                  message = Format.asprintf "undefined shape %a" Term.pp name })
+       | _ -> ());
       Shape.Has_shape name
   | Tident "hasValue" ->
       bump st;
@@ -518,15 +531,15 @@ and parse_binary st mk =
 (* Entry points                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let init ?(namespaces = Namespace.default) src =
+let init ?(namespaces = Namespace.default) ?schema src =
   let lx = { src; namespaces; pos = 0 } in
-  let st = { lx; tok = Teof; tok_pos = 0 } in
+  let st = { lx; tok = Teof; tok_pos = 0; schema } in
   bump st;
   st
 
-let parse ?namespaces src =
+let parse ?namespaces ?schema src =
   try
-    let st = init ?namespaces src in
+    let st = init ?namespaces ?schema src in
     let s = parse_shape st in
     if st.tok <> Teof then perr st "trailing input after shape";
     Ok s

@@ -25,7 +25,16 @@ type error = { position : int; message : string }
 
 val pp_error : Format.formatter -> error -> unit
 
-val parse : ?namespaces:Rdf.Namespace.t -> string -> (Shape.t, error) result
+val parse :
+  ?namespaces:Rdf.Namespace.t ->
+  ?schema:Schema.t ->
+  string ->
+  (Shape.t, error) result
+(** With [schema], a request shape is read against that schema: a
+    [shape(s)] naming none of its definitions is an error at [s], not
+    the [top] that {!Schema.def_shape} reads for a schema-internal
+    reference. *)
+
 val parse_exn : ?namespaces:Rdf.Namespace.t -> string -> Shape.t
 (** Raises [Failure] with a located message. *)
 

@@ -330,9 +330,10 @@ let gen_delta_triple =
        (Term.iri (Tgen.ex "fresh") :: Term.blank "fresh"
        :: Term.str "fresh \xE2\x9C\x93" :: both :: objects))
 
-let gen_patch_case =
+(* a graph drawn by [gen_graph], triples to remove and triples to add *)
+let gen_patch_case gen_graph =
   let open Gen in
-  list_size (int_range 0 12) gen_graph_triple >>= fun l ->
+  gen_graph >>= fun l ->
   let from_graph n = if l = [] then return [] else list_size n (oneofl l) in
   let drain = map (fun removes -> (l, removes, [])) (shuffle_l l) in
   let mixed =
@@ -348,14 +349,15 @@ let gen_patch_case =
   in
   frequency [ 1, drain; 5, mixed ]
 
-let arbitrary_patch_case =
-  make gen_patch_case ~print:(fun (l, removes, adds) ->
+let arbitrary_patch_case gen_graph =
+  make (gen_patch_case gen_graph) ~print:(fun (l, removes, adds) ->
       Printf.sprintf "graph:\n%s\nremoves:\n%s\nadds:\n%s"
         (print_triples l) (print_triples removes) (print_triples adds))
 
 let store_patch_agrees =
   Test.make ~count:1000 ~name:"store patch = of_triples on the new triple set"
-    arbitrary_patch_case (fun (l, removes, adds) ->
+    (arbitrary_patch_case (Gen.list_size (Gen.int_range 0 12) gen_graph_triple))
+    (fun (l, removes, adds) ->
       let st = Store.of_triples (Array.of_list l) in
       let g' = Graph.patch ~removes ~adds (Graph.of_list l) in
       let expected = Store.of_triples (Array.of_list (Graph.to_list g')) in
@@ -373,42 +375,85 @@ let store_patch_agrees =
       | Some st' -> Store.equal st' expected
       | None -> l = [] && not (Graph.frozen via_delta))
 
-(* Every list and set accessor answers alike, order included, on the
-   map-built graph [g], on [freeze g] (store-backed reads, same maps)
-   and on the graph the parser loads from [g]'s Turtle (maps built from
-   the store). *)
+(* Every accessor and update answers alike, order included, on the
+   map-built graph [g], on [freeze g] (store-backed reads, same maps),
+   on the graph the parser loads from [g]'s Turtle (a view of its store,
+   maps built on first read) and on that graph thawed (maps built from
+   the store).  Each reader runs on a fresh copy, so on the parsed graph
+   it is the first to read; a later [freeze] of an update gives the
+   store a from-scratch freeze gives. *)
 let accessors_agree =
-  Test.make ~count ~name:"accessors: g = freeze g = parsed g, order included"
-    arbitrary_triples (fun l ->
+  Test.make ~count
+    ~name:"accessors: g = freeze g = parsed g = thawed, order included"
+    (arbitrary_patch_case gen_triples) (fun (l, removes, adds) ->
       let g = Graph.of_list l in
-      let reps = [ Graph.freeze g; Turtle.parse_exn (Turtle.to_string g) ] in
+      let text = Turtle.to_string g in
+      let parsed () = Turtle.parse_exn text in
+      let reps =
+        [ (fun () -> Graph.freeze g); parsed;
+          (fun () -> Graph.thaw (parsed ())) ]
+      in
       let triples = List.equal Triple.equal in
       let terms a b =
         List.equal Term.equal (Term.Set.elements a) (Term.Set.elements b)
       and iris a b =
         List.equal Iri.equal (Iri.Set.elements a) (Iri.Set.elements b)
       in
-      let agree eq f = List.for_all (fun g' -> eq (f g) (f g')) reps in
-      let for_keys keys f = List.for_all f keys in
-      agree triples Graph.to_list
-      && agree triples (fun g -> List.of_seq (Graph.to_seq g))
-      && agree triples (fun g -> List.rev (Graph.fold List.cons g []))
-      && agree terms Graph.nodes
-      && agree terms Graph.subjects_all
-      && agree iris Graph.predicates_all
-      && for_keys subjects (fun s ->
-             agree triples (fun g -> Graph.subject_triples g s)
-             && agree iris (fun g -> Graph.out_predicates g s)
-             && for_keys props (fun p ->
-                    agree terms (fun g -> Graph.objects g s p))
-             && for_keys objects (fun o ->
-                    agree iris (fun g -> Graph.predicates_between g s o)))
-      && for_keys objects (fun o ->
-             agree triples (fun g -> Graph.object_triples g o)
-             && for_keys props (fun p ->
-                    agree terms (fun g -> Graph.subjects g p o)))
-      && for_keys props (fun p ->
-             agree triples (fun g -> Graph.predicate_triples g p)))
+      let same a b =
+        Graph.equal a b && triples (Graph.to_list a) (Graph.to_list b)
+      in
+      let agree eq f = List.for_all (fun rep -> eq (f g) (f (rep ()))) reps in
+      let keyed keys eq f = agree (List.equal eq) (fun g -> List.map (f g) keys) in
+      let pairs a b = List.concat_map (fun x -> List.map (fun y -> (x, y)) b) a in
+      let nodes = both :: subjects and onodes = both :: objects in
+      let forms =
+        Graph.frozen (parsed ()) = (l <> [])
+        && not (Graph.frozen (Graph.thaw (parsed ())))
+      in
+      let readers =
+        agree Int.equal Graph.cardinal
+        && agree triples Graph.to_list
+        && agree triples (fun g -> List.of_seq (Graph.to_seq g))
+        && agree triples (fun g -> List.rev (Graph.fold List.cons g []))
+        && agree Bool.equal
+             (Graph.exists (fun t -> Term.is_blank (Triple.object_ t)))
+        && agree Bool.equal (fun h -> Graph.equal h g && Graph.subset g h)
+        && agree terms Graph.nodes
+        && agree terms Graph.subjects_all
+        && agree iris Graph.predicates_all
+        && keyed nodes triples Graph.subject_triples
+        && keyed nodes iris Graph.out_predicates
+        && keyed onodes triples Graph.object_triples
+        && keyed props triples Graph.predicate_triples
+        && keyed (pairs nodes props) terms (fun g (s, p) -> Graph.objects g s p)
+        && keyed (pairs props onodes) terms (fun g (p, o) ->
+               Graph.subjects g p o)
+        && keyed (pairs nodes onodes) iris (fun g (s, o) ->
+               Graph.predicates_between g s o)
+        && keyed (pairs (pairs nodes props) onodes) Bool.equal
+             (fun g ((s, p), o) -> Graph.mem_spo s p o g)
+      in
+      let updates =
+        let delta = Graph.of_list adds in
+        let patched g = Graph.patch ~removes ~adds g in
+        let scratch = Graph.freeze (patched g) in
+        agree same (fun g -> List.fold_left (Fun.flip Graph.add_triple) g adds)
+        && agree same (fun g -> List.fold_left (Fun.flip Graph.remove) g removes)
+        && agree same patched
+        && agree same (fun g -> Graph.union g delta)
+        && agree same (fun g -> Graph.diff g delta)
+        && List.for_all
+             (fun rep ->
+               let frozen = Graph.freeze (patched (rep ())) in
+               same frozen scratch
+               &&
+               match Graph.store frozen, Graph.store scratch with
+               | Some a, Some b -> Store.equal a b
+               | _, None -> Graph.is_empty scratch
+               | None, Some _ -> false)
+             reps
+      in
+      forms && readers && updates)
 
 (* ---------------- bulk load ----------------------------------------- *)
 
@@ -637,6 +682,40 @@ let test_store_counts_probes () =
        a);
   Alcotest.(check bool) "lookup hook fired" true (!lookups > 0)
 
+(* Two domains that are the first to read one parsed graph's maps, at
+   the same moment, both answer like the map builder's graph; neither
+   raises. *)
+let test_parsed_maps_two_domains () =
+  let source = Workload.Kg.generate ~seed:3 ~individuals:200 in
+  let text = Turtle.to_string source in
+  let twin = Graph.of_list (Graph.to_list source) in
+  let answers g =
+    Graph.fold
+      (fun t acc ->
+        let s = Triple.subject t and p = Triple.predicate t
+        and o = Triple.object_ t in
+        Term.Set.elements (Graph.objects g s p)
+        :: Term.Set.elements (Graph.subjects g p o)
+        :: acc)
+      twin []
+  in
+  let expected = answers twin in
+  for _ = 1 to 5 do
+    let g = Turtle.parse_exn text in
+    let ready = Atomic.make 0 in
+    let read () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do Domain.cpu_relax () done;
+      answers g
+    in
+    let d1 = Domain.spawn read and d2 = Domain.spawn read in
+    let a1 = Domain.join d1 and a2 = Domain.join d2 in
+    let same = List.equal (List.equal Term.equal) in
+    Alcotest.(check bool) "both domains answer like the builder" true
+      (same a1 expected && same a2 expected);
+    Alcotest.(check bool) "the graph stays frozen" true (Graph.frozen g)
+  done
+
 let suite =
   [ Alcotest.test_case "graph freeze/thaw contract" `Quick
       test_freeze_contract;
@@ -644,4 +723,6 @@ let suite =
     Alcotest.test_case "frozen remove clears indexes" `Quick
       test_frozen_remove_clears_indexes;
     Alcotest.test_case "freeze of the empty graph" `Quick test_freeze_empty;
-    Alcotest.test_case "store lookup hook" `Quick test_store_counts_probes ]
+    Alcotest.test_case "store lookup hook" `Quick test_store_counts_probes;
+    Alcotest.test_case "parsed graph: maps forced by two domains" `Quick
+      test_parsed_maps_two_domains ]

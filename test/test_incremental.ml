@@ -428,7 +428,9 @@ let arbitrary_case =
    the incremental state matches the sequential oracles recomputed from
    scratch on the current graph, and a state built with [~jobs:3] (the
    pairs evaluated on worker domains) reports the same [update_stats],
-   report and fragment bytes — the report byte-for-byte against
+   report and fragment bytes, as does a state built from the parsed
+   graph of the same triples, as [serve] loads it — the report
+   byte-for-byte against
    [Validate.validate], the fragment as a graph against
    [Fragment.frag_schema] — and the maintained fragment is sufficient
    (Thm 3.4): every target the report marks conforming still conforms
@@ -448,6 +450,11 @@ let prop_incremental_differential =
     (fun (schema, g0, deltas) ->
       let inc = Incremental.create ~schema g0 in
       let inc3 = Incremental.create ~jobs:3 ~schema g0 in
+      (* as [serve] loads: the parsed graph, maps not yet built, frozen *)
+      let incp =
+        Incremental.create ~schema
+          (Graph.freeze (Turtle.parse_exn (Turtle.to_string g0)))
+      in
       let report_bytes r = Format.asprintf "%a" Shacl.Validate.pp_report r in
       let request_shape name =
         let def =
@@ -463,18 +470,23 @@ let prop_incremental_differential =
           incr k;
           let st = Incremental.apply inc d in
           let st3 = Incremental.apply inc3 d in
+          let stp = Incremental.apply incp d in
           let g = Incremental.graph inc in
           let report = Incremental.report inc in
           let fragment = Incremental.fragment inc in
           let same_store =
-            (!k mod 2 = 0 && !k <> last) || frozen_is_scratch inc
+            (!k mod 2 = 0 && !k <> last)
+            || (frozen_is_scratch inc && frozen_is_scratch incp)
           in
           same_store
-          && st = st3
-          && String.equal (report_bytes report)
-               (report_bytes (Incremental.report inc3))
-          && String.equal (Turtle.to_string fragment)
-               (Turtle.to_string (Incremental.fragment inc3))
+          && st = st3 && st = stp
+          && List.for_all
+               (fun other ->
+                 String.equal (report_bytes report)
+                   (report_bytes (Incremental.report other))
+                 && String.equal (Turtle.to_string fragment)
+                      (Turtle.to_string (Incremental.fragment other)))
+               [ inc3; incp ]
           && Incremental.conforms inc = report.conforms
           && Incremental.checks inc = List.length report.results
           && Incremental.violations inc

@@ -664,6 +664,34 @@ let test_e2e_update_without_journal () =
       | Ok _ -> Alcotest.fail "update must be refused without a journal"
       | Error e -> Alcotest.failf "expected Remote_error: %a" Client.pp_error e)
 
+(* A request shape naming no definition of the served schema is a
+   request error, as a syntax error is; a defined name still resolves. *)
+let test_e2e_undefined_shape () =
+  with_server (fun server ->
+      let refused what op =
+        match call server op with
+        | Error (Client.Remote_error msg) ->
+            Alcotest.(check bool) (what ^ " names the shape") true
+              (contains ~sub:"undefined shape <http://example.org/NoSuchShape>"
+                 msg)
+        | Ok _ -> Alcotest.failf "%s: an undefined shape must be refused" what
+        | Error e ->
+            Alcotest.failf "%s: expected Remote_error: %a" what Client.pp_error e
+      in
+      refused "neighborhood"
+        (Wire.Neighborhood { node = "ex:p1"; shape = "shape(ex:NoSuchShape)" });
+      refused "fragment"
+        (Wire.Fragment [ "top"; ">=1 ex:author . shape(ex:NoSuchShape)" ]);
+      match
+        expect_ok "defined shape"
+          (call server
+             (Wire.Neighborhood
+                { node = "ex:p1"; shape = "shape(ex:WorkshopShape)" }))
+      with
+      | Wire.Neighborhoods { conforms; _ } ->
+          Alcotest.(check bool) "conforms" true conforms
+      | _ -> Alcotest.fail "expected Neighborhoods")
+
 (* ---------------- Server.write_port_file ----------------------------- *)
 
 let test_write_port_file_atomic () =
@@ -811,6 +839,8 @@ let suite =
     test_e2e_journal_adhoc_fragment;
     "e2e: update refused without a journal", `Quick,
     test_e2e_update_without_journal;
+    "e2e: an undefined request shape is refused", `Quick,
+    test_e2e_undefined_shape;
     "server: port file is written atomically", `Quick,
     test_write_port_file_atomic;
     "wire: a frame spans many reads", `Quick, test_frame_spans_reads ]
