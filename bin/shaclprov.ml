@@ -188,12 +188,9 @@ let parse_shapes ?schema namespaces exprs =
     exprs
 
 let parse_node namespaces src =
-  if String.length src > 1 && src.[0] = '<' then
-    Rdf.Term.iri (String.sub src 1 (String.length src - 2))
-  else
-    match Rdf.Namespace.expand namespaces src with
-    | Some iri -> Rdf.Term.iri iri
-    | None -> Rdf.Term.iri src
+  match Rdf.Namespace.node namespaces src with
+  | Ok v -> v
+  | Error m -> die "%s" m
 
 (* Run the command body; [Fail] (and stray I/O errors) become a clean
    [Error] message rather than an uncaught exception.  The body returns
@@ -394,18 +391,23 @@ let neighborhood_cmd =
         in
         if shapes_to_check = [] then die "no shapes given (--shape or --shapes)";
         let v = parse_node namespaces node in
+        (* Every shape and why-not pass is decided on the store by one
+           decider: the term maps are never built. *)
+        let d =
+          Provenance.Neighborhood.decider (Provenance.Engine.store_of g)
+        in
         List.iter
           (fun shape ->
             Format.printf "shape: %s@."
               (Shacl.Shape_syntax.print ~namespaces shape);
-            match Provenance.Neighborhood.check ~schema g v shape with
+            match Provenance.Neighborhood.check_with ~schema d v shape with
             | true, neighborhood ->
                 Format.printf "%a conforms; neighborhood:@.%s@." Rdf.Term.pp v
                   (Rdf.Turtle.to_string ~prefixes:namespaces neighborhood)
             | false, _ ->
                 (* why-not provenance (Remark 3.7): B(v, ¬shape) *)
                 let _, explanation =
-                  Provenance.Neighborhood.check ~schema g v
+                  Provenance.Neighborhood.check_with ~schema d v
                     (Shacl.Shape.Not shape)
                 in
                 Format.printf

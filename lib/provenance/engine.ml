@@ -287,10 +287,11 @@ let plan pl r =
       plan_of pl.st ~pruned:false
         (union_targets pl (node_targets pl) (constant_targets pl r.shape))
 
-(* The store a run reads: the frozen graph's, or an empty one for an
-   empty graph (every candidate is then a stray). *)
+(* An empty graph has an empty store: every candidate is then a stray. *)
 let store_of g =
-  match Graph.store g with Some st -> st | None -> Store.of_triples [||]
+  match Graph.store (Graph.freeze g) with
+  | Some st -> st
+  | None -> Store.of_triples [||]
 
 (* ---------------- per-worker accumulators --------------------------- *)
 
@@ -622,7 +623,7 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
   let jobs = max 1 jobs in
   let t0 = now () in
   let schema = Schema.unfold schema in
-  let st = store_of (Graph.freeze g) in
+  let st = store_of g in
   let pl = planner ~schema st in
   let plans =
     Array.of_list

@@ -145,6 +145,10 @@ val requests_of_schema : Shacl.Schema.t -> request list
     order: the same fragment as the schema as given, with no [hasShape]
     hops into single-use untargeted definitions. *)
 
+val store_of : Rdf.Graph.t -> Rdf.Store.t
+(** The store {!run} and {!validate} read: that of [Graph.freeze g], or
+    an empty store for the empty graph.  [O(1)] on a parsed graph. *)
+
 val run :
   ?schema:Shacl.Schema.t ->
   ?jobs:int ->

@@ -1150,6 +1150,18 @@ let verdicts ?counters ?(schema = Schema.empty) (d : decider) phi =
   in
   { of_id; of_term; collect }
 
+(* Rows may repeat within one [collect]: sort them out. *)
+let check_with ?schema d v phi =
+  let verdicts = verdicts ?schema d phi in
+  match Store.id d.dst v with
+  | None -> (verdicts.of_term v, Graph.empty)
+  | Some id when verdicts.of_id id ->
+      let rows = ref [] in
+      verdicts.collect id (fun r -> rows := r :: !rows);
+      let rows = Array.of_list (List.sort_uniq Int.compare !rows) in
+      (true, Graph.of_rows d.dst rows)
+  | Some _ -> (false, Graph.empty)
+
 let naive_checker ?budget ?schema g phi =
   let conforms, go = make_naive ?budget ?schema g in
   let normalized = Shape.nnf phi in

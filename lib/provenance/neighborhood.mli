@@ -29,7 +29,8 @@
     space: the verdict pass ({!verdicts}) decides Table 1 alone, with a
     byte per memoized (subshape, node) verdict, and its row collector
     ([collect]) walks Table 2 after it, reading every verdict it needs
-    from that memo and emitting store row ids. *)
+    from that memo and emitting store row ids.  {!check_with} is {!check}
+    on that route, for one focus node. *)
 
 val b :
   ?budget:Runtime.Budget.t ->
@@ -75,9 +76,10 @@ val checker :
 (** Batch variant of {!check}: the shape is resolved once and one memo
     is shared across all focus nodes, which is how an instrumented
     validator processes the target nodes of a shape.  It is the
-    per-node evaluator: {!check} and {!why_not} (CLI and serve
-    [neighborhood]), the incremental state's per-pair supports,
-    [Engine.run ~kernel:`Per_node] and the overhead experiment run it.
+    per-node evaluator: {!check} and {!why_not} (serve [neighborhood],
+    perfbench's reference, the examples), the incremental state's
+    per-pair supports, [Engine.run ~kernel:`Per_node] and the overhead
+    experiment run it.
     Successive checkers of one (physical) shape and schema on a domain
     share that domain's resolution of it, so call a checker on the
     domain that created it.
@@ -157,6 +159,17 @@ val verdicts :
     evaluations there too, and spends one unit of budget per collected
     pair and per path evaluation.  The functions are valid until the next [verdicts] on
     [d], and raise [Invalid_argument] after it. *)
+
+val check_with :
+  ?schema:Shacl.Schema.t ->
+  decider -> Rdf.Term.t -> Shacl.Shape.t -> bool * Rdf.Graph.t
+(** [check_with ~schema d v phi] is {!check} on the graph of [d]'s store,
+    read from the store alone: a new {!verdicts} function decides [v],
+    and its [collect] gathers the rows of [B(v, G, phi)], returned as a
+    row view of the store ({!Rdf.Graph.of_rows}).  A focus the
+    dictionary never interned has an empty neighborhood.  One decider
+    serves any number of calls, each from an empty memo.  CLI
+    [neighborhood] runs it. *)
 
 val naive_checker :
   ?budget:Runtime.Budget.t ->

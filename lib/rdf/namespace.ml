@@ -21,6 +21,13 @@ let expand t name =
       let local = String.sub name (i + 1) (String.length name - i - 1) in
       Option.map (fun ns -> ns ^ local) (List.assoc_opt prefix t)
 
+let node t src =
+  let n = String.length src in
+  if n > 0 && src.[0] = '<' then
+    if n > 1 && src.[n - 1] = '>' then Ok (Term.iri (String.sub src 1 (n - 2)))
+    else Error (Printf.sprintf "node %S: IRI lacks its closing '>'" src)
+  else Ok (Term.iri (Option.value (expand t src) ~default:src))
+
 let local_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true
   | _ -> false

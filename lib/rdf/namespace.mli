@@ -18,6 +18,12 @@ val expand : t -> string -> string option
 (** [expand t "rdf:type"] resolves a prefixed name to a full IRI string.
     Returns [None] when the prefix is unbound or the string has no colon. *)
 
+val node : t -> string -> (Term.t, string) result
+(** [node t src] reads a focus node as the CLI and the server take it:
+    [<iri>], a prefixed name {!expand}ed against [t], or else [src]
+    itself as an IRI.  An [src] that opens with [<] but does not close
+    with [>] is an error, with a message naming [src]. *)
+
 val binding : t -> Iri.t -> (string * string) option
 (** [binding t iri] is the binding [(prefix, namespace)] that {!shorten}
     uses for [iri]: the most recent one whose non-empty namespace is a

@@ -150,14 +150,6 @@ let budget_of t (req : Wire.request) =
   | None, None -> Runtime.Budget.unlimited
   | _ -> Runtime.Budget.make ?timeout ?fuel ()
 
-let parse_node namespaces src =
-  if String.length src > 1 && src.[0] = '<' then
-    Rdf.Term.iri (String.sub src 1 (String.length src - 2))
-  else
-    match Rdf.Namespace.expand namespaces src with
-    | Some iri -> Rdf.Term.iri iri
-    | None -> Rdf.Term.iri src
-
 let turtle t g = Rdf.Turtle.to_string ~prefixes:t.namespaces g
 
 (* Evaluate one parsed request under [budget].  Returns an [Error _]
@@ -246,14 +238,15 @@ let execute t budget : Wire.op -> Wire.reply = function
               turtle = turtle t fragment })
   | Wire.Neighborhood { node; shape } -> (
       match
-        Shacl.Shape_syntax.parse ~namespaces:t.namespaces ~schema:t.schema
-          shape
+        ( Shacl.Shape_syntax.parse ~namespaces:t.namespaces ~schema:t.schema
+            shape,
+          Rdf.Namespace.node t.namespaces node )
       with
-      | Result.Error e ->
+      | Result.Error e, _ ->
           Wire.Error
             (Format.asprintf "shape %S: %a" shape Shacl.Shape_syntax.pp_error e)
-      | Ok shape -> (
-          let v = parse_node t.namespaces node in
+      | _, Result.Error m -> Wire.Error m
+      | Ok shape, Ok v -> (
           let g = current_graph t in
           match
             Provenance.Neighborhood.check ~budget ~schema:t.schema g v shape

@@ -291,6 +291,57 @@ let prop_nonconforming_empty =
       Conformance.conforms Schema.empty g v s
       || Graph.is_empty (Neighborhood.b g v s))
 
+(* [check_with] (the store route CLI [neighborhood] takes) against the
+   instrumented checker and the naive Table 2 neighborhood, for a shape,
+   its negation (the why-not pass) and a variant whose always-true
+   conjuncts trace the same p-edges again, so rows repeat within one
+   collection.  Every (shape, node) pair of a case goes through one
+   shared decider, so a verdict left over from an earlier generation
+   would show.  Graphs are empty about one time in six; the focus nodes
+   include a literal and an IRI that occurs in no triple. *)
+let prop_check_with =
+  let open QCheck in
+  let gen =
+    Gen.(
+      Tgen.gen_schema () >>= fun schema ->
+      let refs =
+        List.map (fun (d : Schema.def) -> d.Schema.name) (Schema.defs schema)
+      in
+      triple (return schema)
+        (frequency [ 1, return Graph.empty; 5, Tgen.gen_graph ])
+        (Tgen.gen_shape ~refs 2))
+  in
+  let print (schema, g, phi) =
+    Format.asprintf "schema:@.%a@.graph:@.%a@.shape: %a" Schema.pp schema
+      Graph.pp g Shape.pp phi
+  in
+  let pth = Rdf.Path.Prop Tgen.prop_p in
+  let overlap phi =
+    Shape.And
+      [ phi; Shape.Forall (pth, Shape.Top);
+        Shape.Ge (0, Rdf.Path.Alt (pth, Rdf.Path.Prop Tgen.prop_q), Shape.Top) ]
+  in
+  let foci = Tgen.iri "absent" :: List.hd Tgen.literals :: Tgen.nodes in
+  Test.make ~name:"check_with ≡ check ≡ b through one decider" ~count:300
+    (make gen ~print)
+    (fun (schema, g, phi) ->
+      let d = Neighborhood.decider (Engine.store_of g) in
+      List.for_all
+        (fun s ->
+          List.for_all
+            (fun v ->
+              let conforms, nb = Neighborhood.check_with ~schema d v s in
+              let conforms', nb' = Neighborhood.check ~schema g v s in
+              let naive = Neighborhood.b ~schema g v s in
+              (conforms = conforms'
+              && Graph.equal nb nb' && Graph.equal nb naive
+              && String.equal (Turtle.to_string nb) (Turtle.to_string nb'))
+              || Test.fail_reportf
+                   "at %a, shape %a:@.store: %b@.%a@.checker: %b@.%a" Term.pp v
+                   Shape.pp s conforms Graph.pp nb conforms' Graph.pp nb')
+            foci)
+        [ phi; Shape.Not phi; overlap phi; Shape.Not (overlap phi) ])
+
 let suite =
   [ "Example 1.2 (WorkshopShape)", `Quick, test_example_1_2;
     "Example 3.3 (happy at work)", `Quick, test_example_3_3;
@@ -313,4 +364,4 @@ let suite =
 
 let props =
   [ prop_naive_instrumented_agree; prop_neighborhood_subgraph;
-    prop_nonconforming_empty ]
+    prop_nonconforming_empty; prop_check_with ]

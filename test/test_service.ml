@@ -692,6 +692,30 @@ let test_e2e_undefined_shape () =
           Alcotest.(check bool) "conforms" true conforms
       | _ -> Alcotest.fail "expected Neighborhoods")
 
+(* A node that opens an IRI with '<' but never closes it is refused, not
+   read as the IRI minus its last character. *)
+let test_e2e_unterminated_node () =
+  with_server (fun server ->
+      (match
+         call server
+           (Wire.Neighborhood
+              { node = "<http://example.org/p1x"; shape = ">=1 ex:author . top" })
+       with
+      | Error (Client.Remote_error msg) ->
+          Alcotest.(check bool) "names the node" true
+            (contains ~sub:"\"<http://example.org/p1x\"" msg)
+      | Ok _ -> Alcotest.fail "an unterminated IRI must be refused"
+      | Error e -> Alcotest.failf "expected Remote_error: %a" Client.pp_error e);
+      match
+        expect_ok "closed IRI"
+          (call server
+             (Wire.Neighborhood
+                { node = "<http://example.org/p1>"; shape = ">=1 ex:author . top" }))
+      with
+      | Wire.Neighborhoods { conforms; _ } ->
+          Alcotest.(check bool) "conforms" true conforms
+      | _ -> Alcotest.fail "expected Neighborhoods")
+
 (* ---------------- Server.write_port_file ----------------------------- *)
 
 let test_write_port_file_atomic () =
@@ -841,6 +865,8 @@ let suite =
     test_e2e_update_without_journal;
     "e2e: an undefined request shape is refused", `Quick,
     test_e2e_undefined_shape;
+    "e2e: an unterminated node IRI is refused", `Quick,
+    test_e2e_unterminated_node;
     "server: port file is written atomically", `Quick,
     test_write_port_file_atomic;
     "wire: a frame spans many reads", `Quick, test_frame_spans_reads ]
